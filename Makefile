@@ -3,7 +3,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: ci fmt vet lint lint-fix build test race bench fuzz crashsweep
+.PHONY: ci fmt vet lint lint-fix build test race bench fuzz crashsweep golden
 
 ci:
 	./scripts/ci.sh
@@ -48,3 +48,10 @@ fuzz:
 
 crashsweep:
 	go run ./cmd/flatflash-bench crashsweep -points 60
+
+# Rewrite the committed goldens (fleet engine fixture, Quick-scale paper
+# reports) from the current code. For intentional model changes only: a
+# refactor or optimisation must pass against the goldens as they are.
+golden:
+	go test ./internal/fleet -run TestEngineGolden -update
+	go test ./internal/experiments -run TestQuickReportsGolden -update

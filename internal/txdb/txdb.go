@@ -367,26 +367,34 @@ func (db *DB) runTx(now sim.Time, rng *sim.RNG, keys *workload.Zipf, wid, seq in
 	return now, nil
 }
 
-// Run executes the configured workload and returns throughput.
-func Run(h core.Hierarchy, cfg Config) (Result, error) {
-	db, err := Open(h, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	theta := cfg.Theta
+// workerStreams seeds each worker's RNG and Zipf key generator. Run and
+// Stepper both start from it, which is what keeps a Stepper run
+// step-for-step deterministic against Run.
+func (db *DB) workerStreams() ([]*sim.RNG, []*workload.Zipf) {
+	theta := db.cfg.Theta
 	if theta == 0 {
 		// TPC-style workloads show strong page-level buffer locality; the
 		// paper's Shore-MT runs keep their working set largely in the 6 GB
 		// buffer pool, leaving logging as the bottleneck.
 		theta = 0.99
 	}
-	clocks := make([]sim.Time, cfg.Threads)
-	rngs := make([]*sim.RNG, cfg.Threads)
-	gens := make([]*workload.Zipf, cfg.Threads)
-	for w := 0; w < cfg.Threads; w++ {
-		rngs[w] = sim.NewRNG(cfg.Seed + uint64(w)*7919)
+	rngs := make([]*sim.RNG, db.cfg.Threads)
+	gens := make([]*workload.Zipf, db.cfg.Threads)
+	for w := range rngs {
+		rngs[w] = sim.NewRNG(db.cfg.Seed + uint64(w)*7919)
 		gens[w] = workload.NewZipf(rngs[w], db.records, theta)
 	}
+	return rngs, gens
+}
+
+// Run executes the configured workload and returns throughput.
+func Run(h core.Hierarchy, cfg Config) (Result, error) {
+	db, err := Open(h, cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	clocks := make([]sim.Time, cfg.Threads)
+	rngs, gens := db.workerStreams()
 	// Warm-up: a quarter of the run populates the buffer pool and settles
 	// the promotion policy; it is excluded from the measurement.
 	warm := cfg.TxPerThread/4 + 1
@@ -436,7 +444,7 @@ func (db *DB) LogCosts() (latency, service sim.Duration) {
 
 // Stepper drives the workload one transaction at a time, for harnesses that
 // interleave their own events (crash points, fault windows) with the
-// transaction stream. It replicates Run's initialization — identical
+// transaction stream. It shares Run's initialization — identical
 // per-worker RNG seeding and Zipf key streams — so a Stepper run is
 // step-for-step deterministic against Run with the same Config.
 type Stepper struct {
@@ -453,21 +461,12 @@ func NewStepper(h core.Hierarchy, cfg Config) (*Stepper, error) {
 	if err != nil {
 		return nil, err
 	}
-	theta := cfg.Theta
-	if theta == 0 {
-		theta = 0.99
-	}
 	st := &Stepper{
 		db:     db,
 		clocks: make([]sim.Time, cfg.Threads),
-		rngs:   make([]*sim.RNG, cfg.Threads),
-		gens:   make([]*workload.Zipf, cfg.Threads),
 		seqs:   make([]int, cfg.Threads),
 	}
-	for w := 0; w < cfg.Threads; w++ {
-		st.rngs[w] = sim.NewRNG(cfg.Seed + uint64(w)*7919)
-		st.gens[w] = workload.NewZipf(st.rngs[w], db.records, theta)
-	}
+	st.rngs, st.gens = db.workerStreams()
 	return st, nil
 }
 

@@ -184,6 +184,38 @@ func TestIndexedAccessPath(t *testing.T) {
 	}
 }
 
+// A Stepper driven round-robin through Run's warm-up and measured rounds
+// must leave an identical hierarchy in an identical state: same counters,
+// same clock, on both a FlatFlash and a paging baseline.
+func TestStepperMatchesRun(t *testing.T) {
+	for _, newH := range []func(*testing.T) core.Hierarchy{newFF, newUM} {
+		cfg := Config{Workload: TPCC, LogMode: Centralized, Threads: 4, TxPerThread: 40, DBBytes: 2 << 20, Seed: 11}
+		hRun := newH(t)
+		if _, err := Run(hRun, cfg); err != nil {
+			t.Fatal(err)
+		}
+		hStep := newH(t)
+		st, err := NewStepper(hStep, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds := cfg.TxPerThread/4 + 1 + cfg.TxPerThread // Run's warm + measured
+		for r := 0; r < rounds; r++ {
+			for w := 0; w < cfg.Threads; w++ {
+				if err := st.Step(w); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if got, want := hStep.Counters().String(), hRun.Counters().String(); got != want {
+			t.Errorf("%s: Stepper counters diverge from Run:\nstep:\n%s\nrun:\n%s", hRun.Name(), got, want)
+		}
+		if got, want := hStep.Now(), hRun.Now(); got != want {
+			t.Errorf("%s: Stepper clock %v, Run clock %v", hRun.Name(), got, want)
+		}
+	}
+}
+
 // ARIES-style analysis: after a crash, every committed transaction's log
 // record is found; per-worker sequence numbers match what ran.
 func TestLogRecoveryAfterCrash(t *testing.T) {

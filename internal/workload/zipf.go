@@ -7,6 +7,7 @@ package workload
 
 import (
 	"math"
+	"sync"
 
 	"flatflash/internal/sim"
 )
@@ -17,11 +18,14 @@ import (
 // values are more popular.
 type Zipf struct {
 	n     uint64
-	theta float64
 	alpha float64
 	zetan float64
 	eta   float64
-	rng   *sim.RNG
+	// cut1 is 1 + 0.5^theta: u*zetan in [1, cut1) draws 1. It is the
+	// Pow(0.5, theta) expression Next always used, not zeta(2, theta),
+	// which may differ in the last bit.
+	cut1 float64
+	rng  *sim.RNG
 }
 
 // DefaultZipfTheta is the YCSB default skew.
@@ -35,17 +39,52 @@ func NewZipf(rng *sim.RNG, n uint64, theta float64) *Zipf {
 	if theta <= 0 || theta >= 1 {
 		panic("workload: Zipf theta must be in (0,1)")
 	}
-	z := &Zipf{n: n, theta: theta, rng: rng}
-	z.zetan = zeta(n, theta)
+	z := &Zipf{n: n, rng: rng}
+	z.zetan, z.eta = zipfConstants(n, theta)
 	z.alpha = 1 / (1 - theta)
-	zeta2 := zeta(2, theta)
-	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta2/z.zetan)
+	z.cut1 = 1 + math.Pow(0.5, theta)
 	return z
 }
 
+// zipfKey identifies one normalization: the range and theta's exact bits.
+type zipfKey struct {
+	n     uint64
+	theta uint64
+}
+
+// zipfConsts holds one key's normalization, computed once.
+type zipfConsts struct {
+	once  sync.Once
+	zetan float64
+	eta   float64
+}
+
+// zipfMemo maps zipfKey to *zipfConsts for the life of the process.
+var zipfMemo sync.Map
+
+// zipfConstants returns zeta(n, theta) and the Gray et al. eta for (n,
+// theta). The O(n) sum is paid once per distinct (n, theta) per process:
+// the paper's database runs build hundreds of generators over one key
+// space, and concurrent sweep workers share the first caller's result.
+// Memoizing is exact — every caller runs the same summation in the same
+// order, so the stored float64s carry the bits a fresh sum would.
+func zipfConstants(n uint64, theta float64) (zetan, eta float64) {
+	k := zipfKey{n: n, theta: math.Float64bits(theta)}
+	v, ok := zipfMemo.Load(k)
+	if !ok {
+		v, _ = zipfMemo.LoadOrStore(k, new(zipfConsts))
+	}
+	c := v.(*zipfConsts)
+	c.once.Do(func() {
+		c.zetan = zeta(n, theta)
+		c.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta(2, theta)/c.zetan)
+	})
+	return c.zetan, c.eta
+}
+
+// zeta is the generalized harmonic number sum_{i=1..n} i^-theta, summed in
+// ascending i. Callers go through zipfConstants, which memoizes it.
 func zeta(n uint64, theta float64) float64 {
-	// Exact summation is O(n); fine for the simulator's scaled-down key
-	// spaces (<= a few million).
 	sum := 0.0
 	for i := uint64(1); i <= n; i++ {
 		sum += 1 / math.Pow(float64(i), theta)
@@ -60,7 +99,7 @@ func (z *Zipf) Next() uint64 {
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+math.Pow(0.5, z.theta) {
+	if uz < z.cut1 {
 		return 1
 	}
 	v := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
