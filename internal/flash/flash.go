@@ -3,9 +3,10 @@
 // erase-before-program constraint, per-block wear counters, and virtual-time
 // latencies for read, program, and erase operations.
 //
-// The device stores real bytes (allocated lazily per page), so the layers
-// above it — FTL, SSD-Cache, the FlatFlash hierarchy — can be tested for
-// functional correctness, not just timing.
+// The device stores the real bytes of every programmed page (allocated
+// lazily per page), so the layers above it — FTL, SSD-Cache, the FlatFlash
+// hierarchy — can be tested for functional correctness, not just timing.
+// Erased contents are synthesized on read and never stored.
 package flash
 
 import (
@@ -181,23 +182,30 @@ func (d *Device) checkPage(p PageAddr) error {
 }
 
 // Read copies page p into buf (which must be PageSize long) and returns the
-// virtual time at which the data is available. Reading an erased page yields
-// all-0xFF bytes, as real NAND does.
+// virtual time at which the data is available: Sense plus the copy. An
+// erased page reads as all-0xFF bytes, as real NAND does; those bytes are
+// synthesized into buf, never stored.
 func (d *Device) Read(now sim.Time, p PageAddr, buf []byte) (sim.Time, error) {
+	done, err := d.Sense(now, p, len(buf))
+	if err != nil {
+		return done, err
+	}
+	d.copyOut(p, buf)
+	return done, nil
+}
+
+// Sense performs a read of page p for a size-byte buffer without moving any
+// bytes: the same checks, channel occupancy, read counters and attribution
+// charge as Read (charged by the page's OOB type), for callers that discard
+// or synthesize the contents themselves.
+func (d *Device) Sense(now sim.Time, p PageAddr, size int) (sim.Time, error) {
 	if err := d.checkPage(p); err != nil {
 		return now, err
 	}
-	if len(buf) != d.cfg.PageSize {
+	if size != d.cfg.PageSize {
 		return now, ErrBadPageSize
 	}
 	_, done := d.channelOf(p).Acquire(now, d.cfg.ReadLatency)
-	if d.state[p] == pageErased || d.data[p] == nil {
-		for i := range buf {
-			buf[i] = 0xFF
-		}
-	} else {
-		copy(buf, d.data[p])
-	}
 	d.reads++
 	comp := telemetry.CompFlash
 	if d.ptype[p] == PageTrans {
@@ -222,14 +230,22 @@ func (d *Device) Peek(p PageAddr, buf []byte) error {
 	if len(buf) != d.cfg.PageSize {
 		return ErrBadPageSize
 	}
-	if d.state[p] == pageErased || d.data[p] == nil {
-		for i := range buf {
-			buf[i] = 0xFF
-		}
-	} else {
-		copy(buf, d.data[p])
-	}
+	d.copyOut(p, buf)
 	return nil
+}
+
+// copyOut copies page p's contents into buf, which is PageSize long. An
+// erased or failed page holds no buffer; its 0xFF pattern is written by
+// doubling copies, at memmove speed.
+func (d *Device) copyOut(p PageAddr, buf []byte) {
+	if d.state[p] != pageErased && d.data[p] != nil {
+		copy(buf, d.data[p])
+		return
+	}
+	buf[0] = 0xFF
+	for n := 1; n < len(buf); n *= 2 {
+		copy(buf[n:], buf[:n])
+	}
 }
 
 // Program writes data (PageSize bytes) into erased page p and returns the

@@ -2,10 +2,12 @@ package flash
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"flatflash/internal/sim"
+	"flatflash/internal/telemetry"
 )
 
 func testConfig() Config {
@@ -77,24 +79,115 @@ func TestEraseBeforeProgram(t *testing.T) {
 }
 
 func TestReadBackAndErasedPattern(t *testing.T) {
-	d, _ := NewDevice(testConfig())
-	buf := make([]byte, 256)
-	if _, err := d.Read(0, 5, buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range buf {
-		if b != 0xFF {
-			t.Fatal("erased page must read as 0xFF")
+	// Sizes 1 and 3 are not powers of two: the erased fill doubles its
+	// copy and must stop exactly at the end of the buffer.
+	for _, size := range []int{1, 3, 256, 4096} {
+		cfg := testConfig()
+		cfg.PageSize = size
+		d, err := NewDevice(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := bytes.Repeat([]byte{0x11}, size)
+		if _, err := d.Read(0, 5, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, bytes.Repeat([]byte{0xFF}, size)) {
+			t.Fatalf("size %d: erased page must read as 0xFF, got % x", size, buf)
+		}
+		peek := bytes.Repeat([]byte{0x22}, size)
+		if err := d.Peek(6, peek); err != nil || !bytes.Equal(peek, buf) {
+			t.Fatalf("size %d: Peek of an erased page = % x, %v", size, peek, err)
+		}
+		want := bytes.Repeat([]byte{0x5C}, size)
+		d.Program(0, 5, want)
+		// Mutating the caller's buffer must not corrupt the stored page.
+		want2 := append([]byte(nil), want...)
+		want[0] = 0
+		d.Read(0, 5, buf)
+		if !bytes.Equal(buf, want2) {
+			t.Fatalf("size %d: read-back mismatch (device aliased caller buffer?)", size)
 		}
 	}
-	want := bytes.Repeat([]byte{0x5C}, 256)
-	d.Program(0, 5, want)
-	// Mutating the caller's buffer must not corrupt the stored page.
-	want2 := append([]byte(nil), want...)
-	want[0] = 0
-	d.Read(0, 5, buf)
-	if !bytes.Equal(buf, want2) {
-		t.Fatal("read-back mismatch (device aliased caller buffer?)")
+}
+
+// charge is one attribution charge.
+type charge struct {
+	comp telemetry.Component
+	d    sim.Duration
+}
+
+// chargeLog records every attribution charge in order.
+type chargeLog []charge
+
+func (l *chargeLog) Charge(comp telemetry.Component, d sim.Duration) {
+	*l = append(*l, charge{comp, d})
+}
+
+// TestSenseMatchesRead drives two identical devices, one through Read and
+// one through Sense, over an erased page, a data page and a translation
+// page. Completion times, read counters and attribution charges must agree:
+// Sense is Read without the copy.
+func TestSenseMatchesRead(t *testing.T) {
+	cfg := testConfig()
+	var devs [2]*Device
+	var logs [2]chargeLog
+	for i := range devs {
+		d, _ := NewDevice(cfg)
+		data := make([]byte, cfg.PageSize)
+		if _, err := d.ProgramTyped(0, 9, data, PageData); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.ProgramTyped(0, 17, data, PageTrans); err != nil {
+			t.Fatal(err)
+		}
+		d.SetAttrib(&logs[i])
+		devs[i] = d
+	}
+	buf := make([]byte, cfg.PageSize)
+	now := sim.Time(5)
+	for _, p := range []PageAddr{3, 9, 17, 9, 17} {
+		r0, t0, _, _ := devs[0].WearByType()
+		r1, t1, _, _ := devs[1].WearByType()
+		read, err := devs[0].Read(now, p, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sense, err := devs[1].Sense(now, p, len(buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if read != sense {
+			t.Fatalf("page %d: Read done %d, Sense done %d", p, read, sense)
+		}
+		dr0, dt0, _, _ := devs[0].WearByType()
+		dr1, dt1, _, _ := devs[1].WearByType()
+		if dr0-r0 != dr1-r1 || dt0-t0 != dt1-t1 {
+			t.Fatalf("page %d: Read counted (%d data, %d trans), Sense (%d, %d)",
+				p, dr0-r0, dt0-t0, dr1-r1, dt1-t1)
+		}
+		now += 3
+	}
+	if devs[0].Reads() != 5 || devs[1].Reads() != 5 {
+		t.Fatalf("Reads() = %d / %d, want 5", devs[0].Reads(), devs[1].Reads())
+	}
+	if _, trans, _, _ := devs[1].WearByType(); trans != 2 {
+		t.Fatalf("Sense counted %d translation reads, want 2", trans)
+	}
+	if len(logs[0]) != 5 || !slices.Equal(logs[0], logs[1]) {
+		t.Fatalf("charges differ:\nRead  %v\nSense %v", logs[0], logs[1])
+	}
+	if logs[1][2].comp != telemetry.CompMapFetch || logs[1][1].comp != telemetry.CompFlash {
+		t.Fatalf("Sense charged %v, want flash for data and map fetch for trans", logs[1])
+	}
+	if _, err := devs[1].Sense(now, 10000, len(buf)); err != ErrOutOfRange {
+		t.Fatalf("Sense out of range: err = %v", err)
+	}
+	if _, err := devs[1].Sense(now, 0, 10); err != ErrBadPageSize {
+		t.Fatalf("Sense bad size: err = %v", err)
+	}
+	if devs[1].Reads() != 5 {
+		t.Fatal("a failed Sense counted a read")
 	}
 }
 
@@ -226,5 +319,53 @@ func TestReadYourWritesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkDeviceRead times a full-size page read: the channel charge plus
+// the copy out of a programmed page or the synthesized fill of an erased one.
+func BenchmarkDeviceRead(b *testing.B) {
+	for _, bc := range []struct {
+		name       string
+		programmed bool
+	}{{"programmed", true}, {"erased", false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := DefaultConfig()
+			d, _ := NewDevice(cfg)
+			buf := make([]byte, cfg.PageSize)
+			if bc.programmed {
+				if _, err := d.Program(0, 0, buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var now sim.Time
+			b.SetBytes(int64(cfg.PageSize))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				done, err := d.Read(now, 0, buf)
+				if err != nil {
+					b.Fatal(err)
+				}
+				now = done
+			}
+		})
+	}
+}
+
+// BenchmarkDeviceSense times a page read that moves no bytes: the cost an
+// unmapped FTL read pays on the device.
+func BenchmarkDeviceSense(b *testing.B) {
+	cfg := DefaultConfig()
+	d, _ := NewDevice(cfg)
+	var now sim.Time
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		done, err := d.Sense(now, PageAddr(i&1023), cfg.PageSize)
+		if err != nil {
+			b.Fatal(err)
+		}
+		now = done
 	}
 }

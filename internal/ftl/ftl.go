@@ -264,15 +264,15 @@ func (f *FTL) ReadPage(now sim.Time, lpn uint32, buf []byte) (sim.Time, error) {
 	p := f.l2p[lpn]
 	if p == flash.InvalidPage {
 		// Charge the device for reading the page's on-flash location (it
-		// holds file data the simulator models as zeros).
+		// holds file data the simulator models as zeros, synthesized here
+		// and never stored). The read is counted by the alias page's OOB
+		// type, whatever that page holds now.
 		phys := flash.PageAddr(int(lpn) % f.cfg.Flash.TotalPages())
-		done, err := f.dev.Read(now, phys, buf)
+		done, err := f.dev.Sense(now, phys, len(buf))
 		if err != nil {
 			return now, err
 		}
-		for i := range buf {
-			buf[i] = 0
-		}
+		clear(buf)
 		if f.probe != nil {
 			f.probe.Span(telemetry.SpanFlashRead, telemetry.TrackFlash, now, done, int64(lpn))
 		}

@@ -87,6 +87,35 @@ func TestUnwrittenPageReadsZero(t *testing.T) {
 	if f.IsMapped(7) {
 		t.Fatal("page 7 should be unmapped")
 	}
+
+	// An unmapped read is charged against the alias physical page
+	// lpn % TotalPages. Whatever that page holds, the read returns zeros,
+	// costs one device read, and is counted under the alias page's type.
+	for _, typ := range []flash.PageType{flash.PageData, flash.PageTrans} {
+		f, _ := New(testConfig())
+		dev := f.Device()
+		alias := flash.PageAddr(7 % testConfig().Flash.TotalPages())
+		start, err := dev.ProgramTyped(0, alias, page(f, 0xAB), typ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := page(f, 0xEE)
+		done, err := f.ReadPage(start, 7, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done != start.Add(testConfig().Flash.ReadLatency) {
+			t.Fatalf("type %d: unmapped read took %d, want one device read", typ, done.Sub(start))
+		}
+		if !bytes.Equal(buf, make([]byte, len(buf))) {
+			t.Fatalf("type %d: unmapped page over a programmed alias must read as zeros", typ)
+		}
+		dataReads, transReads, _, _ := dev.WearByType()
+		if typ == flash.PageTrans && (dataReads != 0 || transReads != 1) ||
+			typ == flash.PageData && (dataReads != 1 || transReads != 0) {
+			t.Fatalf("type %d: counted (%d data, %d trans) reads", typ, dataReads, transReads)
+		}
+	}
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {

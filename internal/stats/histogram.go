@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"flatflash/internal/sim"
 )
@@ -37,22 +38,11 @@ func bucketOf(v int64) (int, int) {
 	if v < subBuckets {
 		return 0, int(v)
 	}
-	mag := 63 - leadingZeros(uint64(v))
+	mag := 63 - bits.LeadingZeros64(uint64(v))
 	// Values in [2^mag, 2^(mag+1)) are split into subBuckets linear slots.
 	shift := mag - 5 // log2(subBuckets)
 	sub := int((v >> uint(shift)) & (subBuckets - 1))
 	return mag - 4, sub
-}
-
-func leadingZeros(x uint64) int {
-	n := 0
-	for i := 63; i >= 0; i-- {
-		if x&(1<<uint(i)) != 0 {
-			return n
-		}
-		n++
-	}
-	return 64
 }
 
 // bucketMid returns a representative value for bucket (b, s): the midpoint

@@ -1,10 +1,64 @@
 package stats
 
 import (
+	"math"
 	"testing"
 
 	"flatflash/internal/sim"
 )
+
+// refLeadingZeros is the bit-by-bit loop bucketOf used before it called
+// bits.LeadingZeros64; it stays here as the oracle for the bucket index.
+func refLeadingZeros(x uint64) int {
+	n := 0
+	for i := 63; i >= 0; i-- {
+		if x&(1<<uint(i)) != 0 {
+			return n
+		}
+		n++
+	}
+	return 64
+}
+
+// refBucketOf is bucketOf computed with refLeadingZeros.
+func refBucketOf(v int64) (int, int) {
+	if v < 0 {
+		v = 0
+	}
+	if v < subBuckets {
+		return 0, int(v)
+	}
+	mag := 63 - refLeadingZeros(uint64(v))
+	shift := mag - 5
+	return mag - 4, int((v >> uint(shift)) & (subBuckets - 1))
+}
+
+// TestBucketOfMatchesReference checks bucketOf against the reference loop
+// at zero, around every power of two up to 2^62, at the extremes, and on
+// random values of every magnitude.
+func TestBucketOfMatchesReference(t *testing.T) {
+	check := func(v int64) {
+		b, s := bucketOf(v)
+		rb, rs := refBucketOf(v)
+		if b != rb || s != rs {
+			t.Fatalf("bucketOf(%d) = (%d, %d), reference (%d, %d)", v, b, s, rb, rs)
+		}
+	}
+	check(0)
+	check(-1)
+	check(math.MaxInt64)
+	for k := 0; k <= 62; k++ {
+		p := int64(1) << k
+		check(p - 1)
+		check(p)
+		check(p + 1)
+	}
+	rng := sim.NewRNG(11)
+	for i := 0; i < 10000; i++ {
+		// A random magnitude first, so small values are as common as large.
+		check(int64(rng.Uint64() >> (1 + rng.Intn(63))))
+	}
+}
 
 // TestHistogramPowerOfTwoBoundaries records values straddling power-of-two
 // bucket boundaries and checks the invariants the log-bucketing must keep:

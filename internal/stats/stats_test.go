@@ -168,3 +168,19 @@ func TestCostModel(t *testing.T) {
 		t.Fatal("degenerate inputs must yield zeros")
 	}
 }
+
+// BenchmarkHistogramRecord times one latency sample into the histogram,
+// over values spanning every bucket magnitude a simulated latency reaches.
+func BenchmarkHistogramRecord(b *testing.B) {
+	rng := sim.NewRNG(3)
+	vals := make([]sim.Duration, 1024)
+	for i := range vals {
+		vals[i] = sim.Duration(rng.Uint64() >> (24 + rng.Intn(40)))
+	}
+	h := NewHistogram()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Record(vals[i&1023])
+	}
+}

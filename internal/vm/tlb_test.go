@@ -45,7 +45,7 @@ func (r *refLRU) invalidate(vpn uint64) {
 // decisions throughout. Byte-identical reports depend on this equivalence.
 func TestTLBMatchesReferenceLRU(t *testing.T) {
 	const capacity = 8
-	tl := newTLB(capacity)
+	tl := newTLB(capacity, capacity*3)
 	ref := &refLRU{cap: capacity}
 	rng := sim.NewRNG(7)
 	for i := 0; i < 20000; i++ {
@@ -70,7 +70,7 @@ func TestTLBMatchesReferenceLRU(t *testing.T) {
 // TestTLBEvictsLRU pins the exact eviction order: filling the TLB and adding
 // one more entry must evict the least recently used, not an arbitrary slot.
 func TestTLBEvictsLRU(t *testing.T) {
-	tl := newTLB(4)
+	tl := newTLB(4, 101)
 	for vpn := uint64(0); vpn < 4; vpn++ {
 		tl.insert(vpn)
 	}
@@ -89,8 +89,44 @@ func TestTLBEvictsLRU(t *testing.T) {
 	}
 }
 
+// TestTLBStaleIndexMisses checks that the dense vpn -> slot index forgets a
+// VPN when it leaves the TLB: a VPN evicted as LRU, or invalidated, must
+// miss on its next lookup even after its old slot is reused by another VPN.
+// The last mappable VPN is covered too.
+func TestTLBStaleIndexMisses(t *testing.T) {
+	const maxPages = 64
+	last := uint64(maxPages - 1)
+	tl := newTLB(2, maxPages)
+	tl.insert(last)
+	tl.insert(1)
+	tl.insert(2) // evicts last (LRU); its slot now holds 2
+	if tl.lookup(last) {
+		t.Fatal("vpn maxPages-1 hit after LRU eviction")
+	}
+	tl.insert(last) // evicts 1
+	if tl.lookup(1) {
+		t.Fatal("vpn 1 hit after LRU eviction")
+	}
+	if !tl.lookup(last) || !tl.lookup(2) {
+		t.Fatal("resident vpns missed")
+	}
+	tl.invalidate(last)
+	if tl.lookup(last) {
+		t.Fatal("vpn maxPages-1 hit after invalidation")
+	}
+	tl.insert(5) // reuses the invalidated slot
+	if tl.lookup(last) {
+		t.Fatal("vpn maxPages-1 hit after its slot was reused")
+	}
+	tl.invalidate(2)
+	tl.invalidate(2) // invalidating an absent vpn is a no-op
+	if tl.lookup(2) || !tl.lookup(5) {
+		t.Fatal("invalidate(2) disturbed the wrong entry")
+	}
+}
+
 // TestTranslateZeroAllocSteadyState is the TLB's allocation budget: once the
-// slot map is warmed, Translate (hit or miss+insert+evict) allocates nothing.
+// TLB is warm, Translate (hit or miss+insert+evict) allocates nothing.
 func TestTranslateZeroAllocSteadyState(t *testing.T) {
 	if sim.RaceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
@@ -104,8 +140,7 @@ func TestTranslateZeroAllocSteadyState(t *testing.T) {
 	for vpn := uint64(0); vpn < 256; vpn++ {
 		a.Map(vpn, PTE{Loc: InSSD, SSDPage: uint32(vpn)})
 	}
-	// Warm: cycle every VPN through the TLB so the map has grown to its
-	// steady-state bucket count.
+	// Warm: cycle every VPN through the TLB so every slot is in use.
 	for vpn := uint64(0); vpn < 256; vpn++ {
 		if _, _, err := a.Translate(vpn); err != nil {
 			t.Fatal(err)
@@ -119,5 +154,32 @@ func TestTranslateZeroAllocSteadyState(t *testing.T) {
 		vpn += 3 // mix of hits and miss+evict cycles
 	}); avg != 0 {
 		t.Fatalf("Translate allocates %.2f objects/op at steady state, want 0", avg)
+	}
+}
+
+// BenchmarkTranslateHit times a TLB-hit translation over a working set that
+// fits the default TLB but is spread across a large address space.
+func BenchmarkTranslateHit(b *testing.B) {
+	cfg := DefaultConfig()
+	const maxPages, hot = 1 << 16, 256
+	a, err := New(cfg, maxPages)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := uint64(0); i < hot; i++ {
+		vpn := i * (maxPages / hot)
+		a.Map(vpn, PTE{Loc: InSSD, SSDPage: uint32(vpn)})
+		a.Translate(vpn) // warm
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := a.Translate(uint64(i%hot) * (maxPages / hot)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if _, misses, _ := a.Stats(); misses != hot {
+		b.Fatalf("%d TLB misses, want only the %d warm-up misses", misses, hot)
 	}
 }

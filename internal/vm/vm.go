@@ -95,7 +95,7 @@ func New(cfg Config, maxPages int) (*AddressSpace, error) {
 	return &AddressSpace{
 		cfg:   cfg,
 		pages: make([]PTE, maxPages),
-		tlb:   newTLB(cfg.TLBEntries),
+		tlb:   newTLB(cfg.TLBEntries, maxPages),
 	}, nil
 }
 
@@ -190,23 +190,25 @@ func (a *AddressSpace) MappedPages() uint64 { return a.next }
 
 // tlb is a fully associative exact-LRU TLB, laid out as an intrusive
 // doubly-linked list over preallocated slot arrays so that lookups, inserts,
-// and evictions are allocation-free at steady state (the slot map reuses its
-// buckets once warmed). Exact LRU — not CLOCK — keeps hit/miss sequences,
-// and therefore every latency and counter downstream, byte-identical to the
-// original container/list implementation.
+// and evictions are allocation-free. The vpn -> slot index is a dense array
+// over the address space (4 bytes per mappable page), so a lookup is one
+// load rather than a hash. Exact LRU — not CLOCK — keeps hit/miss
+// sequences, and therefore every latency and counter downstream,
+// byte-identical to the original container/list implementation.
 type tlb struct {
-	slot map[uint64]int32 // vpn -> slot index
-	vpns []uint64         // slot -> vpn
-	prev []int32          // toward MRU; -1 at head
-	next []int32          // toward LRU; -1 at tail
-	head int32            // MRU slot, -1 when empty
-	tail int32            // LRU slot, -1 when empty
-	free []int32          // unused slot stack
+	slot []int32  // vpn -> slot index + 1; 0 when vpn is not resident
+	vpns []uint64 // slot -> vpn
+	prev []int32  // toward MRU; -1 at head
+	next []int32  // toward LRU; -1 at tail
+	head int32    // MRU slot, -1 when empty
+	tail int32    // LRU slot, -1 when empty
+	free []int32  // unused slot stack
 }
 
-func newTLB(capacity int) *tlb {
+// newTLB builds a TLB of capacity entries for VPNs below maxPages.
+func newTLB(capacity, maxPages int) *tlb {
 	t := &tlb{
-		slot: make(map[uint64]int32, capacity),
+		slot: make([]int32, maxPages),
 		vpns: make([]uint64, capacity),
 		prev: make([]int32, capacity),
 		next: make([]int32, capacity),
@@ -249,8 +251,8 @@ func (t *tlb) pushFront(i int32) {
 
 //flatflash:hotpath
 func (t *tlb) lookup(vpn uint64) bool {
-	i, ok := t.slot[vpn]
-	if !ok {
+	i := t.slot[vpn] - 1
+	if i < 0 {
 		return false
 	}
 	if i != t.head {
@@ -262,7 +264,7 @@ func (t *tlb) lookup(vpn uint64) bool {
 
 //flatflash:hotpath
 func (t *tlb) insert(vpn uint64) {
-	if i, ok := t.slot[vpn]; ok {
+	if i := t.slot[vpn] - 1; i >= 0 {
 		if i != t.head {
 			t.detach(i)
 			t.pushFront(i)
@@ -276,17 +278,17 @@ func (t *tlb) insert(vpn uint64) {
 	} else {
 		i = t.tail // evict LRU
 		t.detach(i)
-		delete(t.slot, t.vpns[i])
+		t.slot[t.vpns[i]] = 0
 	}
 	t.vpns[i] = vpn
-	t.slot[vpn] = i
+	t.slot[vpn] = i + 1
 	t.pushFront(i)
 }
 
 func (t *tlb) invalidate(vpn uint64) {
-	if i, ok := t.slot[vpn]; ok {
+	if i := t.slot[vpn] - 1; i >= 0 {
 		t.detach(i)
-		delete(t.slot, vpn)
+		t.slot[vpn] = 0
 		t.free = append(t.free, i)
 	}
 }

@@ -10,6 +10,10 @@
 #
 # BENCHTIME overrides the per-benchmark budget (default 1s). CI's warn-only
 # regression diff sets a small iteration count to keep the gate fast.
+#
+# The snapshot's first entry, "_meta", fingerprints the machine and code it
+# was taken on: CPU model, core count, Go version and git revision.
+# scripts/benchdiff.sh warns when two snapshots' machines differ.
 set -eu
 
 if [ $# -gt 1 ]; then
@@ -22,7 +26,14 @@ trap 'rm -f "$raw"' EXIT
 
 go test -bench=. -benchmem -benchtime="${BENCHTIME:-1s}" -run='^$' ./... | tee "$raw"
 
-awk -v out="$out" '
+cpu=$(sed -n 's/^model name[[:space:]]*: *//p' /proc/cpuinfo 2>/dev/null | head -1 | tr -d '"\\')
+ncpu=$(nproc 2>/dev/null || echo 0)
+gover=$(go version | sed 's/^go version //')
+rev=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+meta=$(printf '"_meta": {"cpu": "%s", "nproc": %s, "go": "%s", "rev": "%s"}' \
+    "${cpu:-unknown}" "$ncpu" "$gover" "$rev")
+
+awk -v out="$out" -v meta="$meta" '
 $1 ~ /^Benchmark/ && $3 == "ns/op" || ($4 == "ns/op") {
     # Lines look like: BenchmarkName-8  1234  567 ns/op  89 B/op  4 allocs/op
     name = $1
@@ -45,7 +56,7 @@ $1 ~ /^Benchmark/ && $3 == "ns/op" || ($4 == "ns/op") {
     }
 }
 END {
-    printf "{\n" > out
+    printf "{\n  %s%s\n", meta, (n > 0 ? "," : "") > out
     for (i = 1; i <= n; i++) {
         name = names[i]
         printf "  \"%s\": {\"ns_per_op\": %s, \"allocs_per_op\": %s%s}%s\n", \

@@ -5,7 +5,9 @@
 #   ./scripts/benchdiff.sh BENCH_3.json BENCH_4.json
 #
 # Negative percentages are improvements. Benchmarks present in only one
-# snapshot are listed as added/removed.
+# snapshot are listed as added/removed. One warning line comes first when
+# the snapshots' "_meta" fingerprints show a different CPU, core count or Go
+# version, or when either snapshot has none: such deltas mix machine and code.
 set -eu
 
 if [ $# -ne 2 ]; then
@@ -26,6 +28,25 @@ for f in "$old" "$new"; do
         exit 0
     fi
 done
+
+# meta FILE KEY prints one field of FILE's "_meta" line (empty if absent).
+meta() {
+    grep '"_meta"' "$1" | sed -n "s/.*\"$2\": \"*\([^\",}]*\).*/\1/p"
+}
+missing=""
+for f in "$old" "$new"; do
+    grep -q '"_meta"' "$f" || missing="$missing $f"
+done
+if [ -n "$missing" ]; then
+    echo "benchdiff: warning: no _meta machine fingerprint in$missing; deltas may mix machine and code"
+else
+    for key in cpu nproc go; do
+        if [ "$(meta "$old" $key)" != "$(meta "$new" $key)" ]; then
+            echo "benchdiff: warning: snapshots differ in machine (cpu \"$(meta "$old" cpu)\" x$(meta "$old" nproc) $(meta "$old" go) vs \"$(meta "$new" cpu)\" x$(meta "$new" nproc) $(meta "$new" go)); deltas mix machine and code"
+            break
+        fi
+    done
+fi
 
 awk -v oldfile="$old" -v newfile="$new" '
 # Each data line of a snapshot looks like:
