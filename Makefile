@@ -3,7 +3,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: ci fmt vet lint lint-fix build test race bench fuzz crashsweep golden
+.PHONY: ci fmt vet lint lint-fix build test race bench profile fuzz crashsweep golden
 
 ci:
 	./scripts/ci.sh
@@ -40,6 +40,11 @@ race:
 
 bench:
 	./scripts/bench.sh BENCH_9.json
+
+# Per-layer host CPU table of `flatflash-bench -quick` (pprof flat time
+# folded by internal/<pkg>; outputs in .profile/).
+profile:
+	./scripts/profile.sh
 
 fuzz:
 	go test -fuzz=FuzzParse -fuzztime=10s -run=^$$ ./internal/trace

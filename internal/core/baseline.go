@@ -37,7 +37,6 @@ type pagingHierarchy struct {
 
 	nextLPN  uint32
 	vpnOfFrm map[int]uint64
-	scratch  []byte
 	crashed  bool
 
 	c   *stats.Counters
@@ -119,7 +118,6 @@ func newPaging(cfg Config, name string, metaOverhead float64, faultCost, syncCos
 		faultCost: faultCost,
 		syncCost:  syncCost,
 		vpnOfFrm:  make(map[int]uint64),
-		scratch:   make([]byte, cfg.PageSize),
 		c:         stats.NewCounters(),
 	}
 	p.hot.resolve(p.c)
@@ -265,13 +263,15 @@ func (p *pagingHierarchy) accessChunk(vpn uint64, off int, b []byte, isWrite boo
 			return ErrNoSSDSpace
 		}
 		now = fNow
-		done, rerr := p.ftl.ReadPage(now, pte.SSDPage, p.scratch)
+		data, _ := p.dram.Data(frame)
+		done, rerr := p.ftl.ReadPage(now, pte.SSDPage, data)
 		if rerr != nil {
+			// The frame is not mapped yet: hand it back, or a later
+			// eviction would pick an untracked frame.
+			p.dram.Release(frame)
 			return rerr
 		}
 		done = p.link.DMAPage(done)
-		data, _ := p.dram.Data(frame)
-		copy(data, p.scratch)
 		upd := p.as.UpdateMapping(vpn, vm.PTE{Loc: vm.InDRAM, Frame: frame, SSDPage: pte.SSDPage})
 		p.vpnOfFrm[frame] = vpn
 		now = done.Add(upd)

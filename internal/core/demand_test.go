@@ -2,8 +2,13 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
+
+	"flatflash/internal/fault"
+	"flatflash/internal/ftl"
+	"flatflash/internal/mapcache"
 )
 
 // demandConfig enables the demand-paged translation map on a hierarchy big
@@ -193,5 +198,53 @@ func TestDemandCrashRecoveryUsesGTD(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("persisted bytes lost across demand-mode crash/recover")
+	}
+}
+
+// TestBaselineFaultReadFailureReleasesFrame: when the FTL read behind a
+// baseline page fault fails, the frame the fault took must go back to the
+// free list. Here the read's map miss forces a batch of translation
+// write-backs while every NAND program fails, so the write-back retires
+// block after block until the device reports no space.
+func TestBaselineFaultReadFailureReleasesFrame(t *testing.T) {
+	cfg := demandConfig(1)
+	h, err := NewUnifiedMMap(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := h.(*pagingHierarchy)
+	// One page in each of five translation pages.
+	epp := uint64(cfg.PageSize / mapcache.EntryBytes)
+	r, err := h.Mmap(5 * epp * uint64(cfg.PageSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrOf := func(tvpn uint64) uint64 { return r.Base + tvpn*epp*uint64(cfg.PageSize) }
+	buf := make([]byte, 64)
+	// Dirty translation pages 0-3 in turn; each map miss evicts the previous
+	// one, leaving three queued write-backs and page 3 resident and dirty.
+	for tvpn := uint64(0); tvpn < 4; tvpn++ {
+		if _, err := h.Write(addrOf(tvpn), buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.SyncPages(addrOf(tvpn), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng, err := fault.NewEngine(fault.Plan{{Kind: fault.ProgramFail, At: 0, N: 1 << 30}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.ftl.Device().SetFaults(eng)
+
+	free := p.dram.FreeFrames()
+	if _, err := h.Read(addrOf(4), buf); !errors.Is(err, ftl.ErrNoSpace) {
+		t.Fatalf("fault read err = %v, want ftl.ErrNoSpace", err)
+	}
+	if got := p.dram.FreeFrames(); got != free {
+		t.Fatalf("free frames %d after the failed fault, want %d (frame leaked)", got, free)
+	}
+	if len(p.vpnOfFrm) != 4 {
+		t.Fatalf("%d tracked frames, want the 4 written pages", len(p.vpnOfFrm))
 	}
 }

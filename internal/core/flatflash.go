@@ -43,7 +43,6 @@ type FlatFlash struct {
 	vpnOfLPN  map[uint32]pageRef // SSD page -> owning (tenant, vpn)
 	vpnOfFrm  map[int]pageRef    // DRAM frame -> owning (tenant, vpn)
 	hostCache *hostLineCache     // nil unless cfg.HostCacheLines > 0 (§3.1)
-	scratch   []byte
 	crashed   bool
 
 	faults         *fault.Engine // nil = no injection
@@ -186,7 +185,6 @@ func NewFlatFlash(cfg Config) (*FlatFlash, error) {
 		vpnOfLPN:  make(map[uint32]pageRef),
 		vpnOfFrm:  make(map[int]pageRef),
 		hostCache: newHostLineCache(cfg.HostCacheLines, cfg.CacheLineSize),
-		scratch:   make([]byte, cfg.PageSize),
 		c:         stats.NewCounters(),
 	}
 	s.hot.resolve(s.c)
@@ -641,7 +639,10 @@ func (s *FlatFlash) ensureCachedFor(t *Tenant, now sim.Time, lpn uint32) (*ssdca
 		}
 		return e, now.Add(ssdcache.AccessCost), true
 	}
-	done, err := s.ftl.ReadPage(now, lpn, s.scratch)
+	// Read flash straight into the buffer Insert will keep: one copy per
+	// fill.
+	buf := s.cach.FillBuffer()
+	done, err := s.ftl.ReadPage(now, lpn, buf)
 	if err != nil {
 		return nil, now, false
 	}
@@ -650,7 +651,7 @@ func (s *FlatFlash) ensureCachedFor(t *Tenant, now sim.Time, lpn uint32) (*ssdca
 		// nested flash_read span comes from the FTL.
 		s.probe.Span(telemetry.SpanCacheProbe, telemetry.TrackSSD, now, done, int64(lpn))
 	}
-	e, victim, evicted := s.cach.Insert(lpn, s.scratch, false)
+	e, victim, evicted := s.cach.Insert(lpn, buf, false)
 	e.Owner = t.id
 	if evicted {
 		if s.pol != nil {

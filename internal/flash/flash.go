@@ -3,10 +3,12 @@
 // erase-before-program constraint, per-block wear counters, and virtual-time
 // latencies for read, program, and erase operations.
 //
-// The device stores the real bytes of every programmed page (allocated
-// lazily per page), so the layers above it — FTL, SSD-Cache, the FlatFlash
-// hierarchy — can be tested for functional correctness, not just timing.
-// Erased contents are synthesized on read and never stored.
+// The device stores the real bytes of every live page (allocated lazily per
+// page), so the layers above it — FTL, SSD-Cache, the FlatFlash hierarchy —
+// can be tested for functional correctness, not just timing. A page's bytes
+// are dropped when its owner releases it (the FTL does so when it invalidates
+// a data page) or its block erases; erased contents are synthesized on read
+// and never stored.
 package flash
 
 import (
@@ -113,17 +115,18 @@ const (
 // Device is a NAND flash device.
 type Device struct {
 	cfg    Config
-	data   [][]byte // nil until first program after an erase
+	data   [][]byte // nil until first program after an erase, and after Release
 	state  []pageState
 	ptype  []PageType // OOB page-type tag, set at program time
 	erases []int64    // per-block erase count (wear)
 	chans  []*sim.Resource
 
-	// free recycles page buffers from erased pages back into programs.
-	// Read and Peek copy page contents out, so no caller ever holds a
-	// reference into data[p] and a reclaimed buffer cannot alias live
+	// free recycles page buffers from released and erased pages back into
+	// programs, last in first out, so a program usually gets a cache-warm
+	// buffer. Read and Peek copy page contents out, so no caller ever holds
+	// a reference into data[p] and a reclaimed buffer cannot alias live
 	// state. The pool never exceeds TotalPages buffers — the same memory
-	// the data array held before erasing. First-touch programs that find
+	// the data array held for those pages. First-touch programs that find
 	// the pool empty carve buffers from slab in slabPages-page chunks, so
 	// filling a fresh device costs one allocation per chunk, not per page.
 	free [][]byte
@@ -235,8 +238,8 @@ func (d *Device) Peek(p PageAddr, buf []byte) error {
 }
 
 // copyOut copies page p's contents into buf, which is PageSize long. An
-// erased or failed page holds no buffer; its 0xFF pattern is written by
-// doubling copies, at memmove speed.
+// erased, failed or released page holds no buffer; its 0xFF pattern is
+// written by doubling copies, at memmove speed.
 func (d *Device) copyOut(p PageAddr, buf []byte) {
 	if d.state[p] != pageErased && d.data[p] != nil {
 		copy(buf, d.data[p])
@@ -338,6 +341,23 @@ func (d *Device) Erase(now sim.Time, b int) (sim.Time, error) {
 	return done, nil
 }
 
+// Release drops page p's bytes, returning its buffer to the pool the next
+// program draws from. It models nothing on the device: p stays programmed
+// with its OOB type, Program to it still fails until its block erases, and
+// no counter or clock moves. Reading a released page yields the erased
+// pattern, so only an owner that will never read p again — the FTL, once p
+// holds a superseded copy — may release it. Releasing an erased or already
+// released page is a no-op.
+func (d *Device) Release(p PageAddr) {
+	if d.checkPage(p) != nil {
+		return
+	}
+	if buf := d.data[p]; buf != nil {
+		d.free = append(d.free, buf)
+		d.data[p] = nil
+	}
+}
+
 // TypeOf returns page p's OOB page-type tag (PageData for out-of-range or
 // never-programmed pages).
 func (d *Device) TypeOf(p PageAddr) PageType {
@@ -345,6 +365,12 @@ func (d *Device) TypeOf(p PageAddr) PageType {
 		return PageData
 	}
 	return d.ptype[p]
+}
+
+// Holds reports whether the device stores page p's bytes: p was programmed
+// successfully and has not been released or erased since.
+func (d *Device) Holds(p PageAddr) bool {
+	return d.checkPage(p) == nil && d.data[p] != nil
 }
 
 // IsErased reports whether page p is in the erased state.

@@ -260,6 +260,87 @@ func TestWearAccounting(t *testing.T) {
 	}
 }
 
+// TestReleaseRecyclesBuffer pins Release's contract: it drops a page's bytes
+// and nothing else — the page stays programmed with its OOB type, no counter
+// moves, and Program to it fails until its block erases — and the next
+// program reuses the released buffer without allocating. A later Erase must
+// not pool the released buffer a second time.
+func TestReleaseRecyclesBuffer(t *testing.T) {
+	cfg := testConfig()
+	d, _ := NewDevice(cfg)
+	data := bytes.Repeat([]byte{0x5A}, cfg.PageSize)
+	if _, err := d.ProgramTyped(0, 0, data, PageTrans); err != nil {
+		t.Fatal(err)
+	}
+	buf := d.data[0]
+	erases, maxErases, progs := d.Wear()
+	reads := d.Reads()
+
+	d.Release(0)
+	if d.Holds(0) || d.data[0] != nil {
+		t.Fatal("released page still holds its bytes")
+	}
+	if d.IsErased(0) || d.TypeOf(0) != PageTrans {
+		t.Fatalf("release changed the page's state: erased=%v type=%v", d.IsErased(0), d.TypeOf(0))
+	}
+	if e, m, p := d.Wear(); e != erases || m != maxErases || p != progs || d.Reads() != reads {
+		t.Fatal("release moved a counter")
+	}
+	if _, err := d.Program(0, 0, data); err != ErrNotErased {
+		t.Fatalf("program to a released page: err = %v, want ErrNotErased", err)
+	}
+	pooled := len(d.free)
+	d.Release(0)
+	if len(d.free) != pooled {
+		t.Fatal("a second release pooled the buffer again")
+	}
+
+	// Program-release cycles draw the released buffer back every time.
+	next := PageAddr(1)
+	cycle := func() {
+		if _, err := d.Program(0, next, data); err != nil {
+			t.Fatal(err)
+		}
+		if &d.data[next][0] != &buf[0] {
+			t.Fatal("program did not reuse the released buffer")
+		}
+		d.Release(next)
+		next++
+	}
+	cycle()
+	if !sim.RaceEnabled {
+		if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
+			t.Fatalf("program after release allocates %.2f objects/op, want 0", avg)
+		}
+	}
+
+	// Fill the rest of the device, release part of it, erase everything:
+	// every buffer lands in the pool exactly once.
+	for p := next; int(p) < cfg.TotalPages(); p++ {
+		if _, err := d.Program(0, p, data); err != nil {
+			t.Fatal(err)
+		}
+		if p%3 == 0 {
+			d.Release(p)
+		}
+	}
+	for b := 0; b < cfg.Blocks; b++ {
+		if _, err := d.Erase(0, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(d.free) > cfg.TotalPages() {
+		t.Fatalf("pool holds %d buffers, more than the %d pages", len(d.free), cfg.TotalPages())
+	}
+	seen := make(map[*byte]bool, len(d.free))
+	for _, b := range d.free {
+		if seen[&b[0]] {
+			t.Fatal("a buffer is pooled twice")
+		}
+		seen[&b[0]] = true
+	}
+}
+
 // Property: whatever sequence of program/erase operations runs, a Read of a
 // programmed page always returns exactly the last data programmed into it
 // since its containing block's last erase.

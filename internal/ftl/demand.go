@@ -84,7 +84,9 @@ func (f *FTL) mapAccess(now sim.Time, lpn uint32, dirty bool) (sim.Time, error) 
 		now = now.Add(MapHitCost)
 	} else {
 		if addr := f.mc.GTD(tvpn); addr != flash.InvalidPage {
-			done, err := f.dev.Read(now, addr, f.transBuf)
+			// The fetch costs a page read, but its bytes are never decoded:
+			// l2p is authoritative for contents (see the file comment).
+			done, err := f.dev.Sense(now, addr, f.cfg.Flash.PageSize)
 			if err != nil {
 				return now, err
 			}
@@ -276,11 +278,12 @@ func (f *FTL) CrashMap() {
 }
 
 // relocateTransPage moves the translation page stored at p out of a GC
-// victim block: read the old copy, then re-serialize from the live map and
-// program a fresh copy (the rewrite also folds in any unpersisted updates).
+// victim block: read the old copy (timing only — the contents are not
+// needed), then re-serialize from the live map and program a fresh copy (the
+// rewrite also folds in any unpersisted updates).
 func (f *FTL) relocateTransPage(now sim.Time, p flash.PageAddr) (sim.Time, error) {
 	tvpn := uint32(f.p2t[p])
-	done, err := f.dev.Read(now, p, f.transBuf)
+	done, err := f.dev.Sense(now, p, f.cfg.Flash.PageSize)
 	if err != nil {
 		return now, err
 	}

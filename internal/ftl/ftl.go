@@ -34,7 +34,8 @@ const noLogical = int32(-1)
 // DirtySource lets garbage collection merge newer page contents held dirty
 // in the SSD-Cache (the paper's read-modify-write GC). TakeDirty returns the
 // up-to-date contents of logical page lpn and marks the cached copy clean,
-// or reports false if the cache holds nothing newer.
+// or reports false if the cache holds nothing newer. The slice may be the
+// source's own storage: GC programs it before calling the source again.
 type DirtySource interface {
 	TakeDirty(lpn uint32) ([]byte, bool)
 }
@@ -129,13 +130,15 @@ type FTL struct {
 	l2p        []flash.PageAddr // logical -> physical
 	p2l        []int32          // physical -> logical, noLogical if none
 	validCount []int            // valid pages per block
-	freeBlocks []int
-	bad        []bool // retired blocks: never programmed, erased, or GC'd again
-	active     int    // active block, -1 if none
-	activeNext int    // next page slot within active block
+	freeBlocks []int            // FIFO: allocSlot opens the oldest first
+	bad        []bool           // retired blocks: never programmed, erased, or GC'd again
+	active     int              // active block, -1 if none
+	activeNext int              // next page slot within active block
 
 	dirtySrc DirtySource
 	inGC     bool
+	gcBuf    []byte           // collect's relocation read buffer
+	gcFree   []bool           // pickVictim's free-block marks, rebuilt on every call
 	probe    telemetry.Probe  // nil when telemetry is disabled
 	att      telemetry.Attrib // nil when latency attribution is disabled
 	attSus   attribSuspender  // att's optional background routing, if any
@@ -183,6 +186,8 @@ func New(cfg Config) (*FTL, error) {
 		validCount: make([]int, cfg.Flash.Blocks),
 		bad:        make([]bool, cfg.Flash.Blocks),
 		active:     -1,
+		gcBuf:      make([]byte, cfg.Flash.PageSize),
+		gcFree:     make([]bool, cfg.Flash.Blocks),
 	}
 	for i := range f.l2p {
 		f.l2p[i] = flash.InvalidPage
@@ -413,6 +418,10 @@ func (f *FTL) Trim(lpn uint32) error {
 	return nil
 }
 
+// invalidate drops lpn's current physical copy. The FTL never reads a data
+// page again once it is no longer mapped — reads go through l2p, GC moves
+// only p2l-valid pages and recovery rebuilds from the OOB tags — so the
+// device releases its bytes now rather than at the block's erase.
 func (f *FTL) invalidate(lpn uint32) {
 	old := f.l2p[lpn]
 	if old == flash.InvalidPage {
@@ -420,6 +429,7 @@ func (f *FTL) invalidate(lpn uint32) {
 	}
 	f.p2l[old] = noLogical
 	f.validCount[f.dev.BlockOf(old)]--
+	f.dev.Release(old)
 }
 
 // allocSlot hands out the next physical page in the active block, opening a
@@ -430,8 +440,11 @@ func (f *FTL) allocSlot() (flash.PageAddr, error) {
 		if len(f.freeBlocks) == 0 {
 			return flash.InvalidPage, ErrNoSpace
 		}
+		// Pop the head in place: reslicing from the front would shrink the
+		// capacity until collect's append reallocates.
 		f.active = f.freeBlocks[0]
-		f.freeBlocks = f.freeBlocks[1:]
+		n := copy(f.freeBlocks, f.freeBlocks[1:])
+		f.freeBlocks = f.freeBlocks[:n]
 		f.activeNext = 0
 	}
 	p := flash.PageAddr(f.active*ppb + f.activeNext)
@@ -463,7 +476,8 @@ func (f *FTL) maybeGC(now sim.Time) (sim.Time, error) {
 // space. Cost is the valid-page count (pages that must be relocated), plus
 // a wear penalty when wear-leveling is enabled so hot blocks rest.
 func (f *FTL) pickVictim() int {
-	free := make(map[int]bool, len(f.freeBlocks))
+	free := f.gcFree
+	clear(free)
 	for _, b := range f.freeBlocks {
 		free[b] = true
 	}
@@ -510,7 +524,7 @@ func (f *FTL) collect(now sim.Time, victim int) (sim.Time, error) {
 
 	ppb := f.cfg.Flash.PagesPerBlock
 	first := flash.PageAddr(victim * ppb)
-	buf := make([]byte, f.cfg.Flash.PageSize)
+	buf := f.gcBuf
 	moved := int64(0)
 	for i := 0; i < ppb; i++ {
 		p := first + flash.PageAddr(i)
@@ -633,9 +647,24 @@ func (f *FTL) RebuildL2P() int {
 }
 
 // CheckConsistency verifies the FTL's internal invariants: l2p and p2l are
-// mutual inverses, per-block valid counts match the mapping, and free blocks
-// hold no valid pages and are not retired.
+// mutual inverses, per-block valid counts match the mapping, free blocks
+// hold no valid pages and are not retired, and the device keeps bytes for
+// exactly the live data pages — valid ⊆ held ⊆ programmed, where only
+// translation pages may be held without being valid (recovery may read a
+// superseded copy until its block erases).
 func (f *FTL) CheckConsistency() error {
+	for p := range f.p2l {
+		pa := flash.PageAddr(p)
+		held := f.dev.Holds(pa)
+		switch {
+		case held && f.dev.IsErased(pa):
+			return fmt.Errorf("ftl: erased page %d holds bytes", p)
+		case f.p2l[p] != noLogical && !held:
+			return fmt.Errorf("ftl: page %d maps lpn %d but holds no bytes", p, f.p2l[p])
+		case held && f.p2l[p] == noLogical && f.dev.TypeOf(pa) == flash.PageData:
+			return fmt.Errorf("ftl: invalid data page %d still holds bytes", p)
+		}
+	}
 	valid := make([]int, len(f.validCount))
 	for p, lpn := range f.p2l {
 		if lpn == noLogical {

@@ -187,7 +187,8 @@ func TestOutOfRange(t *testing.T) {
 }
 
 // Writing far more pages than physical capacity forces GC; data must survive
-// relocation and write amplification must exceed 1.
+// relocation, the device must keep bytes for exactly the live pages, and
+// write amplification must exceed 1.
 func TestGCPreservesDataUnderChurn(t *testing.T) {
 	f, _ := New(testConfig())
 	n := uint32(f.LogicalPages())
@@ -203,6 +204,14 @@ func TestGCPreservesDataUnderChurn(t *testing.T) {
 			t.Fatalf("write %d: %v", i, err)
 		}
 		shadow[lpn] = fill
+		if i%100 == 0 {
+			if err := f.CheckConsistency(); err != nil {
+				t.Fatalf("write %d: %v", i, err)
+			}
+		}
+	}
+	if err := f.CheckConsistency(); err != nil {
+		t.Fatal(err)
 	}
 	buf := page(f, 0)
 	for lpn, fill := range shadow {
@@ -277,8 +286,9 @@ func TestGCMergesDirtyCachePages(t *testing.T) {
 }
 
 // Property: under arbitrary write/trim churn the FTL never corrupts data —
-// every read returns the last written value — and never errors while within
-// logical capacity.
+// every read returns the last written value — never errors while within
+// logical capacity, and keeps its invariants (bytes held for exactly the
+// live pages among them) after every operation.
 func TestFTLConsistencyProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		ftl, _ := New(testConfig())
@@ -316,6 +326,9 @@ func TestFTLConsistencyProperty(t *testing.T) {
 				} else if got != 0 {
 					return false
 				}
+			}
+			if ftl.CheckConsistency() != nil {
+				return false
 			}
 		}
 		return true
@@ -383,5 +396,95 @@ func TestWearLevelingPreservesData(t *testing.T) {
 		if buf[0] != fill {
 			t.Fatalf("lpn %d corrupted under wear leveling", lpn)
 		}
+	}
+}
+
+// TestCrashRebuildHoldsLiveBytes runs churn with GC, loses power, rebuilds the
+// map and checks that the recovered pages are exactly the ones whose bytes
+// the device still holds, in both map modes.
+func TestCrashRebuildHoldsLiveBytes(t *testing.T) {
+	for _, cachePages := range []int{0, 1} {
+		cfg := testConfig()
+		cfg.MapCachePages = cachePages
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := sim.NewRNG(5)
+		shadow := make([]byte, f.LogicalPages())
+		var now sim.Time
+		for i := 0; i < 600; i++ {
+			lpn := uint32(rng.Uint64n(uint64(len(shadow))))
+			if i%7 == 0 {
+				if err := f.Trim(lpn); err != nil {
+					t.Fatal(err)
+				}
+				shadow[lpn] = 0
+				continue
+			}
+			fill := byte(rng.Uint64n(255) + 1)
+			if now, err = f.WritePage(now, lpn, page(f, fill)); err != nil {
+				t.Fatalf("map cache %d, write %d: %v", cachePages, i, err)
+			}
+			shadow[lpn] = fill
+		}
+		if f.Remap().GCRuns == 0 {
+			t.Fatalf("map cache %d: churn never ran GC", cachePages)
+		}
+		f.CrashMap()
+		f.RebuildL2P()
+		if err := f.CheckConsistency(); err != nil {
+			t.Fatalf("map cache %d: %v", cachePages, err)
+		}
+		buf := page(f, 0)
+		for lpn, fill := range shadow {
+			if _, err := f.ReadPage(now, uint32(lpn), buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf, page(f, fill)) {
+				t.Fatalf("map cache %d: lpn %d reads %#x after rebuild, want %#x", cachePages, lpn, buf[0], fill)
+			}
+		}
+	}
+}
+
+// BenchmarkWriteGC times host page writes at 75% logical fill: uniform
+// overwrites over the filled range keep garbage collection running, so the
+// per-op cost includes its share of victim selection, relocation reads and
+// programs, and erases.
+func BenchmarkWriteGC(b *testing.B) {
+	fc := flash.DefaultConfig()
+	fc.Blocks = 64
+	f, err := New(Config{Flash: fc, OverprovisionBlocks: 8, GCFreeBlocksLow: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	live := uint64(f.LogicalPages() * 3 / 4)
+	data := page(f, 0x5A)
+	var now sim.Time
+	for lpn := uint64(0); lpn < live; lpn++ {
+		if now, err = f.WritePage(now, uint32(lpn), data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := sim.NewRNG(1)
+	// Warm up into GC steady state before timing.
+	for i := 0; i < 4*f.LogicalPages(); i++ {
+		if now, err = f.WritePage(now, uint32(rng.Uint64n(live)), data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	runs := f.Remap().GCRuns
+	b.SetBytes(int64(f.PageSize()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if now, err = f.WritePage(now, uint32(rng.Uint64n(live)), data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if b.N >= fc.PagesPerBlock*fc.Blocks && f.Remap().GCRuns == runs {
+		b.Fatal("writes never ran GC")
 	}
 }

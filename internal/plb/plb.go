@@ -160,6 +160,9 @@ func (p *PLB) InFlight(lpn uint32) bool {
 
 //flatflash:hotpath
 func (p *PLB) find(lpn uint32) *entry {
+	if p.pending == 0 {
+		return nil
+	}
 	for i := range p.entries {
 		if p.entries[i].valid && p.entries[i].lpn == lpn {
 			return &p.entries[i]

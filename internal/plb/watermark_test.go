@@ -137,3 +137,57 @@ func TestExpiredPollZeroAlloc(t *testing.T) {
 		t.Fatalf("in-flight Expired poll allocates %.2f objects/op, want 0", avg)
 	}
 }
+
+// TestIdleAccessCountsLookup: with nothing in flight, Access routes nowhere
+// without scanning the entries, but the lookup still counts toward the hit
+// ratio's denominator.
+func TestIdleAccessCountsLookup(t *testing.T) {
+	p, err := New(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 8)
+	for i := 0; i < 3; i++ {
+		if r := p.Access(sim.Time(i), uint32(i), 0, buf, i%2 == 0); r != RouteNone {
+			t.Fatalf("idle access %d routed %v, want RouteNone", i, r)
+		}
+	}
+	if p.lookups != 3 || p.routed != 0 {
+		t.Fatalf("lookups=%d routed=%d, want 3/0", p.lookups, p.routed)
+	}
+	if p.InFlight(0) {
+		t.Fatal("idle PLB reports a flight")
+	}
+}
+
+// BenchmarkPLBAccess times one 8 B load through Access at the default 64
+// entries: idle (nothing in flight, the common case) and inflight (one other
+// page mid-promotion, so the lookup scans and misses).
+func BenchmarkPLBAccess(b *testing.B) {
+	for _, inflight := range []bool{false, true} {
+		name := "idle"
+		if inflight {
+			name = "inflight"
+		}
+		b.Run(name, func(b *testing.B) {
+			p, err := New(DefaultConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if inflight {
+				page := p.Config().PageSize
+				if err := p.Start(0, 1, 0, make([]byte, page), make([]byte, page), false); err != nil {
+					b.Fatal(err)
+				}
+			}
+			buf := make([]byte, 8)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if p.Access(0, 2, 64, buf, false) != RouteNone {
+					b.Fatal("access to a page not in flight was routed")
+				}
+			}
+		})
+	}
+}

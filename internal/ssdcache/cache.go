@@ -80,9 +80,10 @@ type Entry struct {
 // Victim is a page displaced from the cache.
 //
 // Data aliases the displaced entry's buffer, which the cache recycles:
-// it is valid only until the next Insert on the same cache. Callers that
-// need it longer (none of the simulator's do — write-back and PLB snapshot
-// both copy synchronously) must copy it out.
+// it is valid only until the next Insert on the same cache, or a fill into
+// the FillBuffer before it. Callers that need it longer (none of the
+// simulator's do — write-back and PLB snapshot both copy synchronously) must
+// copy it out.
 type Victim struct {
 	LPN     uint32
 	Dirty   bool
@@ -102,8 +103,9 @@ type Cache struct {
 	now   func() sim.Time  // clock source for event timestamps
 
 	// spare is a recycled page buffer: Remove and eviction stash the
-	// displaced entry's buffer here and the next Insert reuses it, so
-	// steady-state cache churn allocates nothing (see Victim.Data).
+	// displaced entry's buffer here and the next Insert reuses it (handed
+	// out first by FillBuffer on a miss fill), so steady-state cache churn
+	// allocates nothing (see Victim.Data).
 	spare []byte
 
 	hits, misses, evictions, dirtyEvicts int64
@@ -193,6 +195,19 @@ func (c *Cache) Touch(e *Entry) int {
 	return e.PageCnt
 }
 
+// FillBuffer returns the buffer the next Insert will store its page in, so
+// a miss fill can read flash straight into it and hand it to Insert, which
+// then skips its copy. Like Victim.Data, the buffer is the cache's: its
+// contents are only meaningful until the next Insert or Remove, and it may
+// be a displaced entry's buffer, so a caller must be done with any Victim
+// before filling it.
+func (c *Cache) FillBuffer() []byte {
+	if c.spare == nil {
+		c.spare = make([]byte, c.cfg.PageSize)
+	}
+	return c.spare
+}
+
 // Insert places a page into the cache (after a miss fill). If the target
 // set is full, a victim is selected by the configured policy and returned
 // (ok=true) so the manager can write it back if dirty and report its
@@ -230,10 +245,10 @@ func (c *Cache) Insert(lpn uint32, data []byte, dirty bool) (e *Entry, victim Vi
 		}
 	}
 	c.tick++
-	// Reuse the spare buffer from an earlier displacement. data may alias it
-	// (Remove followed by re-Insert of the removed page); the copy below is
-	// then a harmless self-copy. The evicted buffer, handed out through
-	// victim, becomes the spare for the next Insert.
+	// Reuse the spare buffer from an earlier displacement. data may already
+	// be it (a FillBuffer fill, or Remove followed by re-Insert of the
+	// removed page), and then there is nothing to copy. The evicted buffer,
+	// handed out through victim, becomes the spare for the next Insert.
 	buf := c.spare
 	c.spare = nil
 	if buf == nil {
@@ -242,7 +257,9 @@ func (c *Cache) Insert(lpn uint32, data []byte, dirty bool) (e *Entry, victim Vi
 	if evicted {
 		c.spare = victim.Data
 	}
-	copy(buf, data)
+	if &buf[0] != &data[0] {
+		copy(buf, data)
+	}
 	set[way] = Entry{
 		Valid:   true,
 		LPN:     lpn,
@@ -299,16 +316,17 @@ func (c *Cache) Remove(lpn uint32) (Victim, bool) {
 }
 
 // TakeDirty implements ftl.DirtySource: if lpn is cached dirty, it returns
-// the data and marks the entry clean (GC is persisting it to flash).
+// the data and marks the entry clean (GC is persisting it to flash). The
+// slice is the entry's own buffer, valid until the next Insert or Remove
+// (as Victim.Data is); GC and Drain program it before touching the cache
+// again.
 func (c *Cache) TakeDirty(lpn uint32) ([]byte, bool) {
 	set := c.sets[c.setOf(lpn)]
 	for i := range set {
 		e := &set[i]
 		if e.Valid && e.LPN == lpn && e.Dirty {
 			e.Dirty = false
-			out := make([]byte, len(e.Data))
-			copy(out, e.Data)
-			return out, true
+			return e.Data, true
 		}
 	}
 	return nil, false

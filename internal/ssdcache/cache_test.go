@@ -173,10 +173,14 @@ func TestRemove(t *testing.T) {
 
 func TestTakeDirty(t *testing.T) {
 	c, _ := New(testConfig())
-	c.Insert(4, pg(0xDD), true)
+	e, _, _ := c.Insert(4, pg(0xDD), true)
 	data, ok := c.TakeDirty(4)
 	if !ok || data[0] != 0xDD {
 		t.Fatal("TakeDirty failed")
+	}
+	// The data is the entry's own buffer, not a copy.
+	if &data[0] != &e.Data[0] {
+		t.Fatal("TakeDirty returned a copy instead of the entry's buffer")
 	}
 	// Now clean: second take fails, entry still cached.
 	if _, ok := c.TakeDirty(4); ok {

@@ -80,8 +80,35 @@ func TestVictimDataInvalidatedByNextInsert(t *testing.T) {
 	}
 }
 
+// TestFillBufferIsInserted: a page filled into FillBuffer is stored in that
+// very buffer, and the eviction it causes hands out the displaced page as
+// before — its bytes intact until the next fill or Insert, which recycles its
+// buffer.
+func TestFillBufferIsInserted(t *testing.T) {
+	c := newOneSet(t, 1)
+	size := c.Config().PageSize
+	c.Insert(0, pageOf(0x11, size), true)
+
+	buf := c.FillBuffer()
+	copy(buf, pageOf(0x22, size))
+	e, v, evicted := c.Insert(1, buf, false)
+	if &e.Data[0] != &buf[0] {
+		t.Fatal("Insert stored a copy of the fill buffer")
+	}
+	if !bytes.Equal(e.Data, pageOf(0x22, size)) {
+		t.Fatal("filled page corrupted by Insert")
+	}
+	if !evicted || v.LPN != 0 || !v.Dirty || !bytes.Equal(v.Data, pageOf(0x11, size)) {
+		t.Fatalf("victim = lpn %d dirty %v, want lpn 0 dirty with its data", v.LPN, v.Dirty)
+	}
+	if next := c.FillBuffer(); &next[0] != &v.Data[0] {
+		t.Fatal("the victim's buffer is not the next fill buffer")
+	}
+}
+
 // TestInsertChurnZeroAllocSteadyState: once the set's buffers and the spare
-// exist, the miss-fill/evict cycle allocates nothing per insert.
+// exist, the miss-fill/evict cycle allocates nothing per insert, whether the
+// page is copied in or filled into FillBuffer.
 func TestInsertChurnZeroAllocSteadyState(t *testing.T) {
 	if sim.RaceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
@@ -99,6 +126,38 @@ func TestInsertChurnZeroAllocSteadyState(t *testing.T) {
 		lpn++
 	}); avg != 0 {
 		t.Fatalf("steady-state insert allocates %.2f objects/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		buf := c.FillBuffer()
+		copy(buf, fill)
+		c.Insert(lpn, buf, false)
+		lpn++
+	}); avg != 0 {
+		t.Fatalf("steady-state miss fill allocates %.2f objects/op, want 0", avg)
+	}
+}
+
+// BenchmarkCacheMissFill times the SSD-Cache half of a miss fill at a 4 KiB
+// page: FillBuffer, a page-sized write into it standing in for the flash
+// read, and the Insert that evicts a victim from a full set.
+func BenchmarkCacheMissFill(b *testing.B) {
+	c, err := New(Config{Pages: 64, Ways: DefaultWays, PageSize: 4096, Policy: RRIP})
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := pageOf(0x5A, 4096)
+	var lpn uint32
+	for ; lpn < 128; lpn++ {
+		c.Insert(lpn, src, lpn%2 == 0)
+	}
+	b.SetBytes(4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf := c.FillBuffer()
+		copy(buf, src)
+		c.Insert(lpn, buf, false)
+		lpn++
 	}
 }
 
