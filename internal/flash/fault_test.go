@@ -1,6 +1,7 @@
 package flash
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -45,6 +46,50 @@ func TestInjectedProgramAndEraseFailures(t *testing.T) {
 	pf, ef := d.FaultCounts()
 	if pf != 1 || ef != 1 {
 		t.Fatalf("FaultCounts = (%d, %d), want (1, 1)", pf, ef)
+	}
+}
+
+// TestProgramMoveFailureKeepsSource: an injected program failure during a
+// move leaves the source page's buffer in place, so a retry elsewhere moves
+// the same bytes.
+func TestProgramMoveFailureKeepsSource(t *testing.T) {
+	cfg := testConfig()
+	d, err := NewDevice(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Repeat([]byte{0x77}, cfg.PageSize)
+	done, err := d.Program(0, 0, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := fault.NewEngine(fault.Plan{{Kind: fault.ProgramFail, At: 0, N: 1}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SetFaults(eng)
+
+	done, err = d.ProgramMove(done, 8, 0, PageData)
+	if !errors.Is(err, ErrProgramFailed) {
+		t.Fatalf("move err = %v, want ErrProgramFailed", err)
+	}
+	buf := make([]byte, cfg.PageSize)
+	d.Peek(0, buf)
+	if !d.Holds(0) || !bytes.Equal(buf, want) {
+		t.Fatal("a failed move lost the source's bytes")
+	}
+	if d.Holds(8) || d.IsErased(8) {
+		t.Fatalf("failed target: held=%v erased=%v, want a non-erased page without bytes", d.Holds(8), d.IsErased(8))
+	}
+	if _, err := d.ProgramMove(done, 16, 0, PageData); err != nil {
+		t.Fatalf("retried move: %v", err)
+	}
+	d.Peek(16, buf)
+	if d.Holds(0) || !bytes.Equal(buf, want) {
+		t.Fatal("the retried move did not carry the source's bytes")
+	}
+	if pf, _ := d.FaultCounts(); pf != 1 {
+		t.Fatalf("program failures = %d, want 1", pf)
 	}
 }
 

@@ -7,8 +7,8 @@
 // page), so the layers above it — FTL, SSD-Cache, the FlatFlash hierarchy —
 // can be tested for functional correctness, not just timing. A page's bytes
 // are dropped when its owner releases it (the FTL does so when it invalidates
-// a data page) or its block erases; erased contents are synthesized on read
-// and never stored.
+// a data page) or moves them to another page, or its block erases; erased
+// contents are synthesized on read and never stored.
 package flash
 
 import (
@@ -49,6 +49,7 @@ var (
 	ErrBlockOutRange = errors.New("flash: block index out of range")
 	ErrProgramFailed = errors.New("flash: page program failed")
 	ErrEraseFailed   = errors.New("flash: block erase failed")
+	ErrNoData        = errors.New("flash: page holds no bytes")
 )
 
 // Config describes the device geometry and timing.
@@ -125,10 +126,11 @@ type Device struct {
 	// programs, last in first out, so a program usually gets a cache-warm
 	// buffer. Read and Peek copy page contents out, so no caller ever holds
 	// a reference into data[p] and a reclaimed buffer cannot alias live
-	// state. The pool never exceeds TotalPages buffers — the same memory
-	// the data array held for those pages. First-touch programs that find
-	// the pool empty carve buffers from slab in slabPages-page chunks, so
-	// filling a fresh device costs one allocation per chunk, not per page.
+	// state; ProgramMove only passes a buffer on. The pool never exceeds
+	// TotalPages buffers — the same memory the data array held for them.
+	// First-touch programs that find the pool empty carve buffers from slab
+	// in slabPages-page chunks, so filling a fresh device costs one
+	// allocation per chunk, not per page.
 	free [][]byte
 	slab []byte
 
@@ -262,10 +264,46 @@ func (d *Device) Program(now sim.Time, p PageAddr, data []byte) (sim.Time, error
 // pages charge their NAND service to the map-fetch attribution component so
 // budget tables separate map-management traffic from data traffic.
 func (d *Device) ProgramTyped(now sim.Time, p PageAddr, data []byte, t PageType) (sim.Time, error) {
+	done, err := d.program(now, p, len(data), t)
+	if err != nil {
+		return done, err
+	}
+	var buf []byte
+	if n := len(d.free); n > 0 {
+		buf, d.free = d.free[n-1], d.free[:n-1]
+	} else {
+		if len(d.slab) < d.cfg.PageSize {
+			d.slab = make([]byte, min(slabPages, d.cfg.TotalPages())*d.cfg.PageSize)
+		}
+		buf = d.slab[:d.cfg.PageSize:d.cfg.PageSize]
+		d.slab = d.slab[d.cfg.PageSize:]
+	}
+	copy(buf, data)
+	d.data[p] = buf
+	return done, nil
+}
+
+// ProgramMove is ProgramTyped with page src's bytes, handed to dst instead
+// of copied: on success src holds none, as if released; a failed program
+// leaves them for a retry elsewhere. A src holding no bytes is ErrNoData.
+func (d *Device) ProgramMove(now sim.Time, dst, src PageAddr, t PageType) (sim.Time, error) {
+	if !d.Holds(src) {
+		return now, ErrNoData
+	}
+	done, err := d.program(now, dst, d.cfg.PageSize, t)
+	if err == nil {
+		d.data[dst], d.data[src] = d.data[src], nil
+	}
+	return done, err
+}
+
+// program is a program of size bytes into page p, short of storing them:
+// the checks, channel charge, OOB tag, fault draw, state and counters.
+func (d *Device) program(now sim.Time, p PageAddr, size int, t PageType) (sim.Time, error) {
 	if err := d.checkPage(p); err != nil {
 		return now, err
 	}
-	if len(data) != d.cfg.PageSize {
+	if size != d.cfg.PageSize {
 		return now, ErrBadPageSize
 	}
 	if d.state[p] != pageErased {
@@ -282,31 +320,13 @@ func (d *Device) ProgramTyped(now sim.Time, p PageAddr, data []byte, t PageType)
 	// The OOB tag is written with the program attempt, success or not: a
 	// failed program still leaves whatever reached the cells.
 	d.ptype[p] = t
+	d.state[p] = pageProgrammed
 	if d.faults.FailProgram(now) {
 		// A failed program leaves the page in an untrustworthy, non-erased
 		// state (data nil reads back as 0xFF). The FTL must retire the block.
-		d.data[p] = nil
-		d.state[p] = pageProgrammed
 		d.programFails++
 		return done, ErrProgramFailed
 	}
-	var buf []byte
-	if n := len(d.free); n > 0 {
-		buf, d.free = d.free[n-1], d.free[:n-1]
-	} else {
-		if len(d.slab) < d.cfg.PageSize {
-			chunk := slabPages
-			if t := d.cfg.TotalPages(); t < chunk {
-				chunk = t
-			}
-			d.slab = make([]byte, chunk*d.cfg.PageSize)
-		}
-		buf = d.slab[:d.cfg.PageSize:d.cfg.PageSize]
-		d.slab = d.slab[d.cfg.PageSize:]
-	}
-	copy(buf, data)
-	d.data[p] = buf
-	d.state[p] = pageProgrammed
 	d.programs++
 	if t == PageTrans {
 		d.progsTrans++

@@ -191,6 +191,101 @@ func TestSenseMatchesRead(t *testing.T) {
 	}
 }
 
+// TestProgramMoveMatchesSenseAndProgram drives two identical devices through
+// a GC-style relocation of a data page and a translation page: one senses
+// the page and moves its buffer, the other senses it and programs a copy.
+// Completion times, counters and attribution charges must agree, the moved
+// page must read back the source's bytes, and the source must hold nothing
+// while staying programmed.
+func TestProgramMoveMatchesSenseAndProgram(t *testing.T) {
+	cfg := testConfig()
+	contents := map[PageAddr][]byte{
+		9:  bytes.Repeat([]byte{0x3C}, cfg.PageSize),
+		17: bytes.Repeat([]byte{0xC3}, cfg.PageSize),
+	}
+	var devs [2]*Device
+	var logs [2]chargeLog
+	for i := range devs {
+		d, _ := NewDevice(cfg)
+		if _, err := d.ProgramTyped(0, 9, contents[9], PageData); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.ProgramTyped(0, 17, contents[17], PageTrans); err != nil {
+			t.Fatal(err)
+		}
+		d.SetAttrib(&logs[i])
+		devs[i] = d
+	}
+	now := sim.Time(5)
+	for _, mv := range []struct {
+		src, dst PageAddr
+		typ      PageType
+	}{{9, 24, PageData}, {17, 25, PageTrans}} {
+		var done [2]sim.Time
+		for i, d := range devs {
+			sensed, err := d.Sense(now, mv.src, cfg.PageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				done[i], err = d.ProgramMove(sensed, mv.dst, mv.src, mv.typ)
+			} else {
+				done[i], err = d.ProgramTyped(sensed, mv.dst, contents[mv.src], mv.typ)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if done[0] != done[1] {
+			t.Fatalf("page %d: move done %d, copy done %d", mv.src, done[0], done[1])
+		}
+		now = done[0]
+
+		d := devs[0]
+		buf := make([]byte, cfg.PageSize)
+		d.Peek(mv.dst, buf)
+		if !d.Holds(mv.dst) || !bytes.Equal(buf, contents[mv.src]) {
+			t.Fatalf("page %d: moved copy does not read back the source's bytes", mv.src)
+		}
+		if d.TypeOf(mv.dst) != mv.typ {
+			t.Fatalf("page %d: moved copy has OOB type %v, want %v", mv.src, d.TypeOf(mv.dst), mv.typ)
+		}
+		if d.Holds(mv.src) || d.IsErased(mv.src) || d.TypeOf(mv.src) != mv.typ {
+			t.Fatalf("page %d: source after the move: held=%v erased=%v type=%v",
+				mv.src, d.Holds(mv.src), d.IsErased(mv.src), d.TypeOf(mv.src))
+		}
+		if _, err := d.Program(now, mv.src, buf); err != ErrNotErased {
+			t.Fatalf("page %d: program to the moved-from page: err = %v, want ErrNotErased", mv.src, err)
+		}
+	}
+	var wear, byType [2][4]int64
+	for i, d := range devs {
+		wear[i][0], wear[i][1], wear[i][2] = d.Wear()
+		wear[i][3] = d.Reads()
+		byType[i][0], byType[i][1], byType[i][2], byType[i][3] = d.WearByType()
+	}
+	if wear[0] != wear[1] || byType[0] != byType[1] {
+		t.Fatalf("counters differ: move %v %v, copy %v %v", wear[0], byType[0], wear[1], byType[1])
+	}
+	if len(logs[0]) != 4 || !slices.Equal(logs[0], logs[1]) {
+		t.Fatalf("charges differ:\nmove %v\ncopy %v", logs[0], logs[1])
+	}
+
+	d := devs[0]
+	if _, err := d.ProgramMove(now, 26, 9, PageData); err != ErrNoData {
+		t.Fatalf("move from an emptied page: err = %v, want ErrNoData", err)
+	}
+	if _, err := d.ProgramMove(now, 26, 10000, PageData); err != ErrNoData {
+		t.Fatalf("move from out of range: err = %v, want ErrNoData", err)
+	}
+	if _, err := d.ProgramMove(now, 25, 24, PageData); err != ErrNotErased {
+		t.Fatalf("move onto a programmed page: err = %v, want ErrNotErased", err)
+	}
+	if !d.Holds(24) || d.Reads() != 2 {
+		t.Fatal("a rejected move changed the device")
+	}
+}
+
 func TestErrorPaths(t *testing.T) {
 	d, _ := NewDevice(testConfig())
 	buf := make([]byte, 256)
@@ -448,5 +543,42 @@ func BenchmarkDeviceSense(b *testing.B) {
 			b.Fatal(err)
 		}
 		now = done
+	}
+}
+
+// BenchmarkDeviceProgram times a full-size page program into an erased
+// page, with one block erase amortized over every PagesPerBlock programs:
+// the device's share of every host write. Programs cycle through the first
+// 16 blocks; after two warm-up passes every buffer comes from the pool, and
+// the pool has grown to its steady size.
+func BenchmarkDeviceProgram(b *testing.B) {
+	cfg := DefaultConfig()
+	d, _ := NewDevice(cfg)
+	data := bytes.Repeat([]byte{0x5A}, cfg.PageSize)
+	ring := 16 * cfg.PagesPerBlock
+	var now sim.Time
+	program := func(i int) {
+		p := PageAddr(i % ring)
+		if int(p)%cfg.PagesPerBlock == 0 && !d.IsErased(p) {
+			done, err := d.Erase(now, d.BlockOf(p))
+			if err != nil {
+				b.Fatal(err)
+			}
+			now = done
+		}
+		done, err := d.Program(now, p, data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		now = done
+	}
+	for i := 0; i < 2*ring; i++ {
+		program(i)
+	}
+	b.SetBytes(int64(cfg.PageSize))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		program(i)
 	}
 }

@@ -32,12 +32,13 @@ var (
 const noLogical = int32(-1)
 
 // DirtySource lets garbage collection merge newer page contents held dirty
-// in the SSD-Cache (the paper's read-modify-write GC). TakeDirty returns the
-// up-to-date contents of logical page lpn and marks the cached copy clean,
-// or reports false if the cache holds nothing newer. The slice may be the
-// source's own storage: GC programs it before calling the source again.
+// in the SSD-Cache (the paper's read-modify-write GC). DirtyData returns the
+// up-to-date contents of logical page lpn, or false if the cache holds
+// nothing newer; the slice may be the source's own storage. GC programs it,
+// and only then calls Cleaned to mark the cached copy clean.
 type DirtySource interface {
-	TakeDirty(lpn uint32) ([]byte, bool)
+	DirtyData(lpn uint32) ([]byte, bool)
+	Cleaned(lpn uint32)
 }
 
 // Config parameterizes the FTL.
@@ -137,7 +138,6 @@ type FTL struct {
 
 	dirtySrc DirtySource
 	inGC     bool
-	gcBuf    []byte           // collect's relocation read buffer
 	gcFree   []bool           // pickVictim's free-block marks, rebuilt on every call
 	probe    telemetry.Probe  // nil when telemetry is disabled
 	att      telemetry.Attrib // nil when latency attribution is disabled
@@ -186,7 +186,6 @@ func New(cfg Config) (*FTL, error) {
 		validCount: make([]int, cfg.Flash.Blocks),
 		bad:        make([]bool, cfg.Flash.Blocks),
 		active:     -1,
-		gcBuf:      make([]byte, cfg.Flash.PageSize),
 		gcFree:     make([]bool, cfg.Flash.Blocks),
 	}
 	for i := range f.l2p {
@@ -325,7 +324,7 @@ func (f *FTL) WritePage(now sim.Time, lpn uint32, data []byte) (sim.Time, error)
 			issue = mapReady
 		}
 	}
-	p, done, err := f.programAt(issue, data, flash.PageData)
+	p, done, err := f.programAt(issue, data, flash.InvalidPage, flash.PageData)
 	if err != nil {
 		return now, err
 	}
@@ -350,17 +349,23 @@ func (f *FTL) WritePage(now sim.Time, lpn uint32, data []byte) (sim.Time, error)
 	return done, nil
 }
 
-// programAt allocates a slot and programs data into it with the given OOB
-// page-type tag. An injected program failure retires the slot's block
-// (bad-block remapping) and the write retries in a fresh block; the failed
-// attempt's latency is still paid.
-func (f *FTL) programAt(now sim.Time, data []byte, t flash.PageType) (flash.PageAddr, sim.Time, error) {
+// programAt allocates a slot and programs data into it — or, if data is
+// nil, moves page src's bytes there — with the given OOB page-type tag. An
+// injected program failure retires the slot's block (bad-block remapping)
+// and the write retries in a fresh block; the failed attempt's latency is
+// still paid.
+func (f *FTL) programAt(now sim.Time, data []byte, src flash.PageAddr, t flash.PageType) (flash.PageAddr, sim.Time, error) {
 	for {
 		p, err := f.allocSlot()
 		if err != nil {
 			return flash.InvalidPage, now, err
 		}
-		done, err := f.dev.ProgramTyped(now, p, data, t)
+		var done sim.Time
+		if data != nil {
+			done, err = f.dev.ProgramTyped(now, p, data, t)
+		} else {
+			done, err = f.dev.ProgramMove(now, p, src, t)
+		}
 		if err == nil {
 			if t == flash.PageTrans {
 				f.transWrites++
@@ -524,7 +529,6 @@ func (f *FTL) collect(now sim.Time, victim int) (sim.Time, error) {
 
 	ppb := f.cfg.Flash.PagesPerBlock
 	first := flash.PageAddr(victim * ppb)
-	buf := f.gcBuf
 	moved := int64(0)
 	for i := 0; i < ppb; i++ {
 		p := first + flash.PageAddr(i)
@@ -543,24 +547,26 @@ func (f *FTL) collect(now sim.Time, victim int) (sim.Time, error) {
 		}
 		// Read phase — unless the SSD-Cache holds a newer dirty copy, in
 		// which case the modify phase substitutes it (read-modify-write GC).
+		// The read only senses the page: the write phase moves its bytes.
 		var data []byte
 		if f.dirtySrc != nil {
-			if d, ok := f.dirtySrc.TakeDirty(uint32(lpn)); ok {
-				data = d
-			}
+			data, _ = f.dirtySrc.DirtyData(uint32(lpn))
 		}
 		if data == nil {
-			done, err := f.dev.Read(now, p, buf)
+			done, err := f.dev.Sense(now, p, f.cfg.Flash.PageSize)
 			if err != nil {
 				return now, err
 			}
 			now = done
-			data = buf
 		}
-		// Write phase: relocate into the active block.
+		// Write phase: relocate into the active block. The cached copy turns
+		// clean only once flash holds it.
 		done, err := f.writeRelocated(now, uint32(lpn), data)
 		if err != nil {
 			return now, err
+		}
+		if data != nil {
+			f.dirtySrc.Cleaned(uint32(lpn))
 		}
 		now = done
 		moved++
@@ -591,6 +597,8 @@ func (f *FTL) collect(now sim.Time, victim int) (sim.Time, error) {
 	return done, nil
 }
 
+// writeRelocated programs lpn's new copy — data, or if data is nil the
+// bytes of its current page — and remaps lpn to it.
 func (f *FTL) writeRelocated(now sim.Time, lpn uint32, data []byte) (sim.Time, error) {
 	if f.mc != nil {
 		// Relocation rewrites lpn's mapping, so its translation page must be
@@ -602,7 +610,7 @@ func (f *FTL) writeRelocated(now sim.Time, lpn uint32, data []byte) (sim.Time, e
 		// victim frees (GC livelock). The l2p array is already authoritative.
 		f.touchMapTimeless(lpn)
 	}
-	p, done, err := f.programAt(now, data, flash.PageData)
+	p, done, err := f.programAt(now, data, f.l2p[lpn], flash.PageData)
 	if err != nil {
 		return now, err
 	}

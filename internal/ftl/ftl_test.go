@@ -239,18 +239,23 @@ func TestGCPreservesDataUnderChurn(t *testing.T) {
 	}
 }
 
+// fakeDirty is a DirtySource whose cleaned pages drop out at once, as a
+// clean SSD-Cache entry may be evicted at any time.
 type fakeDirty struct {
 	pages map[uint32][]byte
 	taken int
 }
 
-func (d *fakeDirty) TakeDirty(lpn uint32) ([]byte, bool) {
+func (d *fakeDirty) DirtyData(lpn uint32) ([]byte, bool) {
 	p, ok := d.pages[lpn]
-	if ok {
+	return p, ok
+}
+
+func (d *fakeDirty) Cleaned(lpn uint32) {
+	if _, ok := d.pages[lpn]; ok {
 		delete(d.pages, lpn)
 		d.taken++
 	}
-	return p, ok
 }
 
 // GC must merge dirty SSD-Cache contents (read-modify-write, §4): after GC

@@ -83,9 +83,9 @@ type Cache struct {
 	prev, next []int32
 	head, tail int32
 
-	// slotOf maps a resident tvpn to its slot. Allocated once at full
-	// capacity; steady-state insert/delete churn does not grow it.
-	slotOf map[uint32]int32
+	// slotOf[tvpn] is the slot holding resident page tvpn, -1 if none: one
+	// dense entry per translation page, so residency is an index, not a hash.
+	slotOf []int32
 
 	// gtd[tvpn] is the flash location of the page's current persisted copy
 	// (InvalidPage if never persisted); stamp[tvpn] is the map sequence
@@ -116,12 +116,13 @@ func New(cfg Config) (*Cache, error) {
 		next:   make([]int32, cfg.CachePages),
 		head:   -1,
 		tail:   -1,
-		slotOf: make(map[uint32]int32, cfg.CachePages),
+		slotOf: make([]int32, cfg.TransPages),
 		gtd:    make([]flash.PageAddr, cfg.TransPages),
 		stamp:  make([]int64, cfg.TransPages),
 	}
 	for i := range c.gtd {
 		c.gtd[i] = flash.InvalidPage
+		c.slotOf[i] = -1
 	}
 	return c, nil
 }
@@ -165,8 +166,8 @@ func (c *Cache) pushFront(s int32) {
 //
 //flatflash:hotpath
 func (c *Cache) Lookup(tvpn uint32) bool {
-	s, ok := c.slotOf[tvpn]
-	if !ok {
+	s := c.slotOf[tvpn]
+	if s < 0 {
 		c.stats.Misses++
 		return false
 	}
@@ -182,16 +183,15 @@ func (c *Cache) Lookup(tvpn uint32) bool {
 //
 //flatflash:hotpath
 func (c *Cache) Contains(tvpn uint32) bool {
-	_, ok := c.slotOf[tvpn]
-	return ok
+	return c.slotOf[tvpn] >= 0
 }
 
 // MarkDirty flags resident page tvpn as carrying unpersisted updates.
 //
 //flatflash:hotpath
 func (c *Cache) MarkDirty(tvpn uint32) error {
-	s, ok := c.slotOf[tvpn]
-	if !ok {
+	s := c.slotOf[tvpn]
+	if s < 0 {
 		return ErrNotResident
 	}
 	c.dirty[s] = true
@@ -202,8 +202,8 @@ func (c *Cache) MarkDirty(tvpn uint32) error {
 //
 //flatflash:hotpath
 func (c *Cache) Dirty(tvpn uint32) bool {
-	s, ok := c.slotOf[tvpn]
-	return ok && c.dirty[s]
+	s := c.slotOf[tvpn]
+	return s >= 0 && c.dirty[s]
 }
 
 // NoteFetch counts a translation-page read from flash resolving a miss.
@@ -217,7 +217,7 @@ func (c *Cache) NoteColdFill() { c.stats.ColdFills++ }
 // when the table is full. It reports the victim so the caller can schedule
 // a dirty write-back. Inserting an already-resident page just touches it.
 func (c *Cache) Insert(tvpn uint32) (v Victim, evicted bool) {
-	if s, ok := c.slotOf[tvpn]; ok {
+	if s := c.slotOf[tvpn]; s >= 0 {
 		if s != c.head {
 			c.detach(s)
 			c.pushFront(s)
@@ -237,7 +237,7 @@ func (c *Cache) Insert(tvpn uint32) (v Victim, evicted bool) {
 			c.stats.DirtyEvs++
 		}
 		c.detach(s)
-		delete(c.slotOf, c.tvpn[s])
+		c.slotOf[c.tvpn[s]] = -1
 	}
 	c.tvpn[s] = tvpn
 	c.dirty[s] = false
@@ -249,7 +249,7 @@ func (c *Cache) Insert(tvpn uint32) (v Victim, evicted bool) {
 // Clean clears tvpn's dirty flag after its contents were persisted. A
 // non-resident tvpn is a no-op (write-backs run after eviction).
 func (c *Cache) Clean(tvpn uint32) {
-	if s, ok := c.slotOf[tvpn]; ok {
+	if s := c.slotOf[tvpn]; s >= 0 {
 		c.dirty[s] = false
 	}
 }
@@ -315,7 +315,7 @@ func (c *Cache) SetCkptSeq(seq int64) { c.ckptSeq = seq }
 // areas and the checkpoint's GTD root record).
 func (c *Cache) Crash() {
 	for s := 0; s < c.used; s++ {
-		delete(c.slotOf, c.tvpn[s])
+		c.slotOf[c.tvpn[s]] = -1
 		c.dirty[s] = false
 	}
 	c.used = 0
@@ -341,12 +341,18 @@ func (c *Cache) Check() error {
 	if c.used > c.cfg.CachePages {
 		return fmt.Errorf("mapcache: %d resident exceeds bound %d", c.used, c.cfg.CachePages)
 	}
-	if len(c.slotOf) != c.used {
-		return fmt.Errorf("mapcache: slotOf has %d entries, %d slots used", len(c.slotOf), c.used)
+	mapped := 0
+	for _, s := range c.slotOf {
+		if s >= 0 {
+			mapped++
+		}
+	}
+	if mapped != c.used {
+		return fmt.Errorf("mapcache: slotOf has %d entries, %d slots used", mapped, c.used)
 	}
 	seen := 0
 	for s := c.head; s >= 0; s = c.next[s] {
-		if got, ok := c.slotOf[c.tvpn[s]]; !ok || got != s {
+		if c.slotOf[c.tvpn[s]] != s {
 			return fmt.Errorf("mapcache: slot %d holds tvpn %d but slotOf disagrees", s, c.tvpn[s])
 		}
 		seen++

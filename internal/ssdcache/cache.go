@@ -148,22 +148,18 @@ func (c *Cache) setOf(lpn uint32) int { return int(lpn) % c.nsets }
 //
 //flatflash:hotpath
 func (c *Cache) Lookup(lpn uint32) (*Entry, bool) {
-	set := c.sets[c.setOf(lpn)]
-	for i := range set {
-		e := &set[i]
-		if e.Valid && e.LPN == lpn {
-			c.hits++
-			c.tick++
-			e.rrpv = 0
-			e.used = c.tick
-			if c.probe != nil {
-				c.probe.Event(telemetry.EvCacheHit, telemetry.TrackSSD, c.now(), int64(lpn))
-			}
-			if c.att != nil {
-				c.att.Charge(telemetry.CompCacheFill, AccessCost)
-			}
-			return e, true
+	if e := c.find(lpn); e != nil {
+		c.hits++
+		c.tick++
+		e.rrpv = 0
+		e.used = c.tick
+		if c.probe != nil {
+			c.probe.Event(telemetry.EvCacheHit, telemetry.TrackSSD, c.now(), int64(lpn))
 		}
+		if c.att != nil {
+			c.att.Charge(telemetry.CompCacheFill, AccessCost)
+		}
+		return e, true
 	}
 	c.misses++
 	if c.probe != nil {
@@ -176,14 +172,19 @@ func (c *Cache) Lookup(lpn uint32) (*Entry, bool) {
 // state or hit/miss counters.
 //
 //flatflash:hotpath
-func (c *Cache) Contains(lpn uint32) bool {
+func (c *Cache) Contains(lpn uint32) bool { return c.find(lpn) != nil }
+
+// find returns lpn's entry, or nil if lpn is not cached.
+//
+//flatflash:hotpath
+func (c *Cache) find(lpn uint32) *Entry {
 	set := c.sets[c.setOf(lpn)]
 	for i := range set {
-		if set[i].Valid && set[i].LPN == lpn {
-			return true
+		if e := &set[i]; e.Valid && e.LPN == lpn {
+			return e
 		}
 	}
-	return false
+	return nil
 }
 
 // Touch increments the entry's page access counter (Algorithm 1's
@@ -300,36 +301,43 @@ func (c *Cache) victimWay(set []Entry) int {
 // Remove evicts lpn explicitly (promotion completion removes the page from
 // the SSD-Cache — its home is now host DRAM). It returns the removed page.
 func (c *Cache) Remove(lpn uint32) (Victim, bool) {
-	set := c.sets[c.setOf(lpn)]
-	for i := range set {
-		e := &set[i]
-		if e.Valid && e.LPN == lpn {
-			v := Victim{LPN: e.LPN, Dirty: e.Dirty, PageCnt: e.PageCnt, Data: e.Data}
-			*e = Entry{}
-			// The removed buffer is recycled by the next Insert; until then
-			// the caller may read v.Data (PLB snapshot, stall-copy).
-			c.spare = v.Data
-			return v, true
-		}
+	e := c.find(lpn)
+	if e == nil {
+		return Victim{}, false
 	}
-	return Victim{}, false
+	v := Victim{LPN: e.LPN, Dirty: e.Dirty, PageCnt: e.PageCnt, Data: e.Data}
+	*e = Entry{}
+	// The removed buffer is recycled by the next Insert; until then the
+	// caller may read v.Data (PLB snapshot, stall-copy).
+	c.spare = v.Data
+	return v, true
 }
 
-// TakeDirty implements ftl.DirtySource: if lpn is cached dirty, it returns
-// the data and marks the entry clean (GC is persisting it to flash). The
-// slice is the entry's own buffer, valid until the next Insert or Remove
-// (as Victim.Data is); GC and Drain program it before touching the cache
-// again.
-func (c *Cache) TakeDirty(lpn uint32) ([]byte, bool) {
-	set := c.sets[c.setOf(lpn)]
-	for i := range set {
-		e := &set[i]
-		if e.Valid && e.LPN == lpn && e.Dirty {
-			e.Dirty = false
-			return e.Data, true
-		}
+// DirtyData implements ftl.DirtySource: if lpn is cached dirty, it returns
+// the entry's own buffer, valid until the next Insert or Remove (as
+// Victim.Data is). The entry stays dirty: GC calls Cleaned once flash holds
+// the data.
+func (c *Cache) DirtyData(lpn uint32) ([]byte, bool) {
+	if e := c.find(lpn); e != nil && e.Dirty {
+		return e.Data, true
 	}
 	return nil, false
+}
+
+// Cleaned implements ftl.DirtySource: it marks lpn's entry, if any, clean.
+func (c *Cache) Cleaned(lpn uint32) {
+	if e := c.find(lpn); e != nil {
+		e.Dirty = false
+	}
+}
+
+// TakeDirty is DirtyData then Cleaned, for Drain: the entry is clean before
+// the FTL write that persists it, so that write's own garbage collection
+// relocates the flash copy rather than this one.
+func (c *Cache) TakeDirty(lpn uint32) ([]byte, bool) {
+	data, ok := c.DirtyData(lpn)
+	c.Cleaned(lpn)
+	return data, ok
 }
 
 // DirtyPages returns the LPNs of all dirty entries (used by crash-recovery

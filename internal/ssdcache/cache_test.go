@@ -194,6 +194,34 @@ func TestTakeDirty(t *testing.T) {
 	}
 }
 
+// DirtyData is a lookup without side effects; the entry stays dirty until
+// Cleaned, the split GC relies on to keep a page dirty when its relocation
+// program fails.
+func TestDirtyDataThenCleaned(t *testing.T) {
+	c, _ := New(testConfig())
+	e, _, _ := c.Insert(4, pg(0xDD), true)
+	for i := 0; i < 2; i++ {
+		data, ok := c.DirtyData(4)
+		if !ok || &data[0] != &e.Data[0] {
+			t.Fatal("DirtyData did not return the entry's own buffer")
+		}
+	}
+	if !e.Dirty {
+		t.Fatal("DirtyData cleaned the entry")
+	}
+	c.Cleaned(4)
+	if e.Dirty || !c.Contains(4) {
+		t.Fatalf("after Cleaned: dirty=%v cached=%v, want a clean cached entry", e.Dirty, c.Contains(4))
+	}
+	if _, ok := c.DirtyData(4); ok {
+		t.Fatal("DirtyData returned a clean page")
+	}
+	c.Cleaned(99) // absent: no-op
+	if _, ok := c.DirtyData(99); ok {
+		t.Fatal("DirtyData hit on absent page")
+	}
+}
+
 func TestDirtyPages(t *testing.T) {
 	c, _ := New(testConfig())
 	c.Insert(1, pg(0), true)

@@ -4,8 +4,10 @@
 #
 #   ./scripts/benchdiff.sh BENCH_3.json BENCH_4.json
 #
-# Negative percentages are improvements. Benchmarks present in only one
-# snapshot are listed as added/removed. One warning line comes first when
+# Negative percentages are improvements. A "~" after an ns/op delta marks it
+# as inside the run-to-run spread: one side's median falls within the other
+# side's min..max (snapshots taken with COUNT=N; see scripts/bench.sh).
+# Benchmarks present in only one snapshot are listed as added/removed. One warning line comes first when
 # the snapshots' "_meta" fingerprints show a different CPU, core count or Go
 # version, or when either snapshot has none: such deltas mix machine and code.
 set -eu
@@ -50,25 +52,31 @@ fi
 
 awk -v oldfile="$old" -v newfile="$new" '
 # Each data line of a snapshot looks like:
-#   "BenchmarkName": {"ns_per_op": 123.4, "allocs_per_op": 5},
+#   "BenchmarkName": {"ns_per_op": 123.4, "allocs_per_op": 5, "min": 120, "max": 130},
+# where min and max are absent from snapshots older than COUNT=N.
 /"ns_per_op"/ {
     line = $0
     gsub(/[",{}]/, " ", line)
     n = split(line, f, /[[:space:]:]+/)
-    name = ""; ns = ""; allocs = ""
+    name = ""; ns = ""; allocs = ""; lo = ""; hi = ""
     for (i = 1; i <= n; i++) {
         if (f[i] ~ /^Benchmark/) name = f[i]
         if (f[i] == "ns_per_op") ns = f[i + 1]
         if (f[i] == "allocs_per_op") allocs = f[i + 1]
+        if (f[i] == "min") lo = f[i + 1]
+        if (f[i] == "max") hi = f[i + 1]
     }
     if (name == "") next
     if (FILENAME == oldfile) {
-        oldns[name] = ns; oldallocs[name] = allocs
-        if (!(name in seen)) { seen[name] = 1; order[++count] = name }
+        oldns[name] = ns; oldallocs[name] = allocs; oldlo[name] = lo; oldhi[name] = hi
     } else {
-        newns[name] = ns; newallocs[name] = allocs
-        if (!(name in seen)) { seen[name] = 1; order[++count] = name }
+        newns[name] = ns; newallocs[name] = allocs; newlo[name] = lo; newhi[name] = hi
     }
+    if (!(name in seen)) { seen[name] = 1; order[++count] = name }
+}
+# within reports whether x lies in [lo, hi]; an absent spread holds nothing.
+function within(x, lo, hi) {
+    return lo != "" && hi != "" && x + 0 >= lo + 0 && x + 0 <= hi + 0
 }
 END {
     printf "%-45s %12s %12s %8s %10s %10s %8s\n", \
@@ -86,6 +94,8 @@ END {
             continue
         }
         nsdelta = (oldns[name] > 0) ? sprintf("%+.1f%%", 100 * (newns[name] - oldns[name]) / oldns[name]) : "n/a"
+        if (within(newns[name], oldlo[name], oldhi[name]) || within(oldns[name], newlo[name], newhi[name]))
+            nsdelta = nsdelta "~"
         adelta = (oldallocs[name] > 0) \
             ? sprintf("%+.1f%%", 100 * (newallocs[name] - oldallocs[name]) / oldallocs[name]) \
             : (newallocs[name] > 0 ? "+new" : "=")
