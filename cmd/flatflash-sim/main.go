@@ -10,8 +10,8 @@
 //
 // With -openloop it instead offers seeded Poisson arrivals (with an optional
 // diurnal curve) to one FlatFlash device behind a bounded queue with batched
-// issue and SLO-aware admission control, and reports the shed rate alongside
-// admitted-request latency:
+// issue and SLO-aware admission control — a one-shard fleet — and reports
+// the shed rate alongside admitted-request latency:
 //
 //	flatflash-sim -openloop -mix zipf -rate 200000 -ops 20000 -slo 400us
 package main
@@ -26,6 +26,7 @@ import (
 
 	"flatflash/internal/core"
 	"flatflash/internal/fault"
+	"flatflash/internal/fleet"
 	"flatflash/internal/mtsim"
 	"flatflash/internal/obsflags"
 	"flatflash/internal/sim"
@@ -77,7 +78,8 @@ func main() {
 		dev := core.DefaultConfig(ssdB, dramB)
 		dev.MapCachePages = *obs.MapCache
 		dev.MapPipeline = *obs.MapCache > 0
-		cfg := mtsim.OpenLoopConfig{
+		cfg := fleet.Config{
+			Shards: 1,
 			Device: &dev,
 			Arrivals: workload.ArrivalConfig{
 				MixSpec:       *mix,
@@ -103,10 +105,17 @@ func main() {
 			flightRec = telemetry.NewFlightRecorder(telemetry.DefaultFlightCapacity, telemetry.DefaultFlightSnapshots)
 			cfg.Server.Flight = flightRec
 		}
-		res, err := mtsim.OpenLoop(cfg)
+		res, err := fleet.Run(cfg)
 		check(err)
-		check(res.Write(os.Stdout))
-		check(obs.WriteLatency(res.Server.Attribution(), os.Stdout))
+		a, srv := cfg.Arrivals, res.Shards[0]
+		fmt.Printf("openloop mix=%s ops=%d rate=%.1f clients=%d amp=%.2f seed=%d slo_ns=%d\n",
+			a.MixSpec, a.Ops, a.Rate, a.Clients, a.DiurnalAmp, a.Seed, int64(cfg.Server.SLO))
+		check(srv.WriteReport(os.Stdout, 0))
+		att := srv.Attribution()
+		if att != nil {
+			check(att.WriteBudget(os.Stdout))
+		}
+		check(obs.WriteLatency(att, os.Stdout))
 		check(obs.WriteFlight(flightRec, os.Stdout))
 		return
 	}

@@ -69,10 +69,6 @@ type Config struct {
 	// lines, so repeated reads skip the MMIO round trip. 0 (default) is
 	// plain PCIe, where MMIO is uncacheable.
 	CoherentHostCacheLines int
-	// DisableFastPath turns off the bulk DRAM-span fast path and forces
-	// per-cache-line bookkeeping. Results are byte-identical either way;
-	// this exists for the equivalence tests and benchmarks that prove it.
-	DisableFastPath bool
 }
 
 // Errors returned by the public API.
@@ -114,7 +110,6 @@ func New(cfg Config) (*System, error) {
 	}
 	cc.BatteryBacked = !cfg.NoBattery
 	cc.HostCacheLines = cfg.CoherentHostCacheLines
-	cc.DisableFastPath = cfg.DisableFastPath
 
 	var (
 		h   core.Hierarchy

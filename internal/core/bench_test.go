@@ -8,11 +8,9 @@ import (
 
 // warmDRAMHit builds a FlatFlash and promotes one page into DRAM, returning
 // the hierarchy and an address whose reads are steady-state DRAM hits.
-func warmDRAMHit(tb testing.TB, disableFast bool) (*FlatFlash, uint64) {
+func warmDRAMHit(tb testing.TB) (*FlatFlash, uint64) {
 	tb.Helper()
-	cfg := testConfig()
-	cfg.DisableFastPath = disableFast
-	h, err := NewFlatFlash(cfg)
+	h, err := NewFlatFlash(testConfig())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -40,9 +38,9 @@ func warmDRAMHit(tb testing.TB, disableFast bool) (*FlatFlash, uint64) {
 }
 
 // BenchmarkAccessDRAMHit is the steady-state hot path: a 64 B read of a
-// DRAM-resident page with no promotion in flight (bulk-span fast path).
+// DRAM-resident page with no promotion in flight — one cache-line access.
 func BenchmarkAccessDRAMHit(b *testing.B) {
-	h, addr := warmDRAMHit(b, false)
+	h, addr := warmDRAMHit(b)
 	buf := make([]byte, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -53,25 +51,11 @@ func BenchmarkAccessDRAMHit(b *testing.B) {
 	}
 }
 
-// BenchmarkAccessDRAMHitSlowPath is the same access with the fast path
-// disabled — the per-cache-line bookkeeping baseline the fast path beats.
-func BenchmarkAccessDRAMHitSlowPath(b *testing.B) {
-	h, addr := warmDRAMHit(b, true)
-	buf := make([]byte, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := h.Read(addr, buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAccessDRAMHitPage is the fast path's best case: one 4 KiB read
-// serviced with a single bulk copy and one clock advance instead of 64
-// per-line iterations.
+// BenchmarkAccessDRAMHitPage is a whole 4 KiB read of a DRAM-resident page:
+// 64 per-line DRAM hits, each with its own translation, LRU touch, copy and
+// clock advance.
 func BenchmarkAccessDRAMHitPage(b *testing.B) {
-	h, addr := warmDRAMHit(b, false)
+	h, addr := warmDRAMHit(b)
 	buf := make([]byte, 4096)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -160,15 +144,15 @@ func BenchmarkAccessPLBRedirect(b *testing.B) {
 	}
 }
 
-// TestSteadyStateDRAMHitZeroAllocs is the allocation budget the fast path
-// guarantees: a steady-state DRAM-hit read performs zero heap allocations.
+// TestSteadyStateDRAMHitZeroAllocs is the access path's allocation budget:
+// a steady-state DRAM-hit read performs zero heap allocations.
 // The race detector instruments allocations, so the budget only holds in
 // normal builds.
 func TestSteadyStateDRAMHitZeroAllocs(t *testing.T) {
 	if sim.RaceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
 	}
-	h, addr := warmDRAMHit(t, false)
+	h, addr := warmDRAMHit(t)
 	buf := make([]byte, 64)
 	if avg := testing.AllocsPerRun(200, func() {
 		if _, err := h.Read(addr, buf); err != nil {

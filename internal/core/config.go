@@ -84,14 +84,6 @@ type Config struct {
 	// takes evicted-page write-backs off the critical path (FMMU-style).
 	MapPipeline bool
 
-	// DisableFastPath turns off the bulk DRAM-span fast path (one copy and
-	// one clock advance for a fully DRAM-resident, promotion-quiescent span
-	// instead of per-cache-line bookkeeping). The fast path is exactly
-	// equivalent — reports, counters, and traces are byte-identical either
-	// way — so this exists for the equivalence tests and benchmarks that
-	// prove it.
-	DisableFastPath bool
-
 	// Baseline-only software costs.
 	FaultOverhead sim.Duration // trap + page-fault handler
 	StackOverhead sim.Duration // block storage stack (TraditionalStack)

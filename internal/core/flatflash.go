@@ -61,15 +61,6 @@ type FlatFlash struct {
 	regAccesses stats.Handle
 }
 
-// forceSlowPath disables the bulk DRAM fast path process-wide; the golden-
-// equivalence tests flip it to prove both paths produce byte-identical
-// output. Set it only before driving accesses (it is not synchronized).
-var forceSlowPath bool
-
-// SetForceSlowPath turns the process-wide slow-path override on or off.
-// Test-only; see forceSlowPath.
-func SetForceSlowPath(on bool) { forceSlowPath = on }
-
 // hotCounters holds pre-resolved cells (stats.Handle) for every counter the
 // access path increments, resolved once at construction so the hot loop does
 // one pointer add instead of a map lookup per event. Visibility follows
@@ -360,10 +351,10 @@ func (s *FlatFlash) Write(addr uint64, data []byte) (sim.Duration, error) {
 // advancing t's clock by the latency t's thread observes and pulling the
 // device frontier (s.clock) up to it.
 //
-// The access is split at page boundaries; each page segment is either bulk-
-// serviced by fastDRAMSpan or split further at cache-line boundaries through
-// accessChunkFor — the chunk sequence is identical to the old chunker
-// callback, without the per-access closure allocation.
+// The access is split at cache-line boundaries, which never cross a page
+// (Validate requires PageSize to be a multiple of CacheLineSize): every
+// chunk is one CPU cache-line access through accessChunkFor (§3), a DRAM
+// hit, a PLB redirect, or an MMIO.
 //
 //flatflash:hotpath
 func (s *FlatFlash) accessFor(t *Tenant, addr uint64, buf []byte, isWrite bool) (sim.Duration, error) {
@@ -372,30 +363,17 @@ func (s *FlatFlash) accessFor(t *Tenant, addr uint64, buf []byte, isWrite bool) 
 	}
 	start := t.clock.Now()
 	total := len(buf)
-	ps, ls := s.cfg.PageSize, s.cfg.CacheLineSize
-	fastOK := !s.cfg.DisableFastPath && !forceSlowPath && s.faults == nil
+	ps, ls := uint64(s.cfg.PageSize), s.cfg.CacheLineSize
 	s.att.Begin(t.att)
 	for len(buf) > 0 {
-		vpn := addr / uint64(ps)
-		off := int(addr % uint64(ps))
-		n := ps - off
+		off := int(addr % ps)
+		n := ls - off%ls
 		if n > len(buf) {
 			n = len(buf)
 		}
-		if !(fastOK && s.plb.Pending() == 0 && s.fastDRAMSpan(t, vpn, off, buf[:n], isWrite)) {
-			seg := buf[:n]
-			for len(seg) > 0 {
-				cn := ls - off%ls
-				if cn > len(seg) {
-					cn = len(seg)
-				}
-				if err := s.accessChunkFor(t, vpn, off, seg[:cn], isWrite); err != nil {
-					s.att.Abandon()
-					return 0, err
-				}
-				off += cn
-				seg = seg[cn:]
-			}
+		if err := s.accessChunkFor(t, addr/ps, off, buf[:n], isWrite); err != nil {
+			s.att.Abandon()
+			return 0, err
 		}
 		addr += uint64(n)
 		buf = buf[n:]
@@ -413,75 +391,21 @@ func (s *FlatFlash) accessFor(t *Tenant, addr uint64, buf []byte, isWrite bool) 
 	return t.clock.Now().Sub(start), nil
 }
 
-// fastDRAMSpan bulk-services one page segment when the page is DRAM-resident
-// and nothing can interleave: no fault engine (checkCrash is a no-op) and no
-// in-flight promotion (completePromotions and the PLB lookup are no-ops,
-// checked by the caller). It reproduces the slow path's per-line effects
-// exactly — TLB hit/miss sequence, DRAM LRU and access counts, counters,
-// telemetry spans, clock advance — with one copy and one clock update, so
-// output stays byte-identical. Returns false (having done nothing) when the
-// conditions do not hold and the caller must take the per-chunk path.
-//
-//flatflash:hotpath
-func (s *FlatFlash) fastDRAMSpan(t *Tenant, vpn uint64, off int, seg []byte, isWrite bool) bool {
-	pte := t.as.Peek(vpn)
-	if pte == nil || pte.Loc != vm.InDRAM {
-		return false
-	}
-	now := t.clock.Now()
-	// First line's translation is real (may miss); the remaining lines of
-	// the same page always hit with the entry already at MRU.
-	_, tLat, err := t.as.Translate(vpn)
-	if err != nil {
-		return false
-	}
-	ls := s.cfg.CacheLineSize
-	lines := int64((off+len(seg)-1)/ls - off/ls + 1)
-	t.as.CreditRepeatHits(lines - 1)
-	if tLat > 0 && s.probe != nil {
-		s.probe.Span(telemetry.SpanTranslate, t.track, now, now.Add(tLat), int64(vpn))
-	}
-	now = now.Add(tLat)
-	lat, derr := s.dram.TouchN(pte.Frame, lines)
-	if derr != nil {
-		return false
-	}
-	*t.attTLB += int64(tLat)
-	*t.attDRAM += int64(lat) * lines
-	data, _ := s.dram.Data(pte.Frame)
-	if isWrite {
-		copy(data[off:], seg)
-		pte.Dirty = true
-		*s.hot.dramWrites += lines
-	} else {
-		copy(seg, data[off:off+len(seg)])
-		*s.hot.dramReads += lines
-	}
-	t.dramHits += lines
-	if s.arb != nil {
-		s.arb.NoteHits(t.id, lines)
-	}
-	if s.probe != nil {
-		for i := int64(0); i < lines; i++ {
-			s.probe.Span(telemetry.SpanDRAM, t.track, now, now.Add(lat), int64(pte.Frame))
-			now = now.Add(lat)
-		}
-	} else {
-		now = now.Add(lat * sim.Duration(lines))
-	}
-	t.clock.AdvanceTo(now)
-	return true
-}
-
 // accessChunkFor services one sub-cache-line access to one page of tenant
 // t's address space, advancing t's clock by the latency its CPU observes.
 //
 //flatflash:hotpath
 func (s *FlatFlash) accessChunkFor(t *Tenant, vpn uint64, off int, b []byte, isWrite bool) error {
-	if err := s.checkCrash(t.clock.Now()); err != nil {
-		return err
+	// Both calls are no-ops without a fault engine or an in-flight
+	// promotion; the guards keep them off the steady-state DRAM hit.
+	if s.faults != nil {
+		if err := s.checkCrash(t.clock.Now()); err != nil {
+			return err
+		}
 	}
-	s.completePromotions(t.clock.Now())
+	if s.plb.Pending() > 0 {
+		s.completePromotions(t.clock.Now())
+	}
 	now := t.clock.Now()
 
 	pte, tLat, err := t.as.Translate(vpn)

@@ -169,15 +169,6 @@ func (d *DRAM) Data(f int) ([]byte, error) {
 //
 //flatflash:hotpath
 func (d *DRAM) Touch(f int) (sim.Duration, error) {
-	return d.TouchN(f, 1)
-}
-
-// TouchN records n back-to-back cache-line uses of frame f with one LRU
-// update — the bulk-span fast path's replacement for n Touch calls — and
-// returns the per-line access latency.
-//
-//flatflash:hotpath
-func (d *DRAM) TouchN(f int, n int64) (sim.Duration, error) {
 	if err := d.check(f); err != nil {
 		return 0, err
 	}
@@ -185,7 +176,7 @@ func (d *DRAM) TouchN(f int, n int64) (sim.Duration, error) {
 		d.detach(int32(f))
 		d.pushFront(int32(f))
 	}
-	d.accesses += n
+	d.accesses++
 	return d.cfg.AccessLatency, nil
 }
 

@@ -168,3 +168,27 @@ func TestEvictCandidateWhere(t *testing.T) {
 		t.Fatal("EvictCandidateWhere matched with always-false predicate")
 	}
 }
+
+// BenchmarkTouch times the core of a per-line DRAM hit: Touch on a full
+// 256-frame LRU list, cycling through the frames so every call unlinks the
+// least recently used frame and pushes it to the MRU end.
+func BenchmarkTouch(b *testing.B) {
+	const frames = 256
+	d, err := New(Config{Frames: frames, PageSize: 4096, AccessLatency: DefaultAccessLatency})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fs := make([]int, frames)
+	for i := range fs {
+		if fs[i], err = d.Alloc(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.Touch(fs[i%frames]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

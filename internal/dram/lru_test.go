@@ -15,58 +15,6 @@ func newSmall(t testing.TB, frames int) *DRAM {
 	return d
 }
 
-// TestTouchNEquivalence: TouchN(f, n) must leave the DRAM in exactly the
-// state n consecutive Touch(f) calls would — same access count, same
-// eviction order.
-func TestTouchNEquivalence(t *testing.T) {
-	a := newSmall(t, 4)
-	b := newSmall(t, 4)
-	var fa, fb []int
-	for i := 0; i < 4; i++ {
-		x, err := a.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		y, err := b.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fa = append(fa, x)
-		fb = append(fb, y)
-	}
-	seq := []struct {
-		frame int
-		n     int64
-	}{{0, 3}, {2, 1}, {1, 5}, {0, 2}, {3, 7}, {2, 4}}
-	for _, s := range seq {
-		if _, err := a.TouchN(fa[s.frame], s.n); err != nil {
-			t.Fatal(err)
-		}
-		for i := int64(0); i < s.n; i++ {
-			if _, err := b.Touch(fb[s.frame]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if a.Accesses() != b.Accesses() {
-		t.Fatalf("accesses: TouchN %d, Touch %d", a.Accesses(), b.Accesses())
-	}
-	// Drain both by repeated evict+release: the orders must match.
-	for i := 0; i < 4; i++ {
-		ca, oka := a.EvictCandidate()
-		cb, okb := b.EvictCandidate()
-		if !oka || !okb || ca != cb {
-			t.Fatalf("evict %d: TouchN (%d,%v), Touch (%d,%v)", i, ca, oka, cb, okb)
-		}
-		if err := a.Release(ca); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Release(cb); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestLRUOrderWithPins pins frames out of the eviction order and verifies
 // the intrusive list keeps exact-LRU ordering among the rest.
 func TestLRUOrderWithPins(t *testing.T) {
@@ -162,7 +110,7 @@ func TestChurnZeroAllocSteadyState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.TouchN(f, 64); err != nil {
+		if _, err := d.Touch(f); err != nil {
 			t.Fatal(err)
 		}
 		c, ok := d.EvictCandidate()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"flatflash/internal/core"
 	"flatflash/internal/mtsim"
@@ -452,8 +451,8 @@ func (r *Result) Fairness() float64 {
 }
 
 // Write renders the run deterministically: a fleet header, one line per
-// shard (the same bytes a single-device OpenLoop run would emit for that
-// device), and the fleet aggregate line.
+// shard (the same bytes flatflash-sim -openloop prints for its one shard),
+// and the fleet aggregate line.
 func (r *Result) Write(w io.Writer) error {
 	a := r.Arrivals
 	if _, err := fmt.Fprintf(w, "fleet shards=%d mix=%s ops=%d rate=%.1f clients=%d amp=%.2f seed=%d slo_ns=%d migrate_epoch_ns=%d\n",
@@ -470,18 +469,4 @@ func (r *Result) Write(w io.Writer) error {
 		r.Admitted(), r.Shed(), r.ShedRate(), r.Throughput(), int64(hist.Percentile(99)),
 		r.Fairness(), r.Migrations, int64(r.Makespan()))
 	return err
-}
-
-// DeviceReport returns shard i's report line — byte-identical to the line a
-// single-device OpenLoop run emits when it served the same requests (the
-// degenerate-routing equivalence gate).
-func (r *Result) DeviceReport(i int) (string, error) {
-	if i < 0 || i >= len(r.Shards) {
-		return "", fmt.Errorf("fleet: shard %d outside %d", i, len(r.Shards))
-	}
-	var b strings.Builder
-	if err := r.Shards[i].WriteReport(&b, 0); err != nil {
-		return "", err
-	}
-	return b.String(), nil
 }

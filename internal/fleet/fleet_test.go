@@ -92,57 +92,6 @@ func TestFleetDeterministic(t *testing.T) {
 	}
 }
 
-// The degenerate-routing equivalence gate: a 2-shard fleet whose ring maps
-// everything to shard 0 must behave byte-for-byte like the single-device
-// open-loop run fed the same arrivals; shard 1 must stay untouched. The same
-// must hold for a true 1-shard fleet with a real ring.
-func TestFleetDegenerateMatchesOpenLoop(t *testing.T) {
-	arr := testArrivals(300000)
-	opts := testServer()
-	single, err := mtsim.OpenLoop(mtsim.OpenLoopConfig{
-		Device:   testDevice(),
-		Arrivals: arr,
-		Server:   opts,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := single.DeviceReport()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pinned, err := PinnedRing(2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name string
-		cfg  Config
-	}{
-		{"2-shard pinned ring", Config{Shards: 2, Ring: pinned, Device: testDevice(), Arrivals: arr, Server: opts}},
-		{"1-shard real ring", Config{Shards: 1, Device: testDevice(), Arrivals: arr, Server: opts}},
-	}
-	for _, tc := range cases {
-		res, err := Run(tc.cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		got, err := res.DeviceReport(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("%s: shard 0 diverges from the single-device run:\nfleet:  %ssingle: %s", tc.name, got, want)
-		}
-		for i := 1; i < tc.cfg.Shards; i++ {
-			if res.Shards[i].Arrivals() != 0 {
-				t.Errorf("%s: shard %d saw %d arrivals, want 0", tc.name, i, res.Shards[i].Arrivals())
-			}
-		}
-	}
-}
-
 // The fleet overload gate: at well past the sustainable rate, shedding is
 // nonzero while the admitted p99 across the whole fleet stays under the SLO.
 func TestFleetOverloadSheds(t *testing.T) {

@@ -1,4 +1,4 @@
-package mtsim
+package mtsim_test
 
 import (
 	"bytes"
@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"flatflash/internal/core"
+	"flatflash/internal/fleet"
+	"flatflash/internal/mtsim"
 	"flatflash/internal/sim"
 	"flatflash/internal/telemetry"
 	"flatflash/internal/workload"
@@ -16,8 +18,11 @@ func openLoopDevice() *core.Config {
 	return &cfg
 }
 
-func openLoopConfig(rate float64) OpenLoopConfig {
-	return OpenLoopConfig{
+// openLoopConfig offers the whole arrival stream to one server: a one-shard
+// fleet, the configuration flatflash-sim -openloop runs.
+func openLoopConfig(rate float64) fleet.Config {
+	return fleet.Config{
+		Shards: 1,
 		Device: openLoopDevice(),
 		Arrivals: workload.ArrivalConfig{
 			MixSpec:       "zipf",
@@ -29,7 +34,7 @@ func openLoopConfig(rate float64) OpenLoopConfig {
 			Ops:           8000,
 			Seed:          7,
 		},
-		Server: ServerOptions{
+		Server: mtsim.ServerOptions{
 			SLO:           400 * sim.Microsecond,
 			ShedWait:      50 * sim.Microsecond,
 			IssueOverhead: 300,
@@ -37,33 +42,10 @@ func openLoopConfig(rate float64) OpenLoopConfig {
 	}
 }
 
-func TestServerOptionsValidate(t *testing.T) {
-	bad := []ServerOptions{
-		{QueueDepth: -1},
-		{Batch: -1},
-		{IssueOverhead: -1},
-		{SLO: -1},
-		{ShedWait: -1},
-	}
-	for i, opts := range bad {
-		if err := opts.Validate(); err == nil {
-			t.Errorf("bad options %d accepted: %+v", i, opts)
-		}
-	}
-	if err := (ServerOptions{}).Validate(); err != nil {
-		t.Fatalf("zero options rejected: %v", err)
-	}
-	// ShedWait defaults to half the SLO budget, leaving the rest for service.
-	o := ServerOptions{SLO: 100}.withDefaults()
-	if o.ShedWait != 50 {
-		t.Fatalf("ShedWait default %d, want SLO/2", o.ShedWait)
-	}
-}
-
 func TestOpenLoopDeterministic(t *testing.T) {
 	var a, b bytes.Buffer
 	for _, w := range []*bytes.Buffer{&a, &b} {
-		res, err := OpenLoop(openLoopConfig(200000))
+		res, err := fleet.Run(openLoopConfig(200000))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,11 +59,11 @@ func TestOpenLoopDeterministic(t *testing.T) {
 }
 
 func TestOpenLoopAccounting(t *testing.T) {
-	res, err := OpenLoop(openLoopConfig(100000))
+	res, err := fleet.Run(openLoopConfig(100000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := res.Server
+	s := res.Shards[0]
 	if s.Arrivals() != int64(res.Arrivals.Ops) {
 		t.Fatalf("server saw %d arrivals, generator made %d", s.Arrivals(), res.Arrivals.Ops)
 	}
@@ -110,11 +92,11 @@ func TestOpenLoopAccounting(t *testing.T) {
 // keeps the admitted tail under the SLO while the shed rate goes nonzero.
 func TestOpenLoopOverloadSheds(t *testing.T) {
 	cfg := openLoopConfig(2e6) // ~30x what this device sustains on zipf
-	res, err := OpenLoop(cfg)
+	res, err := fleet.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := res.Server
+	s := res.Shards[0]
 	if s.Shed() == 0 {
 		t.Fatal("overloaded server shed nothing")
 	}
@@ -129,12 +111,12 @@ func TestOpenLoopOverloadSheds(t *testing.T) {
 // Without an SLO the only backpressure is the bounded FIFO.
 func TestOpenLoopQueueFullSheds(t *testing.T) {
 	cfg := openLoopConfig(2e6)
-	cfg.Server = ServerOptions{QueueDepth: 4}
-	res, err := OpenLoop(cfg)
+	cfg.Server = mtsim.ServerOptions{QueueDepth: 4}
+	res, err := fleet.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := res.Server
+	s := res.Shards[0]
 	if s.Shed() == 0 {
 		t.Fatal("full queue shed nothing")
 	}
@@ -155,11 +137,11 @@ func TestOpenLoopQueueFullSheds(t *testing.T) {
 func TestServerBatching(t *testing.T) {
 	cfg := openLoopConfig(2e6)
 	cfg.Server.Batch = 8
-	res, err := OpenLoop(cfg)
+	res, err := fleet.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := res.Server
+	s := res.Shards[0]
 	if s.Admitted() == 0 {
 		t.Fatal("nothing admitted")
 	}
@@ -186,11 +168,11 @@ func TestOpenLoopShedOnsetTrigger(t *testing.T) {
 	cfg := openLoopConfig(2e6)
 	rec := telemetry.NewFlightRecorder(telemetry.DefaultFlightCapacity, telemetry.DefaultFlightSnapshots)
 	cfg.Server.Flight = rec
-	res, err := OpenLoop(cfg)
+	res, err := fleet.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Server.Shed() == 0 {
+	if res.Shards[0].Shed() == 0 {
 		t.Fatal("expected shedding")
 	}
 	if rec.Triggers() == 0 {

@@ -72,3 +72,20 @@ func TestStatsAndTraffic(t *testing.T) {
 		t.Fatalf("traffic = %d", got)
 	}
 }
+
+// BenchmarkMMIORead times one non-posted cache-line read on a link with no
+// probe or attribution attached: the occupancy reservation, the counters
+// and the completion time. Each read issues at the previous one's
+// completion.
+func BenchmarkMMIORead(b *testing.B) {
+	l, err := NewLink(DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var now sim.Time
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now = l.MMIORead(now, false)
+	}
+}

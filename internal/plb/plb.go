@@ -312,8 +312,8 @@ func (p *PLB) Access(now sim.Time, lpn uint32, off int, buf []byte, isStore bool
 }
 
 // Pending reports how many promotions are currently in flight. The
-// hierarchy's bulk fast path requires zero: with nothing in flight, skipping
-// the per-line PLB lookups is an exact no-op.
+// hierarchy skips completion polling on every cache line while it is zero:
+// with nothing in flight, Expired has nothing to return.
 //
 //flatflash:hotpath
 func (p *PLB) Pending() int { return p.pending }

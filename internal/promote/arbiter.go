@@ -123,16 +123,10 @@ func (a *Arbiter) NoteFrame(id, delta int) {
 // NoteHit records one DRAM hit for tenant id — the benefit signal: a hit on
 // a promoted page is an SSD access the tenant's DRAM share saved.
 func (a *Arbiter) NoteHit(id int) {
-	a.NoteHits(id, 1)
-}
-
-// NoteHits records n DRAM hits at once — the bulk-span fast path's
-// replacement for n NoteHit calls.
-func (a *Arbiter) NoteHits(id int, n int64) {
 	if id < 0 || id >= len(a.hits) {
 		return
 	}
-	a.hits[id] += n
+	a.hits[id]++
 }
 
 // ResetFrames zeroes all frame holdings (a crash released every frame).

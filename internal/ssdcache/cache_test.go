@@ -315,3 +315,25 @@ func TestOwnerPages(t *testing.T) {
 		t.Fatalf("OwnerPages(0) after removal = %d, want 1", got)
 	}
 }
+
+// BenchmarkLookupHit times an SSD-Cache hit at a 4 KiB page: the set scan,
+// the RRIP hit update and the hit count, cycling over every page of a full
+// cache.
+func BenchmarkLookupHit(b *testing.B) {
+	const pages = 64
+	c, err := New(Config{Pages: pages, Ways: DefaultWays, PageSize: 4096, Policy: RRIP})
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := pageOf(0x5A, 4096)
+	for lpn := uint32(0); lpn < pages; lpn++ {
+		c.Insert(lpn, src, false)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := c.Lookup(uint32(i % pages)); !ok {
+			b.Fatalf("page %d missed in a full cache", i%pages)
+		}
+	}
+}

@@ -145,29 +145,6 @@ func (a *AddressSpace) Translate(vpn uint64) (*PTE, sim.Duration, error) {
 	return &a.pages[vpn], a.cfg.WalkLatency, nil
 }
 
-// Peek returns vpn's entry without touching the TLB or charging any
-// latency — a side-effect-free probe the hierarchy's bulk fast path uses to
-// decide whether a span is fully DRAM-resident before committing to it. It
-// returns nil for unmapped pages.
-//
-//flatflash:hotpath
-func (a *AddressSpace) Peek(vpn uint64) *PTE {
-	if vpn >= uint64(len(a.pages)) || !a.pages[vpn].Present {
-		return nil
-	}
-	return &a.pages[vpn]
-}
-
-// CreditRepeatHits accounts n further translations of the page Translate
-// just resolved. Repeat accesses to the same VPN always hit the TLB with the
-// entry already at the MRU position, so the only architectural effect is the
-// hit count — this records it without n map lookups.
-//
-//flatflash:hotpath
-func (a *AddressSpace) CreditRepeatHits(n int64) {
-	a.tlbHits += n
-}
-
 // UpdateMapping changes where vpn points (promotion completion or DRAM
 // eviction) and invalidates its TLB entry. It returns the PTE/TLB update
 // cost (Table 2's 1.4 µs), which the caller charges on or off the critical

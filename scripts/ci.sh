@@ -146,6 +146,24 @@ for line in open(sys.argv[1]):
 done
 echo "observability smoke ok"
 
+echo "== open-loop golden smoke =="
+# flatflash-sim -openloop runs a one-shard fleet. One committed golden flag
+# set, replayed through the real CLI, must reproduce its stdout and both
+# dumps byte for byte. The golden's dump paths are relative, so the run
+# happens in a scratch directory.
+ol_golden="$PWD/internal/fleet/testdata/openloop"
+ol_dir=$(mktemp -d)
+# shellcheck disable=SC2046 # the args file is split into flags on purpose
+(cd "$ol_dir" && /tmp/flatflash-sim $(cat "$ol_golden/obs.args") > obs.stdout)
+cmp "$ol_dir/obs.stdout" "$ol_golden/obs.stdout" || {
+    echo "open-loop stdout differs from the golden"; exit 1; }
+cmp "$ol_dir/latency.jsonl" "$ol_golden/obs.latency.jsonl" || {
+    echo "open-loop latency dump differs from the golden"; exit 1; }
+cmp "$ol_dir/flight.jsonl" "$ol_golden/obs.flight.jsonl" || {
+    echo "open-loop flight dump differs from the golden"; exit 1; }
+rm -rf "$ol_dir"
+echo "open-loop smoke ok"
+
 echo "== fleet smoke =="
 # A tiny fleet sweep must be byte-identical across runs AND across worker
 # counts — the ISSUE 7 determinism contract, end to end through the real CLI.
