@@ -106,17 +106,15 @@ func main() {
 	// overlays their timelines; gauge names are deduplicated per instance.
 	var (
 		tracer *telemetry.Tracer
-		probe  telemetry.Probe
 		reg    *telemetry.Registry
 	)
 	if *traceOut != "" {
 		tracer = telemetry.NewTracer(telemetry.DefaultTracerCapacity)
-		probe = tracer
 	}
 	if *traceOut != "" || *metricsOut != "" {
 		reg = telemetry.NewRegistry(sim.Duration(metricsEp.Nanoseconds()))
 	}
-	experiments.SetTelemetry(probe, reg)
+	experiments.SetTelemetry(tracer, reg)
 
 	// Latency attribution and the flight recorder attach to every FlatFlash
 	// hierarchy the experiments build; the consolidate sweep additionally

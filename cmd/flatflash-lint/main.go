@@ -8,7 +8,7 @@
 //	mapiter       no unsorted map walks in report/export/trace emitters
 //	hotalloc      no allocating constructs (and no unannotated same-package
 //	              callees) in //flatflash:hotpath functions
-//	probenil      telemetry.Probe calls are nil-guarded
+//	probenil      *telemetry.Sink calls are nil-guarded
 //	sharedstate   no cross-shard mutable package state
 //	attribwindow  telemetry.Attribution Begin/End/Abandon pair on all CFG
 //	              paths; Charge is dominated by Begin; Suspend balances Resume

@@ -156,14 +156,11 @@ func main() {
 
 	// Telemetry: the registry always runs (it feeds the ops/virtual-second
 	// summary); the span tracer only when a trace file was requested. The
-	// probe stays a nil interface otherwise, keeping the access path
-	// allocation-free.
+	// tracer stays nil otherwise, keeping the access path allocation-free.
 	reg := telemetry.NewRegistry(sim.Duration(metricsEp.Nanoseconds()))
 	var tracer *telemetry.Tracer
-	var probe telemetry.Probe
 	if *traceOut != "" {
 		tracer = telemetry.NewTracer(telemetry.DefaultTracerCapacity)
-		probe = tracer
 	}
 	// Latency attribution and the flight recorder target the FlatFlash
 	// hierarchy's component boundaries; the baselines don't model them.
@@ -173,16 +170,10 @@ func main() {
 		if !ok {
 			check(fmt.Errorf("-latency-out/-flight-out/-slo require -kind flatflash, not %q", *kind))
 		}
-		if flightRec != nil {
-			// The flight recorder sits ahead of any user probe: it records
-			// every span into its ring and forwards to the chained probe.
-			flightRec.Chain(probe)
-			probe = flightRec
-		}
 		ff.SetFlightRecorder(flightRec)
 		ff.SetAttribution(att)
 	}
-	h.Instrument(probe, reg)
+	h.Instrument(tracer, reg)
 
 	var t trace.Trace
 	if *replay != "" {

@@ -134,9 +134,9 @@ var attribMethods = map[string]bool{
 
 // isAttribReceiver reports whether t (the receiver expression's type) is an
 // attribution sink: a named type from internal/telemetry (Attribution, the
-// Attrib interface), or any interface declaring niladic Suspend and Resume
-// (the ftl attribSuspender pattern — packages that only pause accounting
-// hold the engine through such an interface).
+// Sink that forwards Suspend/Resume to it), or any interface declaring
+// niladic Suspend and Resume (packages that only pause accounting may hold
+// the engine through such an interface).
 func isAttribReceiver(t types.Type) bool {
 	if t == nil {
 		return false

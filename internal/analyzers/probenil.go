@@ -6,33 +6,28 @@ import (
 	"go/types"
 )
 
-// probenil enforces the nil-safe telemetry pattern: every call through a
-// value of one of telemetry's sink interfaces (Probe, Attrib) must be
+// probenil enforces the nil-safe instrumentation pattern: every call on a
+// *telemetry.Sink — the one seam every layer reports through — must be
 // dominated by a nil check on that exact expression, so a disabled sink
-// costs one pointer compare and zero allocations per access (boxing the
-// arguments of an interface call is itself an allocation). Two guard shapes
-// are accepted:
+// costs one pointer compare per site. A nil *Sink is the disabled
+// configuration and its Observe dereferences the receiver, so an unguarded
+// call is a crash waiting for the first uninstrumented run. Two guard
+// shapes are accepted:
 //
-//	if s.probe != nil { s.probe.Span(...) }     // possibly && more conds
-//	if s.probe == nil { return }                // early exit, then call
+//	if s.obs != nil { s.obs.Observe(...) }     // possibly && more conds
+//	if s.obs == nil { return }                 // early exit, then call
 //
-// Calls on concrete implementations (e.g. *telemetry.Tracer,
-// *telemetry.Attribution, whose methods are nil-receiver safe) are not
-// flagged — only the interfaces, whose nil case is the disabled path.
+// Calls on the concrete consumers (*telemetry.Tracer, *telemetry.Attribution
+// and friends, whose nil-safe methods callers use directly) are not flagged.
 
 var ProbeNil = &Analyzer{
 	Name: "probenil",
-	Doc: "telemetry sink interface calls (Probe, Attrib) must be nil-guarded " +
-		"(if p != nil { p.Span(...) }) so a disabled sink costs one compare",
-	// The defining package may call sinks it has already validated
-	// (e.g. fan-out inside a multi-probe, export of a non-nil tracer).
+	Doc: "*telemetry.Sink calls must be nil-guarded " +
+		"(if s != nil { s.Observe(...) }) so a disabled sink costs one compare",
+	// The defining package forwards through sinks it has already validated.
 	Allowed: []string{"internal/telemetry"},
 	Run:     runProbeNil,
 }
-
-// sinkInterfaces are the telemetry interface names whose call sites the
-// analyzer guards.
-var sinkInterfaces = map[string]bool{"Probe": true, "Attrib": true}
 
 func runProbeNil(p *Pass) {
 	inspectFiles(p.Files, func(n ast.Node, stack []ast.Node) bool {
@@ -41,44 +36,35 @@ func runProbeNil(p *Pass) {
 			return true
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		recvType := p.Info.TypeOf(sel.X)
-		iface := sinkInterfaceName(recvType)
-		if iface == "" {
+		if !ok || !isSinkPointer(p.Info.TypeOf(sel.X)) {
 			return true
 		}
 		recv := types.ExprString(sel.X)
 		if p.guardedByIf(stack, n, recv) || p.guardedByEarlyExit(stack, n, recv) {
 			return true
 		}
-		p.Reportf(call.Pos(), "telemetry.%s call without nil guard; wrap as `if %s != nil { %s.%s(...) }` (disabled sinks must cost one pointer compare)", iface, recv, recv, sel.Sel.Name)
+		p.Reportf(call.Pos(), "telemetry.Sink call without nil guard; wrap as `if %s != nil { %s.%s(...) }` (a disabled sink must cost one pointer compare)", recv, recv, sel.Sel.Name)
 		return true
 	})
 }
 
-// sinkInterfaceName returns the guarded interface's name ("Probe",
-// "Attrib") when t is one of telemetry's sink interfaces — a named
-// interface from a package whose import path is (or ends with)
-// internal/telemetry — and "" otherwise.
-func sinkInterfaceName(t types.Type) string {
-	named, ok := types.Unalias(t).(*types.Named)
+// isSinkPointer reports whether t is *Sink from a package whose import path
+// is (or ends with) internal/telemetry.
+func isSinkPointer(t types.Type) bool {
+	ptr, ok := types.Unalias(t).(*types.Pointer)
 	if !ok {
-		return ""
+		return false
+	}
+	named, ok := types.Unalias(ptr.Elem()).(*types.Named)
+	if !ok {
+		return false
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || !sinkInterfaces[obj.Name()] {
-		return ""
+	if obj.Pkg() == nil || obj.Name() != "Sink" {
+		return false
 	}
 	path := obj.Pkg().Path()
-	if path != "internal/telemetry" && !hasPathSuffix(path, "internal/telemetry") {
-		return ""
-	}
-	if _, isIface := named.Underlying().(*types.Interface); !isIface {
-		return ""
-	}
-	return obj.Name()
+	return path == "internal/telemetry" || hasPathSuffix(path, "internal/telemetry")
 }
 
 func hasPathSuffix(path, suffix string) bool {

@@ -7,8 +7,8 @@ import (
 	"flatflash/internal/analyzers/analyzertest"
 )
 
-// TestProbeNil: unguarded telemetry.Probe interface calls (including a
-// guard on the wrong expression) are flagged; direct, compound, early-exit,
+// TestProbeNil: unguarded *telemetry.Sink calls (including a guard on the
+// wrong expression) are flagged; direct, compound, early-exit,
 // else-branch, and local-copy guards pass; the telemetry package itself is
 // allowlisted; //lint:ignore suppresses.
 func TestProbeNil(t *testing.T) {

@@ -69,7 +69,7 @@ func suspendPaired(s *hier) {
 	s.att.End(7, 0)
 }
 
-// pauser is the ftl attribSuspender shape: any interface with niladic
+// pauser: any interface with niladic
 // Suspend/Resume is an attribution receiver.
 type pauser interface {
 	Suspend()

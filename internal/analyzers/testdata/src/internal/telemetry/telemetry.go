@@ -1,7 +1,8 @@
 // Package telemetry is a fixture stub with the same shape as the real
-// flatflash/internal/telemetry: a nil-safe Probe interface. The package
-// itself sits on probenil's allowlist, so the unguarded fan-out below is
-// tolerated here and nowhere else.
+// flatflash/internal/telemetry: a *Sink every layer reports through, whose
+// calls sit behind nil checks. The package itself sits on probenil's
+// allowlist, so the unguarded forwarding below is tolerated here and
+// nowhere else.
 package telemetry
 
 type (
@@ -10,36 +11,26 @@ type (
 	Time     int64
 )
 
-// Probe receives instrumentation callbacks; all call sites outside this
-// package guard with a nil check.
-type Probe interface {
-	Span(kind SpanKind, track Track, start, end Time, arg int64)
-	Event(kind SpanKind, track Track, at Time, arg int64)
-}
-
 // Component is a latency-attribution component id.
 type Component uint8
 
-// Attrib receives latency-attribution charges; like Probe, all call sites
-// outside this package guard with a nil check.
-type Attrib interface {
-	Charge(comp Component, d int64)
-}
+// Sink is the one instrumentation seam; a nil *Sink is the disabled path.
+type Sink struct{ att *Attribution }
 
-// Multi fans out to probes its constructor already validated as non-nil.
-type Multi struct{ ps []Probe }
+// Observe reports one interval.
+func (s *Sink) Observe(kind SpanKind, track Track, start, end Time, arg int64) {}
 
-func (m *Multi) Span(kind SpanKind, track Track, start, end Time, arg int64) {
-	for _, p := range m.ps {
-		p.Span(kind, track, start, end, arg)
-	}
-}
+// Suspend forwards to the attribution.
+func (s *Sink) Suspend() { s.att.Suspend() }
 
-func (m *Multi) Event(kind SpanKind, track Track, at Time, arg int64) {
-	for _, p := range m.ps {
-		p.Event(kind, track, at, arg)
-	}
-}
+// Resume forwards to the attribution.
+func (s *Sink) Resume() { s.att.Resume() }
+
+// Forward relays to a sink its caller already validated; allowlisted.
+func Forward(s *Sink, kind SpanKind, at Time) { s.Observe(kind, 0, at, at, 0) }
+
+// TenantAttrib is one attribution account.
+type TenantAttrib struct{ pend [4]int64 }
 
 // Attribution mirrors the real engine's window protocol (Begin/End/Abandon,
 // Charge routing, Suspend/Resume nesting) closely enough for attribwindow
@@ -47,7 +38,7 @@ func (m *Multi) Event(kind SpanKind, track Track, at Time, arg int64) {
 type Attribution struct{ open bool }
 
 // Begin opens an access window charging to acct.
-func (a *Attribution) Begin(acct Attrib) { a.open = true }
+func (a *Attribution) Begin(acct *TenantAttrib) { a.open = true }
 
 // End closes the window, folding the measured total.
 func (a *Attribution) End(total int64, now Time) { a.open = false }

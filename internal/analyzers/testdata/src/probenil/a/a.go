@@ -1,100 +1,84 @@
-// Package a seeds probenil violations: calls through the telemetry.Probe
-// interface must be dominated by a nil check on the same expression.
+// Package a seeds probenil violations: calls on a *telemetry.Sink must be
+// dominated by a nil check on the same expression.
 package a
 
 import telemetry "flatflash/internal/telemetry"
 
 type dev struct {
-	probe telemetry.Probe
-	att   telemetry.Attrib
-	busy  bool
+	obs  *telemetry.Sink
+	att  *telemetry.Attribution
+	busy bool
 }
 
 func (d *dev) unguarded(now telemetry.Time) {
-	d.probe.Event(0, 0, now, 1) // want "telemetry.Probe call without nil guard"
+	d.obs.Observe(0, 0, now, now, 1) // want "telemetry.Sink call without nil guard"
 }
 
 func (d *dev) wrongGuard(other *dev, now telemetry.Time) {
-	if other.probe != nil {
-		d.probe.Event(0, 0, now, 1) // want "telemetry.Probe call without nil guard"
+	if other.obs != nil {
+		d.obs.Observe(0, 0, now, now, 1) // want "telemetry.Sink call without nil guard"
 	}
 }
 
 func (d *dev) guarded(now telemetry.Time) {
-	if d.probe != nil {
-		d.probe.Span(0, 0, now, now, 1)
+	if d.obs != nil {
+		d.obs.Observe(0, 0, now, now, 1)
 	}
 }
 
 func (d *dev) guardedCompound(lat int64, now telemetry.Time) {
-	if lat > 0 && d.probe != nil {
-		d.probe.Span(0, 0, now, now+telemetry.Time(lat), 1)
+	if lat > 0 && d.obs != nil {
+		d.obs.Observe(0, 0, now, now+telemetry.Time(lat), 1)
 	}
 }
 
 func (d *dev) guardedEarlyExit(now telemetry.Time) {
-	if d.probe == nil {
+	if d.obs == nil {
 		return
 	}
-	d.probe.Event(0, 0, now, 2)
+	d.obs.Observe(0, 0, now, now, 2)
 }
 
 func (d *dev) guardedElse(now telemetry.Time) {
-	if d.probe == nil || d.busy {
+	if d.obs == nil || d.busy {
 		d.busy = true
 	} else {
-		d.probe.Event(0, 0, now, 3)
+		d.obs.Observe(0, 0, now, now, 3)
 	}
 }
 
 func (d *dev) localCopy(now telemetry.Time) {
-	p := d.probe
-	if p != nil {
-		p.Span(0, 0, now, now, 4)
+	s := d.obs
+	if s != nil {
+		s.Observe(0, 0, now, now, 4)
 	}
 }
 
 func (d *dev) suppressed(now telemetry.Time) {
-	//lint:ignore probenil caller contract guarantees a probe is attached
-	d.probe.Event(0, 0, now, 5)
+	//lint:ignore probenil caller contract guarantees a sink is attached
+	d.obs.Observe(0, 0, now, now, 5)
 }
 
-func (d *dev) attribUnguarded(lat int64) {
-	d.att.Charge(0, lat) // want "telemetry.Attrib call without nil guard"
+// The concrete consumers' methods are nil-receiver safe: not flagged.
+func (d *dev) consumerDirect(lat int64) {
+	d.att.Charge(0, lat)
 }
 
-func (d *dev) attribWrongGuard(other *dev, lat int64) {
-	if other.att != nil {
-		d.att.Charge(1, lat) // want "telemetry.Attrib call without nil guard"
-	}
-}
-
-func (d *dev) attribGuarded(lat int64) {
-	if d.att != nil {
-		d.att.Charge(2, lat)
-	}
-}
-
-func (d *dev) attribEarlyExit(lat int64) {
-	if d.att == nil {
-		return
-	}
-	d.att.Charge(3, lat)
-}
-
-// ftlMap mirrors the demand-paged map's FTL side: every map hit charges the
-// map-fetch component, so the charge must sit behind a nil guard exactly like
-// the flash device's probes.
+// ftlMap mirrors the demand-paged map's FTL side: pipelined write-backs
+// suspend attribution through the sink, so the Suspend/Resume pair sits
+// behind the same nil guard as every Observe.
 type ftlMap struct {
-	att telemetry.Attrib
+	obs *telemetry.Sink
 }
 
-func (f *ftlMap) hitUnguarded(lat int64) {
-	f.att.Charge(4, lat) // want "telemetry.Attrib call without nil guard"
+func (f *ftlMap) suspendUnguarded() {
+	f.obs.Suspend()      // want "telemetry.Sink call without nil guard"
+	defer f.obs.Resume() // want "telemetry.Sink call without nil guard"
 }
 
-func (f *ftlMap) hitGuarded(lat int64) {
-	if f.att != nil {
-		f.att.Charge(4, lat)
+func (f *ftlMap) suspendGuarded() {
+	if f.obs != nil {
+		f.obs.Suspend()
+		defer f.obs.Resume()
 	}
 }

@@ -45,7 +45,7 @@ type pagingHierarchy struct {
 	// registry, matching the nil registry's no-op Add.
 	regAccesses stats.Handle
 	regFaults   stats.Handle
-	probe       telemetry.Probe
+	obs         *telemetry.Sink // the tracer's sink; nil when detached
 	reg         *telemetry.Registry
 }
 
@@ -129,16 +129,14 @@ func newPaging(cfg Config, name string, metaOverhead float64, faultCost, syncCos
 // Name implements Hierarchy.
 func (p *pagingHierarchy) Name() string { return p.name }
 
-// Instrument implements Hierarchy: threads the probe into the PCIe link and
-// FTL and registers the baseline's gauges with reg. Both arguments may be
-// nil.
-func (p *pagingHierarchy) Instrument(probe telemetry.Probe, reg *telemetry.Registry) {
-	p.probe = probe
+// Instrument implements Hierarchy: hands the tracer's sink to the PCIe link
+// and FTL — a nil tracer detaches them — and registers the baseline's gauges
+// with reg. Both arguments may be nil.
+func (p *pagingHierarchy) Instrument(tr *telemetry.Tracer, reg *telemetry.Registry) {
+	p.obs = telemetry.NewSink(tr, nil, nil)
 	p.reg = reg
-	if probe != nil {
-		p.link.SetProbe(probe)
-		p.ftl.SetProbe(probe)
-	}
+	p.link.SetSink(p.obs)
+	p.ftl.SetSink(p.obs)
 	reg.Start(p.clock.Now())
 	reg.RegisterGauge("dram_occupancy", func() float64 {
 		total := p.dram.Config().Frames
@@ -234,8 +232,8 @@ func (p *pagingHierarchy) access(addr uint64, buf []byte, isWrite bool) (sim.Dur
 		addr += uint64(n)
 		buf = buf[n:]
 	}
-	if p.probe != nil {
-		p.probe.Span(telemetry.SpanAccess, telemetry.TrackCPU, start, p.clock.Now(), int64(total))
+	if p.obs != nil {
+		p.obs.Observe(telemetry.SpanAccess, telemetry.TrackCPU, start, p.clock.Now(), int64(total))
 	}
 	*p.regAccesses++
 	p.reg.Tick(p.clock.Now())
@@ -248,8 +246,8 @@ func (p *pagingHierarchy) accessChunk(vpn uint64, off int, b []byte, isWrite boo
 	if err != nil {
 		return ErrOutOfRange
 	}
-	if tLat > 0 && p.probe != nil {
-		p.probe.Span(telemetry.SpanTranslate, telemetry.TrackCPU, now, now.Add(tLat), int64(vpn))
+	if tLat > 0 && p.obs != nil {
+		p.obs.Observe(telemetry.SpanTranslate, telemetry.TrackCPU, now, now.Add(tLat), int64(vpn))
 	}
 	now = now.Add(tLat)
 
@@ -278,8 +276,8 @@ func (p *pagingHierarchy) accessChunk(vpn uint64, off int, b []byte, isWrite boo
 		*p.hot.faults++
 		*p.hot.pageMovements++
 		*p.regFaults++
-		if p.probe != nil {
-			p.probe.Span(telemetry.SpanPageFault, telemetry.TrackCPU, faultStart, now, int64(pte.SSDPage))
+		if p.obs != nil {
+			p.obs.Observe(telemetry.SpanPageFault, telemetry.TrackCPU, faultStart, now, int64(pte.SSDPage))
 		}
 		pte = p.as.PTEOf(vpn)
 	}
@@ -297,8 +295,8 @@ func (p *pagingHierarchy) accessChunk(vpn uint64, off int, b []byte, isWrite boo
 		copy(b, data[off:off+len(b)])
 		*p.hot.dramReads++
 	}
-	if p.probe != nil {
-		p.probe.Span(telemetry.SpanDRAM, telemetry.TrackCPU, now, now.Add(lat), int64(pte.Frame))
+	if p.obs != nil {
+		p.obs.Observe(telemetry.SpanDRAM, telemetry.TrackCPU, now, now.Add(lat), int64(pte.Frame))
 	}
 	p.clock.AdvanceTo(now.Add(lat))
 	return nil
@@ -399,8 +397,8 @@ func (p *pagingHierarchy) SyncPages(addr uint64, n int) (sim.Duration, error) {
 		now = last
 	}
 	*p.hot.syncCalls++
-	if p.probe != nil {
-		p.probe.Span(telemetry.SpanSync, telemetry.TrackCPU, start, now, int64(n))
+	if p.obs != nil {
+		p.obs.Observe(telemetry.SpanSync, telemetry.TrackCPU, start, now, int64(n))
 	}
 	p.clock.AdvanceTo(now)
 	return p.clock.Now().Sub(start), nil

@@ -48,10 +48,12 @@ type FlatFlash struct {
 	faults         *fault.Engine // nil = no injection
 	brokenRecovery bool          // test-only: sabotage Recover (see BreakRecoveryForTesting)
 
-	probe  telemetry.Probe           // nil when telemetry is disabled
-	reg    *telemetry.Registry       // nil when metrics are disabled
-	att    *telemetry.Attribution    // nil when latency attribution is disabled
-	flight *telemetry.FlightRecorder // nil when the flight recorder is detached
+	// Telemetry consumers (nil when detached) and rewire's sink over them.
+	tr     *telemetry.Tracer
+	reg    *telemetry.Registry // metrics; not a sink consumer
+	att    *telemetry.Attribution
+	flight *telemetry.FlightRecorder
+	obs    *telemetry.Sink
 
 	c   *stats.Counters
 	hot hotCounters
@@ -181,7 +183,6 @@ func NewFlatFlash(cfg Config) (*FlatFlash, error) {
 	s.hot.resolve(s.c)
 	s.regAccesses = new(int64)
 	s.self = &Tenant{s: s, id: 0, as: as, clock: s.clock, track: telemetry.TrackCPU}
-	s.self.attachAttrib(nil)
 	s.tenants = []*Tenant{s.self}
 	return s, nil
 }
@@ -197,9 +198,7 @@ func (s *FlatFlash) SetFaults(e *fault.Engine) {
 	s.faults = e
 	s.ftl.Device().SetFaults(e)
 	s.link.SetFaults(e)
-	if s.probe != nil {
-		e.SetProbe(s.probe)
-	}
+	e.SetSink(s.obs)
 }
 
 // BreakRecoveryForTesting makes Recover drop the battery-backed write
@@ -228,20 +227,13 @@ func (s *FlatFlash) Config() Config { return s.cfg }
 // Now implements Hierarchy.
 func (s *FlatFlash) Now() sim.Time { return s.clock.Now() }
 
-// Instrument implements Hierarchy: the probe is threaded through every
-// substrate (PCIe link, PLB, SSD-Cache, promotion policy, FTL) and the
-// registry gains the FlatFlash gauge set sampled on virtual-time epochs.
-func (s *FlatFlash) Instrument(probe telemetry.Probe, reg *telemetry.Registry) {
-	s.probe = probe
+// Instrument implements Hierarchy: the tracer records spans from every
+// layer (see rewire) and the registry gains the FlatFlash gauge set sampled
+// on virtual-time epochs.
+func (s *FlatFlash) Instrument(tr *telemetry.Tracer, reg *telemetry.Registry) {
+	s.tr = tr
 	s.reg = reg
-	s.link.SetProbe(probe)
-	s.plb.SetProbe(probe)
-	s.cach.SetProbe(probe, s.clock.Now)
-	s.ftl.SetProbe(probe)
-	if s.pol != nil {
-		s.pol.SetProbe(probe, s.clock.Now)
-	}
-	s.faults.SetProbe(probe)
+	s.rewire()
 	reg.Start(s.clock.Now())
 	reg.RegisterGauge("ssdcache_hit_ratio", s.cach.HitRatio)
 	reg.RegisterGauge("plb_hit_ratio", s.plb.HitRatio)
@@ -259,39 +251,51 @@ func (s *FlatFlash) Instrument(probe telemetry.Probe, reg *telemetry.Registry) {
 }
 
 // SetAttribution attaches (or with nil detaches) the latency attribution
-// engine: every tenant gets an account with pre-resolved hot-path charge
-// cells, and the substrates (link, PLB, SSD-Cache, FTL, NAND device) charge
-// their service times through the nil-guarded Attrib interface. The core's
-// own hooks go through the concrete *Attribution, whose methods are
-// nil-receiver safe, so the disabled configuration stays zero-cost.
+// engine: every tenant gets an account, and every layer's intervals are
+// charged to their components (see rewire). The core's window hooks go
+// through the concrete *Attribution, whose methods are nil-receiver safe,
+// so the disabled configuration stays zero-cost.
 func (s *FlatFlash) SetAttribution(a *telemetry.Attribution) {
 	s.att = a
-	var sink telemetry.Attrib
-	if a != nil {
-		sink = a
-		a.SetFlightRecorder(s.flight)
-	}
-	s.link.SetAttrib(sink)
-	s.plb.SetAttrib(sink)
-	s.cach.SetAttrib(sink)
-	s.ftl.SetAttrib(sink)
-	s.ftl.Device().SetAttrib(sink)
-	for _, t := range s.tenants {
-		t.attachAttrib(a)
-	}
+	s.rewire()
 }
 
 // Attribution returns the attached attribution engine, or nil.
 func (s *FlatFlash) Attribution() *telemetry.Attribution { return s.att }
 
 // SetFlightRecorder attaches (or with nil detaches) the anomaly flight
-// recorder. The recorder is triggered by invariant-check failures after
-// recovery and — when an attribution engine with an SLO is attached — by
-// epoch-boundary p99 violations; fault events self-trigger when the recorder
-// is also installed as the probe (Instrument).
+// recorder. Its ring records every span the layers report (see rewire);
+// fault events self-trigger it, and so do invariant-check failures after
+// recovery and — when an attribution engine with an SLO is attached —
+// epoch-boundary p99 violations.
 func (s *FlatFlash) SetFlightRecorder(r *telemetry.FlightRecorder) {
 	s.flight = r
-	s.att.SetFlightRecorder(r)
+	s.rewire()
+}
+
+// rewire rebuilds the sink over the attached consumers and hands it to
+// every layer, and gives every tenant its attribution account. Each setter
+// only stores its consumer and calls rewire, so the attach order does not
+// matter and detaching really detaches.
+func (s *FlatFlash) rewire() {
+	s.obs = telemetry.NewSink(s.tr, s.flight, s.att)
+	s.att.SetFlightRecorder(s.flight)
+	s.link.SetSink(s.obs)
+	s.plb.SetSink(s.obs)
+	s.cach.SetSink(s.obs, s.clock.Now)
+	s.ftl.SetSink(s.obs)
+	if s.pol != nil {
+		s.pol.SetSink(s.obs, s.clock.Now)
+	}
+	s.faults.SetSink(s.obs)
+	for _, t := range s.tenants {
+		t.att = s.account(t)
+	}
+}
+
+// account returns t's attribution account (nil without an engine).
+func (s *FlatFlash) account(t *Tenant) *telemetry.TenantAttrib {
+	return s.att.Account(fmt.Sprintf("tenant%d", t.id))
 }
 
 // FlightRecorder returns the attached flight recorder, or nil.
@@ -378,8 +382,8 @@ func (s *FlatFlash) accessFor(t *Tenant, addr uint64, buf []byte, isWrite bool) 
 		addr += uint64(n)
 		buf = buf[n:]
 	}
-	if s.probe != nil {
-		s.probe.Span(telemetry.SpanAccess, t.track, start, t.clock.Now(), int64(total))
+	if s.obs != nil {
+		s.obs.Observe(telemetry.SpanAccess, t.track, start, t.clock.Now(), int64(total))
 	}
 	s.clock.AdvanceTo(t.clock.Now())
 	s.att.End(t.clock.Now().Sub(start), s.clock.Now())
@@ -412,10 +416,9 @@ func (s *FlatFlash) accessChunkFor(t *Tenant, vpn uint64, off int, b []byte, isW
 	if err != nil {
 		return ErrOutOfRange
 	}
-	if tLat > 0 && s.probe != nil {
-		s.probe.Span(telemetry.SpanTranslate, t.track, now, now.Add(tLat), int64(vpn))
+	if tLat > 0 && s.obs != nil {
+		s.obs.Observe(telemetry.SpanTranslate, t.track, now, now.Add(tLat), int64(vpn))
 	}
-	*t.attTLB += int64(tLat)
 	now = now.Add(tLat)
 
 	if pte.Loc == vm.InDRAM {
@@ -423,7 +426,6 @@ func (s *FlatFlash) accessChunkFor(t *Tenant, vpn uint64, off int, b []byte, isW
 		if derr != nil {
 			return derr
 		}
-		*t.attDRAM += int64(lat)
 		data, _ := s.dram.Data(pte.Frame)
 		if isWrite {
 			copy(data[off:], b)
@@ -437,8 +439,8 @@ func (s *FlatFlash) accessChunkFor(t *Tenant, vpn uint64, off int, b []byte, isW
 		if s.arb != nil {
 			s.arb.NoteHit(t.id)
 		}
-		if s.probe != nil {
-			s.probe.Span(telemetry.SpanDRAM, t.track, now, now.Add(lat), int64(pte.Frame))
+		if s.obs != nil {
+			s.obs.Observe(telemetry.SpanDRAM, t.track, now, now.Add(lat), int64(pte.Frame))
 		}
 		t.clock.AdvanceTo(now.Add(lat))
 		return nil
@@ -450,9 +452,8 @@ func (s *FlatFlash) accessChunkFor(t *Tenant, vpn uint64, off int, b []byte, isW
 	switch s.plb.Access(now, lpn, off, b, isWrite) {
 	case plb.RouteDRAM:
 		*s.hot.plbRedirects++
-		*t.attPLB += int64(s.cfg.DRAMLat)
-		if s.probe != nil {
-			s.probe.Span(telemetry.SpanPLBRedirect, t.track, now, now.Add(s.cfg.DRAMLat), int64(lpn))
+		if s.obs != nil {
+			s.obs.Observe(telemetry.SpanPLBRedirect, t.track, now, now.Add(s.cfg.DRAMLat), int64(lpn))
 		}
 		t.clock.AdvanceTo(now.Add(s.cfg.DRAMLat))
 		return nil
@@ -513,9 +514,8 @@ func (s *FlatFlash) accessChunkFor(t *Tenant, vpn uint64, off int, b []byte, isW
 		if data, ok := s.hostCache.lookup(lpn, line); ok {
 			copy(b, data[off-lineStart:off-lineStart+len(b)])
 			*s.hot.hostcacheHits++
-			*t.attHostCache += int64(s.cfg.HostCacheLatency)
-			if s.probe != nil {
-				s.probe.Span(telemetry.SpanHostCacheHit, t.track, now, now.Add(s.cfg.HostCacheLatency), int64(lpn))
+			if s.obs != nil {
+				s.obs.Observe(telemetry.SpanHostCacheHit, t.track, now, now.Add(s.cfg.HostCacheLatency), int64(lpn))
 			}
 			t.clock.AdvanceTo(now.Add(s.cfg.HostCacheLatency))
 			return nil
@@ -533,7 +533,7 @@ func (s *FlatFlash) accessChunkFor(t *Tenant, vpn uint64, off int, b []byte, isW
 	*s.hot.mmioReads++
 	s.countHit(hit)
 	// Promotion kickoff is off the critical path (the no-PLB stall ablation
-	// charges the tenant's promote cell directly, bypassing the suspension).
+	// charges the tenant's account directly, bypassing the suspension).
 	s.att.Suspend()
 	s.maybePromote(t, now, vpn, lpn, pte, e)
 	s.att.Resume()
@@ -558,8 +558,8 @@ func (s *FlatFlash) countHit(hit bool) {
 //flatflash:hotpath
 func (s *FlatFlash) ensureCachedFor(t *Tenant, now sim.Time, lpn uint32) (*ssdcache.Entry, sim.Time, bool) {
 	if e, ok := s.cach.Lookup(lpn); ok {
-		if s.probe != nil {
-			s.probe.Span(telemetry.SpanCacheProbe, telemetry.TrackSSD, now, now.Add(ssdcache.AccessCost), int64(lpn))
+		if s.obs != nil {
+			s.obs.Observe(telemetry.SpanCacheProbe, telemetry.TrackSSD, now, now.Add(ssdcache.AccessCost), int64(lpn))
 		}
 		return e, now.Add(ssdcache.AccessCost), true
 	}
@@ -570,10 +570,10 @@ func (s *FlatFlash) ensureCachedFor(t *Tenant, now sim.Time, lpn uint32) (*ssdca
 	if err != nil {
 		return nil, now, false
 	}
-	if s.probe != nil {
-		// Miss fill: the probe shows the whole fill on the SSD track; the
+	if s.obs != nil {
+		// Miss fill: the span shows the whole fill on the SSD track; the
 		// nested flash_read span comes from the FTL.
-		s.probe.Span(telemetry.SpanCacheProbe, telemetry.TrackSSD, now, done, int64(lpn))
+		s.obs.Observe(telemetry.SpanCacheProbe, telemetry.TrackSSD, now, done, int64(lpn))
 	}
 	e, victim, evicted := s.cach.Insert(lpn, buf, false)
 	e.Owner = t.id
@@ -614,8 +614,8 @@ func (s *FlatFlash) maybePromote(t *Tenant, now sim.Time, vpn uint64, lpn uint32
 	if s.plb.InFlight(lpn) {
 		return
 	}
-	if s.probe != nil {
-		s.probe.Event(telemetry.EvPromoteTrigger, telemetry.TrackSSD, now, int64(lpn))
+	if s.obs != nil {
+		s.obs.Observe(telemetry.EvPromoteTrigger, telemetry.TrackSSD, now, now, int64(lpn))
 	}
 	if !s.cfg.UsePLB {
 		// Ablation: no PLB means the CPU stalls for the whole promotion.
@@ -680,14 +680,15 @@ func (s *FlatFlash) promoteStalling(t *Tenant, now sim.Time, vpn uint64, lpn uin
 	t.promotions++
 	*s.hot.promotions++
 	*s.hot.pageMovements++
-	if s.probe != nil {
-		s.probe.Span(telemetry.SpanPromotionStall, t.track, now, now.Add(s.cfg.PLB.PromotionLatency).Add(upd), int64(lpn))
-	}
 	// CPU waits for copy + mapping update. The stall is on the critical path
 	// even though promotion kickoff runs under attribution suspension, so it
-	// charges the tenant's promote cell directly.
-	*t.attPromote += int64(s.cfg.PLB.PromotionLatency + upd)
-	t.clock.AdvanceTo(now.Add(s.cfg.PLB.PromotionLatency).Add(upd))
+	// charges the tenant's account directly rather than through the sink.
+	stall := s.cfg.PLB.PromotionLatency + upd
+	if s.obs != nil {
+		s.obs.Observe(telemetry.SpanPromotionStall, t.track, now, now.Add(stall), int64(lpn))
+	}
+	t.att.Charge(telemetry.CompPromote, stall)
+	t.clock.AdvanceTo(now.Add(stall))
 }
 
 // allocFrameFor returns a free DRAM frame for tenant t, evicting the LRU

@@ -100,13 +100,14 @@ type Hierarchy interface {
 	// statistics (cache hits, page movements, flash wear, I/O traffic).
 	Counters() *stats.Counters
 
-	// Instrument attaches telemetry: probe receives per-access spans and
-	// events from every layer (translation, PCIe, SSD-Cache, FTL, DRAM,
+	// Instrument attaches telemetry: tr records per-access spans and events
+	// from every layer (translation, PCIe, SSD-Cache, FTL, DRAM,
 	// promotion), and reg gains this hierarchy's gauges (hit ratios, DRAM
 	// occupancy, write amplification, promotion rate) sampled on virtual-
-	// time epochs. Either argument may be nil; with both nil the access
-	// path stays allocation-free. Call before driving accesses.
-	Instrument(probe telemetry.Probe, reg *telemetry.Registry)
+	// time epochs. Either argument may be nil; a nil tracer detaches an
+	// earlier one, and with both nil the access path stays allocation-free.
+	// Call before driving accesses.
+	Instrument(tr *telemetry.Tracer, reg *telemetry.Registry)
 }
 
 // sortedFrames returns m's keys in ascending order. Drain and Crash walk

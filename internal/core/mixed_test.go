@@ -140,7 +140,7 @@ func TestMixedWorkloadDigests(t *testing.T) {
 
 // TestMixedWorkloadDigestsUninstrumented pins a volatile-region run of 64 B
 // to 4 KiB accesses with no tracer or registry attached, so the counters and
-// time of the probe == nil branches are pinned too.
+// time of the nil-sink branches are pinned too.
 func TestMixedWorkloadDigestsUninstrumented(t *testing.T) {
 	h, err := NewFlatFlash(testConfig())
 	if err != nil {

@@ -44,15 +44,17 @@ func (s *FlatFlash) persistFor(t *Tenant, addr uint64, size int) (sim.Duration, 
 	}
 	lines := (int(addr%uint64(s.cfg.CacheLineSize)) + size + s.cfg.CacheLineSize - 1) / s.cfg.CacheLineSize
 	s.att.Begin(t.att)
-	s.att.Charge(telemetry.CompPersist, sim.Duration(lines)*FlushLineCost)
 	now := t.clock.Now().Add(sim.Duration(lines) * FlushLineCost)
+	if s.obs != nil {
+		s.obs.Observe(telemetry.ChargeFlush, t.track, start, now, int64(lines))
+	}
 	// Write-verify read: a non-posted MMIO read that drains all posted
 	// writes ahead of it in the host bridge.
 	now = s.link.MMIORead(now, true)
 	*s.hot.persistBarriers++
 	*s.hot.persistLines += int64(lines)
-	if s.probe != nil {
-		s.probe.Span(telemetry.SpanPersist, t.track, start, now, int64(lines))
+	if s.obs != nil {
+		s.obs.Observe(telemetry.SpanPersist, t.track, start, now, int64(lines))
 	}
 	t.clock.AdvanceTo(now)
 	s.clock.AdvanceTo(t.clock.Now())
@@ -88,7 +90,9 @@ func (s *FlatFlash) syncPagesFor(t *Tenant, addr uint64, n int) (sim.Duration, e
 			s.att.Abandon()
 			return 0, ErrOutOfRange
 		}
-		s.att.Charge(telemetry.CompTLB, tLat)
+		if s.obs != nil {
+			s.obs.Observe(telemetry.ChargeSyncTranslate, t.track, now, now.Add(tLat), int64(vpn+uint64(i)))
+		}
 		now = now.Add(tLat)
 		if pte.Loc == vm.InDRAM && pte.Dirty {
 			data, _ := s.dram.Data(pte.Frame)
@@ -105,8 +109,8 @@ func (s *FlatFlash) syncPagesFor(t *Tenant, addr uint64, n int) (sim.Duration, e
 	// One ordering read at the end.
 	now = s.link.MMIORead(now, true)
 	*s.hot.syncCalls++
-	if s.probe != nil {
-		s.probe.Span(telemetry.SpanSync, t.track, start, now, int64(n))
+	if s.obs != nil {
+		s.obs.Observe(telemetry.SpanSync, t.track, start, now, int64(n))
 	}
 	t.clock.AdvanceTo(now)
 	s.clock.AdvanceTo(t.clock.Now())

@@ -156,10 +156,10 @@ func TestBaselineFaultSpans(t *testing.T) {
 	}
 }
 
-// TestDisabledProbeZeroAlloc: with no probe and no registry attached, the
-// steady-state access path must not allocate — telemetry must be free when
-// off.
-func TestDisabledProbeZeroAlloc(t *testing.T) {
+// TestDisabledSinkZeroAlloc: with no telemetry consumer and no registry
+// attached, the steady-state access path must not allocate — telemetry must
+// be free when off.
+func TestDisabledSinkZeroAlloc(t *testing.T) {
 	for _, build := range []func() (Hierarchy, error){buildFF,
 		func() (Hierarchy, error) { return NewUnifiedMMap(testConfig()) }} {
 		h, err := build()
@@ -212,5 +212,107 @@ func TestInstrumentedTickZeroAllocBetweenEpochs(t *testing.T) {
 		h.Read(region.Base, buf)
 	}); allocs != 0 {
 		t.Errorf("%v allocs per access with registry attached (no epoch crossed)", allocs)
+	}
+}
+
+// TestBaselineInstrumentDetach: Instrument(nil, nil) detaches an earlier
+// tracer from every layer of the paging baselines, the PCIe link and FTL
+// included, so reads after the detach record nothing.
+func TestBaselineInstrumentDetach(t *testing.T) {
+	for _, build := range []func(Config) (Hierarchy, error){NewUnifiedMMap, NewTraditionalStack} {
+		h, err := build(testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := telemetry.NewTracer(1 << 12)
+		h.Instrument(tr, nil)
+		h.Instrument(nil, nil)
+		const pages = 64
+		region, err := h.Mmap(pages * uint64(testConfig().PageSize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 64)
+		for i := uint64(0); i < pages; i++ {
+			if _, err := h.Read(region.Base+i*uint64(testConfig().PageSize), buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := tr.Recorded(); n != 0 {
+			t.Errorf("%s: detached tracer recorded %d spans over %d page reads", h.Name(), n, pages)
+		}
+	}
+}
+
+// TestAttachOrderIrrelevant: attaching the tracer, flight recorder and
+// attribution engine in each of the six orders yields byte-identical trace,
+// flight dump and latency budget — each setter only stores its consumer and
+// the hierarchy rebuilds the one sink every layer reports through.
+func TestAttachOrderIrrelevant(t *testing.T) {
+	orders := [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+	var want [3][]byte
+	for _, order := range orders {
+		h, err := buildFaultedFF()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ff := h.(*FlatFlash)
+		tr := telemetry.NewTracer(1 << 16)
+		rec := telemetry.NewFlightRecorder(256, 4)
+		att := telemetry.NewAttribution(2*sim.Microsecond, 50*sim.Microsecond)
+		attach := [3]func(){
+			func() { ff.Instrument(tr, nil) },
+			func() { ff.SetFlightRecorder(rec) },
+			func() { ff.SetAttribution(att) },
+		}
+		for _, i := range order {
+			attach[i]()
+		}
+		region, err := ff.Mmap(1 << 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := sim.NewRNG(3)
+		buf := make([]byte, 64)
+		for i := 0; i < 3000; i++ {
+			addr := region.Base + uint64(rng.Intn(8))*64
+			if rng.Intn(2) == 0 {
+				addr = region.Base + uint64(rng.Intn(int(region.Size-64)))
+			}
+			if i%7 == 0 {
+				_, err = ff.Write(addr, buf)
+			} else {
+				_, err = ff.Read(addr, buf)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		att.Finish(ff.Now())
+		var got [3]bytes.Buffer
+		if err := tr.WriteJSONL(&got[0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := rec.WriteDump(&got[1]); err != nil {
+			t.Fatal(err)
+		}
+		if err := att.WriteBudget(&got[2]); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Triggers() == 0 || tr.Recorded() == 0 {
+			t.Fatalf("order %v: workload fired %d flight triggers and %d spans; the check needs both",
+				order, rec.Triggers(), tr.Recorded())
+		}
+		if want[0] == nil {
+			for i := range want {
+				want[i] = got[i].Bytes()
+			}
+			continue
+		}
+		for i, name := range []string{"trace", "flight dump", "budget"} {
+			if !bytes.Equal(got[i].Bytes(), want[i]) {
+				t.Errorf("attach order %v: %s differs from order %v", order, name, orders[0])
+			}
+		}
 	}
 }

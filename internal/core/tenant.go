@@ -1,11 +1,8 @@
 package core
 
 import (
-	"fmt"
-
 	"flatflash/internal/promote"
 	"flatflash/internal/sim"
-	"flatflash/internal/stats"
 	"flatflash/internal/telemetry"
 	"flatflash/internal/vm"
 )
@@ -38,37 +35,10 @@ type Tenant struct {
 	dramHits   int64
 	promotions int64
 
-	// att is the tenant's latency-attribution account; the cells below are
-	// its pre-resolved pending-charge slots (PR 4-style handle cells) so the
-	// hot access paths charge with one pointer add. Until SetAttribution
-	// attaches an engine they are dead boxes, matching the nil engine's
-	// no-op Charge.
-	att          *telemetry.TenantAttrib
-	attTLB       stats.Handle
-	attDRAM      stats.Handle
-	attHostCache stats.Handle
-	attPLB       stats.Handle
-	attPromote   stats.Handle
-}
-
-// attachAttrib points the tenant's charge cells at its account in a (or at
-// dead boxes when a is nil, restoring the disabled configuration).
-func (t *Tenant) attachAttrib(a *telemetry.Attribution) {
-	if a == nil {
-		t.att = nil
-		t.attTLB = new(int64)
-		t.attDRAM = new(int64)
-		t.attHostCache = new(int64)
-		t.attPLB = new(int64)
-		t.attPromote = new(int64)
-		return
-	}
-	t.att = a.Account(fmt.Sprintf("tenant%d", t.id))
-	t.attTLB = t.att.Cell(telemetry.CompTLB)
-	t.attDRAM = t.att.Cell(telemetry.CompDRAM)
-	t.attHostCache = t.att.Cell(telemetry.CompHostCache)
-	t.attPLB = t.att.Cell(telemetry.CompPLB)
-	t.attPromote = t.att.Cell(telemetry.CompPromote)
+	// att is the tenant's latency-attribution account (nil until
+	// SetAttribution attaches an engine). Its access windows collect the
+	// charges every layer reports through the sink.
+	att *telemetry.TenantAttrib
 }
 
 // Attrib returns the tenant's attribution account (nil when attribution is
@@ -90,7 +60,7 @@ func (s *FlatFlash) OpenTenant() (*Tenant, error) {
 		clock: sim.NewClock(),
 		track: telemetry.TenantTrack(len(s.tenants)),
 	}
-	t.attachAttrib(s.att)
+	t.att = s.account(t)
 	t.clock.AdvanceTo(s.clock.Now())
 	s.tenants = append(s.tenants, t)
 	if s.arb != nil {

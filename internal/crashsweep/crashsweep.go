@@ -212,14 +212,13 @@ func sampleTimes(start, end sim.Time, n int) []sim.Time {
 }
 
 // instrument attaches the configured flight recorder (if any) to one crash
-// run's hierarchy: the recorder becomes the run's probe, so fault events
+// run's hierarchy: the recorder's ring records the run's spans, fault events
 // (crash, NAND failures, MMIO drops) self-trigger anomaly snapshots, and
 // recovery invariant failures dump the pre-anomaly window.
 func (c Config) instrument(ff *core.FlatFlash) {
 	if c.Flight == nil {
 		return
 	}
-	ff.Instrument(c.Flight, nil)
 	ff.SetFlightRecorder(c.Flight)
 }
 

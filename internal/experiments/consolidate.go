@@ -30,7 +30,7 @@ func Consolidate(s Scale) *Report {
 		Think:        sim.Micros(1),
 		Workers:      4,
 		Parallel:     parallelWorkers,
-		Probe:        telProbe,
+		Tracer:       telTracer,
 		Registry:     telReg,
 		Attrib:       attSink != nil,
 		SLO:          attSink.SLO(),

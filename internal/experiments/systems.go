@@ -15,10 +15,10 @@ var sysNames = []string{"FlatFlash", "UnifiedMMap", "TraditionalStack"}
 // Package-level telemetry sinks, installed with SetTelemetry. Nil (the
 // default) keeps every access path allocation-free.
 var (
-	telProbe telemetry.Probe
-	telReg   *telemetry.Registry
-	attSink  *telemetry.Attribution
-	attRec   *telemetry.FlightRecorder
+	telTracer *telemetry.Tracer
+	telReg    *telemetry.Registry
+	attSink   *telemetry.Attribution
+	attRec    *telemetry.FlightRecorder
 
 	// mapCachePages > 0 switches every hierarchy built by the experiments to
 	// the demand-paged translation map (flatflash-bench's -map-cache flag).
@@ -43,12 +43,13 @@ func SetParallel(workers int) { parallelWorkers = workers }
 // mapamp experiments set their own sizes and ignore this.
 func SetMapCache(pages int) { mapCachePages = pages }
 
-// SetTelemetry attaches a span probe and metrics registry to every
+// SetTelemetry attaches a span tracer and metrics registry to every
 // hierarchy built by subsequent experiment runs (flatflash-bench's
 // -trace-out/-metrics-out flags). Either may be nil. Hierarchies share the
-// sinks; the registry disambiguates duplicate gauge names deterministically.
-func SetTelemetry(p telemetry.Probe, r *telemetry.Registry) {
-	telProbe, telReg = p, r
+// consumers; the registry disambiguates duplicate gauge names
+// deterministically.
+func SetTelemetry(tr *telemetry.Tracer, r *telemetry.Registry) {
+	telTracer, telReg = tr, r
 }
 
 // SetAttribution attaches a latency attribution engine and flight recorder
@@ -84,19 +85,12 @@ func build(name string, cfg core.Config) (core.Hierarchy, error) {
 	if err != nil {
 		return nil, err
 	}
-	probe := telProbe
 	if ff, ok := h.(*core.FlatFlash); ok && (attSink != nil || attRec != nil) {
-		if attRec != nil {
-			// The flight recorder sits ahead of any user probe: it records
-			// every span into its ring and forwards to the chained probe.
-			attRec.Chain(telProbe)
-			probe = attRec
-		}
 		ff.SetFlightRecorder(attRec)
 		ff.SetAttribution(attSink)
 	}
-	if probe != nil || telReg != nil {
-		h.Instrument(probe, telReg)
+	if telTracer != nil || telReg != nil {
+		h.Instrument(telTracer, telReg)
 	}
 	return h, nil
 }

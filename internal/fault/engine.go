@@ -58,7 +58,7 @@ type Engine struct {
 	tears      []counted
 	battery    []counted // remaining == surviving-page budget; consumed per crash
 
-	probe telemetry.Probe // nil when telemetry is disabled
+	obs   *telemetry.Sink // nil when instrumentation is disabled
 	stats Stats
 }
 
@@ -88,13 +88,13 @@ func NewEngine(p Plan, seed uint64) (*Engine, error) {
 	return e, nil
 }
 
-// SetProbe attaches a telemetry probe emitting one event per injected
-// fault. A nil probe disables emission.
-func (e *Engine) SetProbe(p telemetry.Probe) {
+// SetSink attaches the instrumentation sink: one event per injected fault.
+// A nil sink disables emission; a nil engine ignores the call.
+func (e *Engine) SetSink(s *telemetry.Sink) {
 	if e == nil {
 		return
 	}
-	e.probe = p
+	e.obs = s
 }
 
 // CrashDue reports whether a scheduled power loss fires at now, consuming
@@ -111,8 +111,8 @@ func (e *Engine) CrashDue(now sim.Time) bool {
 	at := e.crashes[e.nextCrash]
 	e.nextCrash++
 	e.stats.CrashesFired++
-	if e.probe != nil {
-		e.probe.Event(telemetry.EvFaultCrash, telemetry.TrackCPU, now, int64(at))
+	if e.obs != nil {
+		e.obs.Observe(telemetry.EvFaultCrash, telemetry.TrackCPU, now, now, int64(at))
 	}
 	return true
 }
@@ -141,8 +141,8 @@ func (e *Engine) FailProgram(now sim.Time) bool {
 		return false
 	}
 	e.stats.ProgramFailures++
-	if e.probe != nil {
-		e.probe.Event(telemetry.EvFaultNAND, telemetry.TrackFlash, now, 0)
+	if e.obs != nil {
+		e.obs.Observe(telemetry.EvFaultNAND, telemetry.TrackFlash, now, now, 0)
 	}
 	return true
 }
@@ -153,8 +153,8 @@ func (e *Engine) FailErase(now sim.Time) bool {
 		return false
 	}
 	e.stats.EraseFailures++
-	if e.probe != nil {
-		e.probe.Event(telemetry.EvFaultNAND, telemetry.TrackFlash, now, 1)
+	if e.obs != nil {
+		e.obs.Observe(telemetry.EvFaultNAND, telemetry.TrackFlash, now, now, 1)
 	}
 	return true
 }
@@ -167,15 +167,15 @@ func (e *Engine) MMIOWrite(now sim.Time) WriteOutcome {
 	}
 	if consume(e.drops, now) {
 		e.stats.MMIODropped++
-		if e.probe != nil {
-			e.probe.Event(telemetry.EvFaultMMIO, telemetry.TrackPCIe, now, 0)
+		if e.obs != nil {
+			e.obs.Observe(telemetry.EvFaultMMIO, telemetry.TrackPCIe, now, now, 0)
 		}
 		return WriteDropped
 	}
 	if consume(e.tears, now) {
 		e.stats.MMIOTorn++
-		if e.probe != nil {
-			e.probe.Event(telemetry.EvFaultMMIO, telemetry.TrackPCIe, now, 1)
+		if e.obs != nil {
+			e.obs.Observe(telemetry.EvFaultMMIO, telemetry.TrackPCIe, now, now, 1)
 		}
 		return WriteTorn
 	}
@@ -194,8 +194,8 @@ func (e *Engine) BatteryBudget(now sim.Time) (keep int, limited bool) {
 			keep = e.battery[i].remaining
 			e.battery[i].at = sim.Time(int64(^uint64(0) >> 1)) // consumed: unreachable
 			e.stats.BatteryTruncated++
-			if e.probe != nil {
-				e.probe.Event(telemetry.EvFaultBattery, telemetry.TrackSSD, now, int64(keep))
+			if e.obs != nil {
+				e.obs.Observe(telemetry.EvFaultBattery, telemetry.TrackSSD, now, now, int64(keep))
 			}
 			return keep, true
 		}

@@ -189,7 +189,7 @@ func TestNilEngine(t *testing.T) {
 	if e.Stats().Total() != 0 {
 		t.Error("nil engine has stats")
 	}
-	e.SetProbe(nil)
+	e.SetSink(nil)
 }
 
 func TestNewEngineRejectsBadPlan(t *testing.T) {

@@ -134,8 +134,8 @@ type Device struct {
 	free [][]byte
 	slab []byte
 
-	faults *fault.Engine    // nil = no injection
-	att    telemetry.Attrib // nil when latency attribution is disabled
+	faults *fault.Engine   // nil = no injection
+	obs    *telemetry.Sink // nil when instrumentation is disabled
 
 	reads, programs          int64
 	readsTrans, progsTrans   int64 // translation-page slice of the totals
@@ -167,10 +167,11 @@ func (d *Device) Config() Config { return d.cfg }
 // SetFaults attaches a fault-injection engine (nil disables injection).
 func (d *Device) SetFaults(e *fault.Engine) { d.faults = e }
 
-// SetAttrib attaches a latency attribution sink: page reads and programs
+// SetSink attaches the instrumentation sink: page reads and programs
 // charge their issue-to-completion time (channel queueing included) to the
-// flash component. A nil sink disables attribution.
-func (d *Device) SetAttrib(a telemetry.Attrib) { d.att = a }
+// flash component, or to map fetch for translation pages. A nil sink
+// disables it.
+func (d *Device) SetSink(s *telemetry.Sink) { d.obs = s }
 
 // BlockOf returns the erase block containing page p.
 func (d *Device) BlockOf(p PageAddr) int { return int(p) / d.cfg.PagesPerBlock }
@@ -212,13 +213,13 @@ func (d *Device) Sense(now sim.Time, p PageAddr, size int) (sim.Time, error) {
 	}
 	_, done := d.channelOf(p).Acquire(now, d.cfg.ReadLatency)
 	d.reads++
-	comp := telemetry.CompFlash
+	kind := telemetry.ChargeNAND
 	if d.ptype[p] == PageTrans {
 		d.readsTrans++
-		comp = telemetry.CompMapFetch
+		kind = telemetry.ChargeNANDMap
 	}
-	if d.att != nil {
-		d.att.Charge(comp, done.Sub(now))
+	if d.obs != nil {
+		d.obs.Observe(kind, telemetry.TrackFlash, now, done, int64(p))
 	}
 	return done, nil
 }
@@ -310,12 +311,12 @@ func (d *Device) program(now sim.Time, p PageAddr, size int, t PageType) (sim.Ti
 		return now, ErrNotErased
 	}
 	_, done := d.channelOf(p).Acquire(now, d.cfg.ProgramLatency)
-	comp := telemetry.CompFlash
+	kind := telemetry.ChargeNAND
 	if t == PageTrans {
-		comp = telemetry.CompMapFetch
+		kind = telemetry.ChargeNANDMap
 	}
-	if d.att != nil {
-		d.att.Charge(comp, done.Sub(now))
+	if d.obs != nil {
+		d.obs.Observe(kind, telemetry.TrackFlash, now, done, int64(p))
 	}
 	// The OOB tag is written with the program attempt, success or not: a
 	// failed program still leaves whatever reached the cells.

@@ -2,7 +2,7 @@ package flash
 
 import (
 	"bytes"
-	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -111,17 +111,35 @@ func TestReadBackAndErasedPattern(t *testing.T) {
 	}
 }
 
-// charge is one attribution charge.
-type charge struct {
-	comp telemetry.Component
-	d    sim.Duration
+// metered attributes each device operation in its own access window, so
+// two devices' charges compare operation by operation.
+type metered struct {
+	att  *telemetry.Attribution
+	acct *telemetry.TenantAttrib
 }
 
-// chargeLog records every attribution charge in order.
-type chargeLog []charge
+func meter(d *Device) *metered {
+	a := telemetry.NewAttribution(0, 0)
+	d.SetSink(telemetry.NewSink(nil, nil, a))
+	return &metered{att: a, acct: a.Account("dev")}
+}
 
-func (l *chargeLog) Charge(comp telemetry.Component, d sim.Duration) {
-	*l = append(*l, charge{comp, d})
+// do runs one operation inside its own window.
+func (m *metered) do(op func() (sim.Time, error)) (sim.Time, error) {
+	m.att.Begin(m.acct)
+	done, err := op()
+	m.att.End(0, 0)
+	return done, err
+}
+
+// count returns how many operations charged component c.
+func (m *metered) count(c telemetry.Component) int64 { return m.acct.Hist(c).Count() }
+
+// dump renders every charge's per-component sums and histograms.
+func (m *metered) dump() string {
+	var b strings.Builder
+	m.att.WriteJSONL(&b)
+	return b.String()
 }
 
 // TestSenseMatchesRead drives two identical devices, one through Read and
@@ -131,7 +149,7 @@ func (l *chargeLog) Charge(comp telemetry.Component, d sim.Duration) {
 func TestSenseMatchesRead(t *testing.T) {
 	cfg := testConfig()
 	var devs [2]*Device
-	var logs [2]chargeLog
+	var logs [2]*metered
 	for i := range devs {
 		d, _ := NewDevice(cfg)
 		data := make([]byte, cfg.PageSize)
@@ -141,7 +159,7 @@ func TestSenseMatchesRead(t *testing.T) {
 		if _, err := d.ProgramTyped(0, 17, data, PageTrans); err != nil {
 			t.Fatal(err)
 		}
-		d.SetAttrib(&logs[i])
+		logs[i] = meter(d)
 		devs[i] = d
 	}
 	buf := make([]byte, cfg.PageSize)
@@ -149,11 +167,11 @@ func TestSenseMatchesRead(t *testing.T) {
 	for _, p := range []PageAddr{3, 9, 17, 9, 17} {
 		r0, t0, _, _ := devs[0].WearByType()
 		r1, t1, _, _ := devs[1].WearByType()
-		read, err := devs[0].Read(now, p, buf)
+		read, err := logs[0].do(func() (sim.Time, error) { return devs[0].Read(now, p, buf) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		sense, err := devs[1].Sense(now, p, len(buf))
+		sense, err := logs[1].do(func() (sim.Time, error) { return devs[1].Sense(now, p, len(buf)) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,11 +192,11 @@ func TestSenseMatchesRead(t *testing.T) {
 	if _, trans, _, _ := devs[1].WearByType(); trans != 2 {
 		t.Fatalf("Sense counted %d translation reads, want 2", trans)
 	}
-	if len(logs[0]) != 5 || !slices.Equal(logs[0], logs[1]) {
-		t.Fatalf("charges differ:\nRead  %v\nSense %v", logs[0], logs[1])
+	if logs[0].dump() != logs[1].dump() {
+		t.Fatalf("charges differ:\nRead  %s\nSense %s", logs[0].dump(), logs[1].dump())
 	}
-	if logs[1][2].comp != telemetry.CompMapFetch || logs[1][1].comp != telemetry.CompFlash {
-		t.Fatalf("Sense charged %v, want flash for data and map fetch for trans", logs[1])
+	if flash, mapFetch := logs[1].count(telemetry.CompFlash), logs[1].count(telemetry.CompMapFetch); flash != 3 || mapFetch != 2 {
+		t.Fatalf("Sense charged flash %d and map fetch %d times, want 3 for data and 2 for trans", flash, mapFetch)
 	}
 	if _, err := devs[1].Sense(now, 10000, len(buf)); err != ErrOutOfRange {
 		t.Fatalf("Sense out of range: err = %v", err)
@@ -204,7 +222,7 @@ func TestProgramMoveMatchesSenseAndProgram(t *testing.T) {
 		17: bytes.Repeat([]byte{0xC3}, cfg.PageSize),
 	}
 	var devs [2]*Device
-	var logs [2]chargeLog
+	var logs [2]*metered
 	for i := range devs {
 		d, _ := NewDevice(cfg)
 		if _, err := d.ProgramTyped(0, 9, contents[9], PageData); err != nil {
@@ -213,7 +231,7 @@ func TestProgramMoveMatchesSenseAndProgram(t *testing.T) {
 		if _, err := d.ProgramTyped(0, 17, contents[17], PageTrans); err != nil {
 			t.Fatal(err)
 		}
-		d.SetAttrib(&logs[i])
+		logs[i] = meter(d)
 		devs[i] = d
 	}
 	now := sim.Time(5)
@@ -223,15 +241,16 @@ func TestProgramMoveMatchesSenseAndProgram(t *testing.T) {
 	}{{9, 24, PageData}, {17, 25, PageTrans}} {
 		var done [2]sim.Time
 		for i, d := range devs {
-			sensed, err := d.Sense(now, mv.src, cfg.PageSize)
+			sensed, err := logs[i].do(func() (sim.Time, error) { return d.Sense(now, mv.src, cfg.PageSize) })
 			if err != nil {
 				t.Fatal(err)
 			}
-			if i == 0 {
-				done[i], err = d.ProgramMove(sensed, mv.dst, mv.src, mv.typ)
-			} else {
-				done[i], err = d.ProgramTyped(sensed, mv.dst, contents[mv.src], mv.typ)
-			}
+			done[i], err = logs[i].do(func() (sim.Time, error) {
+				if i == 0 {
+					return d.ProgramMove(sensed, mv.dst, mv.src, mv.typ)
+				}
+				return d.ProgramTyped(sensed, mv.dst, contents[mv.src], mv.typ)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -267,8 +286,11 @@ func TestProgramMoveMatchesSenseAndProgram(t *testing.T) {
 	if wear[0] != wear[1] || byType[0] != byType[1] {
 		t.Fatalf("counters differ: move %v %v, copy %v %v", wear[0], byType[0], wear[1], byType[1])
 	}
-	if len(logs[0]) != 4 || !slices.Equal(logs[0], logs[1]) {
-		t.Fatalf("charges differ:\nmove %v\ncopy %v", logs[0], logs[1])
+	if logs[0].dump() != logs[1].dump() {
+		t.Fatalf("charges differ:\nmove %s\ncopy %s", logs[0].dump(), logs[1].dump())
+	}
+	if flash, mapFetch := logs[0].count(telemetry.CompFlash), logs[0].count(telemetry.CompMapFetch); flash != 2 || mapFetch != 2 {
+		t.Fatalf("move charged flash %d and map fetch %d times, want 2 each", flash, mapFetch)
 	}
 
 	d := devs[0]

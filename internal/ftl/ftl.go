@@ -138,10 +138,8 @@ type FTL struct {
 
 	dirtySrc DirtySource
 	inGC     bool
-	gcFree   []bool           // pickVictim's free-block marks, rebuilt on every call
-	probe    telemetry.Probe  // nil when telemetry is disabled
-	att      telemetry.Attrib // nil when latency attribution is disabled
-	attSus   attribSuspender  // att's optional background routing, if any
+	gcFree   []bool          // pickVictim's free-block marks, rebuilt on every call
+	obs      *telemetry.Sink // nil when instrumentation is disabled
 
 	hostWrites  int64 // page writes requested by the host layers
 	flashWrites int64 // data-page programs issued to the device
@@ -158,15 +156,6 @@ type FTL struct {
 	sinceCkpt  int64    // programs since the last checkpoint
 	wbPending  []uint32 // evicted dirty tvpns awaiting a batched write-back
 	lastRec    RecoveryInfo
-}
-
-// attribSuspender is the optional background-routing surface of an Attrib
-// sink (implemented by *telemetry.Attribution). Pipelined write-backs route
-// their charges to the background account through it, since the host does
-// not wait for them.
-type attribSuspender interface {
-	Suspend()
-	Resume()
 }
 
 // New builds an FTL (and its flash device) from cfg.
@@ -226,18 +215,16 @@ func (f *FTL) Device() *flash.Device { return f.dev }
 // SetDirtySource registers the SSD-Cache hook used by read-modify-write GC.
 func (f *FTL) SetDirtySource(src DirtySource) { f.dirtySrc = src }
 
-// SetProbe attaches a telemetry probe emitting flash-service and GC spans
-// on the flash track. A nil probe disables emission.
-func (f *FTL) SetProbe(p telemetry.Probe) { f.probe = p }
-
-// SetAttrib attaches a latency attribution sink: host writes charge any
-// garbage-collection stall ahead of them to the GC component (NAND service
-// itself is charged by the flash device), and demand-paged map accesses
-// charge cached-table hits to the map-fetch component. A nil sink disables
-// attribution.
-func (f *FTL) SetAttrib(a telemetry.Attrib) {
-	f.att = a
-	f.attSus, _ = a.(attribSuspender)
+// SetSink attaches the instrumentation sink to the FTL and its flash
+// device: flash-service and GC spans on the flash track, the
+// garbage-collection stall ahead of a host write charged to the GC
+// component, and demand-paged map hits charged to map fetch (NAND service
+// itself is charged by the device). Pipelined map write-backs suspend
+// attribution through it, since the host does not wait for them. A nil sink
+// disables it.
+func (f *FTL) SetSink(s *telemetry.Sink) {
+	f.obs = s
+	f.dev.SetSink(s)
 }
 
 // IsMapped reports whether logical page lpn has ever been written.
@@ -277,14 +264,14 @@ func (f *FTL) ReadPage(now sim.Time, lpn uint32, buf []byte) (sim.Time, error) {
 			return now, err
 		}
 		clear(buf)
-		if f.probe != nil {
-			f.probe.Span(telemetry.SpanFlashRead, telemetry.TrackFlash, now, done, int64(lpn))
+		if f.obs != nil {
+			f.obs.Observe(telemetry.SpanFlashRead, telemetry.TrackFlash, now, done, int64(lpn))
 		}
 		return done, nil
 	}
 	done, err := f.dev.Read(now, p, buf)
-	if err == nil && f.probe != nil {
-		f.probe.Span(telemetry.SpanFlashRead, telemetry.TrackFlash, now, done, int64(lpn))
+	if err == nil && f.obs != nil {
+		f.obs.Observe(telemetry.SpanFlashRead, telemetry.TrackFlash, now, done, int64(lpn))
 	}
 	return done, err
 }
@@ -307,8 +294,8 @@ func (f *FTL) WritePage(now sim.Time, lpn uint32, data []byte) (sim.Time, error)
 		if err != nil {
 			return now, err
 		}
-		if f.att != nil && now.After(pre) {
-			f.att.Charge(telemetry.CompGC, now.Sub(pre))
+		if f.obs != nil && now.After(pre) {
+			f.obs.Observe(telemetry.ChargeGCStall, telemetry.TrackFlash, pre, now, int64(lpn))
 		}
 	}
 	issue, mapReady := now, now
@@ -337,8 +324,8 @@ func (f *FTL) WritePage(now sim.Time, lpn uint32, data []byte) (sim.Time, error)
 	f.l2p[lpn] = p
 	f.p2l[p] = int32(lpn)
 	f.validCount[f.dev.BlockOf(p)]++
-	if f.probe != nil {
-		f.probe.Span(telemetry.SpanFlashWrite, telemetry.TrackFlash, now, done, int64(lpn))
+	if f.obs != nil {
+		f.obs.Observe(telemetry.SpanFlashWrite, telemetry.TrackFlash, now, done, int64(lpn))
 	}
 	if f.mc != nil && !f.inGC {
 		done, err = f.maybeCheckpoint(done)
@@ -591,8 +578,8 @@ func (f *FTL) collect(now sim.Time, victim int) (sim.Time, error) {
 		// batch per GC pass, via a single interrupt (§4).
 		f.remap.BatchInterrupts++
 	}
-	if f.probe != nil {
-		f.probe.Span(telemetry.SpanGC, telemetry.TrackFlash, gcStart, done, int64(victim))
+	if f.obs != nil {
+		f.obs.Observe(telemetry.SpanGC, telemetry.TrackFlash, gcStart, done, int64(victim))
 	}
 	return done, nil
 }

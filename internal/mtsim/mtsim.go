@@ -76,22 +76,22 @@ type Config struct {
 	ArbiterEpoch    sim.Duration
 	ArbiterMinShare int
 
-	// Probe and Registry instrument the SHARED run (solo golden runs stay
+	// Tracer and Registry instrument the SHARED run (solo golden runs stay
 	// uninstrumented so their timing-independent instrumentation cost is
 	// zero either way). Both may be nil.
-	Probe    telemetry.Probe
+	Tracer   *telemetry.Tracer
 	Registry *telemetry.Registry
 
 	// Attrib attaches a latency attribution engine to the shared run: every
 	// op accumulates a per-component latency breakdown into per-tenant
 	// histograms, rendered as the report's latency-budget table. SLO > 0
 	// implies Attrib and enables SLO violation/burn accounting plus
-	// p99-over-SLO anomaly triggers at epoch boundaries. Like Probe and
+	// p99-over-SLO anomaly triggers at epoch boundaries. Like Tracer and
 	// Registry, attribution instruments the shared run only.
 	Attrib bool
 	SLO    sim.Duration
-	// Flight attaches a deterministic flight recorder to the shared run
-	// (chained ahead of Probe when both are set); anomaly triggers dump the
+	// Flight attaches a deterministic flight recorder to the shared run;
+	// its ring records the run's spans, and anomaly triggers dump the
 	// pre-anomaly span window. May be nil.
 	Flight *telemetry.FlightRecorder
 
@@ -273,14 +273,7 @@ func sharedRun(cfg Config, dev core.Config, res *Result) error {
 	if err != nil {
 		return err
 	}
-	probe := cfg.Probe
-	if cfg.Flight != nil {
-		// The flight recorder sits ahead of any user probe: it records every
-		// span into its ring and forwards to the chained probe.
-		cfg.Flight.Chain(cfg.Probe)
-		probe = cfg.Flight
-	}
-	ff.Instrument(probe, cfg.Registry)
+	ff.Instrument(cfg.Tracer, cfg.Registry)
 	ff.SetFlightRecorder(cfg.Flight)
 	if cfg.Attrib || cfg.SLO > 0 {
 		att := telemetry.NewAttribution(cfg.SLO, 0)

@@ -159,7 +159,7 @@ func TestArbiterBudgetsReported(t *testing.T) {
 func TestSharedRunTelemetry(t *testing.T) {
 	cfg := testConfig(2)
 	tr := telemetry.NewTracer(1 << 16)
-	cfg.Probe = tr
+	cfg.Tracer = tr
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}

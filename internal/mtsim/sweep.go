@@ -38,9 +38,9 @@ type SweepConfig struct {
 	// single-writer.
 	Workers int
 
-	// Probe and Registry instrument every point's shared run (see
-	// Config.Probe). Both may be nil.
-	Probe    telemetry.Probe
+	// Tracer and Registry instrument every point's shared run (see
+	// Config.Tracer). Both may be nil.
+	Tracer   *telemetry.Tracer
 	Registry *telemetry.Registry
 
 	// Attrib and SLO enable latency attribution on every point's shared run
@@ -50,7 +50,7 @@ type SweepConfig struct {
 	SLO    sim.Duration
 	// Flight attaches one shared flight recorder to every point's shared
 	// run; it is a single-writer sink, so setting it forces sequential
-	// execution like Probe and Registry do.
+	// execution like Tracer and Registry do.
 	Flight *telemetry.FlightRecorder
 
 	// Parallel is each point's worker count for its solo and shared runs
@@ -112,7 +112,7 @@ func (c SweepConfig) pointConfig(tenants int, mixSpec string, seed uint64) Confi
 		Tenants:        specs,
 		Seed:           seed,
 		DisableArbiter: c.DisableArbiter,
-		Probe:          c.Probe,
+		Tracer:         c.Tracer,
 		Registry:       c.Registry,
 		Attrib:         c.Attrib,
 		SLO:            c.SLO,
@@ -138,7 +138,7 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 	}
 
 	workers := cfg.Workers
-	if cfg.Probe != nil || cfg.Registry != nil || cfg.Flight != nil {
+	if cfg.Tracer != nil || cfg.Registry != nil || cfg.Flight != nil {
 		workers = 1
 	}
 	err := sim.ForEach(len(points), workers, func(i int) error {

@@ -58,9 +58,8 @@ func (c Config) Validate() error {
 type Link struct {
 	cfg    Config
 	res    *sim.Resource
-	probe  telemetry.Probe  // nil when telemetry is disabled
-	att    telemetry.Attrib // nil when latency attribution is disabled
-	faults *fault.Engine    // nil = no injection
+	obs    *telemetry.Sink // nil when instrumentation is disabled
+	faults *fault.Engine   // nil = no injection
 
 	mmioReads, mmioWrites, dmaPages, persistTagged int64
 	mmioDropped, mmioTorn                          int64
@@ -77,19 +76,14 @@ func NewLink(cfg Config) (*Link, error) {
 // Config returns the link configuration.
 func (l *Link) Config() Config { return l.cfg }
 
-// SetProbe attaches a telemetry probe emitting one span per link
-// transaction (issue time to completion, on the PCIe track). A nil probe
-// disables emission.
-func (l *Link) SetProbe(p telemetry.Probe) { l.probe = p }
+// SetSink attaches the instrumentation sink: every link transaction reports
+// its issue-to-completion interval (occupancy queueing included) on the PCIe
+// track, charged to the link component. A nil sink disables it.
+func (l *Link) SetSink(s *telemetry.Sink) { l.obs = s }
 
 // SetFaults attaches a fault-injection engine that can drop or tear posted
 // MMIO writes (nil disables injection).
 func (l *Link) SetFaults(e *fault.Engine) { l.faults = e }
-
-// SetAttrib attaches a latency attribution sink: every link transaction
-// charges its issue-to-completion time (occupancy queueing included) to the
-// link component. A nil sink disables attribution.
-func (l *Link) SetAttrib(a telemetry.Attrib) { l.att = a }
 
 // MMIORead performs a non-posted cache-line read issued at now; the
 // returned time is when the completion arrives back at the host.
@@ -101,11 +95,8 @@ func (l *Link) MMIORead(now sim.Time, persist bool) sim.Time {
 		l.persistTagged++
 	}
 	done := start.Add(l.cfg.MMIOReadLatency)
-	if l.probe != nil {
-		l.probe.Span(telemetry.SpanMMIORead, telemetry.TrackPCIe, now, done, persistArg(persist))
-	}
-	if l.att != nil {
-		l.att.Charge(telemetry.CompLink, done.Sub(now))
+	if l.obs != nil {
+		l.obs.Observe(telemetry.SpanMMIORead, telemetry.TrackPCIe, now, done, persistArg(persist))
 	}
 	return done
 }
@@ -138,11 +129,8 @@ func (l *Link) MMIOWriteChecked(now sim.Time, persist bool) (sim.Time, fault.Wri
 		l.mmioTorn++
 	}
 	done := start.Add(l.cfg.MMIOWriteLatency)
-	if l.probe != nil {
-		l.probe.Span(telemetry.SpanMMIOWrite, telemetry.TrackPCIe, now, done, persistArg(persist))
-	}
-	if l.att != nil {
-		l.att.Charge(telemetry.CompLink, done.Sub(now))
+	if l.obs != nil {
+		l.obs.Observe(telemetry.SpanMMIOWrite, telemetry.TrackPCIe, now, done, persistArg(persist))
 	}
 	return done, outcome
 }
@@ -153,11 +141,8 @@ func (l *Link) DMAPage(now sim.Time) sim.Time {
 	start, _ := l.res.Acquire(now, l.cfg.PageOccupancy)
 	l.dmaPages++
 	done := start.Add(l.cfg.DMAPageLatency)
-	if l.probe != nil {
-		l.probe.Span(telemetry.SpanDMAPage, telemetry.TrackPCIe, now, done, 0)
-	}
-	if l.att != nil {
-		l.att.Charge(telemetry.CompLink, done.Sub(now))
+	if l.obs != nil {
+		l.obs.Observe(telemetry.SpanDMAPage, telemetry.TrackPCIe, now, done, 0)
 	}
 	return done
 }

@@ -74,9 +74,8 @@ func TestStatsAndTraffic(t *testing.T) {
 }
 
 // BenchmarkMMIORead times one non-posted cache-line read on a link with no
-// probe or attribution attached: the occupancy reservation, the counters
-// and the completion time. Each read issues at the previous one's
-// completion.
+// sink attached: the occupancy reservation, the counters and the
+// completion time. Each read issues at the previous one's completion.
 func BenchmarkMMIORead(b *testing.B) {
 	l, err := NewLink(DefaultConfig())
 	if err != nil {

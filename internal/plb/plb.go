@@ -97,8 +97,7 @@ type PLB struct {
 	cfg     Config
 	entries []entry
 	nLines  int
-	probe   telemetry.Probe  // nil when telemetry is disabled
-	att     telemetry.Attrib // nil when latency attribution is disabled
+	obs     *telemetry.Sink // nil when instrumentation is disabled
 
 	// pending counts valid entries and nextDeadline is the earliest deadline
 	// among them, so Expired — polled on every access — is a two-compare
@@ -132,15 +131,12 @@ func New(cfg Config) (*PLB, error) {
 // Config returns the PLB configuration.
 func (p *PLB) Config() Config { return p.cfg }
 
-// SetProbe attaches a telemetry probe: one span per promotion flight on the
-// promotion track, plus completion events. A nil probe disables emission.
-func (p *PLB) SetProbe(pr telemetry.Probe) { p.probe = pr }
-
-// SetAttrib attaches a latency attribution sink: each promotion flight
-// charges its duration to the promotion component (off the critical path,
-// the hierarchy suspends attribution around promotion kickoff, so the charge
-// lands on the background account). A nil sink disables attribution.
-func (p *PLB) SetAttrib(a telemetry.Attrib) { p.att = a }
+// SetSink attaches the instrumentation sink: one interval per promotion
+// flight on the promotion track, plus completion events. A flight charges
+// its duration to the promotion component; it is off the critical path, so
+// the hierarchy suspends attribution around promotion kickoff and the
+// charge lands on the background account. A nil sink disables it.
+func (p *PLB) SetSink(s *telemetry.Sink) { p.obs = s }
 
 // Free reports how many entries are available.
 func (p *PLB) Free() int {
@@ -216,11 +212,8 @@ func (p *PLB) Start(now sim.Time, lpn uint32, frame int, src, dst []byte, srcDir
 	}
 	p.pending++
 	p.started++
-	if p.probe != nil {
-		p.probe.Span(telemetry.SpanPromotion, telemetry.TrackPromo, now, slot.deadline, int64(lpn))
-	}
-	if p.att != nil {
-		p.att.Charge(telemetry.CompPromote, p.cfg.PromotionLatency)
+	if p.obs != nil {
+		p.obs.Observe(telemetry.SpanPromotion, telemetry.TrackPromo, now, slot.deadline, int64(lpn))
 	}
 	return nil
 }
@@ -363,8 +356,8 @@ func (p *PLB) Expired(now sim.Time) []Completion {
 		}
 		p.progress(e, e.deadline.Add(p.cfg.PromotionLatency)) // force all lines
 		out = append(out, Completion{LPN: e.lpn, Frame: e.frame, Deadline: e.deadline, Dirty: e.dirty})
-		if p.probe != nil {
-			p.probe.Event(telemetry.EvPromoteComplete, telemetry.TrackPromo, e.deadline, int64(e.lpn))
+		if p.obs != nil {
+			p.obs.Observe(telemetry.EvPromoteComplete, telemetry.TrackPromo, e.deadline, e.deadline, int64(e.lpn))
 		}
 		p.clearEntry(e)
 		p.completed++
@@ -386,8 +379,9 @@ func (p *PLB) Flush(now sim.Time) []Completion {
 		}
 		p.progress(e, e.deadline.Add(p.cfg.PromotionLatency))
 		out = append(out, Completion{LPN: e.lpn, Frame: e.frame, Deadline: e.deadline.Max(now), Dirty: e.dirty})
-		if p.probe != nil {
-			p.probe.Event(telemetry.EvPromoteComplete, telemetry.TrackPromo, e.deadline.Max(now), int64(e.lpn))
+		if p.obs != nil {
+			at := e.deadline.Max(now)
+			p.obs.Observe(telemetry.EvPromoteComplete, telemetry.TrackPromo, at, at, int64(e.lpn))
 		}
 		p.clearEntry(e)
 		p.completed++

@@ -30,8 +30,8 @@ func DefaultParams() Params {
 type Policy struct {
 	params Params
 
-	probe telemetry.Probe // nil when telemetry is disabled
-	now   func() sim.Time
+	obs *telemetry.Sink // nil when instrumentation is disabled
+	now func() sim.Time
 
 	// Algorithm 1 state, same names as the paper:
 	netAggCnt       int64 // sum of pageCnt over pages currently cached
@@ -53,11 +53,11 @@ func New(p Params) *Policy {
 	return &Policy{params: p, currThreshold: p.MaxThreshold}
 }
 
-// SetProbe attaches a telemetry probe emitting threshold-change and
+// SetSink attaches the instrumentation sink: threshold-change and
 // epoch-reset events on the SSD track; now supplies timestamps (the policy
-// has no clock). A nil probe disables emission.
-func (p *Policy) SetProbe(pr telemetry.Probe, now func() sim.Time) {
-	p.probe, p.now = pr, now
+// has no clock). A nil sink disables emission.
+func (p *Policy) SetSink(s *telemetry.Sink, now func() sim.Time) {
+	p.obs, p.now = s, now
 }
 
 // Threshold returns the current promotion threshold (for tests and stats).
@@ -114,12 +114,14 @@ func (p *Policy) Update(pageCnt int) (promote bool) {
 		p.aggPromotedCnt = 0
 		p.currThreshold = p.params.MaxThreshold
 		p.epochs++
-		if p.probe != nil {
-			p.probe.Event(telemetry.EvEpochReset, telemetry.TrackSSD, p.now(), p.epochs)
+		if p.obs != nil {
+			at := p.now()
+			p.obs.Observe(telemetry.EvEpochReset, telemetry.TrackSSD, at, at, p.epochs)
 		}
 	}
-	if p.probe != nil && p.currThreshold != before {
-		p.probe.Event(telemetry.EvThreshold, telemetry.TrackSSD, p.now(), int64(p.currThreshold))
+	if p.obs != nil && p.currThreshold != before {
+		at := p.now()
+		p.obs.Observe(telemetry.EvThreshold, telemetry.TrackSSD, at, at, int64(p.currThreshold))
 	}
 	return promoteFlag
 }
@@ -163,8 +165,8 @@ func (f *FixedPolicy) Update(pageCnt int) bool {
 // AdjustCnt is a no-op for the fixed policy.
 func (f *FixedPolicy) AdjustCnt(pageCnt int) {}
 
-// SetProbe is a no-op: the fixed policy has no adaptation to report.
-func (f *FixedPolicy) SetProbe(pr telemetry.Probe, now func() sim.Time) {}
+// SetSink is a no-op: the fixed policy has no adaptation to report.
+func (f *FixedPolicy) SetSink(s *telemetry.Sink, now func() sim.Time) {}
 
 // Threshold returns the fixed threshold.
 func (f *FixedPolicy) Threshold() int { return f.threshold }
@@ -190,8 +192,9 @@ type Promoter interface {
 	// Reset restores the policy's volatile state to power-on values after a
 	// power loss; cumulative run statistics survive.
 	Reset()
-	// SetProbe attaches telemetry (nil-safe; now supplies timestamps).
-	SetProbe(pr telemetry.Probe, now func() sim.Time)
+	// SetSink attaches instrumentation (nil disables it; now supplies
+	// timestamps).
+	SetSink(s *telemetry.Sink, now func() sim.Time)
 }
 
 var (

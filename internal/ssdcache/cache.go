@@ -98,9 +98,8 @@ type Cache struct {
 	nsets int
 	tick  uint64
 
-	probe telemetry.Probe  // nil when telemetry is disabled
-	att   telemetry.Attrib // nil when latency attribution is disabled
-	now   func() sim.Time  // clock source for event timestamps
+	obs *telemetry.Sink // nil when instrumentation is disabled
+	now func() sim.Time // clock source for event timestamps
 
 	// spare is a recycled page buffer: Remove and eviction stash the
 	// displaced entry's buffer here and the next Insert reuses it (handed
@@ -127,17 +126,14 @@ func New(cfg Config) (*Cache, error) {
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// SetProbe attaches a telemetry probe emitting hit/miss/eviction events on
-// the SSD track. The cache has no clock of its own, so the owner supplies
-// now (typically the hierarchy's Clock.Now). A nil probe disables emission.
-func (c *Cache) SetProbe(p telemetry.Probe, now func() sim.Time) {
-	c.probe, c.now = p, now
+// SetSink attaches the instrumentation sink: hit/miss/eviction events on
+// the SSD track, and each hit charges the cache's internal access cost to
+// the cache-fill component. The cache has no clock of its own, so the owner
+// supplies now (typically the hierarchy's Clock.Now). A nil sink disables
+// it.
+func (c *Cache) SetSink(s *telemetry.Sink, now func() sim.Time) {
+	c.obs, c.now = s, now
 }
-
-// SetAttrib attaches a latency attribution sink: each Lookup hit charges
-// the cache's internal access cost to the cache-fill component. A nil sink
-// disables attribution.
-func (c *Cache) SetAttrib(a telemetry.Attrib) { c.att = a }
 
 //flatflash:hotpath
 func (c *Cache) setOf(lpn uint32) int { return int(lpn) % c.nsets }
@@ -153,17 +149,17 @@ func (c *Cache) Lookup(lpn uint32) (*Entry, bool) {
 		c.tick++
 		e.rrpv = 0
 		e.used = c.tick
-		if c.probe != nil {
-			c.probe.Event(telemetry.EvCacheHit, telemetry.TrackSSD, c.now(), int64(lpn))
-		}
-		if c.att != nil {
-			c.att.Charge(telemetry.CompCacheFill, AccessCost)
+		if c.obs != nil {
+			// The hit is an instant event that still charges AccessCost.
+			at := c.now()
+			c.obs.Observe(telemetry.EvCacheHit, telemetry.TrackSSD, at, at.Add(AccessCost), int64(lpn))
 		}
 		return e, true
 	}
 	c.misses++
-	if c.probe != nil {
-		c.probe.Event(telemetry.EvCacheMiss, telemetry.TrackSSD, c.now(), int64(lpn))
+	if c.obs != nil {
+		at := c.now()
+		c.obs.Observe(telemetry.EvCacheMiss, telemetry.TrackSSD, at, at, int64(lpn))
 	}
 	return nil, false
 }
@@ -241,8 +237,9 @@ func (c *Cache) Insert(lpn uint32, data []byte, dirty bool) (e *Entry, victim Vi
 		if v.Dirty {
 			c.dirtyEvicts++
 		}
-		if c.probe != nil {
-			c.probe.Event(telemetry.EvCacheEvict, telemetry.TrackSSD, c.now(), int64(v.LPN))
+		if c.obs != nil {
+			at := c.now()
+			c.obs.Observe(telemetry.EvCacheEvict, telemetry.TrackSSD, at, at, int64(v.LPN))
 		}
 	}
 	c.tick++

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"flatflash/internal/sim"
 	"flatflash/internal/stats"
@@ -82,29 +83,15 @@ func (c Component) String() string {
 	return "unknown"
 }
 
-// Attrib receives latency charges from the simulator layers. Like Probe, all
-// call sites guard with a nil check (enforced by the probenil analyzer), so a
-// disabled attribution costs one pointer comparison per potential charge.
-type Attrib interface {
-	// Charge attributes d of latency to component comp. Charges made during
-	// an access window (Attribution.Begin/End) accumulate into the current
-	// account's pending breakdown; charges outside a window, or while the
-	// attribution is suspended, accumulate into the background account.
-	Charge(comp Component, d sim.Duration)
-}
-
 // TenantAttrib is one account's latency breakdown: a pending per-component
 // array for the access in flight, exact per-component sums, per-component
 // and end-to-end histograms, and SLO burn counters.
-//
-// The pending array is exposed through Cell as stats.Handle cells so the
-// core's //flatflash:hotpath functions can charge with one pointer add and
-// stay allocation-free.
 type TenantAttrib struct {
-	name  string
-	pend  [NumComponents]int64
-	sums  [NumComponents]int64
-	hists [NumComponents]*stats.Histogram
+	name    string
+	pend    [NumComponents]int64
+	touched uint16 // bit c set when pend[c] was charged since Begin
+	sums    [NumComponents]int64
+	hists   [NumComponents]*stats.Histogram
 
 	total    *stats.Histogram
 	sumTotal int64
@@ -128,14 +115,22 @@ func newTenantAttrib(name string) *TenantAttrib {
 	return t
 }
 
-// Cell returns the pre-resolved pending cell for component c, so hot paths
-// charge with *cell += ns. On a nil account it returns a dead cell, matching
-// Registry.CounterHandle's disabled semantics.
-func (t *TenantAttrib) Cell(c Component) stats.Handle {
+// Charge adds d to component c of the account's pending breakdown,
+// bypassing the engine's suspension: it is for critical-path work nested
+// inside a suspended region (the no-PLB promotion stall), which the access
+// still waits for. Nil-safe no-op.
+func (t *TenantAttrib) Charge(c Component, d sim.Duration) {
 	if t == nil {
-		return new(int64)
+		return
 	}
-	return &t.pend[c]
+	t.add(c, int64(d))
+}
+
+// add charges d to pending component c and marks it touched, so Begin and
+// End visit only the components an access charged.
+func (t *TenantAttrib) add(c Component, d int64) {
+	t.pend[c] += d
+	t.touched |= 1 << c
 }
 
 // Name returns the account name.
@@ -301,9 +296,10 @@ func (a *Attribution) Begin(acct *TenantAttrib) {
 	}
 	a.cur = acct
 	if acct != nil {
-		for i := range acct.pend {
-			acct.pend[i] = 0
+		for m := acct.touched; m != 0; m &= m - 1 {
+			acct.pend[bits.TrailingZeros16(m)] = 0
 		}
+		acct.touched = 0
 	}
 }
 
@@ -331,9 +327,9 @@ func (a *Attribution) End(total sim.Duration, now sim.Time) {
 	acct := a.cur
 	a.cur = nil
 	var charged int64
-	for i := range acct.pend {
-		v := acct.pend[i]
-		if v != 0 {
+	for m := acct.touched; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros16(m)
+		if v := acct.pend[i]; v != 0 {
 			acct.sums[i] += v
 			acct.hists[i].Record(sim.Duration(v))
 			charged += v
@@ -355,8 +351,9 @@ func (a *Attribution) End(total sim.Duration, now sim.Time) {
 	a.tick(now)
 }
 
-// Charge implements Attrib for the simulator substrates. During an access
-// window the charge lands on the current account's pending breakdown; while
+// Charge attributes d of latency to component comp; a Sink calls it for
+// every kind the instrumentation table charges. During an access window
+// the charge lands on the current account's pending breakdown; while
 // suspended, or outside a window, it lands on the background tally.
 func (a *Attribution) Charge(comp Component, d sim.Duration) {
 	if a == nil || d <= 0 {
@@ -366,7 +363,7 @@ func (a *Attribution) Charge(comp Component, d sim.Duration) {
 		a.bg[comp] += int64(d)
 		return
 	}
-	a.cur.pend[comp] += int64(d)
+	a.cur.add(comp, int64(d))
 }
 
 // Suspend routes subsequent charges to the background account until the
@@ -533,5 +530,3 @@ func (a *Attribution) WriteJSONL(w io.Writer) error {
 	}
 	return nil
 }
-
-var _ Attrib = (*Attribution)(nil)

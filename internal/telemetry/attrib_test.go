@@ -80,15 +80,15 @@ func TestAttributionSuspendRoutesToBackground(t *testing.T) {
 			t.Fatalf("background %v = %d, want %d", c, got, want)
 		}
 	}
-	// Cells bypass suspension: a critical-path stall charged through the
-	// pre-resolved cell lands on the account even inside a suspended region.
+	// An account charge bypasses suspension: a critical-path stall charged
+	// to the account lands on it even inside a suspended region.
 	a.Begin(acct)
 	a.Suspend()
-	*acct.Cell(CompPromote) += 900
+	acct.Charge(CompPromote, 900)
 	a.Resume()
 	a.End(900, 2000)
 	if got := acct.Sum(CompPromote); got != 900 {
-		t.Fatalf("cell charge = %d, want 900", got)
+		t.Fatalf("account charge = %d, want 900", got)
 	}
 }
 
@@ -196,8 +196,7 @@ func TestAttributionNilSafe(t *testing.T) {
 	}
 
 	var ta *TenantAttrib
-	cell := ta.Cell(CompDRAM)
-	*cell += 5 // dead box: must not panic
+	ta.Charge(CompDRAM, 5) // must not panic
 	if ta.Name() != "" || ta.Sum(CompDRAM) != 0 || ta.SumTotal() != 0 ||
 		ta.Hist(CompDRAM) != nil || ta.Total() != nil ||
 		ta.Violations() != 0 || ta.BurnNs() != 0 || ta.BadEpochs() != 0 {

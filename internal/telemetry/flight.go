@@ -32,21 +32,17 @@ type FlightSnapshot struct {
 	Spans  []Span
 }
 
-// FlightRecorder is a Probe that keeps a bounded ring of the most recent
-// spans and, on an anomaly trigger, snapshots the ring so the pre-anomaly
-// window can be dumped for postmortem analysis. Triggers come from three
-// sources: fault-engine events (self-triggered in Event), epoch-boundary
-// p99-over-SLO checks (Attribution), and invariant-check failures after
-// recovery (core). All timestamps are virtual, so same-seed runs dump
-// byte-identical files.
+// FlightRecorder keeps a bounded ring of the most recent spans and, on an
+// anomaly trigger, snapshots the ring so the pre-anomaly window can be dumped
+// for postmortem analysis. A Sink feeds it every traced span alongside the
+// run's Tracer. Triggers come from three sources: fault-engine events (as
+// the sink records them), epoch-boundary p99-over-SLO checks
+// (Attribution), and invariant-check failures after recovery (core). All
+// timestamps are virtual, so same-seed runs dump byte-identical files.
 //
-// An optional chained Probe receives every span and event too, so a flight
-// recorder can front a Tracer or metrics pipeline without stealing its feed.
-// Trigger and WriteDump are nil-receiver safe; like Tracer, a nil
-// *FlightRecorder must not be stored into a Probe interface.
+// Trigger, Triggers, Snapshots and WriteDump are nil-receiver safe.
 type FlightRecorder struct {
-	ring  *Tracer
-	inner Probe
+	ring *Tracer
 
 	snaps    []FlightSnapshot
 	maxSnaps int
@@ -64,35 +60,6 @@ func NewFlightRecorder(capacity, maxSnapshots int) *FlightRecorder {
 		maxSnapshots = DefaultFlightSnapshots
 	}
 	return &FlightRecorder{ring: NewTracer(capacity), maxSnaps: maxSnapshots}
-}
-
-// Chain forwards every span and event to inner after recording. No-op on a
-// nil recorder.
-func (r *FlightRecorder) Chain(inner Probe) {
-	if r == nil {
-		return
-	}
-	r.inner = inner
-}
-
-// Span implements Probe.
-func (r *FlightRecorder) Span(kind SpanKind, track Track, start, end sim.Time, arg int64) {
-	r.ring.Span(kind, track, start, end, arg)
-	if r.inner != nil {
-		r.inner.Span(kind, track, start, end, arg)
-	}
-}
-
-// Event implements Probe. Fault-engine events self-trigger a snapshot after
-// being recorded, so the dump window includes the fault itself.
-func (r *FlightRecorder) Event(kind SpanKind, track Track, at sim.Time, arg int64) {
-	r.ring.Event(kind, track, at, arg)
-	if r.inner != nil {
-		r.inner.Event(kind, track, at, arg)
-	}
-	if kind.IsFault() {
-		r.Trigger(kind.String(), at, arg)
-	}
 }
 
 // Trigger records an anomaly: the trigger count always increments, and up to
@@ -159,5 +126,3 @@ func (r *FlightRecorder) WriteDump(w io.Writer) error {
 		r.triggers, len(r.snaps), r.ring.Recorded(), r.ring.Dropped())
 	return bw.Flush()
 }
-
-var _ Probe = (*FlightRecorder)(nil)

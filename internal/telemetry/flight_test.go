@@ -13,12 +13,13 @@ import (
 // recorder, including a fault event that must self-trigger.
 func fillRecorder(capacity, maxSnaps int) *FlightRecorder {
 	r := NewFlightRecorder(capacity, maxSnaps)
+	s := NewSink(nil, r, nil)
 	for i := 0; i < 20; i++ {
 		at := sim.Time(i * 100)
-		r.Span(SpanMMIORead, TrackPCIe, at, at.Add(50), int64(i))
-		r.Event(EvCacheHit, TrackSSD, at, int64(i))
+		s.Observe(SpanMMIORead, TrackPCIe, at, at.Add(50), int64(i))
+		s.Observe(EvCacheHit, TrackSSD, at, at, int64(i))
 	}
-	r.Event(EvFaultCrash, TrackFlash, 5000, 1) // self-triggers
+	s.Observe(EvFaultCrash, TrackFlash, 5000, 5000, 1) // self-triggers
 	r.Trigger("invariant", 6000, 42)
 	return r
 }
@@ -77,8 +78,9 @@ func TestFlightDumpParses(t *testing.T) {
 // not the trigger count.
 func TestFlightRingBoundsWindow(t *testing.T) {
 	r := NewFlightRecorder(4, 2)
+	s := NewSink(nil, r, nil)
 	for i := 0; i < 10; i++ {
-		r.Span(SpanMMIORead, TrackPCIe, sim.Time(i), sim.Time(i+1), int64(i))
+		s.Observe(SpanMMIORead, TrackPCIe, sim.Time(i), sim.Time(i+1), int64(i))
 	}
 	r.Trigger("one", 100, 0)
 	r.Trigger("two", 200, 0)
@@ -99,24 +101,10 @@ func TestFlightRingBoundsWindow(t *testing.T) {
 	}
 }
 
-// TestFlightChainForwards checks a chained probe sees every span and event
-// the recorder sees.
-func TestFlightChainForwards(t *testing.T) {
-	inner := NewTracer(16)
-	r := NewFlightRecorder(8, 2)
-	r.Chain(inner)
-	r.Span(SpanMMIOWrite, TrackPCIe, 0, 10, 1)
-	r.Event(EvCacheHit, TrackSSD, 20, 2)
-	if inner.Recorded() != 2 {
-		t.Fatalf("chained probe saw %d records, want 2", inner.Recorded())
-	}
-}
-
 // TestFlightNilSafe drives the nil-receiver surface (Trigger on a nil
 // recorder is the un-instrumented configuration).
 func TestFlightNilSafe(t *testing.T) {
 	var r *FlightRecorder
-	r.Chain(nil)
 	r.Trigger("x", 0, 0)
 	if r.Triggers() != 0 || r.Snapshots() != nil {
 		t.Fatal("nil recorder leaked state")

@@ -1,16 +1,19 @@
 // Package telemetry is the simulator's observability layer: a span tracer
 // keyed to the virtual clock (sim.Time), a metrics registry with gauges and
-// epoch-sampled time series, and exporters to Chrome trace-event JSON
-// (loadable in Perfetto at ui.perfetto.dev) and compact JSONL streams.
+// epoch-sampled time series, a latency attribution engine, an anomaly flight
+// recorder, and exporters to Chrome trace-event JSON (loadable in Perfetto at
+// ui.perfetto.dev) and compact JSONL streams.
 //
 // Every hierarchy layer — page-table/TLB lookup, PCIe MMIO transactions,
 // SSD-Cache probes, FTL/flash service, DRAM access, promotion flights —
-// reports through the nil-safe Probe interface. Instrumentation is off by
-// default: a nil Probe (and a nil *Registry) makes every hook a single
-// pointer comparison, so the disabled path adds zero allocations and no
-// measurable cost per access. When enabled, the Tracer records spans into a
-// preallocated ring buffer, so the enabled path is allocation-free per span
-// too; only export allocates.
+// reports each interval once, through a *Sink's Observe. The Sink fans the
+// one event out to the run's tracer, flight ring and attribution engine,
+// guided by a per-kind table (export name, charged component, traced or
+// not). Instrumentation is off by default: a nil *Sink (and a nil
+// *Registry) makes every hook a single pointer comparison, so the disabled
+// path adds zero allocations and no measurable cost per access. When
+// enabled, the Tracer records spans into a preallocated ring buffer, so the
+// enabled path is allocation-free per span too; only export allocates.
 //
 // All timestamps are virtual time. Two runs with the same seed therefore
 // produce byte-identical trace and metrics output, which makes telemetry
@@ -76,8 +79,30 @@ const (
 	// page count.
 	SpanSync
 
+	// Charge-only kinds: intervals the attribution engine charges but the
+	// tracer and flight ring never record (no span existed for them).
+
+	// ChargeNAND is NAND channel/die service of a data page (read or
+	// program), charged by the flash device.
+	ChargeNAND
+	// ChargeNANDMap is NAND service of a translation page (demand-paged
+	// map fetch or write-back).
+	ChargeNANDMap
+	// ChargeMapHit is a cached-map-table hit in the demand-paged FTL.
+	ChargeMapHit
+	// ChargeGCStall is garbage-collection time a host write waits for.
+	ChargeGCStall
+	// ChargeFlush is the CPU's cache-line flush ahead of a persist barrier.
+	ChargeFlush
+	// ChargeSyncTranslate is the address translation of each page a
+	// page-granularity sync walks.
+	ChargeSyncTranslate
+
+	// Event kinds (EvCacheHit onward) are recorded as instants at start.
+
 	// EvCacheHit and EvCacheMiss are SSD-Cache lookup outcomes. Arg is the
-	// LPN.
+	// LPN. A hit's end-start is the cache's access cost, charged to
+	// CompCacheFill.
 	EvCacheHit
 	EvCacheMiss
 	// EvCacheEvict is an SSD-Cache eviction. Arg is the victim LPN.
@@ -108,41 +133,59 @@ const (
 	numKinds
 )
 
-var kindNames = [numKinds]string{
-	SpanAccess:         "access",
-	SpanTranslate:      "translate",
-	SpanDRAM:           "dram",
-	SpanHostCacheHit:   "hostcache_hit",
-	SpanPLBRedirect:    "plb_redirect",
-	SpanCacheProbe:     "ssdcache_probe",
-	SpanMMIORead:       "mmio_read",
-	SpanMMIOWrite:      "mmio_write",
-	SpanDMAPage:        "dma_page",
-	SpanFlashRead:      "flash_read",
-	SpanFlashWrite:     "flash_write",
-	SpanGC:             "gc",
-	SpanPromotion:      "promotion",
-	SpanPromotionStall: "promotion_stall",
-	SpanPageFault:      "page_fault",
-	SpanPersist:        "persist_barrier",
-	SpanSync:           "sync_pages",
-	EvCacheHit:         "cache_hit",
-	EvCacheMiss:        "cache_miss",
-	EvCacheEvict:       "cache_evict",
-	EvPromoteTrigger:   "promote_trigger",
-	EvPromoteComplete:  "promote_complete",
-	EvThreshold:        "threshold",
-	EvEpochReset:       "epoch_reset",
-	EvFaultCrash:       "fault_crash",
-	EvFaultNAND:        "fault_nand",
-	EvFaultMMIO:        "fault_mmio",
-	EvFaultBattery:     "fault_battery",
+// kindInfo is one kind's row in the instrumentation table: its export name,
+// the attribution component Observe charges end-start to (noComponent for
+// none), and whether the tracer and flight ring record it.
+type kindInfo struct {
+	name   string
+	comp   Component
+	traced bool
+}
+
+// noComponent marks a kind that charges nothing.
+const noComponent = NumComponents
+
+var kinds = [numKinds]kindInfo{
+	SpanAccess:          {"access", noComponent, true},
+	SpanTranslate:       {"translate", CompTLB, true},
+	SpanDRAM:            {"dram", CompDRAM, true},
+	SpanHostCacheHit:    {"hostcache_hit", CompHostCache, true},
+	SpanPLBRedirect:     {"plb_redirect", CompPLB, true},
+	SpanCacheProbe:      {"ssdcache_probe", noComponent, true},
+	SpanMMIORead:        {"mmio_read", CompLink, true},
+	SpanMMIOWrite:       {"mmio_write", CompLink, true},
+	SpanDMAPage:         {"dma_page", CompLink, true},
+	SpanFlashRead:       {"flash_read", noComponent, true},
+	SpanFlashWrite:      {"flash_write", noComponent, true},
+	SpanGC:              {"gc", noComponent, true},
+	SpanPromotion:       {"promotion", CompPromote, true},
+	SpanPromotionStall:  {"promotion_stall", noComponent, true},
+	SpanPageFault:       {"page_fault", noComponent, true},
+	SpanPersist:         {"persist_barrier", noComponent, true},
+	SpanSync:            {"sync_pages", noComponent, true},
+	ChargeNAND:          {"nand", CompFlash, false},
+	ChargeNANDMap:       {"nand_map", CompMapFetch, false},
+	ChargeMapHit:        {"map_hit", CompMapFetch, false},
+	ChargeGCStall:       {"gc_stall", CompGC, false},
+	ChargeFlush:         {"persist_flush", CompPersist, false},
+	ChargeSyncTranslate: {"sync_translate", CompTLB, false},
+	EvCacheHit:          {"cache_hit", CompCacheFill, true},
+	EvCacheMiss:         {"cache_miss", noComponent, true},
+	EvCacheEvict:        {"cache_evict", noComponent, true},
+	EvPromoteTrigger:    {"promote_trigger", noComponent, true},
+	EvPromoteComplete:   {"promote_complete", noComponent, true},
+	EvThreshold:         {"threshold", noComponent, true},
+	EvEpochReset:        {"epoch_reset", noComponent, true},
+	EvFaultCrash:        {"fault_crash", noComponent, true},
+	EvFaultNAND:         {"fault_nand", noComponent, true},
+	EvFaultMMIO:         {"fault_mmio", noComponent, true},
+	EvFaultBattery:      {"fault_battery", noComponent, true},
 }
 
 // String returns the kind's export name.
 func (k SpanKind) String() string {
-	if int(k) < len(kindNames) && kindNames[k] != "" {
-		return kindNames[k]
+	if int(k) < len(kinds) && kinds[k].name != "" {
+		return kinds[k].name
 	}
 	return "unknown"
 }
@@ -193,18 +236,6 @@ func TenantTrack(id int) Track {
 	return numTracks + Track((id-1)%span)
 }
 
-// Probe receives instrumentation callbacks from the simulator layers. All
-// call sites guard with a nil check, so a disabled probe costs one pointer
-// comparison and zero allocations per access. Implementations must not
-// retain the arguments beyond the call.
-type Probe interface {
-	// Span records a duration [start, end] on a track. Arg is a
-	// kind-specific identifier (LPN, VPN, frame, byte count...).
-	Span(kind SpanKind, track Track, start, end sim.Time, arg int64)
-	// Event records an instantaneous occurrence at a point in virtual time.
-	Event(kind SpanKind, track Track, at sim.Time, arg int64)
-}
-
 // Span is one recorded span or instant event.
 type Span struct {
 	Seq     uint64 // record order, strictly increasing
@@ -223,10 +254,9 @@ func (s Span) End() sim.Time { return s.Start.Add(s.Dur) }
 // and older ones are dropped (counted in Dropped) once the ring wraps.
 const DefaultTracerCapacity = 1 << 17
 
-// Tracer is a Probe that collects spans into a fixed-capacity ring buffer.
-// Recording never allocates; when the ring is full the oldest spans are
-// overwritten. A nil *Tracer must not be stored into a Probe interface —
-// keep the interface itself nil to disable tracing.
+// Tracer collects the spans a Sink records into a fixed-capacity ring
+// buffer. Recording never allocates; when the ring is full the oldest spans
+// are overwritten.
 type Tracer struct {
 	ring []Span
 	seq  uint64
@@ -249,19 +279,6 @@ func (t *Tracer) record(s Span) {
 		return
 	}
 	t.ring[int(s.Seq)%cap(t.ring)] = s
-}
-
-// Span implements Probe.
-func (t *Tracer) Span(kind SpanKind, track Track, start, end sim.Time, arg int64) {
-	if end.Before(start) {
-		end = start
-	}
-	t.record(Span{Kind: kind, Track: track, Start: start, Dur: end.Sub(start), Arg: arg})
-}
-
-// Event implements Probe.
-func (t *Tracer) Event(kind SpanKind, track Track, at sim.Time, arg int64) {
-	t.record(Span{Kind: kind, Track: track, Instant: true, Start: at, Arg: arg})
 }
 
 // Recorded returns how many spans were recorded in total (including ones
@@ -292,5 +309,3 @@ func (t *Tracer) Reset() {
 	t.ring = t.ring[:0]
 	t.seq = 0
 }
-
-var _ Probe = (*Tracer)(nil)

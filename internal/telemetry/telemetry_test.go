@@ -11,10 +11,11 @@ import (
 
 func TestTracerRecordsInOrder(t *testing.T) {
 	tr := NewTracer(8)
+	obs := NewSink(tr, nil, nil)
 	for i := 0; i < 5; i++ {
-		tr.Span(SpanAccess, TrackCPU, sim.Time(i*100), sim.Time(i*100+50), int64(i))
+		obs.Observe(SpanAccess, TrackCPU, sim.Time(i*100), sim.Time(i*100+50), int64(i))
 	}
-	tr.Event(EvCacheHit, TrackSSD, 999, 42)
+	obs.Observe(EvCacheHit, TrackSSD, 999, 999, 42)
 	spans := tr.Spans()
 	if len(spans) != 6 {
 		t.Fatalf("got %d spans, want 6", len(spans))
@@ -38,8 +39,9 @@ func TestTracerRecordsInOrder(t *testing.T) {
 
 func TestTracerRingOverwritesOldest(t *testing.T) {
 	tr := NewTracer(4)
+	obs := NewSink(tr, nil, nil)
 	for i := 0; i < 10; i++ {
-		tr.Span(SpanDRAM, TrackCPU, sim.Time(i), sim.Time(i+1), int64(i))
+		obs.Observe(SpanDRAM, TrackCPU, sim.Time(i), sim.Time(i+1), int64(i))
 	}
 	if tr.Recorded() != 10 {
 		t.Fatalf("recorded = %d", tr.Recorded())
@@ -60,7 +62,8 @@ func TestTracerRingOverwritesOldest(t *testing.T) {
 
 func TestTracerNegativeDurationClamped(t *testing.T) {
 	tr := NewTracer(4)
-	tr.Span(SpanGC, TrackFlash, 100, 50, 0)
+	obs := NewSink(tr, nil, nil)
+	obs.Observe(SpanGC, TrackFlash, 100, 50, 0)
 	if d := tr.Spans()[0].Dur; d != 0 {
 		t.Errorf("dur = %d, want clamp to 0", d)
 	}
@@ -192,9 +195,10 @@ func TestWriteJSONLDeterministicAndParseable(t *testing.T) {
 
 func TestWriteChromeTraceIsValidJSON(t *testing.T) {
 	tr := NewTracer(16)
-	tr.Span(SpanAccess, TrackCPU, 0, 1000, 64)
-	tr.Span(SpanMMIORead, TrackPCIe, 100, 900, 0)
-	tr.Event(EvCacheHit, TrackSSD, 500, 7)
+	obs := NewSink(tr, nil, nil)
+	obs.Observe(SpanAccess, TrackCPU, 0, 1000, 64)
+	obs.Observe(SpanMMIORead, TrackPCIe, 100, 900, 0)
+	obs.Observe(EvCacheHit, TrackSSD, 500, 500, 7)
 	r := NewRegistry(100)
 	r.RegisterGauge("g", func() float64 { return 0.5 })
 	r.Start(0)
@@ -231,8 +235,9 @@ func TestWriteChromeTraceIsValidJSON(t *testing.T) {
 
 func TestTracerWriteJSONL(t *testing.T) {
 	tr := NewTracer(8)
-	tr.Span(SpanFlashRead, TrackFlash, 10, 30, 5)
-	tr.Event(EvThreshold, TrackSSD, 20, 3)
+	obs := NewSink(tr, nil, nil)
+	obs.Observe(SpanFlashRead, TrackFlash, 10, 30, 5)
+	obs.Observe(EvThreshold, TrackSSD, 20, 20, 3)
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
@@ -289,7 +294,8 @@ func TestTenantTracks(t *testing.T) {
 
 func TestChromeTraceNamesTenantTracks(t *testing.T) {
 	tr := NewTracer(16)
-	tr.Span(SpanAccess, TenantTrack(1), 0, 10, 64)
+	obs := NewSink(tr, nil, nil)
+	obs.Observe(SpanAccess, TenantTrack(1), 0, 10, 64)
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, tr, nil); err != nil {
 		t.Fatal(err)

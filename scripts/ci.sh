@@ -69,9 +69,38 @@ grep -q "attribwindow" /tmp/mutant.txt || {
     cat /tmp/mutant.txt
     exit 1
 }
+echo "mutant smoke ok (attribwindow caught the deleted End)"
+# Same for probenil: strip one `l.obs != nil` guard from the PCIe link so
+# its Observe call runs unguarded, and require a probenil diagnostic.
+python3 - "$mutant_dir/internal/pcie/pcie.go" <<'EOF'
+import sys
+path = sys.argv[1]
+lines = open(path).read().splitlines(keepends=True)
+out, i, stripped = [], 0, False
+while i < len(lines):
+    if not stripped and lines[i].strip() == "if l.obs != nil {" and lines[i + 2].strip() == "}":
+        out.append(lines[i + 1])
+        i += 3
+        stripped = True
+        continue
+    out.append(lines[i])
+    i += 1
+if not stripped:
+    sys.exit("mutant smoke: no `if l.obs != nil {` guard found in pcie.go to strip")
+open(path, "w").writelines(out)
+EOF
+if (cd "$mutant_dir" && /tmp/flatflash-lint -q -only probenil ./internal/pcie/ > /tmp/mutant.txt 2>&1); then
+    echo "mutant smoke FAILED: probenil missed an unguarded Sink call"
+    exit 1
+fi
+grep -q "probenil" /tmp/mutant.txt || {
+    echo "mutant smoke FAILED: lint failed for a reason other than probenil:"
+    cat /tmp/mutant.txt
+    exit 1
+}
 rm -rf "$mutant_dir"
 trap - EXIT
-echo "mutant smoke ok (attribwindow caught the deleted End)"
+echo "mutant smoke ok (probenil caught the stripped guard)"
 
 echo "== go test -race =="
 go test -race ./...
