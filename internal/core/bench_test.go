@@ -102,6 +102,74 @@ func BenchmarkAccessSSDCacheHit(b *testing.B) {
 	}
 }
 
+// warmSSDCacheMiss builds a FlatFlash whose 64 B accesses all miss the
+// SSD-Cache: PromoteNever keeps pages on the SSD and access(i) touches page
+// i%256 of a region already on flash, 16 times the cache. One warm lap runs
+// first, so buffers and free lists are in their steady state. A read miss
+// shares the page's flash buffer; a write miss then owns it, and evicts a
+// dirty victim whose buffer is handed to flash.
+func warmSSDCacheMiss(tb testing.TB, write bool) (h *FlatFlash, access func(i int)) {
+	tb.Helper()
+	cfg := testConfig()
+	cfg.Promotion = PromoteNever
+	h, err := NewFlatFlash(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const pages = 256
+	region, err := h.Mmap(pages * 4096)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	buf := make([]byte, 64)
+	access = func(i int) {
+		addr := region.Base + uint64(i%pages)*4096
+		var err error
+		if write {
+			_, err = h.Write(addr, buf)
+		} else {
+			_, err = h.Read(addr, buf)
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := 0; i < pages; i++ {
+		if _, err := h.Write(region.Base+uint64(i)*4096, buf); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	h.Drain()
+	for i := 0; i < 2*pages; i++ {
+		access(i)
+	}
+	return h, access
+}
+
+// BenchmarkAccessSSDCacheMiss measures the MMIO path missing the SSD-Cache
+// (see warmSSDCacheMiss): a read miss, and a write miss that evicts a dirty
+// victim.
+func BenchmarkAccessSSDCacheMiss(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		write bool
+	}{{"read", false}, {"write-dirty-evict", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			h, access := warmSSDCacheMiss(b, bc.write)
+			misses := h.Counters().Get("ssdcache_misses")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				access(i)
+			}
+			b.StopTimer()
+			if got := h.Counters().Get("ssdcache_misses") - misses; got != int64(b.N) {
+				b.Fatalf("%d of %d iterations missed the SSD-Cache", got, b.N)
+			}
+		})
+	}
+}
+
 // BenchmarkAccessPLBRedirect measures reads of a page whose promotion is in
 // flight: PromoteAlways starts the promotion on first touch and an enormous
 // PromotionLatency keeps it pending, so every iteration takes the PLB
@@ -168,5 +236,28 @@ func TestSteadyStateDRAMHitZeroAllocs(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("steady-state DRAM-hit page read allocates %.1f objects/op, want 0", avg)
+	}
+}
+
+// TestSteadyStateSSDCacheMissZeroAllocs: a steady-state SSD-Cache miss
+// allocates nothing, whether a read that shares flash's buffer or a write
+// that owns it and hands a dirty victim's buffer to flash.
+func TestSteadyStateSSDCacheMissZeroAllocs(t *testing.T) {
+	if sim.RaceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	for _, write := range []bool{false, true} {
+		h, access := warmSSDCacheMiss(t, write)
+		misses := h.Counters().Get("ssdcache_misses")
+		i := 0
+		if avg := testing.AllocsPerRun(200, func() {
+			access(i)
+			i++
+		}); avg != 0 {
+			t.Fatalf("write=%v: steady-state SSD-Cache miss allocates %.1f objects/op, want 0", write, avg)
+		}
+		if got := h.Counters().Get("ssdcache_misses") - misses; got != int64(i) {
+			t.Fatalf("write=%v: %d of %d accesses missed", write, got, i)
+		}
 	}
 }

@@ -495,6 +495,7 @@ func (s *FlatFlash) accessChunkFor(t *Tenant, vpn uint64, off int, b []byte, isW
 			// Torn packet: only the first half of the payload lands.
 			w = b[:len(b)/2]
 		}
+		s.cach.Own(e)
 		copy(e.Data[off:off+len(w)], w)
 		e.Dirty = true
 		if s.hostCache != nil {
@@ -553,7 +554,8 @@ func (s *FlatFlash) countHit(hit bool) {
 // ensureCachedFor makes page lpn resident in the SSD-Cache on behalf of
 // tenant t, filling from flash on a miss (and writing back a dirty victim to
 // flash, off the host's critical path). It returns the entry and the time
-// the data is available.
+// the data is available. A miss fill shares flash's buffer for the page, so
+// a caller that writes into the entry must Own it first.
 //
 //flatflash:hotpath
 func (s *FlatFlash) ensureCachedFor(t *Tenant, now sim.Time, lpn uint32) (*ssdcache.Entry, sim.Time, bool) {
@@ -563,10 +565,8 @@ func (s *FlatFlash) ensureCachedFor(t *Tenant, now sim.Time, lpn uint32) (*ssdca
 		}
 		return e, now.Add(ssdcache.AccessCost), true
 	}
-	// Read flash straight into the buffer Insert will keep: one copy per
-	// fill.
-	buf := s.cach.FillBuffer()
-	done, err := s.ftl.ReadPage(now, lpn, buf)
+	// The entry shares flash's read-only buffer: a clean fill copies nothing.
+	view, done, err := s.ftl.ReadPageShared(now, lpn)
 	if err != nil {
 		return nil, now, false
 	}
@@ -575,7 +575,7 @@ func (s *FlatFlash) ensureCachedFor(t *Tenant, now sim.Time, lpn uint32) (*ssdca
 		// nested flash_read span comes from the FTL.
 		s.obs.Observe(telemetry.SpanCacheProbe, telemetry.TrackSSD, now, done, int64(lpn))
 	}
-	e, victim, evicted := s.cach.Insert(lpn, buf, false)
+	e, victim, evicted := s.cach.InsertShared(lpn, view)
 	e.Owner = t.id
 	if evicted {
 		if s.pol != nil {
@@ -586,16 +586,27 @@ func (s *FlatFlash) ensureCachedFor(t *Tenant, now sim.Time, lpn uint32) (*ssdca
 			// but the host does not wait for it — attribution charges go
 			// to the background account.
 			s.att.Suspend()
-			if _, werr := s.ftl.WritePage(done, victim.LPN, victim.Data); werr != nil {
-				// Device full; the data stays only in the cache copy we
-				// just dropped — surface loudly in counters.
-				*s.hot.writebackFailures++
-			}
+			s.writeBackVictim(done, victim)
 			s.att.Resume()
-			*s.hot.cacheWritebacks++
 		}
 	}
 	return e, done, false
+}
+
+// writeBackVictim programs a dirty victim to flash, handing flash the
+// victim's buffer and giving the cache whatever buffer comes back: flash's
+// in exchange, or the victim's own if the write failed.
+//
+//flatflash:hotpath
+func (s *FlatFlash) writeBackVictim(now sim.Time, victim ssdcache.Victim) {
+	buf, _, err := s.ftl.WritePageOwned(now, victim.LPN, victim.Data)
+	if err != nil {
+		// Device full; the data stays only in the cache copy we just
+		// dropped — surface loudly in counters.
+		*s.hot.writebackFailures++
+	}
+	s.cach.Give(buf)
+	*s.hot.cacheWritebacks++
 }
 
 // maybePromote runs Algorithm 1's UPDATE for tenant t's access and starts an
@@ -780,6 +791,7 @@ func (s *FlatFlash) untrackFrame(frame int) {
 // owner labels the tenant whose page is being written back.
 func (s *FlatFlash) writeBackToCache(now sim.Time, lpn uint32, data []byte, owner int) {
 	if e, ok := s.cach.Lookup(lpn); ok {
+		s.cach.Own(e)
 		copy(e.Data, data)
 		e.Dirty = true
 		return
@@ -791,10 +803,7 @@ func (s *FlatFlash) writeBackToCache(now sim.Time, lpn uint32, data []byte, owne
 			s.pol.AdjustCnt(victim.PageCnt)
 		}
 		if victim.Dirty {
-			if _, err := s.ftl.WritePage(now, victim.LPN, victim.Data); err != nil {
-				*s.hot.writebackFailures++
-			}
-			*s.hot.cacheWritebacks++
+			s.writeBackVictim(now, victim)
 		}
 	}
 }
@@ -906,8 +915,10 @@ func (s *FlatFlash) Counters() *stats.Counters {
 
 // CheckInvariants verifies cross-layer agreement after recovery: every
 // mapped SSD page's PTE points back at it (directly, or through a DRAM frame
-// the promotion bookkeeping also knows), and the FTL's L2P/P2L maps are
-// mutual inverses with consistent per-block valid counts.
+// the promotion bookkeeping also knows), every shared SSD-Cache entry is
+// clean and views the very buffer its page's current flash copy holds (the
+// FTL's zero page if unmapped), and the FTL's L2P/P2L maps are mutual
+// inverses with consistent per-block valid counts.
 func (s *FlatFlash) CheckInvariants() error {
 	lpns := make([]uint32, 0, len(s.vpnOfLPN))
 	for lpn := range s.vpnOfLPN {
@@ -928,6 +939,20 @@ func (s *FlatFlash) CheckInvariants() error {
 				return fmt.Errorf("core: vpn %d PTE names frame %d not mapped back to it", ref.vpn, pte.Frame)
 			}
 		}
+	}
+	if err := s.cach.Each(func(e *ssdcache.Entry) error {
+		if !e.Shared() {
+			return nil
+		}
+		if e.Dirty {
+			return fmt.Errorf("core: shared SSD-Cache entry for lpn %d is dirty", e.LPN)
+		}
+		if cur := s.ftl.PageView(e.LPN); len(cur) == 0 || &cur[0] != &e.Data[0] {
+			return fmt.Errorf("core: shared SSD-Cache entry for lpn %d no longer views its flash page", e.LPN)
+		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	return s.ftl.CheckConsistency()
 }

@@ -93,6 +93,44 @@ func TestProgramMoveFailureKeepsSource(t *testing.T) {
 	}
 }
 
+// TestProgramOwnedFailureKeepsBuffer: an injected program failure leaves
+// the caller's buffer with the caller, so a retry elsewhere programs the
+// same bytes, and only the successful program keeps the buffer itself.
+func TestProgramOwnedFailureKeepsBuffer(t *testing.T) {
+	cfg := testConfig()
+	d, err := NewDevice(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := fault.NewEngine(fault.Plan{{Kind: fault.ProgramFail, At: 0, N: 1}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SetFaults(eng)
+
+	want := bytes.Repeat([]byte{0x66}, cfg.PageSize)
+	mine := append([]byte(nil), want...)
+	spare, done, err := d.ProgramOwned(0, 8, mine, PageData)
+	if !errors.Is(err, ErrProgramFailed) || spare != nil {
+		t.Fatalf("owned program err = %v spare %v, want ErrProgramFailed and no exchange", err, spare != nil)
+	}
+	if d.Holds(8) || d.IsErased(8) {
+		t.Fatalf("failed target: held=%v erased=%v, want a non-erased page without bytes", d.Holds(8), d.IsErased(8))
+	}
+	if !bytes.Equal(mine, want) {
+		t.Fatal("a failed program changed the caller's buffer")
+	}
+	if _, _, err := d.ProgramOwned(done, 16, mine, PageData); err != nil {
+		t.Fatalf("retried program: %v", err)
+	}
+	if view := d.PeekShared(16); &view[0] != &mine[0] {
+		t.Fatal("the retried program copied the buffer instead of keeping it")
+	}
+	if pf, _ := d.FaultCounts(); pf != 1 {
+		t.Fatalf("program failures = %d, want 1", pf)
+	}
+}
+
 func TestNoFaultsWithoutEngine(t *testing.T) {
 	d, err := NewDevice(testConfig())
 	if err != nil {

@@ -7,8 +7,8 @@
 // page), so the layers above it — FTL, SSD-Cache, the FlatFlash hierarchy —
 // can be tested for functional correctness, not just timing. A page's bytes
 // are dropped when its owner releases it (the FTL does so when it invalidates
-// a data page) or moves them to another page, or its block erases; erased
-// contents are synthesized on read and never stored.
+// a data page) or moves them to another page, or its block erases; every
+// erased page reads from one shared 0xFF page.
 package flash
 
 import (
@@ -114,6 +114,12 @@ const (
 )
 
 // Device is a NAND flash device.
+//
+// The device never writes into a buffer it holds: a program stores a fresh
+// or handed-over buffer, and a held buffer is recycled only when Release or
+// Erase drops its page. So a caller may keep a read-only view of a page
+// (ReadShared, PeekShared) for as long as the page is live, and ProgramMove,
+// which hands the buffer itself to the new page, keeps such a view valid.
 type Device struct {
 	cfg    Config
 	data   [][]byte // nil until first program after an erase, and after Release
@@ -122,15 +128,18 @@ type Device struct {
 	erases []int64    // per-block erase count (wear)
 	chans  []*sim.Resource
 
+	// erased is the read-only view of every page that holds no bytes:
+	// PageSize bytes of 0xFF, as erased NAND reads.
+	erased []byte
+
 	// free recycles page buffers from released and erased pages back into
 	// programs, last in first out, so a program usually gets a cache-warm
-	// buffer. Read and Peek copy page contents out, so no caller ever holds
-	// a reference into data[p] and a reclaimed buffer cannot alias live
-	// state; ProgramMove only passes a buffer on. The pool never exceeds
-	// TotalPages buffers — the same memory the data array held for them.
-	// First-touch programs that find the pool empty carve buffers from slab
-	// in slabPages-page chunks, so filling a fresh device costs one
-	// allocation per chunk, not per page.
+	// buffer, and ProgramOwned hands one out for each buffer it keeps. Held
+	// buffers plus the pool never exceed TotalPages: a page takes a buffer
+	// from outside the pool only when the pool is empty. First-touch
+	// programs that find the pool empty carve buffers from slab in
+	// slabPages-page chunks, so filling a fresh device costs one allocation
+	// per chunk, not per page.
 	free [][]byte
 	slab []byte
 
@@ -154,6 +163,10 @@ func NewDevice(cfg Config) (*Device, error) {
 		ptype:  make([]PageType, cfg.TotalPages()),
 		erases: make([]int64, cfg.Blocks),
 		chans:  make([]*sim.Resource, cfg.Channels),
+		erased: make([]byte, cfg.PageSize),
+	}
+	for i := range d.erased {
+		d.erased[i] = 0xFF
 	}
 	for i := range d.chans {
 		d.chans[i] = sim.NewResource()
@@ -188,16 +201,29 @@ func (d *Device) checkPage(p PageAddr) error {
 }
 
 // Read copies page p into buf (which must be PageSize long) and returns the
-// virtual time at which the data is available: Sense plus the copy. An
-// erased page reads as all-0xFF bytes, as real NAND does; those bytes are
-// synthesized into buf, never stored.
+// virtual time at which the data is available: ReadShared plus the copy. An
+// erased page reads as all-0xFF bytes, as real NAND does.
 func (d *Device) Read(now sim.Time, p PageAddr, buf []byte) (sim.Time, error) {
-	done, err := d.Sense(now, p, len(buf))
-	if err != nil {
-		return done, err
+	if d.checkPage(p) == nil && len(buf) != d.cfg.PageSize {
+		return now, ErrBadPageSize
 	}
-	d.copyOut(p, buf)
-	return done, nil
+	data, done, err := d.ReadShared(now, p)
+	if err == nil {
+		copy(buf, data)
+	}
+	return done, err
+}
+
+// ReadShared is Read without the copy: it charges Sense and returns page p's
+// own buffer, which the caller must not write. The view stays valid while p
+// is live — until p is released or erased; a move takes the buffer along to
+// the new page. A page holding no bytes reads as the device's one 0xFF page.
+func (d *Device) ReadShared(now sim.Time, p PageAddr) ([]byte, sim.Time, error) {
+	done, err := d.Sense(now, p, d.cfg.PageSize)
+	if err != nil {
+		return nil, done, err
+	}
+	return d.view(p), done, nil
 }
 
 // Sense performs a read of page p for a size-byte buffer without moving any
@@ -236,22 +262,25 @@ func (d *Device) Peek(p PageAddr, buf []byte) error {
 	if len(buf) != d.cfg.PageSize {
 		return ErrBadPageSize
 	}
-	d.copyOut(p, buf)
+	copy(buf, d.view(p))
 	return nil
 }
 
-// copyOut copies page p's contents into buf, which is PageSize long. An
-// erased, failed or released page holds no buffer; its 0xFF pattern is
-// written by doubling copies, at memmove speed.
-func (d *Device) copyOut(p PageAddr, buf []byte) {
-	if d.state[p] != pageErased && d.data[p] != nil {
-		copy(buf, d.data[p])
-		return
+// PeekShared is Peek without the copy: page p's read-only view, as
+// ReadShared returns it, or nil for an out-of-range page.
+func (d *Device) PeekShared(p PageAddr) []byte {
+	if d.checkPage(p) != nil {
+		return nil
 	}
-	buf[0] = 0xFF
-	for n := 1; n < len(buf); n *= 2 {
-		copy(buf[n:], buf[:n])
+	return d.view(p)
+}
+
+// view returns page p's buffer, or the 0xFF page if p holds no bytes.
+func (d *Device) view(p PageAddr) []byte {
+	if buf := d.data[p]; buf != nil {
+		return buf
 	}
+	return d.erased
 }
 
 // Program writes data (PageSize bytes) into erased page p and returns the
@@ -266,22 +295,44 @@ func (d *Device) Program(now sim.Time, p PageAddr, data []byte) (sim.Time, error
 // budget tables separate map-management traffic from data traffic.
 func (d *Device) ProgramTyped(now sim.Time, p PageAddr, data []byte, t PageType) (sim.Time, error) {
 	done, err := d.program(now, p, len(data), t)
+	if err == nil {
+		copy(d.store(p, nil), data)
+	}
+	return done, err
+}
+
+// ProgramOwned is ProgramTyped that keeps buf itself as page p's bytes
+// instead of copying it. On success the caller gives buf up and gets a
+// pooled buffer back in exchange, or nil if the pool is empty; a failed
+// program leaves buf with the caller, for a retry elsewhere.
+func (d *Device) ProgramOwned(now sim.Time, p PageAddr, buf []byte, t PageType) ([]byte, sim.Time, error) {
+	done, err := d.program(now, p, len(buf), t)
 	if err != nil {
-		return done, err
+		return nil, done, err
 	}
-	var buf []byte
+	return d.store(p, buf), done, nil
+}
+
+// store makes buf programmed page p's bytes and returns a pooled buffer, or
+// nil if the pool is empty. A nil buf stores the pooled buffer instead —
+// carved from the slab if need be — and returns it for the caller to fill.
+func (d *Device) store(p PageAddr, buf []byte) []byte {
+	var pooled []byte
 	if n := len(d.free); n > 0 {
-		buf, d.free = d.free[n-1], d.free[:n-1]
-	} else {
-		if len(d.slab) < d.cfg.PageSize {
-			d.slab = make([]byte, min(slabPages, d.cfg.TotalPages())*d.cfg.PageSize)
-		}
-		buf = d.slab[:d.cfg.PageSize:d.cfg.PageSize]
-		d.slab = d.slab[d.cfg.PageSize:]
+		pooled, d.free = d.free[n-1], d.free[:n-1]
 	}
-	copy(buf, data)
+	if buf == nil {
+		if pooled == nil {
+			if len(d.slab) < d.cfg.PageSize {
+				d.slab = make([]byte, min(slabPages, d.cfg.TotalPages())*d.cfg.PageSize)
+			}
+			pooled = d.slab[:d.cfg.PageSize:d.cfg.PageSize]
+			d.slab = d.slab[d.cfg.PageSize:]
+		}
+		buf = pooled
+	}
 	d.data[p] = buf
-	return done, nil
+	return pooled
 }
 
 // ProgramMove is ProgramTyped with page src's bytes, handed to dst instead

@@ -142,17 +142,17 @@ func (m *metered) dump() string {
 	return b.String()
 }
 
-// TestSenseMatchesRead drives two identical devices, one through Read and
-// one through Sense, over an erased page, a data page and a translation
-// page. Completion times, read counters and attribution charges must agree:
-// Sense is Read without the copy.
+// TestSenseMatchesRead drives three identical devices, through Read, Sense
+// and ReadShared, over an erased page, a data page and a translation page.
+// Completion times, read counters and attribution charges must agree: Sense
+// is Read without the copy, and ReadShared returns the bytes Read copies.
 func TestSenseMatchesRead(t *testing.T) {
 	cfg := testConfig()
-	var devs [2]*Device
-	var logs [2]*metered
+	var devs [3]*Device
+	var logs [3]*metered
 	for i := range devs {
 		d, _ := NewDevice(cfg)
-		data := make([]byte, cfg.PageSize)
+		data := bytes.Repeat([]byte{0x3C}, cfg.PageSize)
 		if _, err := d.ProgramTyped(0, 9, data, PageData); err != nil {
 			t.Fatal(err)
 		}
@@ -167,6 +167,7 @@ func TestSenseMatchesRead(t *testing.T) {
 	for _, p := range []PageAddr{3, 9, 17, 9, 17} {
 		r0, t0, _, _ := devs[0].WearByType()
 		r1, t1, _, _ := devs[1].WearByType()
+		r2, t2, _, _ := devs[2].WearByType()
 		read, err := logs[0].do(func() (sim.Time, error) { return devs[0].Read(now, p, buf) })
 		if err != nil {
 			t.Fatal(err)
@@ -175,19 +176,35 @@ func TestSenseMatchesRead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if read != sense {
-			t.Fatalf("page %d: Read done %d, Sense done %d", p, read, sense)
+		var view []byte
+		shared, err := logs[2].do(func() (sim.Time, error) {
+			var done sim.Time
+			view, done, err = devs[2].ReadShared(now, p)
+			return done, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if read != sense || read != shared {
+			t.Fatalf("page %d: Read done %d, Sense done %d, ReadShared done %d", p, read, sense, shared)
+		}
+		if !bytes.Equal(view, buf) {
+			t.Fatalf("page %d: ReadShared returned other bytes than Read", p)
 		}
 		dr0, dt0, _, _ := devs[0].WearByType()
 		dr1, dt1, _, _ := devs[1].WearByType()
-		if dr0-r0 != dr1-r1 || dt0-t0 != dt1-t1 {
-			t.Fatalf("page %d: Read counted (%d data, %d trans), Sense (%d, %d)",
-				p, dr0-r0, dt0-t0, dr1-r1, dt1-t1)
+		dr2, dt2, _, _ := devs[2].WearByType()
+		if dr0-r0 != dr1-r1 || dt0-t0 != dt1-t1 || dr0-r0 != dr2-r2 || dt0-t0 != dt2-t2 {
+			t.Fatalf("page %d: Read counted (%d data, %d trans), Sense (%d, %d), ReadShared (%d, %d)",
+				p, dr0-r0, dt0-t0, dr1-r1, dt1-t1, dr2-r2, dt2-t2)
 		}
 		now += 3
 	}
-	if devs[0].Reads() != 5 || devs[1].Reads() != 5 {
-		t.Fatalf("Reads() = %d / %d, want 5", devs[0].Reads(), devs[1].Reads())
+	if devs[0].Reads() != 5 || devs[1].Reads() != 5 || devs[2].Reads() != 5 {
+		t.Fatalf("Reads() = %d / %d / %d, want 5", devs[0].Reads(), devs[1].Reads(), devs[2].Reads())
+	}
+	if logs[0].dump() != logs[2].dump() {
+		t.Fatalf("charges differ:\nRead       %s\nReadShared %s", logs[0].dump(), logs[2].dump())
 	}
 	if _, trans, _, _ := devs[1].WearByType(); trans != 2 {
 		t.Fatalf("Sense counted %d translation reads, want 2", trans)
@@ -456,6 +473,74 @@ func TestReleaseRecyclesBuffer(t *testing.T) {
 		}
 		seen[&b[0]] = true
 	}
+}
+
+// TestProgramOwnedExchangeBounded: a caller that hands in a fresh buffer on
+// every program, keeping the exchanged ones, never grows the device past
+// TotalPages buffers held or pooled, and never gets back a buffer the
+// device still holds. Every buffer the device knows is distinct.
+func TestProgramOwnedExchangeBounded(t *testing.T) {
+	cfg := testConfig()
+	d, _ := NewDevice(cfg)
+	rng := sim.NewRNG(3)
+	var kept [][]byte
+	var now sim.Time
+	for op := 0; op < 2000; op++ {
+		switch p := PageAddr(rng.Intn(cfg.TotalPages())); rng.Intn(4) {
+		case 0, 1:
+			if !d.IsErased(p) {
+				continue
+			}
+			if rng.Intn(2) == 0 {
+				d.Program(now, p, make([]byte, cfg.PageSize))
+				continue
+			}
+			spare, done, err := d.ProgramOwned(now, p, make([]byte, cfg.PageSize), PageData)
+			if err != nil {
+				t.Fatal(err)
+			}
+			now = done
+			if spare != nil {
+				kept = append(kept, spare)
+			}
+		case 2:
+			d.Release(p)
+		case 3:
+			done, _ := d.Erase(now, d.BlockOf(p))
+			now = done
+		}
+		seen := make(map[*byte]bool)
+		for _, buf := range d.data {
+			if buf != nil {
+				seen[&buf[0]] = true
+			}
+		}
+		for _, buf := range d.free {
+			seen[&buf[0]] = true
+		}
+		if n := len(d.free) + held(d); len(seen) != n || n > cfg.TotalPages() {
+			t.Fatalf("op %d: device knows %d buffers (%d distinct), want distinct and at most %d", op, n, len(seen), cfg.TotalPages())
+		}
+		for _, buf := range kept {
+			if seen[&buf[0]] {
+				t.Fatalf("op %d: an exchanged buffer is still the device's", op)
+			}
+		}
+	}
+	if len(kept) == 0 {
+		t.Fatal("no program exchanged a buffer")
+	}
+}
+
+// held counts the pages that hold a buffer.
+func held(d *Device) int {
+	n := 0
+	for _, buf := range d.data {
+		if buf != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // Property: whatever sequence of program/erase operations runs, a Read of a

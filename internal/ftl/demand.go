@@ -204,7 +204,7 @@ func (f *FTL) encodeTrans(tvpn uint32) {
 // retires the previous copy, and points the GTD at the new one.
 func (f *FTL) persistTransPage(now sim.Time, tvpn uint32) (sim.Time, error) {
 	f.encodeTrans(tvpn)
-	p, done, err := f.programAt(now, f.transBuf, flash.InvalidPage, flash.PageTrans)
+	p, _, done, err := f.programAt(now, f.transBuf, false, flash.InvalidPage, flash.PageTrans)
 	if err != nil {
 		return now, err
 	}

@@ -146,6 +146,8 @@ type FTL struct {
 	transWrites int64 // translation-page programs (demand-paged map)
 	remap       RemapStats
 
+	zero []byte // read-only view of every unmapped logical page
+
 	// Demand-paged translation map state (nil/empty when MapCachePages=0).
 	mc         *mapcache.Cache
 	epp        int      // L2P entries per translation page
@@ -176,6 +178,7 @@ func New(cfg Config) (*FTL, error) {
 		bad:        make([]bool, cfg.Flash.Blocks),
 		active:     -1,
 		gcFree:     make([]bool, cfg.Flash.Blocks),
+		zero:       make([]byte, cfg.Flash.PageSize),
 	}
 	for i := range f.l2p {
 		f.l2p[i] = flash.InvalidPage
@@ -233,66 +236,109 @@ func (f *FTL) IsMapped(lpn uint32) bool {
 }
 
 // ReadPage copies logical page lpn into buf and returns the completion
-// time. A never-written page reads as zeros, but still pays a full device
-// read: in the paper's setup the mapped file spans the whole SSD, so every
-// logical page exists on flash whether or not the experiment wrote it.
+// time: ReadPageShared plus the copy.
 func (f *FTL) ReadPage(now sim.Time, lpn uint32, buf []byte) (sim.Time, error) {
-	if int(lpn) >= len(f.l2p) {
-		return now, ErrOutOfRange
-	}
-	if len(buf) != f.cfg.Flash.PageSize {
+	if int(lpn) < len(f.l2p) && len(buf) != f.cfg.Flash.PageSize {
 		return now, flash.ErrBadPageSize
+	}
+	data, done, err := f.ReadPageShared(now, lpn)
+	if err == nil {
+		copy(buf, data)
+	}
+	return done, err
+}
+
+// ReadPageShared reads logical page lpn and returns its flash page's own
+// buffer, read-only and valid while that page stays lpn's copy (see
+// flash.Device.ReadShared), with the completion time. A never-written page
+// reads as the FTL's one zero page, but still pays a full device read: in
+// the paper's setup the mapped file spans the whole SSD, so every logical
+// page exists on flash whether or not the experiment wrote it.
+func (f *FTL) ReadPageShared(now sim.Time, lpn uint32) ([]byte, sim.Time, error) {
+	if int(lpn) >= len(f.l2p) {
+		return nil, now, ErrOutOfRange
 	}
 	if f.mc != nil {
 		// The data's physical location is the map access's output, so a
 		// read serializes behind the translation-page fetch.
 		ready, err := f.mapAccess(now, lpn, false)
 		if err != nil {
-			return now, err
+			return nil, now, err
 		}
 		now = ready
 	}
 	p := f.l2p[lpn]
+	var data []byte
+	var done sim.Time
+	var err error
 	if p == flash.InvalidPage {
 		// Charge the device for reading the page's on-flash location (it
-		// holds file data the simulator models as zeros, synthesized here
-		// and never stored). The read is counted by the alias page's OOB
-		// type, whatever that page holds now.
+		// holds file data the simulator models as zeros, never stored). The
+		// read is counted by the alias page's OOB type, whatever that page
+		// holds now.
 		phys := flash.PageAddr(int(lpn) % f.cfg.Flash.TotalPages())
-		done, err := f.dev.Sense(now, phys, len(buf))
-		if err != nil {
-			return now, err
-		}
-		clear(buf)
-		if f.obs != nil {
-			f.obs.Observe(telemetry.SpanFlashRead, telemetry.TrackFlash, now, done, int64(lpn))
-		}
-		return done, nil
+		data = f.zero
+		done, err = f.dev.Sense(now, phys, f.cfg.Flash.PageSize)
+	} else {
+		data, done, err = f.dev.ReadShared(now, p)
 	}
-	done, err := f.dev.Read(now, p, buf)
-	if err == nil && f.obs != nil {
+	if err != nil {
+		return nil, now, err
+	}
+	if f.obs != nil {
 		f.obs.Observe(telemetry.SpanFlashRead, telemetry.TrackFlash, now, done, int64(lpn))
 	}
-	return done, err
+	return data, done, nil
+}
+
+// PageView returns the bytes ReadPageShared would return for lpn — its
+// current flash page's buffer, or the zero page if lpn is unmapped — without
+// charging anything, or nil if lpn is out of range. It exists for invariant
+// checks that compare a held view against flash.
+func (f *FTL) PageView(lpn uint32) []byte {
+	if int(lpn) >= len(f.l2p) {
+		return nil
+	}
+	if p := f.l2p[lpn]; p != flash.InvalidPage {
+		return f.dev.PeekShared(p)
+	}
+	return f.zero
 }
 
 // WritePage writes a full logical page and returns the completion time.
 // Out-of-place: the old physical page (if any) is invalidated and GC runs
 // when the free-block pool is low.
 func (f *FTL) WritePage(now sim.Time, lpn uint32, data []byte) (sim.Time, error) {
+	_, done, err := f.writePage(now, lpn, data, false)
+	return done, err
+}
+
+// WritePageOwned is WritePage that hands data itself to flash as the new
+// page's bytes instead of copying it (see flash.Device.ProgramOwned). It
+// returns the buffer the caller holds afterwards: data again if the write
+// failed before flash took it, otherwise flash's buffer in exchange, or nil.
+func (f *FTL) WritePageOwned(now sim.Time, lpn uint32, data []byte) ([]byte, sim.Time, error) {
+	return f.writePage(now, lpn, data, true)
+}
+
+// writePage is WritePage, handing data over to flash if own; held is the
+// buffer the caller holds afterwards (always nil when !own).
+func (f *FTL) writePage(now sim.Time, lpn uint32, data []byte, own bool) (held []byte, done sim.Time, err error) {
+	if own {
+		held = data
+	}
 	if int(lpn) >= len(f.l2p) {
-		return now, ErrOutOfRange
+		return held, now, ErrOutOfRange
 	}
 	if len(data) != f.cfg.Flash.PageSize {
-		return now, flash.ErrBadPageSize
+		return held, now, flash.ErrBadPageSize
 	}
 	if !f.inGC {
 		f.hostWrites++
 		pre := now
-		var err error
 		now, err = f.maybeGC(now)
 		if err != nil {
-			return now, err
+			return held, now, err
 		}
 		if f.obs != nil && now.After(pre) {
 			f.obs.Observe(telemetry.ChargeGCStall, telemetry.TrackFlash, pre, now, int64(lpn))
@@ -300,10 +346,9 @@ func (f *FTL) WritePage(now sim.Time, lpn uint32, data []byte) (sim.Time, error)
 	}
 	issue, mapReady := now, now
 	if f.mc != nil {
-		var err error
 		mapReady, err = f.mapAccess(now, lpn, true)
 		if err != nil {
-			return now, err
+			return held, now, err
 		}
 		if !f.cfg.MapPipeline {
 			// Classic DFTL: the map access completes before the data
@@ -311,10 +356,11 @@ func (f *FTL) WritePage(now sim.Time, lpn uint32, data []byte) (sim.Time, error)
 			issue = mapReady
 		}
 	}
-	p, done, err := f.programAt(issue, data, flash.InvalidPage, flash.PageData)
+	p, spare, done, err := f.programAt(issue, data, own, flash.InvalidPage, flash.PageData)
 	if err != nil {
-		return now, err
+		return held, now, err
 	}
+	held = spare
 	if f.mc != nil && f.cfg.MapPipeline && mapReady.After(done) {
 		// FMMU pipelining: the map fetch ran concurrently with the data
 		// program; the write completes when the later of the two does.
@@ -330,28 +376,33 @@ func (f *FTL) WritePage(now sim.Time, lpn uint32, data []byte) (sim.Time, error)
 	if f.mc != nil && !f.inGC {
 		done, err = f.maybeCheckpoint(done)
 		if err != nil {
-			return now, err
+			return held, now, err
 		}
 	}
-	return done, nil
+	return held, done, nil
 }
 
-// programAt allocates a slot and programs data into it — or, if data is
-// nil, moves page src's bytes there — with the given OOB page-type tag. An
-// injected program failure retires the slot's block (bad-block remapping)
-// and the write retries in a fresh block; the failed attempt's latency is
-// still paid.
-func (f *FTL) programAt(now sim.Time, data []byte, src flash.PageAddr, t flash.PageType) (flash.PageAddr, sim.Time, error) {
+// programAt allocates a slot and programs data into it — handing data over
+// if own (returning flash's buffer in exchange, as ProgramOwned does), or,
+// if data is nil, moving page src's bytes there — with the given OOB
+// page-type tag. An injected program failure retires the slot's block
+// (bad-block remapping) and the write retries in a fresh block with the
+// same bytes; the failed attempt's latency is still paid.
+func (f *FTL) programAt(now sim.Time, data []byte, own bool, src flash.PageAddr, t flash.PageType) (flash.PageAddr, []byte, sim.Time, error) {
 	for {
 		p, err := f.allocSlot()
 		if err != nil {
-			return flash.InvalidPage, now, err
+			return flash.InvalidPage, nil, now, err
 		}
+		var spare []byte
 		var done sim.Time
-		if data != nil {
-			done, err = f.dev.ProgramTyped(now, p, data, t)
-		} else {
+		switch {
+		case data == nil:
 			done, err = f.dev.ProgramMove(now, p, src, t)
+		case own:
+			spare, done, err = f.dev.ProgramOwned(now, p, data, t)
+		default:
+			done, err = f.dev.ProgramTyped(now, p, data, t)
 		}
 		if err == nil {
 			if t == flash.PageTrans {
@@ -364,10 +415,10 @@ func (f *FTL) programAt(now sim.Time, data []byte, src flash.PageAddr, t flash.P
 				f.sinceCkpt++
 				f.blockStamp[f.dev.BlockOf(p)] = f.mapSeq
 			}
-			return p, done, nil
+			return p, spare, done, nil
 		}
 		if !errors.Is(err, flash.ErrProgramFailed) {
-			return flash.InvalidPage, now, err
+			return flash.InvalidPage, nil, now, err
 		}
 		f.markBad(f.dev.BlockOf(p))
 		now = done
@@ -597,7 +648,7 @@ func (f *FTL) writeRelocated(now sim.Time, lpn uint32, data []byte) (sim.Time, e
 		// victim frees (GC livelock). The l2p array is already authoritative.
 		f.touchMapTimeless(lpn)
 	}
-	p, done, err := f.programAt(now, data, f.l2p[lpn], flash.PageData)
+	p, _, done, err := f.programAt(now, data, false, f.l2p[lpn], flash.PageData)
 	if err != nil {
 		return now, err
 	}

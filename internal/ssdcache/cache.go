@@ -65,6 +65,10 @@ func (c Config) Validate() error {
 // promotion policy reads it. Owner labels the tenant whose access filled
 // the entry (0 in single-actor runs), so consolidation experiments can
 // report how the shared cache is partitioned by contention.
+//
+// Data is either the cache's own buffer or, for an entry filled by
+// InsertShared, a read-only view of flash's buffer for the page. Every
+// write into Data must call Cache.Own first.
 type Entry struct {
 	Valid   bool
 	LPN     uint32
@@ -73,17 +77,22 @@ type Entry struct {
 	Owner   int
 	Data    []byte
 
-	rrpv uint8
-	used uint64 // LRU timestamp
+	shared bool // Data is a read-only view the cache does not own
+	rrpv   uint8
+	used   uint64 // LRU timestamp
 }
+
+// Shared reports whether e's Data is a read-only view filled by
+// InsertShared and not yet taken over by Own. A shared entry is clean.
+func (e *Entry) Shared() bool { return e.shared }
 
 // Victim is a page displaced from the cache.
 //
-// Data aliases the displaced entry's buffer, which the cache recycles:
-// it is valid only until the next Insert on the same cache, or a fill into
-// the FillBuffer before it. Callers that need it longer (none of the
-// simulator's do — write-back and PLB snapshot both copy synchronously) must
-// copy it out.
+// A dirty victim evicted by an insert hands its buffer to the caller, who
+// owns Data until it passes it back with Give (or gives it away, as a
+// write-back to flash does). Any other victim's Data is the cache's: a
+// clean buffer it recycles, valid only until the next insert or Own on the
+// same cache, or a shared entry's flash view, which the cache just drops.
 type Victim struct {
 	LPN     uint32
 	Dirty   bool
@@ -101,11 +110,12 @@ type Cache struct {
 	obs *telemetry.Sink // nil when instrumentation is disabled
 	now func() sim.Time // clock source for event timestamps
 
-	// spare is a recycled page buffer: Remove and eviction stash the
-	// displaced entry's buffer here and the next Insert reuses it (handed
-	// out first by FillBuffer on a miss fill), so steady-state cache churn
-	// allocates nothing (see Victim.Data).
-	spare []byte
+	// free recycles the cache's own page buffers, last in first out, into
+	// Insert and Own: Remove and clean evictions push the displaced buffer,
+	// and Give takes back a buffer handed out with a dirty victim. It never
+	// holds more than Pages buffers, and never a shared entry's view, so
+	// steady-state cache churn allocates nothing (see Victim.Data).
+	free [][]byte
 
 	hits, misses, evictions, dirtyEvicts int64
 }
@@ -192,27 +202,57 @@ func (c *Cache) Touch(e *Entry) int {
 	return e.PageCnt
 }
 
-// FillBuffer returns the buffer the next Insert will store its page in, so
-// a miss fill can read flash straight into it and hand it to Insert, which
-// then skips its copy. Like Victim.Data, the buffer is the cache's: its
-// contents are only meaningful until the next Insert or Remove, and it may
-// be a displaced entry's buffer, so a caller must be done with any Victim
-// before filling it.
-func (c *Cache) FillBuffer() []byte {
-	if c.spare == nil {
-		c.spare = make([]byte, c.cfg.PageSize)
+// Own makes e's Data the cache's own buffer before a write into it: a shared
+// entry's flash view is copied once into a free-list (or new) buffer, and
+// the view is left untouched. Own on an entry the cache already owns does nothing.
+func (c *Cache) Own(e *Entry) {
+	if !e.shared {
+		return
 	}
-	return c.spare
+	buf := c.buffer()
+	copy(buf, e.Data)
+	e.Data, e.shared = buf, false
 }
 
-// Insert places a page into the cache (after a miss fill). If the target
-// set is full, a victim is selected by the configured policy and returned
-// (ok=true) so the manager can write it back if dirty and report its
-// PageCnt to Algorithm 1's ADJUST_CNT. The inserted entry is returned too.
+// Give returns a page buffer to the cache's free list: a dirty victim's Data
+// once the caller is done with it, or the buffer flash handed back in
+// exchange for it. A nil buf, or one more than the list holds, is dropped.
+func (c *Cache) Give(buf []byte) {
+	if buf != nil && len(c.free) < c.cfg.Pages {
+		c.free = append(c.free, buf)
+	}
+}
+
+// buffer pops a recycled page buffer, or allocates one.
+func (c *Cache) buffer() []byte {
+	if n := len(c.free); n > 0 {
+		buf := c.free[n-1]
+		c.free = c.free[:n-1]
+		return buf
+	}
+	return make([]byte, c.cfg.PageSize)
+}
+
+// Insert places a copy of data into the cache. If the target set is full, a
+// victim is selected by the configured policy and returned (ok=true) so the
+// manager can write it back if dirty and report its PageCnt to Algorithm 1's
+// ADJUST_CNT. The inserted entry is returned too.
 //
 // Inserting an LPN that is already present is a bug in the manager and
 // panics.
 func (c *Cache) Insert(lpn uint32, data []byte, dirty bool) (e *Entry, victim Victim, evicted bool) {
+	return c.insert(lpn, data, dirty, false)
+}
+
+// InsertShared is Insert of a clean page that stores view itself — flash's
+// read-only buffer for the page (ftl.FTL.ReadPageShared) — instead of a
+// copy. The entry stays shared until Own; the caller must keep view valid
+// for as long, which flash does while the page is lpn's current copy.
+func (c *Cache) InsertShared(lpn uint32, view []byte) (e *Entry, victim Victim, evicted bool) {
+	return c.insert(lpn, view, false, true)
+}
+
+func (c *Cache) insert(lpn uint32, data []byte, dirty, shared bool) (e *Entry, victim Victim, evicted bool) {
 	if len(data) != c.cfg.PageSize {
 		panic("ssdcache: bad page size on insert")
 	}
@@ -243,20 +283,20 @@ func (c *Cache) Insert(lpn uint32, data []byte, dirty bool) (e *Entry, victim Vi
 		}
 	}
 	c.tick++
-	// Reuse the spare buffer from an earlier displacement. data may already
-	// be it (a FillBuffer fill, or Remove followed by re-Insert of the
-	// removed page), and then there is nothing to copy. The evicted buffer,
-	// handed out through victim, becomes the spare for the next Insert.
-	buf := c.spare
-	c.spare = nil
-	if buf == nil {
-		buf = make([]byte, c.cfg.PageSize)
+	buf := data
+	if !shared {
+		// data may already be the buffer on top of the free list (Remove
+		// followed by re-Insert of the removed page), and then there is
+		// nothing to copy.
+		buf = c.buffer()
+		if &buf[0] != &data[0] {
+			copy(buf, data)
+		}
 	}
-	if evicted {
-		c.spare = victim.Data
-	}
-	if &buf[0] != &data[0] {
-		copy(buf, data)
+	if evicted && !victim.Dirty && !set[way].shared {
+		// Recycled after this insert took its buffer, so a clean victim's
+		// Data stays readable until the next one.
+		c.Give(victim.Data)
 	}
 	set[way] = Entry{
 		Valid:   true,
@@ -264,6 +304,7 @@ func (c *Cache) Insert(lpn uint32, data []byte, dirty bool) (e *Entry, victim Vi
 		Dirty:   dirty,
 		PageCnt: 0,
 		Data:    buf,
+		shared:  shared,
 		rrpv:    rrpvInsert,
 		used:    c.tick,
 	}
@@ -303,16 +344,18 @@ func (c *Cache) Remove(lpn uint32) (Victim, bool) {
 		return Victim{}, false
 	}
 	v := Victim{LPN: e.LPN, Dirty: e.Dirty, PageCnt: e.PageCnt, Data: e.Data}
+	if !e.shared {
+		// The removed buffer is recycled by the next insert or Own; until
+		// then the caller may read v.Data (PLB snapshot, stall-copy).
+		c.Give(v.Data)
+	}
 	*e = Entry{}
-	// The removed buffer is recycled by the next Insert; until then the
-	// caller may read v.Data (PLB snapshot, stall-copy).
-	c.spare = v.Data
 	return v, true
 }
 
 // DirtyData implements ftl.DirtySource: if lpn is cached dirty, it returns
-// the entry's own buffer, valid until the next Insert or Remove (as
-// Victim.Data is). The entry stays dirty: GC calls Cleaned once flash holds
+// the entry's own buffer (a dirty entry is never shared), valid until the
+// next insert or Remove. The entry stays dirty: GC calls Cleaned once flash holds
 // the data.
 func (c *Cache) DirtyData(lpn uint32) ([]byte, bool) {
 	if e := c.find(lpn); e != nil && e.Dirty {
@@ -369,6 +412,22 @@ func (c *Cache) DropDirtyBeyond(keep int) int {
 		c.Remove(lpn)
 	}
 	return len(dirty) - keep
+}
+
+// Each calls fn on every resident entry in set and way order, stopping at
+// the first error, which it returns. fn may read the entry but must not
+// write its Data.
+func (c *Cache) Each(fn func(e *Entry) error) error {
+	for _, set := range c.sets {
+		for i := range set {
+			if set[i].Valid {
+				if err := fn(&set[i]); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // ResetPageCnts clears every entry's Algorithm 1 access counter (the

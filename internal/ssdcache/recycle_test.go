@@ -80,35 +80,98 @@ func TestVictimDataInvalidatedByNextInsert(t *testing.T) {
 	}
 }
 
-// TestFillBufferIsInserted: a page filled into FillBuffer is stored in that
-// very buffer, and the eviction it causes hands out the displaced page as
-// before — its bytes intact until the next fill or Insert, which recycles its
-// buffer.
-func TestFillBufferIsInserted(t *testing.T) {
+// TestInsertSharedStoresView: InsertShared stores the view itself, clean and
+// shared, and the eviction it causes hands the dirty victim's buffer to the
+// caller with its bytes intact: the cache recycles it only once it is
+// given back.
+func TestInsertSharedStoresView(t *testing.T) {
 	c := newOneSet(t, 1)
 	size := c.Config().PageSize
 	c.Insert(0, pageOf(0x11, size), true)
 
-	buf := c.FillBuffer()
-	copy(buf, pageOf(0x22, size))
-	e, v, evicted := c.Insert(1, buf, false)
-	if &e.Data[0] != &buf[0] {
-		t.Fatal("Insert stored a copy of the fill buffer")
+	view := pageOf(0x22, size)
+	e, v, evicted := c.InsertShared(1, view)
+	if &e.Data[0] != &view[0] {
+		t.Fatal("InsertShared stored a copy of the view")
 	}
-	if !bytes.Equal(e.Data, pageOf(0x22, size)) {
-		t.Fatal("filled page corrupted by Insert")
+	if !e.Shared() || e.Dirty {
+		t.Fatalf("shared fill: shared %v dirty %v, want shared and clean", e.Shared(), e.Dirty)
 	}
 	if !evicted || v.LPN != 0 || !v.Dirty || !bytes.Equal(v.Data, pageOf(0x11, size)) {
 		t.Fatalf("victim = lpn %d dirty %v, want lpn 0 dirty with its data", v.LPN, v.Dirty)
 	}
-	if next := c.FillBuffer(); &next[0] != &v.Data[0] {
-		t.Fatal("the victim's buffer is not the next fill buffer")
+	if len(c.free) != 0 {
+		t.Fatal("the dirty victim's buffer reached the free list before Give")
+	}
+	c.Give(v.Data)
+	c.Own(e)
+	if &e.Data[0] != &v.Data[0] {
+		t.Fatal("Own did not reuse the buffer given back")
 	}
 }
 
-// TestInsertChurnZeroAllocSteadyState: once the set's buffers and the spare
-// exist, the miss-fill/evict cycle allocates nothing per insert, whether the
-// page is copied in or filled into FillBuffer.
+// TestOwnCopiesOnce: Own copies a shared entry's view into a cache buffer
+// once; writes after it land in that buffer and leave the view untouched,
+// and a second Own changes nothing.
+func TestOwnCopiesOnce(t *testing.T) {
+	c := newOneSet(t, 2)
+	size := c.Config().PageSize
+	view := pageOf(0x33, size)
+	e, _, _ := c.InsertShared(4, view)
+	c.Own(e)
+	if e.Shared() || &e.Data[0] == &view[0] || !bytes.Equal(e.Data, view) {
+		t.Fatal("Own did not take a private copy of the view")
+	}
+	owned := e.Data
+	e.Data[0] = 0x44
+	c.Own(e)
+	if &e.Data[0] != &owned[0] || e.Data[0] != 0x44 {
+		t.Fatal("a second Own copied again")
+	}
+	if !bytes.Equal(view, pageOf(0x33, size)) {
+		t.Fatal("a write after Own reached the shared view")
+	}
+}
+
+// TestSharedVictimsNeverFreed: a shared entry's view never joins the free
+// list, whether the entry is evicted or removed, while owned buffers do and
+// the list stays within the cache's page count.
+func TestSharedVictimsNeverFreed(t *testing.T) {
+	c := newOneSet(t, 2)
+	size := c.Config().PageSize
+	views := map[*byte]bool{}
+	for lpn := uint32(0); lpn < 8; lpn++ {
+		view := pageOf(byte(lpn), size)
+		views[&view[0]] = true
+		c.InsertShared(lpn, view)
+	}
+	if v, ok := c.Remove(7); !ok || !views[&v.Data[0]] {
+		t.Fatal("Remove of a shared entry did not return its view")
+	}
+	if len(c.free) != 0 {
+		t.Fatalf("free list holds %d buffers after shared-only churn, want 0", len(c.free))
+	}
+	c.Insert(8, pageOf(8, size), false)
+	c.Remove(8)
+	c.Insert(9, pageOf(9, size), false)
+	c.Insert(10, pageOf(10, size), false) // evicts 9 or 6, clean
+	for _, buf := range c.free {
+		if views[&buf[0]] {
+			t.Fatal("a shared view reached the free list")
+		}
+	}
+	for i := 0; i <= 2*c.Config().Pages; i++ {
+		c.Give(make([]byte, size))
+	}
+	if len(c.free) > c.Config().Pages {
+		t.Fatalf("free list grew to %d buffers, past %d pages", len(c.free), c.Config().Pages)
+	}
+}
+
+// TestInsertChurnZeroAllocSteadyState: once the set's buffers exist, the
+// evict cycle allocates nothing per insert — a copied-in page whose dirty
+// victims are given back (as the write-back exchange does), and a shared
+// fill that is then owned and dirtied.
 func TestInsertChurnZeroAllocSteadyState(t *testing.T) {
 	if sim.RaceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
@@ -116,30 +179,35 @@ func TestInsertChurnZeroAllocSteadyState(t *testing.T) {
 	c := newOneSet(t, 4)
 	size := c.Config().PageSize
 	fill := pageOf(0x7F, size)
-	// Warm: fill the set and force one eviction so the spare exists.
+	// Warm: fill the set and force one eviction so a free buffer exists.
 	var lpn uint32
 	for ; lpn < 5; lpn++ {
 		c.Insert(lpn, fill, false)
 	}
 	if avg := testing.AllocsPerRun(1000, func() {
-		c.Insert(lpn, fill, lpn%2 == 0)
+		if _, v, ok := c.Insert(lpn, fill, lpn%2 == 0); ok && v.Dirty {
+			c.Give(v.Data)
+		}
 		lpn++
 	}); avg != 0 {
 		t.Fatalf("steady-state insert allocates %.2f objects/op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(1000, func() {
-		buf := c.FillBuffer()
-		copy(buf, fill)
-		c.Insert(lpn, buf, false)
+		e, v, ok := c.InsertShared(lpn, fill)
+		if ok && v.Dirty {
+			c.Give(v.Data)
+		}
+		c.Own(e)
+		e.Dirty = true
 		lpn++
 	}); avg != 0 {
-		t.Fatalf("steady-state miss fill allocates %.2f objects/op, want 0", avg)
+		t.Fatalf("steady-state shared fill and write allocates %.2f objects/op, want 0", avg)
 	}
 }
 
 // BenchmarkCacheMissFill times the SSD-Cache half of a miss fill at a 4 KiB
-// page: FillBuffer, a page-sized write into it standing in for the flash
-// read, and the Insert that evicts a victim from a full set.
+// page: the InsertShared of flash's view that evicts a victim from a full
+// set. The page itself is not copied.
 func BenchmarkCacheMissFill(b *testing.B) {
 	c, err := New(Config{Pages: 64, Ways: DefaultWays, PageSize: 4096, Policy: RRIP})
 	if err != nil {
@@ -154,9 +222,9 @@ func BenchmarkCacheMissFill(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf := c.FillBuffer()
-		copy(buf, src)
-		c.Insert(lpn, buf, false)
+		if _, v, ok := c.InsertShared(lpn, src); ok && v.Dirty {
+			c.Give(v.Data)
+		}
 		lpn++
 	}
 }

@@ -101,6 +101,44 @@ grep -q "probenil" /tmp/mutant.txt || {
 rm -rf "$mutant_dir"
 trap - EXIT
 echo "mutant smoke ok (probenil caught the stripped guard)"
+# The SSD-Cache shares flash's read-only page buffers until a write takes
+# the entry over with Own. Strip the Own before the MMIO write's copy in a
+# fresh scratch copy: the write then lands in flash's buffer, and the core
+# tests must catch it. The mutant must still build, so only a test failure
+# counts.
+mutant_dir=$(mktemp -d)
+trap 'rm -rf "$mutant_dir"' EXIT
+tar --exclude=.git -cf - . | (cd "$mutant_dir" && tar -xf -)
+python3 - "$mutant_dir/internal/core/flatflash.go" <<'EOF'
+import sys
+path = sys.argv[1]
+lines = open(path).read().splitlines(keepends=True)
+out, stripped = [], False
+for i, l in enumerate(lines):
+    if not stripped and l.strip() == "s.cach.Own(e)" and lines[i + 1].strip() == "copy(e.Data[off:off+len(w)], w)":
+        stripped = True
+        continue
+    out.append(l)
+if not stripped:
+    sys.exit("mutant smoke: no Own call before the MMIO write's copy in flatflash.go")
+open(path, "w").writelines(out)
+EOF
+(cd "$mutant_dir" && go vet ./internal/core) || {
+    echo "mutant smoke FAILED: the Own-stripped mutant does not build"
+    exit 1
+}
+if (cd "$mutant_dir" && go test -count=1 ./internal/core > /tmp/mutant.txt 2>&1); then
+    echo "mutant smoke FAILED: core tests passed with the MMIO write's Own stripped"
+    exit 1
+fi
+grep -q -- "--- FAIL: TestHierarchyShadowMemoryProperty" /tmp/mutant.txt || {
+    echo "mutant smoke FAILED: the shadow-memory property missed the stripped Own:"
+    cat /tmp/mutant.txt
+    exit 1
+}
+rm -rf "$mutant_dir"
+trap - EXIT
+echo "mutant smoke ok (core tests caught the stripped Own)"
 
 echo "== go test -race =="
 go test -race ./...
