@@ -39,7 +39,7 @@ race:
 	go test -race ./...
 
 bench:
-	./scripts/bench.sh BENCH_9.json
+	./scripts/bench.sh BENCH_head.json
 
 # Per-layer host CPU table of `flatflash-bench -quick` (pprof flat time
 # folded by internal/<pkg>; outputs in .profile/).

@@ -43,18 +43,14 @@ func Ablations(scale Scale) []*Report {
 		Title:  "Design ablations on YCSB-B (WSS 8x DRAM)",
 		Header: []string{"Variant", "Avg latency", "p99", "PageMovements", "vs full"},
 	}
-	var fullAvg sim.Duration
-	for _, v := range variants {
+	runs := fanOut(len(variants), func(e env, i int) (counted[kvstore.Result], error) {
 		cfg := core.DefaultConfig(ssdBytes, dramBytes)
-		v.mutate(&cfg)
-		h := mustBuild("FlatFlash", cfg)
-		res, err := kvstore.Run(h, kvstore.Config{Records: records, Ops: ops, Workload: 'B', Seed: 11})
-		if err != nil {
-			panic(err)
-		}
-		if fullAvg == 0 {
-			fullAvg = res.Avg
-		}
+		variants[i].mutate(&cfg)
+		return kvCell(e, "FlatFlash", cfg, kvstore.Config{Records: records, Ops: ops, Workload: 'B', Seed: 11})
+	})
+	fullAvg := runs[0].res.Avg
+	for i, v := range variants {
+		res := runs[i].res
 		perf.AddRow(v.name, us(res.Avg), us(res.P99),
 			fmt.Sprintf("%d", res.PageMovements),
 			ratio(float64(res.Avg), float64(fullAvg)))
@@ -66,24 +62,36 @@ func Ablations(scale Scale) []*Report {
 		Title:  "GC victim selection: greedy vs wear-aware (skewed writes)",
 		Header: []string{"Policy", "MaxBlockWear", "TotalErases", "WriteAmp"},
 	}
-	for _, level := range []bool{false, true} {
+	levels := []bool{false, true}
+	wears := fanOut(len(levels), func(_ env, i int) (wearStats, error) {
+		return wearRun(levels[i], scale)
+	})
+	for i, level := range levels {
 		name := "greedy"
 		if level {
 			name = "wear-aware"
 		}
-		maxWear, total, wa := wearRun(level, scale)
-		wear.AddRow(name, fmt.Sprintf("%d", maxWear), fmt.Sprintf("%d", total), fmt.Sprintf("%.2f", wa))
+		w := wears[i]
+		wear.AddRow(name, fmt.Sprintf("%d", w.maxWear), fmt.Sprintf("%d", w.total), fmt.Sprintf("%.2f", w.writeAmp))
 	}
 	wear.AddNote("wear-aware GC trades a little extra relocation for even erase distribution (lifetime)")
 	return []*Report{perf, wear}
 }
 
+// wearStats is one GC policy's wear after wearRun's skewed writes.
+type wearStats struct {
+	maxWear, total int64
+	writeAmp       float64
+}
+
 // wearRun hammers a few hot pages through a small FTL and reports wear.
-func wearRun(level bool, scale Scale) (maxWear, total int64, writeAmp float64) {
+//
+//flatflash:lp
+func wearRun(level bool, scale Scale) (wearStats, error) {
 	cfg := core.DefaultConfig(4<<20, 64<<10)
 	f, err := cfg.BuildFTL(level)
 	if err != nil {
-		panic(err)
+		return wearStats{}, err
 	}
 	rng := sim.NewRNG(99)
 	page := make([]byte, f.PageSize())
@@ -98,9 +106,9 @@ func wearRun(level bool, scale Scale) (maxWear, total int64, writeAmp float64) {
 		}
 		now, err = f.WritePage(now, lpn, page)
 		if err != nil {
-			panic(err)
+			return wearStats{}, err
 		}
 	}
-	total, maxWear, _ = f.Device().Wear()
-	return maxWear, total, f.WriteAmplification()
+	total, maxWear, _ := f.Device().Wear()
+	return wearStats{maxWear, total, f.WriteAmplification()}, nil
 }

@@ -24,22 +24,21 @@ func CAPI(scale Scale) []*Report {
 		Title:  "Coherent host caching of MMIO (§3.1 extension): YCSB-B",
 		Header: []string{"Config", "Avg latency", "p99", "HostCache hits", "MMIO reads"},
 	}
-	for _, lines := range []int{0, 1024, 8192} {
+	kvLines := []int{0, 1024, 8192}
+	kvRuns := fanOut(len(kvLines), func(e env, i int) (counted[kvstore.Result], error) {
 		cfg := core.DefaultConfig(ssdBytes, dramBytes)
-		cfg.HostCacheLines = lines
-		h := mustBuild("FlatFlash", cfg)
-		res, err := kvstore.Run(h, kvstore.Config{
+		cfg.HostCacheLines = kvLines[i]
+		return kvCell(e, "FlatFlash", cfg, kvstore.Config{
 			Records: uint64(dramBytes) * 8 / kvstore.RecordSize,
 			Ops:     ops, Workload: 'B', Seed: 11,
 		})
-		if err != nil {
-			panic(err)
-		}
+	})
+	for i, lines := range kvLines {
 		name := "plain PCIe (uncacheable)"
 		if lines > 0 {
 			name = fmt.Sprintf("coherent, %d lines", lines)
 		}
-		c := h.Counters()
+		res, c := kvRuns[i].res, kvRuns[i].c
 		rep.AddRow(name, us(res.Avg), us(res.P99),
 			fmt.Sprintf("%d", c.Get("hostcache_hits")),
 			fmt.Sprintf("%d", c.Get("pcie_mmio_reads")))
@@ -52,31 +51,44 @@ func CAPI(scale Scale) []*Report {
 		Title:  "Coherent host caching: sequential re-scan of a hot buffer",
 		Header: []string{"Config", "Mean latency"},
 	}
-	for _, lines := range []int{0, 8192} {
+	seqLines := []int{0, 8192}
+	gen := trace.GenConfig{
+		Pattern: trace.Sequential, Ops: scale.pick(4000, 16000),
+		AccessSize: 64, Extent: 64 << 10, Seed: 3,
+	}
+	seqRuns := fanOut(len(seqLines), func(e env, i int) (counted[trace.Result], error) {
 		cfg := core.DefaultConfig(ssdBytes, dramBytes)
-		cfg.HostCacheLines = lines
+		cfg.HostCacheLines = seqLines[i]
 		cfg.Promotion = core.PromoteNever // isolate caching from promotion
-		h := mustBuild("FlatFlash", cfg)
-		region, err := h.Mmap(256 << 10)
-		if err != nil {
-			panic(err)
-		}
-		tr, err := trace.Generate(trace.GenConfig{
-			Pattern: trace.Sequential, Ops: scale.pick(4000, 16000),
-			AccessSize: 64, Extent: 64 << 10, Seed: 3,
-		})
-		if err != nil {
-			panic(err)
-		}
-		res, err := trace.Replay(h, region, tr)
-		if err != nil {
-			panic(err)
-		}
+		return replayCell(e, cfg, 256<<10, gen)
+	})
+	for i, lines := range seqLines {
 		name := "plain PCIe"
 		if lines > 0 {
 			name = "coherent"
 		}
-		seq.AddRow(name, us(res.Hist.Mean()))
+		seq.AddRow(name, us(seqRuns[i].res.Hist.Mean()))
 	}
 	return []*Report{rep, seq}
+}
+
+// replayCell replays a generated trace over a fresh FlatFlash's first
+// regionBytes.
+//
+//flatflash:lp
+func replayCell(e env, cfg core.Config, regionBytes uint64, gen trace.GenConfig) (counted[trace.Result], error) {
+	h, err := e.build("FlatFlash", cfg)
+	if err != nil {
+		return counted[trace.Result]{}, err
+	}
+	region, err := h.Mmap(regionBytes)
+	if err != nil {
+		return counted[trace.Result]{}, err
+	}
+	tr, err := trace.Generate(gen)
+	if err != nil {
+		return counted[trace.Result]{}, err
+	}
+	res, err := trace.Replay(h, region, tr)
+	return counted[trace.Result]{res, h.Counters()}, err
 }

@@ -29,12 +29,12 @@ func Consolidate(s Scale) *Report {
 		RegionBytes:  uint64(s.pick(128<<10, 512<<10)),
 		Think:        sim.Micros(1),
 		Workers:      4,
-		Parallel:     parallelWorkers,
-		Tracer:       telTracer,
-		Registry:     telReg,
-		Attrib:       attSink != nil,
-		SLO:          attSink.SLO(),
-		Flight:       attRec,
+		Parallel:     current.parallel,
+		Tracer:       current.tracer,
+		Registry:     current.reg,
+		Attrib:       current.att != nil,
+		SLO:          current.att.SLO(),
+		Flight:       current.rec,
 	}
 	rep := &Report{
 		ID:     "consolidate",
@@ -64,7 +64,7 @@ func Consolidate(s Scale) *Report {
 			fmt.Sprintf("%.3f", p.Res.Fairness),
 		)
 	}
-	if attSink != nil {
+	if current.att != nil {
 		// Each sweep point carries its own attribution engine; surface its
 		// per-tenant latency-budget table in the report footnotes.
 		for _, p := range res.Points {

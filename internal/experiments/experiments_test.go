@@ -59,7 +59,7 @@ func TestHelpers(t *testing.T) {
 	if mb(2<<30) != "2GB" || mb(3<<20) != "3MB" || mb(64<<10) != "64KB" {
 		t.Fatal("mb formatting")
 	}
-	if _, err := build("Nope", appConfig("GUPS")); err == nil {
+	if _, err := current.build("Nope", appConfig("GUPS")); err == nil {
 		t.Fatal("unknown system accepted")
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"flatflash/internal/core"
 	"flatflash/internal/graph"
-	"flatflash/internal/sim"
 )
 
 // graphSpec is a synthetic stand-in for one of the paper's datasets.
@@ -31,11 +30,26 @@ func graphSpecs(scale Scale) []graphSpec {
 // to the graph. Paper: FlatFlash 1.1-1.6x (PageRank) and 1.1-2.3x
 // (ConnComp) over UnifiedMMap, growing with SSD:DRAM ratio.
 func Fig10(scale Scale) []*Report {
-	var reports []*Report
 	algs := []string{"PageRank", "ConnComp"}
-	for _, spec := range graphSpecs(scale) {
-		// Graph footprint: 2 vertex arrays + edges.
-		footprint := uint64(2*spec.vertices*8 + spec.vertices*spec.avgDegree*4)
+	divs := []uint64{2, 4, 8}
+	specs := graphSpecs(scale)
+	names := sysNames
+	// Graph footprint: 2 vertex arrays + edges.
+	footprint := func(spec graphSpec) uint64 {
+		return uint64(2*spec.vertices*8 + spec.vertices*spec.avgDegree*4)
+	}
+	dram := func(spec graphSpec, div uint64) uint64 {
+		return max(footprint(spec)/div, 16<<10)
+	}
+	// Cell i is system i%3 at DRAM divisor (i/3)%3, algorithm (i/9)%2, graph i/18.
+	perRow, perRep := len(names), len(names)*len(divs)
+	runs := fanOut(len(specs)*len(algs)*perRep, func(e env, i int) (graph.Result, error) {
+		spec := specs[i/(perRep*len(algs))]
+		cfg := core.DefaultConfig(footprint(spec)*8, dram(spec, divs[i/perRow%len(divs)]))
+		return graphCell(e, names[i%perRow], cfg, spec, algs[i/perRep%len(algs)])
+	})
+	var reports []*Report
+	for _, spec := range specs {
 		for _, alg := range algs {
 			rep := &Report{
 				ID:    fmt.Sprintf("fig10-%s-%s", alg, spec.name),
@@ -43,41 +57,35 @@ func Fig10(scale Scale) []*Report {
 				Header: []string{"DRAM", "FlatFlash", "UnifiedMMap", "TraditionalStack",
 					"FF moves", "UM moves", "FF vs UM"},
 			}
-			for _, div := range []uint64{2, 4, 8} {
-				dram := footprint / div
-				if dram < 16<<10 {
-					dram = 16 << 10
-				}
-				row := []string{mb(dram)}
-				var elapsed []sim.Duration
-				var moves []int64
-				for _, name := range sysNames {
-					cfg := core.DefaultConfig(footprint*8, dram)
-					h := mustBuild(name, cfg)
-					g, err := graph.Generate(h, spec.vertices, spec.avgDegree, spec.seed)
-					if err != nil {
-						panic(err)
-					}
-					var res graph.Result
-					if alg == "PageRank" {
-						res, err = g.PageRank(2)
-					} else {
-						res, err = g.ConnectedComponents(6)
-					}
-					if err != nil {
-						panic(err)
-					}
-					elapsed = append(elapsed, res.Elapsed)
-					moves = append(moves, res.PageMovements)
-				}
-				row = append(row, elapsed[0].String(), elapsed[1].String(), elapsed[2].String(),
-					fmt.Sprintf("%d", moves[0]), fmt.Sprintf("%d", moves[1]),
-					ratio(float64(elapsed[1]), float64(elapsed[0])))
-				rep.AddRow(row...)
+			for _, div := range divs {
+				row := runs[:perRow]
+				runs = runs[perRow:]
+				rep.AddRow(mb(dram(spec, div)),
+					row[0].Elapsed.String(), row[1].Elapsed.String(), row[2].Elapsed.String(),
+					fmt.Sprintf("%d", row[0].PageMovements), fmt.Sprintf("%d", row[1].PageMovements),
+					ratio(float64(row[1].Elapsed), float64(row[0].Elapsed)))
 			}
 			rep.AddNote("paper: FlatFlash's advantage grows as DRAM shrinks (page movement avoided)")
 			reports = append(reports, rep)
 		}
 	}
 	return reports
+}
+
+// graphCell generates spec's graph on a fresh hierarchy and runs alg on it.
+//
+//flatflash:lp
+func graphCell(e env, name string, cfg core.Config, spec graphSpec, alg string) (graph.Result, error) {
+	h, err := e.build(name, cfg)
+	if err != nil {
+		return graph.Result{}, err
+	}
+	g, err := graph.Generate(h, spec.vertices, spec.avgDegree, spec.seed)
+	if err != nil {
+		return graph.Result{}, err
+	}
+	if alg == "PageRank" {
+		return g.PageRank(2)
+	}
+	return g.ConnectedComponents(6)
 }

@@ -23,8 +23,19 @@ func runYCSB(scale Scale, tail bool) []*Report {
 		dramBytes = ssdBytes / 256 // 128 KB
 	)
 	ops := scale.pick(6000, 24000)
+	wls := []byte{'B', 'D'}
+	mults := []uint64{4, 8, 16}
+	names := sysNames
+	// Cell i is system i%3 at working set mults[(i/3)%3] on workload wls[i/9].
+	perRow, perRep := len(names), len(names)*len(mults)
+	runs := fanOut(len(wls)*perRep, func(e env, i int) (counted[kvstore.Result], error) {
+		return kvCell(e, names[i%perRow], core.DefaultConfig(ssdBytes, dramBytes), kvstore.Config{
+			Records: dramBytes * mults[i/perRow%len(mults)] / kvstore.RecordSize,
+			Ops:     ops, Workload: wls[i/perRep], Seed: 11,
+		})
+	})
 	var reports []*Report
-	for _, wl := range []byte{'B', 'D'} {
+	for _, wl := range wls {
 		id, title := "fig11", "YCSB p99 latency"
 		if !tail {
 			id, title = "fig12", "YCSB average latency"
@@ -35,31 +46,20 @@ func runYCSB(scale Scale, tail bool) []*Report {
 			Header: []string{"WSS/DRAM", "FlatFlash", "UnifiedMMap", "TraditionalStack",
 				"FF hit-ratio", "FF vs UM"},
 		}
-		for _, mult := range []uint64{4, 8, 16} {
-			records := dramBytes * mult / kvstore.RecordSize
+		for _, mult := range mults {
 			row := []string{fmt.Sprintf("%dx", mult)}
 			var vals []float64
-			var hit float64
-			for _, name := range sysNames {
-				h := mustBuild(name, core.DefaultConfig(ssdBytes, dramBytes))
-				res, err := kvstore.Run(h, kvstore.Config{
-					Records: records, Ops: ops, Workload: wl, Seed: 11,
-				})
-				if err != nil {
-					panic(err)
-				}
-				v := res.Avg
+			for _, run := range runs[:perRow] {
+				v := run.res.Avg
 				if tail {
-					v = res.P99
+					v = run.res.P99
 				}
 				vals = append(vals, float64(v))
 				row = append(row, us(v))
-				if name == "FlatFlash" {
-					hit = res.HitRatio
-				}
 			}
-			row = append(row, fmt.Sprintf("%.2f", hit), ratio(vals[1], vals[0]))
+			row = append(row, fmt.Sprintf("%.2f", runs[0].res.HitRatio), ratio(vals[1], vals[0])) // runs[0] is FlatFlash
 			rep.AddRow(row...)
+			runs = runs[perRow:]
 		}
 		if tail {
 			rep.AddNote("paper: FlatFlash reduces p99 by 2.0-2.8x vs UnifiedMMap (promotion avoids low-reuse moves)")
@@ -69,4 +69,16 @@ func runYCSB(scale Scale, tail bool) []*Report {
 		reports = append(reports, rep)
 	}
 	return reports
+}
+
+// kvCell runs the YCSB key-value workload on a fresh hierarchy.
+//
+//flatflash:lp
+func kvCell(e env, name string, cfg core.Config, kc kvstore.Config) (counted[kvstore.Result], error) {
+	h, err := e.build(name, cfg)
+	if err != nil {
+		return counted[kvstore.Result]{}, err
+	}
+	res, err := kvstore.Run(h, kc)
+	return counted[kvstore.Result]{res, h.Counters()}, err
 }

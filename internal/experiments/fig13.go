@@ -19,22 +19,24 @@ func Fig13(scale Scale) *Report {
 		Title:  "File-system ops: FlatFlash byte persistence vs block journaling",
 		Header: []string{"Workload", "EXT4", "XFS", "BtrFS", "EXT4 wear", "XFS wear", "BtrFS wear"},
 	}
-	for _, w := range fsim.Workloads {
+	kinds := []fsim.FSKind{fsim.EXT4, fsim.XFS, fsim.BtrFS}
+	workloads := fsim.Workloads
+	// Cells come in pairs per (workload, kind): block journaling over the
+	// traditional stack (the conventional deployment), then FlatFlash's
+	// byte-granular persistence.
+	runs := fanOut(len(workloads)*len(kinds)*2, func(e env, i int) (fsim.Result, error) {
+		w, kind := workloads[i/(2*len(kinds))], kinds[i/2%len(kinds)]
+		if i%2 == 0 {
+			return fsimCell(e, "TraditionalStack", kind, fsim.BlockJournal, w, ops)
+		}
+		return fsimCell(e, "FlatFlash", kind, fsim.BytePersist, w, ops)
+	})
+	for _, w := range workloads {
 		row := []string{w.String()}
 		var wear []string
-		for _, kind := range []fsim.FSKind{fsim.EXT4, fsim.XFS, fsim.BtrFS} {
-			// Conventional: block journaling over the traditional stack.
-			hb := mustBuild("TraditionalStack", core.DefaultConfig(64<<20, 4<<20))
-			rb, err := fsim.RunWorkload(hb, kind, fsim.BlockJournal, w, ops)
-			if err != nil {
-				panic(err)
-			}
-			// FlatFlash: byte-granular persistence.
-			hf := mustBuild("FlatFlash", core.DefaultConfig(64<<20, 4<<20))
-			rf, err := fsim.RunWorkload(hf, kind, fsim.BytePersist, w, ops)
-			if err != nil {
-				panic(err)
-			}
+		for range kinds {
+			rb, rf := runs[0], runs[1]
+			runs = runs[2:]
 			row = append(row, ratio(float64(rb.Elapsed), float64(rf.Elapsed)))
 			if rf.FlashProgramsDelta > 0 {
 				wear = append(wear, fmt.Sprintf("%.1fx", float64(rb.FlashProgramsDelta)/float64(rf.FlashProgramsDelta)))
@@ -48,4 +50,15 @@ func Fig13(scale Scale) *Report {
 	}
 	rep.AddNote("paper: 2.6-18.9x speedups (EXT4/XFS/BtrFS across these workloads); wear = flash-program reduction (lifetime)")
 	return rep
+}
+
+// fsimCell runs one file-system workload on a fresh 64 MB hierarchy.
+//
+//flatflash:lp
+func fsimCell(e env, name string, kind fsim.FSKind, backend fsim.Backend, w fsim.Workload, ops int) (fsim.Result, error) {
+	h, err := e.build(name, core.DefaultConfig(64<<20, 4<<20))
+	if err != nil {
+		return fsim.Result{}, err
+	}
+	return fsim.RunWorkload(h, kind, backend, w, ops)
 }

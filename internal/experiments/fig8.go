@@ -21,16 +21,19 @@ func Fig8(scale Scale) []*Report {
 	warm := nPages
 	measured := scale.pick(4096, 16384)
 
-	seq := &Report{ID: "fig8a", Title: "64B access latency, sequential", Header: append([]string{"SSD"}, sysNames...)}
-	rnd := &Report{ID: "fig8b", Title: "64B access latency, random", Header: append([]string{"SSD"}, sysNames...)}
+	names := sysNames
+	seq := &Report{ID: "fig8a", Title: "64B access latency, sequential", Header: append([]string{"SSD"}, names...)}
+	rnd := &Report{ID: "fig8b", Title: "64B access latency, random", Header: append([]string{"SSD"}, names...)}
 
-	for _, ssd := range ssdSizes {
+	lat := fanOut(len(ssdSizes)*len(names), func(e env, i int) (fig8Lat, error) {
+		return fig8One(e, names[i%len(names)], ssdSizes[i/len(names)], dramBytes, nPages, warm, measured)
+	})
+	for i, ssd := range ssdSizes {
 		seqRow := []string{mb(ssd)}
 		rndRow := []string{mb(ssd)}
-		for _, name := range sysNames {
-			s, r := fig8One(name, ssd, dramBytes, nPages, warm, measured)
-			seqRow = append(seqRow, us(s))
-			rndRow = append(rndRow, us(r))
+		for _, l := range lat[i*len(names) : (i+1)*len(names)] {
+			seqRow = append(seqRow, us(l.seq))
+			rndRow = append(rndRow, us(l.rnd))
 		}
 		seq.AddRow(seqRow...)
 		rnd.AddRow(rndRow...)
@@ -40,14 +43,22 @@ func Fig8(scale Scale) []*Report {
 	return []*Report{seq, rnd}
 }
 
+// fig8Lat is one system's mean sequential and random 64 B read latency.
+type fig8Lat struct{ seq, rnd sim.Duration }
+
 // fig8One measures one system: pages spread uniformly over the SSD, warmed
 // randomly, then sequential and random 64 B accesses.
-func fig8One(name string, ssdBytes, dramBytes uint64, nPages, warm, measured int) (seqAvg, rndAvg sim.Duration) {
+//
+//flatflash:lp
+func fig8One(e env, name string, ssdBytes, dramBytes uint64, nPages, warm, measured int) (fig8Lat, error) {
 	cfg := core.DefaultConfig(ssdBytes, dramBytes)
-	h := mustBuild(name, cfg)
+	h, err := e.build(name, cfg)
+	if err != nil {
+		return fig8Lat{}, err
+	}
 	region, err := h.Mmap(ssdBytes / 2) // spans most of the SSD
 	if err != nil {
-		panic(err)
+		return fig8Lat{}, err
 	}
 	pageSize := uint64(cfg.PageSize)
 	regionPages := region.Size / pageSize
@@ -74,7 +85,7 @@ func fig8One(name string, ssdBytes, dramBytes uint64, nPages, warm, measured int
 		line := i % linesPerPage
 		lat, err := h.Read(pageAddr(page)+uint64(line*64), buf)
 		if err != nil {
-			panic(err)
+			return fig8Lat{}, err
 		}
 		seqHist.Record(lat)
 	}
@@ -83,9 +94,9 @@ func fig8One(name string, ssdBytes, dramBytes uint64, nPages, warm, measured int
 	for i := 0; i < measured; i++ {
 		lat, err := h.Read(pageAddr(rng.Intn(nPages))+uint64(rng.Intn(linesPerPage)*64), buf)
 		if err != nil {
-			panic(err)
+			return fig8Lat{}, err
 		}
 		rndHist.Record(lat)
 	}
-	return seqHist.Mean(), rndHist.Mean()
+	return fig8Lat{seqHist.Mean(), rndHist.Mean()}, nil
 }

@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
 	"flatflash/internal/core"
 	"flatflash/internal/gups"
-	"flatflash/internal/sim"
 )
 
 // Fig9a reproduces Figure 9a: HPCC-GUPS runtime (and page movements)
@@ -17,28 +17,26 @@ func Fig9a(scale Scale) *Report {
 		ssdBytes  = 64 << 20
 		dramBytes = 128 << 10
 	)
-	tableBytes := uint64(2 << 20) // 16x DRAM
-	updates := scale.pick(5000, 30000)
+	gc := gups.Config{TableBytes: 2 << 20, Updates: scale.pick(5000, 30000), Seed: 7} // table 16x DRAM
 
 	r := &Report{
 		ID:     "fig9a",
 		Title:  "HPCC-GUPS runtime and page movements (table 16x DRAM)",
 		Header: []string{"System", "Runtime", "GUPS", "PageMovements", "Slowdown vs FlatFlash"},
 	}
-	var ffElapsed sim.Duration
-	for _, name := range sysNames {
-		h := mustBuild(name, core.DefaultConfig(ssdBytes, dramBytes))
-		res, err := gups.Run(h, gups.Config{TableBytes: tableBytes, Updates: updates, Seed: 7})
-		if err != nil {
-			panic(err)
-		}
-		if name == "FlatFlash" {
-			ffElapsed = res.Elapsed
-		}
+	names := sysNames
+	runs := fanOut(len(names), func(e env, i int) (counted[gups.Result], error) {
+		return gupsCell(e, names[i], core.DefaultConfig(ssdBytes, dramBytes), gc)
+	})
+	ffElapsed := runs[0].res.Elapsed // names[0] is FlatFlash
+	for i, name := range names {
+		res := runs[i].res
 		r.AddRow(name, res.Elapsed.String(), fmt.Sprintf("%.6f", res.GUPS),
 			fmt.Sprintf("%d", res.PageMovements),
 			ratio(float64(res.Elapsed), float64(ffElapsed)))
-		dumpCounters(r, h, "page_movements", "pcie_traffic_bytes", "flash_programs", "tlb_misses")
+		for _, n := range []string{"page_movements", "pcie_traffic_bytes", "flash_programs", "tlb_misses"} {
+			r.AddMetric(name+"."+n, strconv.FormatInt(runs[i].c.Get(n), 10))
+		}
 	}
 	r.AddNote("paper: FlatFlash 1.5-1.6x over UnifiedMMap, 2.5-2.7x over TraditionalStack")
 	return r
@@ -51,8 +49,7 @@ func Fig9b(scale Scale) *Report {
 		ssdBytes  = 64 << 20
 		dramBytes = ssdBytes / 512
 	)
-	tableBytes := uint64(2 << 20)
-	updates := scale.pick(4000, 20000)
+	gc := gups.Config{TableBytes: 2 << 20, Updates: scale.pick(4000, 20000), Seed: 7}
 	fractions := []float64{0.00125, 0.0025, 0.005, 0.01}
 
 	r := &Report{
@@ -60,28 +57,38 @@ func Fig9b(scale Scale) *Report {
 		Title:  "GUPS speedup vs SSD-Cache size (SSD:DRAM=512)",
 		Header: []string{"SSD-Cache", "vs UnifiedMMap", "vs TraditionalStack"},
 	}
-	baseline := func(name string) sim.Duration {
-		h := mustBuild(name, core.DefaultConfig(ssdBytes, dramBytes))
-		res, err := gups.Run(h, gups.Config{TableBytes: tableBytes, Updates: updates, Seed: 7})
-		if err != nil {
-			panic(err)
-		}
-		return res.Elapsed
-	}
-	um := baseline("UnifiedMMap")
-	ts := baseline("TraditionalStack")
-	for _, f := range fractions {
+	// Cells 0 and 1 are the baselines; the rest are FlatFlash, one per
+	// SSD-Cache fraction.
+	runs := fanOut(2+len(fractions), func(e env, i int) (counted[gups.Result], error) {
 		cfg := core.DefaultConfig(ssdBytes, dramBytes)
-		cfg.SSDCacheFraction = f
-		h := mustBuild("FlatFlash", cfg)
-		res, err := gups.Run(h, gups.Config{TableBytes: tableBytes, Updates: updates, Seed: 7})
-		if err != nil {
-			panic(err)
+		switch i {
+		case 0:
+			return gupsCell(e, "UnifiedMMap", cfg, gc)
+		case 1:
+			return gupsCell(e, "TraditionalStack", cfg, gc)
 		}
+		cfg.SSDCacheFraction = fractions[i-2]
+		return gupsCell(e, "FlatFlash", cfg, gc)
+	})
+	um, ts := runs[0].res.Elapsed, runs[1].res.Elapsed
+	for i, f := range fractions {
+		elapsed := runs[2+i].res.Elapsed
 		r.AddRow(fmt.Sprintf("%.3f%%", f*100),
-			ratio(float64(um), float64(res.Elapsed)),
-			ratio(float64(ts), float64(res.Elapsed)))
+			ratio(float64(um), float64(elapsed)),
+			ratio(float64(ts), float64(elapsed)))
 	}
 	r.AddNote("paper: speedup increases with SSD-Cache size (baselines cannot use the in-SSD DRAM)")
 	return r
+}
+
+// gupsCell runs the GUPS kernel on a fresh hierarchy.
+//
+//flatflash:lp
+func gupsCell(e env, name string, cfg core.Config, gc gups.Config) (counted[gups.Result], error) {
+	h, err := e.build(name, cfg)
+	if err != nil {
+		return counted[gups.Result]{}, err
+	}
+	res, err := gups.Run(h, gc)
+	return counted[gups.Result]{res, h.Counters()}, err
 }

@@ -41,10 +41,10 @@ func FleetSweep(s Scale) *Report {
 			IssueOverhead: 300,
 		},
 		Workers:  4,
-		Parallel: parallelWorkers,
+		Parallel: current.parallel,
 	}
-	if attRec != nil {
-		cfg.Server.Flight = attRec // single-writer sink: sweep drops to one worker
+	if current.rec != nil {
+		cfg.Server.Flight = current.rec // single-writer sink: sweep drops to one worker
 	}
 	rep := &Report{
 		ID:     "fleet",

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"flatflash/internal/core"
+	"flatflash/internal/stats"
 	"flatflash/internal/trace"
 )
 
@@ -22,16 +23,19 @@ func MapCacheSweep(scale Scale) *Report {
 		Title:  "demand-paged translation map: map-cache size sweep",
 		Header: []string{"cache_pages", "miss_ratio", "fetches", "writebacks", "trans_programs", "mean_lat"},
 	}
-	for _, pages := range []int{1, 2, 4, 8} {
-		h, res := mapCacheRun(scale, pages, trace.Pattern("zipf"))
-		c := h.Counters()
+	sizes := []int{1, 2, 4, 8}
+	runs := fanOut(len(sizes), func(e env, i int) (counted[trace.Result], error) {
+		return mapCacheRun(e, scale, sizes[i], "zipf")
+	})
+	for i, pages := range sizes {
+		c := runs[i].c
 		r.AddRow(
 			fmt.Sprintf("%d", pages),
-			fmt.Sprintf("%.3f", missRatio(h)),
+			fmt.Sprintf("%.3f", missRatio(c)),
 			fmt.Sprintf("%d", c.Get("map_fetches")),
 			fmt.Sprintf("%d", c.Get("map_dirty_evictions")),
 			fmt.Sprintf("%d", c.Get("flash_trans_programs")),
-			us(res.Hist.Mean()),
+			us(runs[i].res.Hist.Mean()),
 		)
 	}
 	r.AddNote("expectation: miss ratio falls monotonically with cache size (LRU inclusion)")
@@ -51,17 +55,20 @@ func MapMissAmp(scale Scale) *Report {
 		Header: []string{"pattern", "miss_ratio", "trans_reads", "reads_per_op", "mean_lat"},
 	}
 	const cachePages = 2
-	for _, pattern := range []string{"zipf", "seq"} {
-		h, res := mapCacheRun(scale, cachePages, trace.Pattern(pattern))
-		c := h.Counters()
+	patterns := []trace.Pattern{"zipf", "seq"}
+	runs := fanOut(len(patterns), func(e env, i int) (counted[trace.Result], error) {
+		return mapCacheRun(e, scale, cachePages, patterns[i])
+	})
+	for i, pattern := range patterns {
+		res, c := runs[i].res, runs[i].c
 		transReads := c.Get("flash_trans_reads")
 		perOp := 0.0
 		if res.Ops > 0 {
 			perOp = float64(transReads) / float64(res.Ops)
 		}
 		r.AddRow(
-			pattern,
-			fmt.Sprintf("%.3f", missRatio(h)),
+			string(pattern),
+			fmt.Sprintf("%.3f", missRatio(c)),
 			fmt.Sprintf("%d", transReads),
 			fmt.Sprintf("%.3f", perOp),
 			us(res.Hist.Mean()),
@@ -73,13 +80,14 @@ func MapMissAmp(scale Scale) *Report {
 
 // mapCacheRun replays the shared seeded workload against a FlatFlash whose
 // translation map keeps cachePages translation pages resident.
-func mapCacheRun(scale Scale, cachePages int, pattern trace.Pattern) (core.Hierarchy, trace.Result) {
+//
+//flatflash:lp
+func mapCacheRun(e env, scale Scale, cachePages int, pattern trace.Pattern) (counted[trace.Result], error) {
 	cfg := core.DefaultConfig(64<<20, 2<<20)
 	cfg.MapCachePages = cachePages
 	cfg.MapPipeline = true
-	h := mustBuild("FlatFlash", cfg)
 	regionBytes := cfg.SSDBytes / 2
-	t, err := trace.Generate(trace.GenConfig{
+	return replayCell(e, cfg, regionBytes, trace.GenConfig{
 		Pattern:    pattern,
 		Ops:        scale.pick(4000, 20000),
 		AccessSize: 64,
@@ -87,23 +95,10 @@ func mapCacheRun(scale Scale, cachePages int, pattern trace.Pattern) (core.Hiera
 		WriteFrac:  0.2,
 		Seed:       mapExpSeed,
 	})
-	if err != nil {
-		panic(err)
-	}
-	region, err := h.Mmap(regionBytes)
-	if err != nil {
-		panic(err)
-	}
-	res, err := trace.Replay(h, region, t)
-	if err != nil {
-		panic(err)
-	}
-	return h, res
 }
 
 // missRatio derives the cached-mapping-table miss ratio from the counters.
-func missRatio(h core.Hierarchy) float64 {
-	c := h.Counters()
+func missRatio(c *stats.Counters) float64 {
 	hits, misses := c.Get("map_cache_hits"), c.Get("map_cache_misses")
 	if hits+misses == 0 {
 		return 0

@@ -2,46 +2,52 @@ package experiments
 
 import (
 	"fmt"
-	"strconv"
+	"runtime"
 
 	"flatflash/internal/core"
 	"flatflash/internal/sim"
+	"flatflash/internal/stats"
 	"flatflash/internal/telemetry"
 )
 
 // sysName labels for the three hierarchies, in the paper's order.
 var sysNames = []string{"FlatFlash", "UnifiedMMap", "TraditionalStack"}
 
-// Package-level telemetry sinks, installed with SetTelemetry. Nil (the
-// default) keeps every access path allocation-free.
-var (
-	telTracer *telemetry.Tracer
-	telReg    *telemetry.Registry
-	attSink   *telemetry.Attribution
-	attRec    *telemetry.FlightRecorder
-
-	// mapCachePages > 0 switches every hierarchy built by the experiments to
+// env is the settings the experiments build their hierarchies under,
+// installed with the Set functions below. Cell bodies may run
+// concurrently, so they get it as an argument; current, the installed
+// copy, is read only by fanOut, mustBuild and the consolidate and fleet
+// sweeps.
+type env struct {
+	// mapCache > 0 switches every hierarchy built by the experiments to
 	// the demand-paged translation map (flatflash-bench's -map-cache flag).
-	mapCachePages int
+	mapCache int
+	// parallel is each consolidate or fleet sweep point's fan-out worker
+	// count (flatflash-bench's -parallel flag).
+	parallel int
+	// Shared telemetry sinks. Nil (the default) keeps every access path
+	// allocation-free.
+	tracer *telemetry.Tracer
+	reg    *telemetry.Registry
+	att    *telemetry.Attribution
+	rec    *telemetry.FlightRecorder
+}
 
-	// parallelWorkers is each sweep point's fan-out worker count
-	// (flatflash-bench's -parallel flag). Reports are byte-identical either
-	// way.
-	parallelWorkers int
-)
+var current env
 
 // SetParallel makes subsequent experiment runs fan each simulation's
 // independent parts out over workers goroutines: a fleet's shard batches, a
 // consolidation's solo and shared runs (0 or 1, the default, runs them
-// in-line). Only the consolidate and fleet sweeps use it; reports never
-// change, only wall-clock time does.
-func SetParallel(workers int) { parallelWorkers = workers }
+// in-line). Only the consolidate and fleet sweeps use it. It does not touch
+// the figures' cells, which always fan out over GOMAXPROCS (see fanOut).
+// Reports never change, only wall-clock time does.
+func SetParallel(workers int) { current.parallel = workers }
 
 // SetMapCache makes subsequent experiment runs build every hierarchy with
 // the FTL's demand-paged translation map, keeping pages translation pages
 // resident (0, the default, keeps the all-in-memory map). The mapsweep and
 // mapamp experiments set their own sizes and ignore this.
-func SetMapCache(pages int) { mapCachePages = pages }
+func SetMapCache(pages int) { current.mapCache = pages }
 
 // SetTelemetry attaches a span tracer and metrics registry to every
 // hierarchy built by subsequent experiment runs (flatflash-bench's
@@ -49,7 +55,7 @@ func SetMapCache(pages int) { mapCachePages = pages }
 // consumers; the registry disambiguates duplicate gauge names
 // deterministically.
 func SetTelemetry(tr *telemetry.Tracer, r *telemetry.Registry) {
-	telTracer, telReg = tr, r
+	current.tracer, current.reg = tr, r
 }
 
 // SetAttribution attaches a latency attribution engine and flight recorder
@@ -59,13 +65,46 @@ func SetTelemetry(tr *telemetry.Tracer, r *telemetry.Registry) {
 // latency across every FlatFlash instance an experiment builds; the
 // consolidate sweep additionally gets per-point engines through mtsim.
 func SetAttribution(a *telemetry.Attribution, r *telemetry.FlightRecorder) {
-	attSink, attRec = a, r
+	current.att, current.rec = a, r
 }
 
-// build constructs one hierarchy by name from cfg.
-func build(name string, cfg core.Config) (core.Hierarchy, error) {
-	if mapCachePages > 0 && cfg.MapCachePages == 0 {
-		cfg.MapCachePages = mapCachePages
+// fanOut runs cell(e, i) for every i in [0, n) and returns the results in
+// index order. A cell is one independent simulation: it builds its own
+// hierarchy and runs one workload on it, so the cells fan out through
+// sim.ForEach over GOMAXPROCS workers and the caller assembles its reports
+// from the slots exactly as a sequential loop would. A shared telemetry
+// sink records in call order, so with one attached every cell runs
+// in-line, in index order, and traces and dumps keep their bytes too. The
+// first failing cell in index order panics, as mustBuild does.
+func fanOut[T any](n int, cell func(e env, i int) (T, error)) []T {
+	e := current
+	workers := runtime.GOMAXPROCS(0)
+	if e.tracer != nil || e.reg != nil || e.att != nil || e.rec != nil {
+		workers = 1
+	}
+	out := make([]T, n)
+	must(sim.ForEach(n, workers, func(i int) error {
+		var err error
+		out[i], err = cell(e, i)
+		return err
+	}))
+	return out
+}
+
+// counted is a cell's workload result with its hierarchy's counters as they
+// stood when the workload ended.
+type counted[R any] struct {
+	res R
+	c   *stats.Counters
+}
+
+// build constructs one hierarchy by name from cfg under e's settings. Cells
+// call it concurrently, so it reads only its arguments.
+//
+//flatflash:lp
+func (e env) build(name string, cfg core.Config) (core.Hierarchy, error) {
+	if e.mapCache > 0 && cfg.MapCachePages == 0 {
+		cfg.MapCachePages = e.mapCache
 		cfg.MapPipeline = true
 	}
 	var (
@@ -85,38 +124,21 @@ func build(name string, cfg core.Config) (core.Hierarchy, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ff, ok := h.(*core.FlatFlash); ok && (attSink != nil || attRec != nil) {
-		ff.SetFlightRecorder(attRec)
-		ff.SetAttribution(attSink)
+	if ff, ok := h.(*core.FlatFlash); ok && (e.att != nil || e.rec != nil) {
+		ff.SetFlightRecorder(e.rec)
+		ff.SetAttribution(e.att)
 	}
-	if telTracer != nil || telReg != nil {
-		h.Instrument(telTracer, telReg)
+	if e.tracer != nil || e.reg != nil {
+		h.Instrument(e.tracer, e.reg)
 	}
 	return h, nil
 }
 
-// dumpCounters appends selected counters from h (all of them, sorted, when
-// names is empty) to the report's metric footnotes, prefixed by the system
-// name. Snapshot order is deterministic.
-func dumpCounters(r *Report, h core.Hierarchy, names ...string) {
-	c := h.Counters()
-	if len(names) == 0 {
-		for _, kv := range c.Snapshot() {
-			r.AddMetric(h.Name()+"."+kv.Name, strconv.FormatInt(kv.Value, 10))
-		}
-		return
-	}
-	for _, n := range names {
-		r.AddMetric(h.Name()+"."+n, strconv.FormatInt(c.Get(n), 10))
-	}
-}
-
-// mustBuild panics on construction failure (configs are internal constants).
+// mustBuild builds under the current settings and panics on failure
+// (configs are internal constants). Only in-line experiments use it.
 func mustBuild(name string, cfg core.Config) core.Hierarchy {
-	h, err := build(name, cfg)
-	if err != nil {
-		panic(err)
-	}
+	h, err := current.build(name, cfg)
+	must(err)
 	return h
 }
 

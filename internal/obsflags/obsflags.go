@@ -23,7 +23,7 @@ const (
 	SLOHelp        = "per-op latency SLO; enables violation/burn counters and p99-over-SLO anomaly triggers (0 disables)"
 	ShedWaitHelp   = "open-loop admission control: shed an arrival whose estimated queue wait exceeds this (0 defaults to half the SLO)"
 	MapCacheHelp   = "demand-page the FTL's translation map, keeping this many translation pages resident (0 keeps the whole map in memory)"
-	ParallelHelp   = "fan fleet shard batches and consolidation solo/shared runs out over this many workers; reports stay byte-identical (0 runs them in-line)"
+	ParallelHelp   = "fan the parts of one fleet or consolidation simulation (shard batches, solo/shared runs) out over this many workers (0 runs them in-line); figure simulations always fan out over GOMAXPROCS; reports stay byte-identical"
 )
 
 // Flags holds the parsed observability flag values.

@@ -13,7 +13,8 @@ import (
 // exactly one goroutine, so f may write index-owned state without locking.
 //
 // It is the repository's one worker pool: sweep points, a consolidation's
-// solo and shared runs, and a fleet's shard batches all fan out through it.
+// solo and shared runs, a fleet's shard batches and the paper figures'
+// independent simulations all fan out through it.
 func ForEach(n, workers int, f func(i int) error) error {
 	errs := make([]error, n)
 	var next atomic.Int64

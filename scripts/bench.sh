@@ -4,9 +4,10 @@
 # across commits (see scripts/benchdiff.sh). The raw `go test -bench` output
 # streams to the terminal.
 #
-# The output name comes from the single argument; `make bench` passes the
-# current snapshot name (BENCH_9.json), which is also the default here so a
-# bare ./scripts/bench.sh writes the same file the Makefile would.
+# The output name comes from the single argument. `make bench` and a bare
+# ./scripts/bench.sh both write BENCH_head.json, which git ignores, so a
+# local run never overwrites a committed BENCH_<n>.json snapshot. To commit
+# a new snapshot, pass its name.
 #
 # BENCHTIME overrides the per-benchmark budget (default 1s). CI's warn-only
 # regression diff sets a small iteration count to keep the gate fast.
@@ -16,7 +17,7 @@
 # and max bound the N ns/op figures, so benchdiff can tell a delta from the
 # spread between repeats:
 #
-#   COUNT=5 ./scripts/bench.sh BENCH_head.json
+#   COUNT=5 ./scripts/bench.sh
 #
 # The snapshot's first entry, "_meta", fingerprints the machine and code it
 # was taken on: CPU model, core count, Go version and git revision.
@@ -27,7 +28,7 @@ if [ $# -gt 1 ]; then
     echo "usage: $0 [output.json]" >&2
     exit 2
 fi
-out=${1:-BENCH_9.json}
+out=${1:-BENCH_head.json}
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 

@@ -170,6 +170,7 @@ echo "== bench regression (warn-only) =="
 # advisory: CI machines are too noisy for a hard ns/op gate, but the printed
 # deltas make a regression visible in the log. Alloc regressions are still
 # hard-gated by the AllocsPerRun tests above.
+# The numeric sort puts an untracked BENCH_head.json (make bench) first.
 latest_bench=$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1 || true)
 if [ -n "$latest_bench" ] && ! grep -q '"Benchmark' "$latest_bench"; then
     # An empty or truncated snapshot would diff as everything-removed noise.
@@ -251,7 +252,7 @@ grep -q "fleet sweep points=4" /tmp/fleet_run1.txt || {
 echo "fleet smoke ok"
 
 echo "== parallel fan-out smoke =="
-# The two fan-out experiments through the real CLI with four workers, at
+# The two -parallel experiments through the real CLI with four workers, at
 # GOMAXPROCS=1 and GOMAXPROCS=4, byte-compared against -parallel 0: reports
 # must not depend on the worker count or the machine.
 for exp in consolidate fleet; do
@@ -261,6 +262,25 @@ for exp in consolidate fleet; do
         cmp "/tmp/fanout_${exp}_seq.txt" "/tmp/fanout_${exp}_par${procs}.txt" || {
             echo "$exp report at -parallel 4 differs from -parallel 0 at GOMAXPROCS=$procs"; exit 1; }
     done
+done
+# Figure cells always fan out over GOMAXPROCS. Three fanned-out figures,
+# once plain and once with the latency and flight dumps (a shared sink runs
+# the cells in-line), must print the same bytes at GOMAXPROCS=1 and =4.
+# Each run writes its dumps under the same relative names in its own
+# directory, so the stdout lines naming them compare equal too.
+for procs in 1 4; do
+    cells_dir="/tmp/fanout_cells_$procs"
+    rm -rf "$cells_dir"
+    mkdir -p "$cells_dir"
+    (cd "$cells_dir" &&
+        GOMAXPROCS=$procs /tmp/flatflash-bench -quick fig10 fig11 fig13 > plain.txt &&
+        GOMAXPROCS=$procs /tmp/flatflash-bench -quick -slo 4us -latency-out latency.jsonl \
+            -flight-out flight.jsonl fig10 fig11 fig13 > obs.txt)
+done
+for f in plain.txt obs.txt latency.jsonl flight.jsonl; do
+    [ -s "/tmp/fanout_cells_1/$f" ] || { echo "fan-out smoke: $f is empty"; exit 1; }
+    cmp "/tmp/fanout_cells_1/$f" "/tmp/fanout_cells_4/$f" || {
+        echo "fig10 fig11 fig13 $f differs between GOMAXPROCS=1 and =4"; exit 1; }
 done
 echo "parallel fan-out smoke ok"
 

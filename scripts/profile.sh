@@ -6,6 +6,10 @@
 # standard library, the binary's main package) lands in one row per import
 # path; page copies show up there as runtime.memmove.
 #
+# Flat seconds are CPU seconds summed over every worker. The figures' cells
+# run on GOMAXPROCS workers, so the table's total exceeds the run's wall
+# time; compare shares between runs at the same GOMAXPROCS.
+#
 # Run from the repo root (make profile does). The binary, the profile and
 # the run's report stay in .profile/.
 set -eu
