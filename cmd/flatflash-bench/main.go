@@ -6,14 +6,18 @@
 //	flatflash-bench [-quick] [experiment ...]
 //	flatflash-bench -list
 //	flatflash-bench crashsweep [-points N] [-seed S] [-workloads fsim,txdb]
-//	flatflash-bench consolidate [-tenants 1,2,4] [-mixes zipf+scan] [-seeds 1] [-workers N]
+//	flatflash-bench consolidate [-tenants 1,2,4] [-mixes zipf+scan] [-seeds 1]
+//	flatflash-bench fleet [-shards 1,2,4] [-rates 50000,500000] [-seeds 1]
 //
 // With no experiment arguments it runs everything in paper order. Use
 // -quick for a fast pass with reduced sizes (same shapes, more noise).
 // The crashsweep subcommand runs the crash-consistency harness and exits
 // non-zero if any recovery invariant is violated. The consolidate
 // subcommand sweeps multi-tenant consolidation runs and reports per-tenant
-// slowdown and fairness.
+// slowdown and fairness. The fleet subcommand sweeps sharded fleets under
+// open-loop load and reports shed rate, p99 and shard-load fairness.
+// Independent simulations and grid points run on GOMAXPROCS goroutines;
+// every report is byte-identical whatever GOMAXPROCS is.
 package main
 
 import (
@@ -22,6 +26,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"time"
 
@@ -122,7 +127,6 @@ func main() {
 	att, flightRec := obs.Build()
 	experiments.SetAttribution(att, flightRec)
 	experiments.SetMapCache(*obs.MapCache)
-	experiments.SetParallel(*obs.Parallel)
 
 	scale := experiments.Full
 	if *quick {
@@ -195,7 +199,7 @@ func subUsage(fs *flag.FlagSet, name string) {
 // runConsolidate executes the multi-tenant consolidation sweep: for each
 // (tenant count, mix spec, seed) grid point, every tenant is measured solo on
 // a private device and then consolidated on the shared one. The report is
-// byte-identical for a fixed grid and seed set, whatever -workers is.
+// byte-identical for a fixed grid and seed set, whatever GOMAXPROCS is.
 func runConsolidate(args []string) {
 	fs := flag.NewFlagSet("consolidate", flag.ExitOnError)
 	var (
@@ -205,7 +209,6 @@ func runConsolidate(args []string) {
 		ops     = fs.Int("ops", 500, "operations per tenant")
 		region  = fs.Uint64("region", 256<<10, "mapped region bytes per tenant")
 		think   = fs.Duration("think", time.Microsecond, "virtual think time between a tenant's operations")
-		workers = fs.Int("workers", 4, "parallel workers across grid points")
 		noArb   = fs.Bool("no-arbiter", false, "disable the DRAM-budget arbiter (unmanaged frame contention)")
 		obs     = obsflags.Register(fs)
 	)
@@ -215,6 +218,10 @@ func runConsolidate(args []string) {
 		fs.Usage()
 		os.Exit(2)
 	}
+	tenantCounts, err := parseInts(*tenants)
+	badArgs(fs, err)
+	seedList, err := parseUints(*seeds)
+	badArgs(fs, err)
 	var dev *core.Config
 	if *obs.MapCache > 0 {
 		// Same geometry the sweep uses by default, with the demand-paged map
@@ -226,14 +233,12 @@ func runConsolidate(args []string) {
 	}
 	cfg := mtsim.SweepConfig{
 		Device:         dev,
-		TenantCounts:   parseInts(fs, *tenants),
+		TenantCounts:   tenantCounts,
 		MixSpecs:       strings.Split(*mixes, ","),
-		Seeds:          parseUints(fs, *seeds),
+		Seeds:          seedList,
 		Ops:            *ops,
 		RegionBytes:    *region,
 		Think:          sim.Duration(think.Nanoseconds()),
-		Workers:        *workers,
-		Parallel:       *obs.Parallel,
 		DisableArbiter: *noArb,
 		Attrib:         obs.AttribEnabled(),
 		SLO:            obs.SLODur(),
@@ -244,11 +249,7 @@ func runConsolidate(args []string) {
 		cfg.Flight = flightRec
 	}
 	res, err := mtsim.Sweep(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flatflash-bench:", err)
-		fs.Usage()
-		os.Exit(2)
-	}
+	badArgs(fs, err)
 	check(res.Write(os.Stdout))
 	if *obs.LatencyOut != "" {
 		// Each sweep point carries a private attribution engine; the dump
@@ -268,7 +269,7 @@ func runConsolidate(args []string) {
 // runFleet executes the sharded fleet sweep: for each (shard count, offered
 // rate, seed) grid point, M devices behind a consistent-hash ring absorb
 // open-loop Poisson traffic with SLO-aware admission control. The report is
-// byte-identical for a fixed grid and seed set, whatever -workers is.
+// byte-identical for a fixed grid and seed set, whatever GOMAXPROCS is.
 func runFleet(args []string) {
 	fs := flag.NewFlagSet("fleet", flag.ExitOnError)
 	var (
@@ -294,8 +295,7 @@ func runFleet(args []string) {
 		mEpoch   = fs.Duration("migrate-epoch", 0, "cross-shard migration epoch (0 disables migration)")
 		mPages   = fs.Int("migrate-pages", 0, "max pages migrated per shard per epoch (0 = default)")
 		mLat     = fs.Duration("migrate-lat", 0, "per-page migration copy cost (0 = default)")
-		workers  = fs.Int("workers", 4, "parallel workers across grid points")
-		obs      = obsflags.Register(fs)
+		obs      = obsflags.RegisterOpenLoop(fs)
 	)
 	subUsage(fs, "fleet")
 	check(fs.Parse(args))
@@ -303,14 +303,20 @@ func runFleet(args []string) {
 		fs.Usage()
 		os.Exit(2)
 	}
+	shardCounts, err := parseInts(*shards)
+	badArgs(fs, err)
+	rateList, err := parseFloats(*rates)
+	badArgs(fs, err)
+	seedList, err := parseUints(*seeds)
+	badArgs(fs, err)
 	dev := core.DefaultConfig(*ssd, *dram)
 	dev.MapCachePages = *obs.MapCache
 	dev.MapPipeline = *obs.MapCache > 0
 	cfg := fleet.SweepConfig{
 		Device:      &dev,
-		ShardCounts: parseInts(fs, *shards),
-		Rates:       parseFloats(fs, *rates),
-		Seeds:       parseUints(fs, *seeds),
+		ShardCounts: shardCounts,
+		Rates:       rateList,
+		Seeds:       seedList,
 		Arrivals: workload.ArrivalConfig{
 			MixSpec:       *mix,
 			DiurnalAmp:    *amp,
@@ -331,8 +337,6 @@ func runFleet(args []string) {
 		MigrateEpoch: sim.Duration(mEpoch.Nanoseconds()),
 		MigratePages: *mPages,
 		MigrateLat:   sim.Duration(mLat.Nanoseconds()),
-		Workers:      *workers,
-		Parallel:     *obs.Parallel,
 	}
 	var flightRec *telemetry.FlightRecorder
 	if obs.FlightEnabled() {
@@ -343,11 +347,7 @@ func runFleet(args []string) {
 		cfg.Server.Attrib = true
 	}
 	res, err := fleet.Sweep(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flatflash-bench:", err)
-		fs.Usage()
-		os.Exit(2)
-	}
+	badArgs(fs, err)
 	check(res.Write(os.Stdout))
 	if *obs.LatencyOut != "" {
 		// Every shard of every point carries a private attribution engine;
@@ -366,46 +366,38 @@ func runFleet(args []string) {
 	check(obs.WriteFlight(flightRec, os.Stdout))
 }
 
-func parseInts(fs *flag.FlagSet, csv string) []int {
-	var out []int
-	for _, s := range strings.Split(csv, ",") {
-		var v int
-		if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &v); err != nil {
-			fmt.Fprintf(os.Stderr, "flatflash-bench: bad integer %q\n", s)
-			fs.Usage()
-			os.Exit(2)
-		}
-		out = append(out, v)
+// badArgs reports err, prints fs's usage and exits 2; it is a no-op when
+// err is nil. Grid parse and sweep validation errors go through it.
+func badArgs(fs *flag.FlagSet, err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "flatflash-bench:", err)
+		fs.Usage()
+		os.Exit(2)
 	}
-	return out
 }
 
-func parseFloats(fs *flag.FlagSet, csv string) []float64 {
-	var out []float64
+// parseList parses every comma-separated token of csv with parse, which must
+// consume the whole token: "2x" is an error, not 2.
+func parseList[T any](what, csv string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, s := range strings.Split(csv, ",") {
-		var v float64
-		if _, err := fmt.Sscanf(strings.TrimSpace(s), "%g", &v); err != nil {
-			fmt.Fprintf(os.Stderr, "flatflash-bench: bad rate %q\n", s)
-			fs.Usage()
-			os.Exit(2)
+		v, err := parse(strings.TrimSpace(s))
+		if err != nil {
+			return nil, fmt.Errorf("bad %s %q", what, s)
 		}
 		out = append(out, v)
 	}
-	return out
+	return out, nil
 }
 
-func parseUints(fs *flag.FlagSet, csv string) []uint64 {
-	var out []uint64
-	for _, s := range strings.Split(csv, ",") {
-		var v uint64
-		if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &v); err != nil {
-			fmt.Fprintf(os.Stderr, "flatflash-bench: bad seed %q\n", s)
-			fs.Usage()
-			os.Exit(2)
-		}
-		out = append(out, v)
-	}
-	return out
+func parseInts(csv string) ([]int, error) { return parseList("integer", csv, strconv.Atoi) }
+
+func parseFloats(csv string) ([]float64, error) {
+	return parseList("rate", csv, func(s string) (float64, error) { return strconv.ParseFloat(s, 64) })
+}
+
+func parseUints(csv string) ([]uint64, error) {
+	return parseList("seed", csv, func(s string) (uint64, error) { return strconv.ParseUint(s, 10, 64) })
 }
 
 // runCrashsweep executes the crash-consistency sweep harness. The defaults

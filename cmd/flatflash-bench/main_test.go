@@ -1,0 +1,43 @@
+package main
+
+import (
+	"reflect"
+	"testing"
+)
+
+// Grid values must parse whole: a token with trailing junk, an empty token
+// or a negative seed is an error, never a silently truncated value.
+func TestParseGridLists(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		parse   func(string) (any, error)
+		csv     string
+		want    any
+		wantErr bool
+	}{
+		{"ints", ints, "1, 2,4", []int{1, 2, 4}, false},
+		{"ints trailing junk", ints, "2x", nil, true},
+		{"ints empty token", ints, "1,,4", nil, true},
+		{"floats", floats, "50000,5e5, 2000000", []float64{50000, 500000, 2000000}, false},
+		{"floats trailing junk", floats, "5e4junk", nil, true},
+		{"floats empty list", floats, "", nil, true},
+		{"uints", uints, "1,2", []uint64{1, 2}, false},
+		{"uints negative seed", uints, "-1", nil, true},
+		{"uints trailing junk", uints, "3s", nil, true},
+	} {
+		got, err := tc.parse(tc.csv)
+		if tc.wantErr {
+			if err == nil {
+				t.Errorf("%s: %q parsed as %v, want an error", tc.name, tc.csv, got)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: %q = %v, %v; want %v", tc.name, tc.csv, got, err, tc.want)
+		}
+	}
+}
+
+func ints(csv string) (any, error)   { return parseInts(csv) }
+func floats(csv string) (any, error) { return parseFloats(csv) }
+func uints(csv string) (any, error)  { return parseUints(csv) }

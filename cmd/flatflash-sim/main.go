@@ -63,7 +63,7 @@ func main() {
 		traceOut   = flag.String("trace-out", "", "write a Chrome/Perfetto trace-event JSON file")
 		metricsOut = flag.String("metrics-out", "", "write epoch-sampled metrics as JSON Lines")
 		metricsEp  = flag.Duration("metrics-epoch", time.Millisecond, "virtual-time metrics sampling epoch")
-		obs        = obsflags.Register(flag.CommandLine)
+		obs        = obsflags.RegisterOpenLoop(flag.CommandLine)
 	)
 	flag.Parse()
 

@@ -8,12 +8,12 @@ import (
 
 // sharedstate is the compile-time side of the batched fan-out's determinism
 // contract. sim.ForEach runs bodies concurrently — a fleet flush drains
-// every shard's arrival batch at once, a consolidation runs its solo and
-// shared simulations side by side, a figure runs its independent
-// simulations on every core — and the byte-identical-report guarantee
-// holds only if each body touches nothing but its own index's state and its
-// arguments. The GOMAXPROCS-matrix equivalence tests prove that dynamically
-// for the configurations they drive; sharedstate gates the source itself. A
+// every shard's arrival batch at once, a sweep runs its grid points side
+// by side, a figure runs its independent simulations on every core — and
+// the byte-identical-report guarantee holds only if each body touches
+// nothing but its own index's state and its arguments. The
+// GOMAXPROCS-matrix equivalence tests prove that dynamically for the
+// configurations they drive; sharedstate gates the source itself. A
 // function opts in by carrying //flatflash:lp in its doc comment, and every
 // construct that reaches shared mutable state is flagged:
 //

@@ -28,8 +28,6 @@ func Consolidate(s Scale) *Report {
 		Ops:          s.pick(300, 2000),
 		RegionBytes:  uint64(s.pick(128<<10, 512<<10)),
 		Think:        sim.Micros(1),
-		Workers:      4,
-		Parallel:     current.parallel,
 		Tracer:       current.tracer,
 		Registry:     current.reg,
 		Attrib:       current.att != nil,

@@ -39,12 +39,8 @@ func FleetSweep(s Scale) *Report {
 			SLO:           slo,
 			ShedWait:      slo / 8,
 			IssueOverhead: 300,
+			Flight:        current.rec,
 		},
-		Workers:  4,
-		Parallel: current.parallel,
-	}
-	if current.rec != nil {
-		cfg.Server.Flight = current.rec // single-writer sink: sweep drops to one worker
 	}
 	rep := &Report{
 		ID:     "fleet",

@@ -8,76 +8,94 @@ import (
 	"flatflash/internal/telemetry"
 )
 
-// Figure-level gate for the -parallel flag: rendering the consolidate and
-// fleet experiments with their simulations fanned out over four workers
-// must produce byte-identical report output. This is the same comparison ci.sh
-// makes end-to-end through the flatflash-bench binary.
+// Figure-level gate for the consolidate and fleet grids: their points fan
+// out over GOMAXPROCS, so rendering each with one processor and with four
+// must produce byte-identical report output. This is the same comparison
+// ci.sh makes end-to-end through the flatflash-bench binary.
 func TestParallelReportsByteIdentical(t *testing.T) {
+	render := func(t *testing.T, procs int, id string) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		var out bytes.Buffer
+		if err := Run(&out, id, Quick); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
 	for _, id := range []string{"consolidate", "fleet"} {
 		t.Run(id, func(t *testing.T) {
-			SetParallel(0)
-			var seq bytes.Buffer
-			if err := Run(&seq, id, Quick); err != nil {
-				t.Fatal(err)
-			}
-			SetParallel(4)
-			defer SetParallel(0)
-			var par bytes.Buffer
-			if err := Run(&par, id, Quick); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(seq.Bytes(), par.Bytes()) {
-				t.Fatalf("-parallel changed the %s report:\n--- sequential ---\n%s--- parallel ---\n%s",
-					id, seq.String(), par.String())
+			one, four := render(t, 1, id), render(t, 4, id)
+			if one != four {
+				t.Fatalf("GOMAXPROCS changed the %s report:\n--- 1 ---\n%s--- 4 ---\n%s", id, one, four)
 			}
 		})
 	}
 }
 
-// Figure cells fan out over GOMAXPROCS, so the GOMAXPROCS setting must not
-// reach the reports. Unlike the quick golden this test also runs under
-// -race, which makes it the one that runs two simulations at once there.
-// The second half attaches a shared attribution engine: the cells must then
-// run in-line, in index order, so its JSONL dump keeps its bytes too (and
-// the race detector would flag concurrent writes into the engine).
+// Figure cells and the consolidate and fleet grid points fan out over
+// GOMAXPROCS, so the GOMAXPROCS setting must not reach the reports. Unlike
+// the quick golden this test also runs under -race, which makes it the one
+// that runs two simulations at once there. The second half attaches a
+// shared attribution engine and flight recorder: every run must then go
+// in-line, in index order, so their dumps keep their bytes too (and the
+// race detector would flag concurrent writes into them).
 func TestFanOutIndependentOfGOMAXPROCS(t *testing.T) {
-	ids := []string{"fig11", "fig13"}
-	run := func(procs int, withAttrib bool) (reports, attrib []byte) {
+	ids := []string{"fig11", "fig13", "consolidate", "fleet"}
+	run := func(procs int, withSinks bool) (reports []string, attrib, flight []byte) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		var att *telemetry.Attribution
-		if withAttrib {
+		var (
+			att *telemetry.Attribution
+			rec *telemetry.FlightRecorder
+		)
+		if withSinks {
 			att = telemetry.NewAttribution(0, 0)
-			SetAttribution(att, nil)
+			rec = telemetry.NewFlightRecorder(telemetry.DefaultFlightCapacity, telemetry.DefaultFlightSnapshots)
+			SetAttribution(att, rec)
 			defer SetAttribution(nil, nil)
 		}
-		var out bytes.Buffer
 		for _, id := range ids {
+			var out bytes.Buffer
 			if err := Run(&out, id, Quick); err != nil {
 				t.Fatal(err)
 			}
+			reports = append(reports, out.String())
 		}
-		var dump bytes.Buffer
-		if att != nil {
-			if err := att.WriteJSONL(&dump); err != nil {
-				t.Fatal(err)
-			}
+		var attDump, recDump bytes.Buffer
+		if err := att.WriteJSONL(&attDump); err != nil {
+			t.Fatal(err)
 		}
-		return out.Bytes(), dump.Bytes()
+		if err := rec.WriteDump(&recDump); err != nil {
+			t.Fatal(err)
+		}
+		return reports, attDump.Bytes(), recDump.Bytes()
 	}
-	one, _ := run(1, false)
-	four, _ := run(4, false)
-	if !bytes.Equal(one, four) {
-		t.Fatalf("reports differ between GOMAXPROCS 1 and 4:\n--- 1 ---\n%s--- 4 ---\n%s", one, four)
+	one, _, _ := run(1, false)
+	four, _, _ := run(4, false)
+	for i, id := range ids {
+		if one[i] != four[i] {
+			t.Fatalf("%s reports differ between GOMAXPROCS 1 and 4:\n--- 1 ---\n%s--- 4 ---\n%s", id, one[i], four[i])
+		}
 	}
-	oneAtt, oneDump := run(1, true)
-	fourAtt, fourDump := run(4, true)
-	if !bytes.Equal(oneAtt, one) || !bytes.Equal(fourAtt, one) {
-		t.Fatal("attaching an attribution engine changed the reports")
+	oneSinks, oneAtt, oneFlight := run(1, true)
+	fourSinks, fourAtt, fourFlight := run(4, true)
+	for i, id := range ids {
+		if oneSinks[i] != fourSinks[i] {
+			t.Fatalf("%s reports with sinks differ between GOMAXPROCS 1 and 4:\n--- 1 ---\n%s--- 4 ---\n%s", id, oneSinks[i], fourSinks[i])
+		}
 	}
-	if len(oneDump) == 0 {
-		t.Fatal("attribution engine recorded nothing")
+	// Only consolidate renders its per-point latency budgets; the figures
+	// and the fleet report must not change when sinks are attached.
+	for i, id := range ids {
+		if id != "consolidate" && oneSinks[i] != one[i] {
+			t.Fatalf("attaching sinks changed the %s report", id)
+		}
 	}
-	if !bytes.Equal(oneDump, fourDump) {
-		t.Fatalf("attribution dumps differ between GOMAXPROCS 1 and 4:\n--- 1 ---\n%s--- 4 ---\n%s", oneDump, fourDump)
+	if len(oneAtt) == 0 || !bytes.Contains(oneFlight, []byte(`"anomaly"`)) {
+		t.Fatalf("sinks recorded nothing: %d attribution bytes, flight dump %q", len(oneAtt), oneFlight)
+	}
+	if !bytes.Equal(oneAtt, fourAtt) {
+		t.Fatalf("attribution dumps differ between GOMAXPROCS 1 and 4:\n--- 1 ---\n%s--- 4 ---\n%s", oneAtt, fourAtt)
+	}
+	if !bytes.Equal(oneFlight, fourFlight) {
+		t.Fatalf("flight dumps differ between GOMAXPROCS 1 and 4:\n--- 1 ---\n%s--- 4 ---\n%s", oneFlight, fourFlight)
 	}
 }

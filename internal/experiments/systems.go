@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"flatflash/internal/core"
 	"flatflash/internal/sim"
@@ -22,9 +21,6 @@ type env struct {
 	// mapCache > 0 switches every hierarchy built by the experiments to
 	// the demand-paged translation map (flatflash-bench's -map-cache flag).
 	mapCache int
-	// parallel is each consolidate or fleet sweep point's fan-out worker
-	// count (flatflash-bench's -parallel flag).
-	parallel int
 	// Shared telemetry sinks. Nil (the default) keeps every access path
 	// allocation-free.
 	tracer *telemetry.Tracer
@@ -34,14 +30,6 @@ type env struct {
 }
 
 var current env
-
-// SetParallel makes subsequent experiment runs fan each simulation's
-// independent parts out over workers goroutines: a fleet's shard batches, a
-// consolidation's solo and shared runs (0 or 1, the default, runs them
-// in-line). Only the consolidate and fleet sweeps use it. It does not touch
-// the figures' cells, which always fan out over GOMAXPROCS (see fanOut).
-// Reports never change, only wall-clock time does.
-func SetParallel(workers int) { current.parallel = workers }
 
 // SetMapCache makes subsequent experiment runs build every hierarchy with
 // the FTL's demand-paged translation map, keeping pages translation pages
@@ -71,17 +59,14 @@ func SetAttribution(a *telemetry.Attribution, r *telemetry.FlightRecorder) {
 // fanOut runs cell(e, i) for every i in [0, n) and returns the results in
 // index order. A cell is one independent simulation: it builds its own
 // hierarchy and runs one workload on it, so the cells fan out through
-// sim.ForEach over GOMAXPROCS workers and the caller assembles its reports
-// from the slots exactly as a sequential loop would. A shared telemetry
-// sink records in call order, so with one attached every cell runs
-// in-line, in index order, and traces and dumps keep their bytes too. The
-// first failing cell in index order panics, as mustBuild does.
+// sim.ForEach on sim.Workers goroutines and the caller assembles its
+// reports from the slots exactly as a sequential loop would. Every sink in
+// env is shared by all the cells, so with any of them attached the cells
+// run in-line, in index order, and traces and dumps keep their bytes too.
+// The first failing cell in index order panics, as mustBuild does.
 func fanOut[T any](n int, cell func(e env, i int) (T, error)) []T {
 	e := current
-	workers := runtime.GOMAXPROCS(0)
-	if e.tracer != nil || e.reg != nil || e.att != nil || e.rec != nil {
-		workers = 1
-	}
+	workers := sim.Workers(e.tracer != nil || e.reg != nil || e.att != nil || e.rec != nil)
 	out := make([]T, n)
 	must(sim.ForEach(n, workers, func(i int) error {
 		var err error

@@ -49,7 +49,9 @@ type Config struct {
 	// Parallel is how many goroutines drain the shards' arrival batches; 0
 	// or 1 drains them in-line. Reports and flight dumps are byte-identical
 	// at any value. A shared flight recorder (a single-writer sink) keeps
-	// the drain in-line regardless.
+	// the drain in-line regardless. Outside tests only the perf harness
+	// sets it (perf/workload.go, for its fleet workload and probes); the
+	// CLIs and sweeps leave it at 0.
 	Parallel int
 }
 

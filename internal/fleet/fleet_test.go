@@ -182,7 +182,7 @@ func TestFleetMigrationDeterministic(t *testing.T) {
 	}
 }
 
-func sweepConfig(workers int) SweepConfig {
+func sweepConfig() SweepConfig {
 	return SweepConfig{
 		Device:      testDevice(),
 		ShardCounts: []int{1, 2, 4},
@@ -190,7 +190,6 @@ func sweepConfig(workers int) SweepConfig {
 		Seeds:       []uint64{1, 2},
 		Arrivals:    testArrivals(100000),
 		Server:      testServer(),
-		Workers:     workers,
 	}
 }
 
@@ -207,13 +206,15 @@ func sweepReport(t *testing.T, cfg SweepConfig) string {
 	return buf.String()
 }
 
-// The sweep report must be byte-identical whatever the worker count — the
-// same contract mtsim.Sweep keeps.
+// The sweep runs its points on GOMAXPROCS workers, so the report must be
+// byte-identical whatever GOMAXPROCS is — the same contract mtsim.Sweep
+// keeps.
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
-	seq := sweepReport(t, sweepConfig(1))
-	par := sweepReport(t, sweepConfig(4))
+	var seq, par string
+	withGOMAXPROCS(1, func() { seq = sweepReport(t, sweepConfig()) })
+	withGOMAXPROCS(4, func() { par = sweepReport(t, sweepConfig()) })
 	if seq != par {
-		t.Fatalf("workers=1 and workers=4 reports differ:\n--- seq ---\n%s--- par ---\n%s", seq, par)
+		t.Fatalf("GOMAXPROCS 1 and 4 reports differ:\n--- 1 ---\n%s--- 4 ---\n%s", seq, par)
 	}
 	if len(seq) == 0 {
 		t.Fatal("empty sweep report")
@@ -221,17 +222,17 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestSweepValidates(t *testing.T) {
-	cfg := sweepConfig(1)
+	cfg := sweepConfig()
 	cfg.ShardCounts = nil
 	if _, err := Sweep(cfg); err == nil {
 		t.Error("empty shard grid accepted")
 	}
-	cfg = sweepConfig(1)
+	cfg = sweepConfig()
 	cfg.Rates = []float64{-5}
 	if _, err := Sweep(cfg); err == nil {
 		t.Error("negative rate accepted")
 	}
-	cfg = sweepConfig(1)
+	cfg = sweepConfig()
 	cfg.ShardCounts = []int{0}
 	if _, err := Sweep(cfg); err == nil {
 		t.Error("zero shard count accepted")

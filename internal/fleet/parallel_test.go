@@ -111,20 +111,6 @@ func TestParallelFallsBackToSequential(t *testing.T) {
 	}
 }
 
-// Sweep-level composition: Workers spreads grid points across goroutines
-// while Parallel spreads shards inside each point; the report must not care.
-func TestSweepParallelComposes(t *testing.T) {
-	base := sweepConfig(1)
-	base.Arrivals.Ops = 1500
-	want := sweepReport(t, base)
-	par := sweepConfig(2)
-	par.Arrivals.Ops = 1500
-	par.Parallel = 4
-	if got := sweepReport(t, par); got != want {
-		t.Fatalf("workers=2 parallel=4 sweep diverges from sequential:\n--- seq ---\n%s--- par ---\n%s", want, got)
-	}
-}
-
 // Stress: randomized fleet shapes — shard counts, rates, epochs, seeds —
 // must stay byte-identical between in-line and fanned-out drains. Run under
 // -race this doubles as a data-race hunt over the shard drains.

@@ -12,8 +12,9 @@ import (
 
 // SweepConfig fans fleet runs out over (shard count × arrival rate × seed).
 // Each point is an independent fleet instance, so points run in parallel on
-// a worker pool; results merge in point-index order, keeping the report
-// byte-identical whatever Workers is — the same contract mtsim.Sweep keeps.
+// sim.Workers goroutines; results merge in point-index order, keeping the
+// report byte-identical whatever GOMAXPROCS is — the same contract
+// mtsim.Sweep keeps.
 type SweepConfig struct {
 	// Device configures every shard of every point (nil → mtsim default).
 	Device *core.Config
@@ -28,7 +29,9 @@ type SweepConfig struct {
 	// Seed from the grid.
 	Arrivals workload.ArrivalConfig
 
-	// Server is every shard's queueing/admission policy.
+	// Server is every shard's queueing/admission policy. Every point shares
+	// its flight recorder, so setting Server.Flight runs the points in-line,
+	// in grid order.
 	Server mtsim.ServerOptions
 
 	// VNodes, RingSeed, and the Migrate knobs apply to every point.
@@ -37,17 +40,6 @@ type SweepConfig struct {
 	MigrateEpoch sim.Duration
 	MigratePages int
 	MigrateLat   sim.Duration
-
-	// Workers bounds the worker pool; 0 or 1 runs points sequentially. A
-	// flight recorder in Server forces sequential execution: it is a
-	// single-writer sink.
-	Workers int
-
-	// Parallel is each point's shard-drain worker count (see
-	// Config.Parallel). It composes with Workers: Workers spreads points,
-	// Parallel spreads the shards inside a point — reports stay
-	// byte-identical either way.
-	Parallel int
 }
 
 // Validate checks the sweep grid.
@@ -97,13 +89,12 @@ func (c SweepConfig) pointConfig(shards int, rate float64, seed uint64) Config {
 		MigrateEpoch: c.MigrateEpoch,
 		MigratePages: c.MigratePages,
 		MigrateLat:   c.MigrateLat,
-		Parallel:     c.Parallel,
 	}
 }
 
-// Sweep runs the full grid on min(Workers, points) goroutines. Each point is
-// a private simulator; the only shared state is the results slice, written
-// at distinct indices and merged in index order.
+// Sweep runs the full grid on sim.Workers goroutines. Each point is a
+// private simulator; the only shared state is the results slice, written at
+// distinct indices and merged in index order.
 func Sweep(cfg SweepConfig) (*SweepResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -116,11 +107,7 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 			}
 		}
 	}
-	workers := cfg.Workers
-	if cfg.Server.Flight != nil {
-		workers = 1
-	}
-	err := sim.ForEach(len(points), workers, func(i int) error {
+	err := sim.ForEach(len(points), sim.Workers(cfg.Server.Flight != nil), func(i int) error {
 		p := &points[i]
 		var err error
 		if p.Res, err = Run(cfg.pointConfig(p.Shards, p.Rate, p.Seed)); err != nil {
@@ -135,7 +122,7 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 }
 
 // Write renders every point in grid order; output is byte-identical across
-// runs and across worker counts.
+// runs and across GOMAXPROCS settings.
 func (r *SweepResult) Write(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "fleet sweep points=%d\n", len(r.Points)); err != nil {
 		return err

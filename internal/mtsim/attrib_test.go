@@ -111,7 +111,6 @@ func TestSweepAttributionSequentialWithFlight(t *testing.T) {
 		Seeds:        []uint64{1},
 		Ops:          150,
 		RegionBytes:  128 << 10,
-		Workers:      4,
 		Attrib:       true,
 		SLO:          sim.Micros(5),
 		Flight:       telemetry.NewFlightRecorder(256, 4),

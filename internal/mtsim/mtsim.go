@@ -17,9 +17,8 @@
 // Jain fairness index over normalized progress.
 //
 // Every simulation is single-goroutine and seeded, so a (config, seed) pair
-// produces byte-identical reports; parallelism only runs independent
-// simulations side by side — a consolidation's solo and shared runs, or a
-// sweep's points.
+// produces byte-identical reports; parallelism only runs a sweep's
+// independent points side by side.
 package mtsim
 
 import (
@@ -94,12 +93,6 @@ type Config struct {
 	// its ring records the run's spans, and anomaly triggers dump the
 	// pre-anomaly span window. May be nil.
 	Flight *telemetry.FlightRecorder
-
-	// Parallel is how many goroutines execute the N solo golden runs and
-	// the shared run; 0 or 1 runs them in sequence. The runs share no
-	// virtual-time state — each owns a private device — so the reports stay
-	// byte-identical at any value.
-	Parallel int
 }
 
 // Validate checks the configuration.
@@ -214,9 +207,10 @@ func soloRun(dev core.Config, spec TenantSpec, seed uint64) (*stats.Histogram, s
 
 // Run executes the consolidation: one solo golden run per tenant, then the
 // shared run with all tenants interleaved on one device in global
-// virtual-time order. The N+1 runs each own a private device and virtual
-// clock, so they fan out on up to cfg.Parallel workers; every run's bytes
-// are unchanged, only the wall-clock order is.
+// virtual-time order. Sweep runs its points concurrently, so Run stays
+// confined to its arguments.
+//
+//flatflash:lp
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -228,14 +222,14 @@ func Run(cfg Config) (*Result, error) {
 		ArbiterOn: !cfg.DisableArbiter,
 		Tenants:   make([]TenantResult, len(cfg.Tenants)),
 	}
-	n := len(cfg.Tenants)
-	err := sim.ForEach(n+1, cfg.Parallel, func(i int) error {
-		if i < n {
-			return soloInto(res, dev, cfg.Tenants[i], cfg.Seed, i)
+	for i, spec := range cfg.Tenants {
+		hist, elapsed, err := soloRun(dev, spec, streamSeed(cfg.Seed, spec.Seed, i))
+		if err != nil {
+			return nil, fmt.Errorf("mtsim: solo run of tenant %d: %w", i, err)
 		}
-		return sharedRun(cfg, dev, res)
-	})
-	if err != nil {
+		res.Tenants[i] = TenantResult{ID: i, Spec: spec, Solo: hist, SoloElapsed: elapsed}
+	}
+	if err := sharedRun(cfg, dev, res); err != nil {
 		return nil, err
 	}
 	// Fairness folds the solo baselines into the shared latencies, so it
@@ -244,28 +238,9 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// soloInto runs tenant i's solo golden run and stores the baseline. It may
-// run concurrently with the other runs, so it must stay confined to its
-// arguments and its disjoint slice of res.
-//
-//flatflash:lp
-func soloInto(res *Result, dev core.Config, spec TenantSpec, seed uint64, i int) error {
-	hist, elapsed, err := soloRun(dev, spec, streamSeed(seed, spec.Seed, i))
-	if err != nil {
-		return fmt.Errorf("mtsim: solo run of tenant %d: %w", i, err)
-	}
-	// Touch only the solo fields: the shared run may fill the other half of
-	// this element concurrently, so a whole-struct assignment here would
-	// race with (and could clobber) its writes.
-	tr := &res.Tenants[i]
-	tr.ID, tr.Spec = i, spec
-	tr.Solo, tr.SoloElapsed = hist, elapsed
-	return nil
-}
-
 // sharedRun executes the shared portion of the consolidation — one device,
 // every tenant an actor on it — and fills the shared fields of res. It may
-// run concurrently with the solo runs.
+// run concurrently with other sweep points' runs.
 //
 //flatflash:lp
 func sharedRun(cfg Config, dev core.Config, res *Result) error {

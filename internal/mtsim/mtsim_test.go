@@ -2,6 +2,7 @@ package mtsim
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"flatflash/internal/core"
@@ -172,8 +173,10 @@ func TestSharedRunTelemetry(t *testing.T) {
 	}
 }
 
+// The sweep runs its points on GOMAXPROCS workers, so the report must be
+// byte-identical whatever GOMAXPROCS is.
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
-	base := SweepConfig{
+	cfg := SweepConfig{
 		Device:       testDevice(),
 		TenantCounts: []int{1, 2, 3},
 		MixSpecs:     []string{"zipf", "zipf+scan"},
@@ -183,10 +186,10 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 		Think:        sim.Micros(1),
 	}
 	var reports []string
-	for _, workers := range []int{1, 4} {
-		cfg := base
-		cfg.Workers = workers
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
 		res, err := Sweep(cfg)
+		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +203,7 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 		reports = append(reports, buf.String())
 	}
 	if reports[0] != reports[1] {
-		t.Fatalf("workers=1 and workers=4 reports differ:\n--- workers=1 ---\n%s--- workers=4 ---\n%s",
+		t.Fatalf("GOMAXPROCS 1 and 4 reports differ:\n--- 1 ---\n%s--- 4 ---\n%s",
 			reports[0], reports[1])
 	}
 }

@@ -12,8 +12,8 @@ import (
 
 // SweepConfig fans consolidation runs out over (tenant count × mix spec ×
 // seed). Each point is an independent simulator instance, so points run in
-// parallel on a worker pool; results are merged in point-index order, which
-// keeps the report byte-identical whatever Workers is.
+// parallel on sim.Workers goroutines; results are merged in point-index
+// order, which keeps the report byte-identical whatever GOMAXPROCS is.
 type SweepConfig struct {
 	// Device configures every point's device (nil → mtsim default).
 	Device *core.Config
@@ -33,13 +33,9 @@ type SweepConfig struct {
 
 	DisableArbiter bool
 
-	// Workers bounds the worker pool; 0 or 1 runs points sequentially.
-	// Attaching telemetry forces sequential execution: the sinks are
-	// single-writer.
-	Workers int
-
 	// Tracer and Registry instrument every point's shared run (see
-	// Config.Tracer). Both may be nil.
+	// Config.Tracer). Both may be nil. Every point shares them, so
+	// attaching either runs the points in-line, in grid order.
 	Tracer   *telemetry.Tracer
 	Registry *telemetry.Registry
 
@@ -49,15 +45,8 @@ type SweepConfig struct {
 	Attrib bool
 	SLO    sim.Duration
 	// Flight attaches one shared flight recorder to every point's shared
-	// run; it is a single-writer sink, so setting it forces sequential
-	// execution like Tracer and Registry do.
+	// run; like Tracer and Registry, setting it runs the points in-line.
 	Flight *telemetry.FlightRecorder
-
-	// Parallel is each point's worker count for its solo and shared runs
-	// (see Config.Parallel). It composes with Workers: Workers spreads
-	// points, Parallel spreads the runs inside a point — reports stay
-	// byte-identical either way.
-	Parallel int
 }
 
 // Validate checks the sweep grid.
@@ -117,13 +106,12 @@ func (c SweepConfig) pointConfig(tenants int, mixSpec string, seed uint64) Confi
 		Attrib:         c.Attrib,
 		SLO:            c.SLO,
 		Flight:         c.Flight,
-		Parallel:       c.Parallel,
 	}
 }
 
-// Sweep runs the full grid. Points are distributed over min(Workers, points)
-// goroutines — each point is a private simulator, so the only shared state is
-// the results slice, written at distinct indices and merged in index order.
+// Sweep runs the full grid on sim.Workers goroutines — each point is a
+// private simulator, so the only shared state is the results slice, written
+// at distinct indices and merged in index order.
 func Sweep(cfg SweepConfig) (*SweepResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -137,10 +125,7 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 		}
 	}
 
-	workers := cfg.Workers
-	if cfg.Tracer != nil || cfg.Registry != nil || cfg.Flight != nil {
-		workers = 1
-	}
+	workers := sim.Workers(cfg.Tracer != nil || cfg.Registry != nil || cfg.Flight != nil)
 	err := sim.ForEach(len(points), workers, func(i int) error {
 		p := &points[i]
 		var err error
@@ -156,7 +141,7 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 }
 
 // Write renders every point in grid order. Output is byte-identical across
-// runs and across worker counts.
+// runs and across GOMAXPROCS settings.
 func (r *SweepResult) Write(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "consolidation sweep points=%d\n", len(r.Points)); err != nil {
 		return err

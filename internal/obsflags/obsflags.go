@@ -1,8 +1,10 @@
 // Package obsflags defines the observability flags the CLI tools share:
-// -latency-out, -flight-out, and -slo appear in both flatflash-sim and
-// flatflash-bench with identical names, defaults, and help wording, so the
-// two usage summaries never drift. The package also builds the telemetry
-// sinks those flags ask for and writes their deterministic dump files.
+// -latency-out, -flight-out, -slo and -map-cache appear in both
+// flatflash-sim and flatflash-bench with identical names, defaults, and
+// help wording, so the two usage summaries never drift; -shed-wait appears
+// only on the flag sets that drive an open-loop server. The package also
+// builds the telemetry sinks those flags ask for and writes their
+// deterministic dump files.
 package obsflags
 
 import (
@@ -23,7 +25,6 @@ const (
 	SLOHelp        = "per-op latency SLO; enables violation/burn counters and p99-over-SLO anomaly triggers (0 disables)"
 	ShedWaitHelp   = "open-loop admission control: shed an arrival whose estimated queue wait exceeds this (0 defaults to half the SLO)"
 	MapCacheHelp   = "demand-page the FTL's translation map, keeping this many translation pages resident (0 keeps the whole map in memory)"
-	ParallelHelp   = "fan the parts of one fleet or consolidation simulation (shard batches, solo/shared runs) out over this many workers (0 runs them in-line); figure simulations always fan out over GOMAXPROCS; reports stay byte-identical"
 )
 
 // Flags holds the parsed observability flag values.
@@ -31,9 +32,9 @@ type Flags struct {
 	LatencyOut *string
 	FlightOut  *string
 	SLO        *time.Duration
-	ShedWait   *time.Duration
 	MapCache   *int
-	Parallel   *int
+	// ShedWait is set only by RegisterOpenLoop.
+	ShedWait *time.Duration
 }
 
 // Register installs the shared observability flags on fs.
@@ -42,10 +43,16 @@ func Register(fs *flag.FlagSet) *Flags {
 		LatencyOut: fs.String("latency-out", "", LatencyOutHelp),
 		FlightOut:  fs.String("flight-out", "", FlightOutHelp),
 		SLO:        fs.Duration("slo", 0, SLOHelp),
-		ShedWait:   fs.Duration("shed-wait", 0, ShedWaitHelp),
 		MapCache:   fs.Int("map-cache", 0, MapCacheHelp),
-		Parallel:   fs.Int("parallel", 0, ParallelHelp),
 	}
+}
+
+// RegisterOpenLoop is Register plus -shed-wait, for the flag sets whose runs
+// drive an open-loop server that reads it.
+func RegisterOpenLoop(fs *flag.FlagSet) *Flags {
+	f := Register(fs)
+	f.ShedWait = fs.Duration("shed-wait", 0, ShedWaitHelp)
+	return f
 }
 
 // AttribEnabled reports whether the flags ask for latency attribution
@@ -58,7 +65,8 @@ func (f *Flags) FlightEnabled() bool { return *f.FlightOut != "" }
 // SLODur returns the -slo value as a virtual-time duration.
 func (f *Flags) SLODur() sim.Duration { return sim.Duration(f.SLO.Nanoseconds()) }
 
-// ShedWaitDur returns the -shed-wait value as a virtual-time duration.
+// ShedWaitDur returns the -shed-wait value as a virtual-time duration. Only
+// flags from RegisterOpenLoop have one.
 func (f *Flags) ShedWaitDur() sim.Duration { return sim.Duration(f.ShedWait.Nanoseconds()) }
 
 // Build constructs the sinks the parsed flags ask for: an attribution engine

@@ -3,6 +3,7 @@ package obsflags
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -68,19 +69,40 @@ func TestSLOImpliesAttrib(t *testing.T) {
 	}
 }
 
+func parseOpenLoop(t *testing.T, args ...string) *Flags {
+	t.Helper()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	f := RegisterOpenLoop(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // TestShedWait checks the -shed-wait flag converts to virtual time and
 // defaults to zero (letting the open-loop server derive it from the SLO).
 func TestShedWait(t *testing.T) {
-	f := parse(t)
+	f := parseOpenLoop(t)
 	if f.ShedWaitDur() != 0 {
 		t.Fatalf("default ShedWaitDur = %d, want 0", f.ShedWaitDur())
 	}
-	f = parse(t, "-shed-wait", "40us")
+	f = parseOpenLoop(t, "-shed-wait", "40us")
 	if f.ShedWaitDur() != sim.Duration(40*time.Microsecond) {
 		t.Fatalf("ShedWaitDur = %d, want 40000", f.ShedWaitDur())
 	}
 	if f.AttribEnabled() || f.FlightEnabled() {
 		t.Fatal("-shed-wait enabled unrelated sinks")
+	}
+}
+
+// TestRegisterRejectsShedWait checks a flag set without an open-loop
+// server refuses -shed-wait instead of accepting and ignoring it.
+func TestRegisterRejectsShedWait(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	Register(fs)
+	if err := fs.Parse([]string{"-shed-wait", "1us"}); err == nil {
+		t.Fatal("plain Register accepted -shed-wait")
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -12,9 +13,10 @@ import (
 // order. Every call finishes before ForEach returns, and each index runs on
 // exactly one goroutine, so f may write index-owned state without locking.
 //
-// It is the repository's one worker pool: sweep points, a consolidation's
-// solo and shared runs, a fleet's shard batches and the paper figures'
-// independent simulations all fan out through it.
+// It is the repository's one worker pool: the paper figures' independent
+// simulations, the consolidate and fleet sweeps' grid points and a fleet's
+// shard batches all fan out through it. Workers picks the worker count for
+// every grid of independent simulations.
 func ForEach(n, workers int, f func(i int) error) error {
 	errs := make([]error, n)
 	var next atomic.Int64
@@ -39,4 +41,16 @@ func ForEach(n, workers int, f func(i int) error) error {
 		}
 	}
 	return nil
+}
+
+// Workers is the one rule for how many goroutines a grid of independent
+// simulations gets: GOMAXPROCS, or 1 when the caller has attached a sink
+// that all of its runs share. A shared sink records in call order, so its
+// runs must go in-line, in index order, for traces and dumps to keep their
+// bytes. Reports never depend on the answer, only wall-clock time does.
+func Workers(sharedSink bool) int {
+	if sharedSink {
+		return 1
+	}
+	return runtime.GOMAXPROCS(0)
 }

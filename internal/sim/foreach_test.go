@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -48,4 +49,16 @@ func ExampleForEach() {
 	})
 	fmt.Println(squares)
 	// Output: [0 1 4 9 16]
+}
+
+// A shared sink forces one worker; otherwise a grid gets every core the
+// runtime may use.
+func TestWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	if got := Workers(false); got != 3 {
+		t.Fatalf("Workers(false) = %d at GOMAXPROCS 3, want 3", got)
+	}
+	if got := Workers(true); got != 1 {
+		t.Fatalf("Workers(true) = %d, want 1", got)
+	}
 }

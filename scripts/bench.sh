@@ -57,14 +57,10 @@ $1 ~ /^Benchmark/ && $3 == "ns/op" || ($4 == "ns/op") {
     # Lines look like: BenchmarkName-8  1234  567 ns/op  89 B/op  4 allocs/op
     name = $1
     sub(/-[0-9]+$/, "", name)
-    ns = ""; allocs = ""; extra = ""
+    ns = ""; allocs = ""
     for (i = 2; i < NF; i++) {
         if ($(i + 1) == "ns/op") ns = $i
         if ($(i + 1) == "allocs/op") allocs = $i
-        # Custom ReportMetric units worth snapshotting: the parallel
-        # engine speedup and the core count it was measured on.
-        if ($(i + 1) == "speedup-x") extra = extra ", \"speedup_x\": " $i
-        if ($(i + 1) == "cpus") extra = extra ", \"cpus\": " $i
     }
     if (ns != "") {
         if (allocs == "") allocs = 0
@@ -72,7 +68,6 @@ $1 ~ /^Benchmark/ && $3 == "ns/op" || ($4 == "ns/op") {
         k = ++runs[name]
         nsv[name, k] = ns + 0
         allocv[name, k] = allocs + 0
-        extraof[name] = extra
     }
 }
 END {
@@ -81,8 +76,8 @@ END {
         name = names[i]
         k = runs[name]
         mid = median(nsv, name, k)
-        printf "  \"%s\": {\"ns_per_op\": %s, \"allocs_per_op\": %s, \"min\": %s, \"max\": %s%s}%s\n", \
-            name, mid, median(allocv, name, k), nsv[name, 1], nsv[name, k], extraof[name], (i < n ? "," : "") >> out
+        printf "  \"%s\": {\"ns_per_op\": %s, \"allocs_per_op\": %s, \"min\": %s, \"max\": %s}%s\n", \
+            name, mid, median(allocv, name, k), nsv[name, 1], nsv[name, k], (i < n ? "," : "") >> out
     }
     printf "}\n" >> out
 }' "$raw"

@@ -234,11 +234,12 @@ echo "open-loop smoke ok"
 
 echo "== fleet smoke =="
 # A tiny fleet sweep must be byte-identical across runs AND across worker
-# counts — the ISSUE 7 determinism contract, end to end through the real CLI.
+# counts (the grid runs on GOMAXPROCS workers) — the fleet determinism
+# contract, end to end through the real CLI.
 go build -o /tmp/flatflash-bench ./cmd/flatflash-bench
 fleet_run() {
-    /tmp/flatflash-bench fleet -shards 1,2 -rates 50000,400000 -seeds 1 \
-        -ops 800 -region 262144 -slo 400us -workers "$1"
+    GOMAXPROCS="$1" /tmp/flatflash-bench fleet -shards 1,2 -rates 50000,400000 -seeds 1 \
+        -ops 800 -region 262144 -slo 400us
 }
 fleet_run 2 > /tmp/fleet_run1.txt
 fleet_run 2 > /tmp/fleet_run2.txt
@@ -246,41 +247,36 @@ fleet_run 1 > /tmp/fleet_seq.txt
 cmp /tmp/fleet_run1.txt /tmp/fleet_run2.txt || {
     echo "fleet reports differ across same-seed runs"; exit 1; }
 cmp /tmp/fleet_run1.txt /tmp/fleet_seq.txt || {
-    echo "fleet reports differ across worker counts"; exit 1; }
+    echo "fleet reports differ between GOMAXPROCS=2 and =1"; exit 1; }
 grep -q "fleet sweep points=4" /tmp/fleet_run1.txt || {
     echo "fleet report missing sweep header"; exit 1; }
 echo "fleet smoke ok"
 
 echo "== parallel fan-out smoke =="
-# The two -parallel experiments through the real CLI with four workers, at
-# GOMAXPROCS=1 and GOMAXPROCS=4, byte-compared against -parallel 0: reports
-# must not depend on the worker count or the machine.
-for exp in consolidate fleet; do
-    /tmp/flatflash-bench -quick "$exp" > "/tmp/fanout_${exp}_seq.txt"
-    for procs in 1 4; do
-        GOMAXPROCS=$procs /tmp/flatflash-bench -quick -parallel 4 "$exp" > "/tmp/fanout_${exp}_par${procs}.txt"
-        cmp "/tmp/fanout_${exp}_seq.txt" "/tmp/fanout_${exp}_par${procs}.txt" || {
-            echo "$exp report at -parallel 4 differs from -parallel 0 at GOMAXPROCS=$procs"; exit 1; }
-    done
-done
-# Figure cells always fan out over GOMAXPROCS. Three fanned-out figures,
-# once plain and once with the latency and flight dumps (a shared sink runs
-# the cells in-line), must print the same bytes at GOMAXPROCS=1 and =4.
-# Each run writes its dumps under the same relative names in its own
-# directory, so the stdout lines naming them compare equal too.
+# Figure cells and the consolidate and fleet grid points fan out over
+# GOMAXPROCS. Three fanned-out figures and the two grid experiments, once
+# plain and once with the latency and flight dumps (a shared sink runs
+# everything in-line), and the consolidate and fleet subcommands at their
+# defaults must print the same bytes at GOMAXPROCS=1 and =4. Each run writes
+# its dumps under the same relative names in its own directory, so the
+# stdout lines naming them compare equal too.
+fanout_exps="fig10 fig11 fig13 consolidate fleet"
 for procs in 1 4; do
     cells_dir="/tmp/fanout_cells_$procs"
     rm -rf "$cells_dir"
     mkdir -p "$cells_dir"
+    # shellcheck disable=SC2086 # the experiment list is split on purpose
     (cd "$cells_dir" &&
-        GOMAXPROCS=$procs /tmp/flatflash-bench -quick fig10 fig11 fig13 > plain.txt &&
+        GOMAXPROCS=$procs /tmp/flatflash-bench -quick $fanout_exps > plain.txt &&
         GOMAXPROCS=$procs /tmp/flatflash-bench -quick -slo 4us -latency-out latency.jsonl \
-            -flight-out flight.jsonl fig10 fig11 fig13 > obs.txt)
+            -flight-out flight.jsonl $fanout_exps > obs.txt &&
+        GOMAXPROCS=$procs /tmp/flatflash-bench consolidate > consolidate.txt &&
+        GOMAXPROCS=$procs /tmp/flatflash-bench fleet > fleet.txt)
 done
-for f in plain.txt obs.txt latency.jsonl flight.jsonl; do
+for f in plain.txt obs.txt latency.jsonl flight.jsonl consolidate.txt fleet.txt; do
     [ -s "/tmp/fanout_cells_1/$f" ] || { echo "fan-out smoke: $f is empty"; exit 1; }
     cmp "/tmp/fanout_cells_1/$f" "/tmp/fanout_cells_4/$f" || {
-        echo "fig10 fig11 fig13 $f differs between GOMAXPROCS=1 and =4"; exit 1; }
+        echo "fan-out smoke: $f differs between GOMAXPROCS=1 and =4"; exit 1; }
 done
 echo "parallel fan-out smoke ok"
 
