@@ -9,12 +9,12 @@ ci:
 	./scripts/ci.sh
 
 # Static enforcement of determinism / virtual-time / hot-path invariants
-# (walltime, seededrand, mapiter, hotalloc, probenil, sharedstate,
-# attribwindow, detflow — see the analyzer catalog in DESIGN.md).
+# (walltime, seededrand, hotalloc, probenil, sharedstate, attribwindow,
+# detflow — see the analyzer catalog in DESIGN.md).
 lint:
 	go run ./cmd/flatflash-lint ./...
 
-# Apply the suggested fixes (attribwindow Abandon insertion, mapiter
+# Apply the suggested fixes (attribwindow Abandon insertion, detflow
 # sorted-walk rewrite), then verify the rewrites are gofmt-clean. A second
 # run proposes nothing: every fix removes the diagnostic that suggested it.
 lint-fix:

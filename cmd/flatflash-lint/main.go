@@ -5,7 +5,6 @@
 //
 //	walltime      no wall-clock reads; timing flows through sim.Clock
 //	seededrand    no global math/rand state; randomness replays from seeds
-//	mapiter       no unsorted map walks in report/export/trace emitters
 //	hotalloc      no allocating constructs (and no unannotated same-package
 //	              callees) in //flatflash:hotpath functions
 //	probenil      *telemetry.Sink calls are nil-guarded
@@ -16,16 +15,16 @@
 //	              do not flow into emit sinks or stats.Counters keys
 //
 // Usage: flatflash-lint [-only a,b] [-list] [-q] [-json] [-fix] [packages]
-// (default ./...). Targets are analyzed in parallel (one worker per CPU);
-// output is position-sorted after the fan-in, so it is byte-identical
-// regardless of parallelism.
+// (default ./...). Targets are analyzed in parallel (one worker per
+// GOMAXPROCS); output is position-sorted after the fan-in, so it is
+// byte-identical regardless of parallelism.
 //
 // -json emits the diagnostics as a JSON array on stdout (consumed by
 // scripts/ci.sh for CI annotations). -fix applies every suggested fix —
-// attribwindow's Abandon insertion before a leaking return, mapiter's
-// collect-sort-walk rewrite — and prints the rewritten files; a second -fix
-// run proposes nothing, because every fix removes the diagnostic that
-// suggested it.
+// attribwindow's Abandon insertion before a leaking return, detflow's
+// collect-sort-walk rewrite of a map walk that reaches a sink — and prints
+// the rewritten files; a second -fix run proposes nothing, because every
+// fix removes the diagnostic that suggested it.
 //
 // Exit status: 0 clean, 1 diagnostics reported, 2 load/usage failure.
 // Suppress a single finding with //lint:ignore <analyzer[,analyzer]> <reason>.
@@ -37,7 +36,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	// This package is on the walltime allowlist: the lint CLI never runs
 	// inside a simulation, and timing its own runs over the tree is how
@@ -108,7 +106,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "flatflash-lint: %v\n", err)
 		os.Exit(2)
 	}
-	diags := analyzers.RunN(targets, suite, runtime.NumCPU())
+	diags := analyzers.Run(targets, suite)
 
 	if *fix {
 		files, err := analyzers.ApplyFixes(diags)

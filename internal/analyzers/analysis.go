@@ -30,9 +30,9 @@
 //	                       sharedstate gate for bodies the batched
 //	                       fan-out (sim.ForEach) runs concurrently.
 //	//flatflash:deterministic
-//	                       on a function's doc comment opts it into the
-//	                       mapiter/detflow ordered-output gates even when
-//	                       its name does not look emit-shaped.
+//	                       on a function's doc comment opts it into
+//	                       detflow's emit sinks even when its name does not
+//	                       look emit-shaped.
 //	//lint:ignore <analyzers> <reason>
 //	                       on (or immediately above) a line suppresses the
 //	                       named analyzers' diagnostics for that line. The
@@ -54,6 +54,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"flatflash/internal/sim"
 )
 
 // An Analyzer is one named static check.
@@ -187,56 +189,44 @@ func (p *Pass) SourceText(start, end token.Pos) string {
 
 // All returns the full flatflash-lint suite.
 func All() []*Analyzer {
-	return []*Analyzer{Walltime, SeededRand, MapIter, HotAlloc, ProbeNil, SharedState, AttribWindow, DetFlow}
+	return []*Analyzer{Walltime, SeededRand, HotAlloc, ProbeNil, SharedState, AttribWindow, DetFlow}
 }
 
 // Run applies the analyzers to every target, drops diagnostics suppressed
 // by //lint:ignore directives or package allowlists, and returns the rest
 // sorted by position. Malformed directives are reported under the pseudo-
-// analyzer name "lint".
+// analyzer name "lint". Targets are analyzed concurrently on sim.ForEach's
+// workers; the fan-in sorts and dedups, so the result does not depend on
+// the worker count.
 func Run(targets []*Target, analyzers []*Analyzer) []Diagnostic {
-	return RunN(targets, analyzers, 1)
-}
-
-// RunN is Run with per-target parallelism: up to workers targets are
-// analyzed concurrently. Diagnostics are position-sorted and deduped after
-// the fan-in, so output is byte-identical regardless of worker count.
-func RunN(targets []*Target, analyzers []*Analyzer, workers int) []Diagnostic {
-	if workers < 1 {
-		workers = 1
-	}
 	perTarget := make([][]Diagnostic, len(targets))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, tgt := range targets {
-		wg.Add(1)
-		go func(i int, tgt *Target) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			ig, bad := collectIgnores(tgt)
-			diags := bad
-			for _, a := range analyzers {
-				if a.allows(tgt.Path) {
-					continue
-				}
-				pass := &Pass{Target: tgt, Analyzer: a}
-				a.Run(pass)
-				for _, d := range pass.diags {
-					if !ig.suppressed(a.Name, d.Pos) {
-						diags = append(diags, d)
-					}
+	// Analyzers report through diagnostics, never an error, so ForEach
+	// returns nil.
+	_ = sim.ForEach(len(targets), sim.Workers(false), func(i int) error {
+		tgt := targets[i]
+		ig, diags := collectIgnores(tgt)
+		for _, a := range analyzers {
+			if a.allows(tgt.Path) {
+				continue
+			}
+			pass := &Pass{Target: tgt, Analyzer: a}
+			a.Run(pass)
+			for _, d := range pass.diags {
+				if !ig.suppressed(a.Name, d.Pos) {
+					diags = append(diags, d)
 				}
 			}
-			perTarget[i] = diags
-		}(i, tgt)
-	}
-	wg.Wait()
+		}
+		perTarget[i] = diags
+		return nil
+	})
 	var out []Diagnostic
 	for _, diags := range perTarget {
 		out = append(out, diags...)
 	}
-	sort.Slice(out, func(i, j int) bool {
+	// Stable, so of two duplicates the one reported first survives the
+	// dedup below: detflow attaches a walk's fix to its first report.
+	sort.SliceStable(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename

@@ -1,24 +1,27 @@
 package analyzers
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"regexp"
+	"strconv"
 	"strings"
 
 	"flatflash/internal/analyzers/cfg"
 )
 
-// detflow is a determinism taint analysis: it tracks, through the CFG,
-// values whose ORDER (or rendering) is nondeterministic — products of map
-// iteration, pointer formatting, or unsafe — and reports when they flow
-// into an emit-shaped sink. The syntactic mapiter check catches a map walk
-// inside an emitter; detflow catches the laundered versions: keys collected
-// from a map walk and emitted unsorted three statements later, a tainted
-// slice returned to the caller that renders it, a pointer formatted into a
-// counter name. Same-seed byte-identical reports (every crashsweep golden,
-// the fleet's in-line≡fanned-out gate) are only as strong as the absence of
-// such flows.
+// detflow is the suite's map-order analyzer, a determinism taint analysis:
+// it tracks, through the CFG, values whose ORDER (or rendering) is
+// nondeterministic — products of map iteration, pointer formatting, or
+// unsafe — and reports when they flow into an emit-shaped sink. That covers
+// a map walk printing straight from an emitter and its laundered versions:
+// keys collected from a map walk and emitted unsorted three statements
+// later, a tainted slice returned to the caller that renders it, a pointer
+// formatted into a counter name. Same-seed byte-identical reports (every
+// crashsweep golden, the fleet's in-line≡fanned-out gate) are only as
+// strong as the absence of such flows.
 //
 // Taint sources (intraprocedural):
 //
@@ -33,16 +36,22 @@ import (
 // objects, append, copy, slice/index expressions over tainted bases, and
 // composite literals containing tainted elements. Integer compound
 // assignment (x += k, x |= k) does NOT propagate order taint — integer
-// accumulation commutes, the same exemption mapiter grants. Sorting
-// launders: sort.*/slices.Sort* clear their argument's taint, which is
-// exactly the collect-then-sort idiom the codebase uses (core.sortedFrames).
+// accumulation commutes. Sorting launders: sort.*/slices.Sort* clear their
+// argument's taint, which is exactly the collect-then-sort idiom the
+// codebase uses (core.sortedFrames).
 //
-// Sinks, inside emit-shaped functions only (name matches mapiterCandidate
-// or doc carries //flatflash:deterministic): arguments to fmt print calls,
+// Sinks, inside emit-shaped functions only (name matches emitShaped or doc
+// carries //flatflash:deterministic): arguments to fmt print calls,
 // arguments to Write*-family methods, and tainted return values. One sink
 // applies everywhere: a tainted stats.Counters key (Add/Handle/Get) — a
 // counter named in nondeterministic order perturbs first-use report order
 // no matter who calls it.
+//
+// Each taint remembers the map walk that produced it. When that walk is a
+// key-only `for k := range m` over int or string keys, the first sink it
+// feeds carries the collect/sort/re-walk rewrite (sortedWalkFix); later
+// sinks fed by the same walk report without it, so -fix rewrites each walk
+// once.
 
 var DetFlow = &Analyzer{
 	Name: "detflow",
@@ -51,18 +60,33 @@ var DetFlow = &Analyzer{
 	Run: runDetFlow,
 }
 
-// dfFact is the taint set: object -> why it is tainted (short cause used in
-// the diagnostic).
-type dfFact map[types.Object]string
+// emitShaped matches function names whose output plausibly reaches a
+// report, export, or trace; detflow's emit sinks apply only inside them
+// (and inside //flatflash:deterministic functions). Tight on purpose:
+// aggregation helpers may hand unsorted values to an emitter that sorts.
+var emitShaped = regexp.MustCompile(
+	`(?i)(report|export|emit|dump|render|snapshot|marshal|drain|writeto|string)`)
+
+const deterministicDirective = "//flatflash:deterministic"
+
+// dfTaint is why a value is tainted (the short cause used in the
+// diagnostic) and, when the cause is a map walk, the walk's range statement.
+type dfTaint struct {
+	why string
+	src *ast.RangeStmt
+}
+
+// dfFact is the taint set: object -> its taint.
+type dfFact map[types.Object]dfTaint
 
 func dfMerge(a, b dfFact) dfFact {
 	out := make(dfFact, len(a)+len(b))
-	for o, why := range a {
-		out[o] = why
+	for o, t := range a {
+		out[o] = t
 	}
-	for o, why := range b {
+	for o, t := range b {
 		if _, ok := out[o]; !ok {
-			out[o] = why
+			out[o] = t
 		}
 	}
 	return out
@@ -80,6 +104,17 @@ func dfEqual(a, b dfFact) bool {
 	return true
 }
 
+// dfFunc is detflow's run over one function body.
+type dfFunc struct {
+	*Pass
+	body  *ast.BlockStmt
+	emits bool // the emit sinks apply
+	// fixed holds the walks a diagnostic has already offered to rewrite,
+	// taken the slice names their rewrites declare.
+	fixed map[*ast.RangeStmt]bool
+	taken map[string]bool
+}
+
 func runDetFlow(p *Pass) {
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
@@ -87,18 +122,22 @@ func runDetFlow(p *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			emits := mapiterCandidate.MatchString(fd.Name.Name) ||
-				hasDirective(fd.Doc, deterministicDirective)
-			p.checkDetFlow(fd.Body, emits)
+			d := &dfFunc{
+				Pass:  p,
+				body:  fd.Body,
+				emits: emitShaped.MatchString(fd.Name.Name) || hasDirective(fd.Doc, deterministicDirective),
+				fixed: map[*ast.RangeStmt]bool{},
+				taken: map[string]bool{},
+			}
+			d.check()
 		}
 	}
 }
 
-func (p *Pass) checkDetFlow(body *ast.BlockStmt, emits bool) {
-	g := cfg.New(body)
-	entry := dfFact{}
-	facts := cfg.Forward(g, entry,
-		func(f dfFact, n ast.Node) dfFact { return p.dfTransfer(f, n, false, emits) },
+func (d *dfFunc) check() {
+	g := cfg.New(d.body)
+	facts := cfg.Forward(g, dfFact{},
+		func(f dfFact, n ast.Node) dfFact { return d.dfTransfer(f, n, false) },
 		dfMerge, dfEqual)
 	for _, blk := range g.Blocks {
 		f, reachable := facts[blk]
@@ -106,31 +145,48 @@ func (p *Pass) checkDetFlow(body *ast.BlockStmt, emits bool) {
 			continue
 		}
 		for _, n := range blk.Nodes {
-			f = p.dfTransfer(f, n, true, emits)
+			f = d.dfTransfer(f, n, true)
 		}
 	}
+}
+
+// sink reports the tainted value t reaching a sink at pos. The first sink a
+// fixable walk feeds carries the walk's rewrite.
+func (d *dfFunc) sink(pos token.Pos, t dfTaint, format string, args ...any) {
+	diag := Diagnostic{
+		Analyzer: d.Analyzer.Name,
+		Pos:      d.Fset.Position(pos),
+		Message:  fmt.Sprintf(format, args...),
+	}
+	if t.src != nil && !d.fixed[t.src] {
+		d.fixed[t.src] = true
+		if fix, ok := d.sortedWalkFix(t.src); ok {
+			diag.Fixes = []Fix{fix}
+		}
+	}
+	d.diags = append(d.diags, diag)
 }
 
 // dfTransfer folds one CFG node into the taint fact. With report set it
 // also fires sink diagnostics (the reporting walk re-runs transfers over
 // the converged entry facts).
-func (p *Pass) dfTransfer(f dfFact, n ast.Node, report, emits bool) dfFact {
+func (d *dfFunc) dfTransfer(f dfFact, n ast.Node, report bool) dfFact {
 	// Copy-on-write wrapper so the fixpoint can compare facts by identity
 	// of content.
 	out := f
 	mutated := false
-	set := func(o types.Object, why string) {
+	set := func(o types.Object, t dfTaint) {
 		if o == nil {
 			return
 		}
-		if cur, ok := out[o]; ok && cur == why {
+		if cur, ok := out[o]; ok && cur == t {
 			return
 		}
 		if !mutated {
 			mutated = true
 			out = dfMerge(out, nil)
 		}
-		out[o] = why
+		out[o] = t
 	}
 	clear := func(o types.Object) {
 		if o == nil {
@@ -148,7 +204,7 @@ func (p *Pass) dfTransfer(f dfFact, n ast.Node, report, emits bool) dfFact {
 
 	switch v := n.(type) {
 	case *ast.AssignStmt:
-		p.dfAssign(out, v, set, clear)
+		d.dfAssign(out, v, set, clear)
 	case *ast.DeclStmt:
 		if gd, ok := v.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
@@ -158,8 +214,8 @@ func (p *Pass) dfTransfer(f dfFact, n ast.Node, report, emits bool) dfFact {
 				}
 				for i, name := range vs.Names {
 					if i < len(vs.Values) {
-						if why, bad := p.dfExpr(out, vs.Values[i]); bad {
-							set(p.Info.Defs[name], why)
+						if t, bad := d.dfExpr(out, vs.Values[i]); bad {
+							set(d.Info.Defs[name], t)
 						}
 					}
 				}
@@ -167,20 +223,20 @@ func (p *Pass) dfTransfer(f dfFact, n ast.Node, report, emits bool) dfFact {
 		}
 	case *ast.RangeStmt:
 		// Header node only; the body lives in other blocks.
-		t := p.Info.TypeOf(v.X)
-		if t != nil {
-			if _, isMap := t.Underlying().(*types.Map); isMap {
-				set(rangeVarObj(p.Info, v.Key), "map iteration order")
-				set(rangeVarObj(p.Info, v.Value), "map iteration order")
-			} else if why, bad := p.dfExpr(out, v.X); bad {
-				set(rangeVarObj(p.Info, v.Value), why)
+		if xt := d.Info.TypeOf(v.X); xt != nil {
+			if _, isMap := xt.Underlying().(*types.Map); isMap {
+				t := dfTaint{"map iteration order", v}
+				set(rangeVarObj(d.Info, v.Key), t)
+				set(rangeVarObj(d.Info, v.Value), t)
+			} else if t, bad := d.dfExpr(out, v.X); bad {
+				set(rangeVarObj(d.Info, v.Value), t)
 			}
 		}
 	case *ast.ReturnStmt:
-		if report && emits {
+		if report && d.emits {
 			for _, r := range v.Results {
-				if why, bad := p.dfExpr(out, r); bad {
-					p.Reportf(r.Pos(), "value derived from %s is returned from an emit-shaped function; sort (or restructure) before returning", why)
+				if t, bad := d.dfExpr(out, r); bad {
+					d.sink(r.Pos(), t, "value derived from %s is returned from an emit-shaped function; sort (or restructure) before returning", t.why)
 				}
 			}
 		}
@@ -190,7 +246,7 @@ func (p *Pass) dfTransfer(f dfFact, n ast.Node, report, emits bool) dfFact {
 	// fire. Skips FuncLit bodies (their own CFG) and RangeStmt bodies (own
 	// blocks; only X belongs to this node).
 	walkCalls(n, func(call *ast.CallExpr) {
-		p.dfCall(out, call, set, clear, report, emits)
+		d.dfCall(out, call, set, clear, report)
 	})
 	return out
 }
@@ -229,17 +285,17 @@ func walkCalls(n ast.Node, fn func(*ast.CallExpr)) {
 	}
 }
 
-func (p *Pass) dfAssign(f dfFact, as *ast.AssignStmt, set func(types.Object, string), clear func(types.Object)) {
+func (p *Pass) dfAssign(f dfFact, as *ast.AssignStmt, set func(types.Object, dfTaint), clear func(types.Object)) {
 	// Multi-assign x, y = a, b pairs positionally; x, y = f() taints both
 	// sides if the call taints (calls do not, intraprocedurally, except the
 	// special cases in dfExpr).
 	for i, lhs := range as.Lhs {
-		var why string
+		var t dfTaint
 		var bad bool
 		if len(as.Rhs) == len(as.Lhs) {
-			why, bad = p.dfExpr(f, as.Rhs[i])
+			t, bad = p.dfExpr(f, as.Rhs[i])
 		} else if len(as.Rhs) == 1 {
-			why, bad = p.dfExpr(f, as.Rhs[0])
+			t, bad = p.dfExpr(f, as.Rhs[0])
 		}
 		if as.Tok != token.ASSIGN && as.Tok != token.DEFINE {
 			// Compound assignment. Integer accumulation commutes, so order
@@ -247,17 +303,17 @@ func (p *Pass) dfAssign(f dfFact, as *ast.AssignStmt, set func(types.Object, str
 			if p.isIntegerExpr(lhs) {
 				continue
 			}
-			if lw, lbad := p.dfExpr(f, lhs); lbad {
-				why, bad = lw, true
+			if lt, lbad := p.dfExpr(f, lhs); lbad {
+				t, bad = lt, true
 			}
 			if bad {
-				set(p.dfLhsObj(lhs), why)
+				set(p.dfLhsObj(lhs), t)
 			}
 			continue
 		}
 		obj := p.dfLhsObj(lhs)
 		if bad {
-			set(obj, why)
+			set(obj, t)
 		} else if _, isIdent := lhs.(*ast.Ident); isIdent {
 			// Strong update only on plain variables; a clean store to
 			// x.field or x[i] does not prove the whole object is clean.
@@ -292,19 +348,19 @@ func (p *Pass) dfLhsObj(lhs ast.Expr) types.Object {
 }
 
 // dfExpr reports whether e evaluates to a tainted value under fact f, and
-// the cause.
-func (p *Pass) dfExpr(f dfFact, e ast.Expr) (string, bool) {
+// its taint.
+func (p *Pass) dfExpr(f dfFact, e ast.Expr) (dfTaint, bool) {
 	switch v := e.(type) {
 	case *ast.Ident:
 		if o := p.Info.Uses[v]; o != nil {
-			if why, ok := f[o]; ok {
-				return why, true
+			if t, ok := f[o]; ok {
+				return t, true
 			}
 		}
 	case *ast.SelectorExpr:
 		if o := p.Info.Uses[v.Sel]; o != nil {
-			if why, ok := f[o]; ok {
-				return why, true
+			if t, ok := f[o]; ok {
+				return t, true
 			}
 		}
 		return p.dfExpr(f, v.X)
@@ -319,8 +375,8 @@ func (p *Pass) dfExpr(f dfFact, e ast.Expr) (string, bool) {
 	case *ast.UnaryExpr:
 		return p.dfExpr(f, v.X)
 	case *ast.BinaryExpr:
-		if why, bad := p.dfExpr(f, v.X); bad {
-			return why, true
+		if t, bad := p.dfExpr(f, v.X); bad {
+			return t, true
 		}
 		return p.dfExpr(f, v.Y)
 	case *ast.CompositeLit:
@@ -328,8 +384,8 @@ func (p *Pass) dfExpr(f dfFact, e ast.Expr) (string, bool) {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
 				el = kv.Value
 			}
-			if why, bad := p.dfExpr(f, el); bad {
-				return why, true
+			if t, bad := p.dfExpr(f, el); bad {
+				return t, true
 			}
 		}
 	case *ast.KeyValueExpr:
@@ -339,20 +395,20 @@ func (p *Pass) dfExpr(f dfFact, e ast.Expr) (string, bool) {
 	case *ast.CallExpr:
 		return p.dfCallValue(f, v)
 	}
-	return "", false
+	return dfTaint{}, false
 }
 
 // dfCallValue decides whether a call EXPRESSION produces a tainted value.
-func (p *Pass) dfCallValue(f dfFact, call *ast.CallExpr) (string, bool) {
+func (p *Pass) dfCallValue(f dfFact, call *ast.CallExpr) (dfTaint, bool) {
 	// append(s, xs...) is tainted if the slice or any appended value is.
 	if id, ok := call.Fun.(*ast.Ident); ok {
 		if b, ok := p.Info.Uses[id].(*types.Builtin); ok && b.Name() == "append" {
 			for _, a := range call.Args {
-				if why, bad := p.dfExpr(f, a); bad {
-					return why, true
+				if t, bad := p.dfExpr(f, a); bad {
+					return t, true
 				}
 			}
-			return "", false
+			return dfTaint{}, false
 		}
 	}
 	// Conversions: uintptr(ptr) introduces pointer-identity taint; any
@@ -360,7 +416,7 @@ func (p *Pass) dfCallValue(f dfFact, call *ast.CallExpr) (string, bool) {
 	if tv, ok := p.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Kind() == types.Uintptr {
 			if at := p.Info.TypeOf(call.Args[0]); at != nil && isPointerish(at) {
-				return "pointer identity (uintptr conversion)", true
+				return dfTaint{why: "pointer identity (uintptr conversion)"}, true
 			}
 		}
 		return p.dfExpr(f, call.Args[0])
@@ -369,54 +425,54 @@ func (p *Pass) dfCallValue(f dfFact, call *ast.CallExpr) (string, bool) {
 		// maps.Keys / maps.Values: iteration-ordered by definition.
 		if fn, ok := pkgFunc(p.Info, sel.Sel, "maps"); ok {
 			if fn.Name() == "Keys" || fn.Name() == "Values" {
-				return "map iteration order (maps." + fn.Name() + ")", true
+				return dfTaint{why: "map iteration order (maps." + fn.Name() + ")"}, true
 			}
 		}
 		// unsafe.* values.
 		if id, ok := sel.X.(*ast.Ident); ok {
 			if pn, ok := p.Info.Uses[id].(*types.PkgName); ok && pn.Imported().Path() == "unsafe" {
-				return "unsafe", true
+				return dfTaint{why: "unsafe"}, true
 			}
 		}
 		// fmt.Sprint* with %p or a pointer argument renders an address.
 		if fn, ok := pkgFunc(p.Info, sel.Sel, "fmt"); ok && strings.HasPrefix(fn.Name(), "Sprint") {
 			if p.fmtRendersPointer(call) {
-				return "pointer formatting", true
+				return dfTaint{why: "pointer formatting"}, true
 			}
 			for _, a := range call.Args {
-				if why, bad := p.dfExpr(f, a); bad {
-					return why, true
+				if t, bad := p.dfExpr(f, a); bad {
+					return t, true
 				}
 			}
 		}
 	}
-	return "", false
+	return dfTaint{}, false
 }
 
 // dfCall handles call STATEMENT effects: laundering, propagation, sinks,
 // and the direct %p diagnostic.
-func (p *Pass) dfCall(f dfFact, call *ast.CallExpr, set func(types.Object, string), clear func(types.Object), report, emits bool) {
+func (d *dfFunc) dfCall(f dfFact, call *ast.CallExpr, set func(types.Object, dfTaint), clear func(types.Object), report bool) {
 	// Direct diagnostic: %p anywhere (emit-shaped or not) — a formatted
 	// pointer can never be deterministic across runs.
-	if report && p.fmtRendersPointer(call) {
-		p.Reportf(call.Pos(), "formatting a pointer (%%p / pointer argument) is nondeterministic across runs; format a stable id instead")
+	if report && d.fmtRendersPointer(call) {
+		d.Reportf(call.Pos(), "formatting a pointer (%%p / pointer argument) is nondeterministic across runs; format a stable id instead")
 	}
 
 	// Sorting launders the first argument.
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && len(call.Args) >= 1 {
-		if fn, ok := pkgFunc(p.Info, sel.Sel, "sort"); ok && fn.Name() != "Search" {
-			clear(p.dfLhsObj(call.Args[0]))
+		if fn, ok := pkgFunc(d.Info, sel.Sel, "sort"); ok && fn.Name() != "Search" {
+			clear(d.dfLhsObj(call.Args[0]))
 		}
-		if fn, ok := pkgFunc(p.Info, sel.Sel, "slices"); ok && strings.HasPrefix(fn.Name(), "Sort") {
-			clear(p.dfLhsObj(call.Args[0]))
+		if fn, ok := pkgFunc(d.Info, sel.Sel, "slices"); ok && strings.HasPrefix(fn.Name(), "Sort") {
+			clear(d.dfLhsObj(call.Args[0]))
 		}
 	}
 
 	// copy(dst, src) propagates.
 	if id, ok := call.Fun.(*ast.Ident); ok && len(call.Args) == 2 {
-		if b, ok := p.Info.Uses[id].(*types.Builtin); ok && b.Name() == "copy" {
-			if why, bad := p.dfExpr(f, call.Args[1]); bad {
-				set(p.dfLhsObj(call.Args[0]), why)
+		if b, ok := d.Info.Uses[id].(*types.Builtin); ok && b.Name() == "copy" {
+			if t, bad := d.dfExpr(f, call.Args[1]); bad {
+				set(d.dfLhsObj(call.Args[0]), t)
 			}
 		}
 	}
@@ -427,36 +483,36 @@ func (p *Pass) dfCall(f dfFact, call *ast.CallExpr, set func(types.Object, strin
 
 	// stats.Counters key sink: applies everywhere.
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && len(call.Args) >= 1 {
-		if isCountersRecv(p.Info.TypeOf(sel.X)) {
+		if isCountersRecv(d.Info.TypeOf(sel.X)) {
 			switch sel.Sel.Name {
 			case "Add", "Handle", "Get":
-				if why, bad := p.dfExpr(f, call.Args[0]); bad {
-					p.Reportf(call.Args[0].Pos(), "stats.Counters key derived from %s: counter first-use order becomes nondeterministic", why)
+				if t, bad := d.dfExpr(f, call.Args[0]); bad {
+					d.sink(call.Args[0].Pos(), t, "stats.Counters key derived from %s: counter first-use order becomes nondeterministic", t.why)
 				}
 			}
 		}
 	}
 
-	if !emits {
+	if !d.emits {
 		return
 	}
 
 	// Emit sinks: fmt printers and Write*-family methods.
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if fn, ok := pkgFunc(p.Info, sel.Sel, "fmt"); ok &&
+		if fn, ok := pkgFunc(d.Info, sel.Sel, "fmt"); ok &&
 			(strings.HasPrefix(fn.Name(), "Print") || strings.HasPrefix(fn.Name(), "Fprint")) {
 			for _, a := range call.Args {
-				if why, bad := p.dfExpr(f, a); bad {
-					p.Reportf(a.Pos(), "value derived from %s reaches %s in an emit-shaped function; sort before emitting", why, "fmt."+fn.Name())
+				if t, bad := d.dfExpr(f, a); bad {
+					d.sink(a.Pos(), t, "value derived from %s reaches %s in an emit-shaped function; sort before emitting", t.why, "fmt."+fn.Name())
 				}
 			}
 			return
 		}
 		if strings.HasPrefix(sel.Sel.Name, "Write") || sel.Sel.Name == "Printf" || sel.Sel.Name == "Print" {
-			if _, isPkg := p.Info.Uses[idOf(sel.X)].(*types.PkgName); !isPkg {
+			if _, isPkg := d.Info.Uses[idOf(sel.X)].(*types.PkgName); !isPkg {
 				for _, a := range call.Args {
-					if why, bad := p.dfExpr(f, a); bad {
-						p.Reportf(a.Pos(), "value derived from %s reaches %s in an emit-shaped function; sort before emitting", why, sel.Sel.Name)
+					if t, bad := d.dfExpr(f, a); bad {
+						d.sink(a.Pos(), t, "value derived from %s reaches %s in an emit-shaped function; sort before emitting", t.why, sel.Sel.Name)
 					}
 				}
 			}
@@ -523,4 +579,185 @@ func isCountersRecv(t types.Type) bool {
 		return false
 	}
 	return pkg.Path() == "internal/stats" || hasPathSuffix(pkg.Path(), "internal/stats")
+}
+
+// sortedWalkFix builds the mechanical collect-then-sort rewrite for a
+// key-only map walk whose key type is plain int or string:
+//
+//	for k := range m { body }
+//
+// becomes
+//
+//	keys := make([]int, 0, len(m))
+//	for k := range m {
+//		keys = append(keys, k)
+//	}
+//	sort.Ints(keys)
+//	for _, k := range keys { body }
+//
+// plus a "sort" import when the file lacks one. Walks that read values, use
+// exotic key types, or mutate the map mid-walk (collecting keys first would
+// change which keys are visited) get the diagnostic without a fix. So do
+// assign-form walks (for k = range m): the outer k they write may be read
+// after the loop, and the rewrite's loop-scoped k would shadow it.
+func (d *dfFunc) sortedWalkFix(rs *ast.RangeStmt) (Fix, bool) {
+	key, ok := rs.Key.(*ast.Ident)
+	if !ok || key.Name == "_" || rs.Value != nil || rs.Tok != token.DEFINE {
+		return Fix{}, false
+	}
+	kt := d.Info.TypeOf(rs.X)
+	if kt == nil {
+		return Fix{}, false
+	}
+	mt, ok := kt.Underlying().(*types.Map)
+	if !ok {
+		return Fix{}, false
+	}
+	var sortFn, elemType string
+	if b, ok := mt.Key().(*types.Basic); ok {
+		switch b.Kind() {
+		case types.Int:
+			sortFn, elemType = "sort.Ints", "int"
+		case types.String:
+			sortFn, elemType = "sort.Strings", "string"
+		}
+	}
+	if sortFn == "" {
+		return Fix{}, false
+	}
+	mapText := d.SourceText(rs.X.Pos(), rs.X.End())
+	bodyText := d.SourceText(rs.Body.Pos(), rs.Body.End())
+	if mapText == "" || bodyText == "" || d.mutatesMap(rs.Body, mapText) {
+		return Fix{}, false
+	}
+	keysVar := d.freshName("keys")
+	indent := d.lineIndent(rs.Pos())
+	nl := "\n" + indent
+	newText := keysVar + " := make([]" + elemType + ", 0, len(" + mapText + "))" + nl +
+		"for " + key.Name + " := range " + mapText + " {" + nl +
+		"\t" + keysVar + " = append(" + keysVar + ", " + key.Name + ")" + nl +
+		"}" + nl +
+		sortFn + "(" + keysVar + ")" + nl +
+		"for _, " + key.Name + " := range " + keysVar + " " + bodyText
+	fix := Fix{
+		Message: "collect the keys, sort, and walk the sorted slice",
+		Edits: []TextEdit{{
+			Pos:     d.Fset.Position(rs.Pos()),
+			End:     d.Fset.Position(rs.End()),
+			NewText: newText,
+		}},
+	}
+	if edit, ok := d.importEdit(rs.Pos(), "sort"); ok {
+		fix.Edits = append(fix.Edits, edit)
+	} else if !d.fileImports(rs.Pos(), "sort") {
+		return Fix{}, false
+	}
+	return fix, true
+}
+
+// mutatesMap conservatively detects writes to the ranged map inside the
+// body: delete(m, ...) or an assignment through m[...]. Text comparison on
+// the rendered expression is enough at the precision the fix needs.
+func (p *Pass) mutatesMap(body *ast.BlockStmt, mapText string) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch v := n.(type) {
+		case *ast.CallExpr:
+			if id, ok := v.Fun.(*ast.Ident); ok && id.Name == "delete" && len(v.Args) > 0 {
+				if types.ExprString(v.Args[0]) == mapText {
+					found = true
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range v.Lhs {
+				if ix, ok := lhs.(*ast.IndexExpr); ok && types.ExprString(ix.X) == mapText {
+					found = true
+				}
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// freshName returns base if no identifier in the body spells it and no
+// earlier fix in this function took it, else base2, base3, ...
+func (d *dfFunc) freshName(base string) string {
+	used := map[string]bool{}
+	ast.Inspect(d.body, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			used[id.Name] = true
+		}
+		return true
+	})
+	cand := base
+	for i := 2; used[cand] || d.taken[cand]; i++ {
+		cand = fmt.Sprintf("%s%d", base, i)
+	}
+	d.taken[cand] = true
+	return cand
+}
+
+// fileAt returns the *ast.File containing pos.
+func (p *Pass) fileAt(pos token.Pos) *ast.File {
+	for _, f := range p.Files {
+		if f.FileStart <= pos && pos < f.FileEnd {
+			return f
+		}
+	}
+	return nil
+}
+
+// fileImports reports whether the file containing pos already imports path.
+func (p *Pass) fileImports(pos token.Pos, path string) bool {
+	f := p.fileAt(pos)
+	if f == nil {
+		return false
+	}
+	for _, imp := range f.Imports {
+		if imp.Path.Value == `"`+path+`"` {
+			return true
+		}
+	}
+	return false
+}
+
+// importEdit builds the edit adding `"path"` to the file's grouped import
+// block, or reports false when the file already imports it or has no
+// grouped block to extend.
+func (p *Pass) importEdit(pos token.Pos, path string) (TextEdit, bool) {
+	f := p.fileAt(pos)
+	if f == nil || p.fileImports(pos, path) {
+		return TextEdit{}, false
+	}
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.IMPORT || !gd.Lparen.IsValid() {
+			continue
+		}
+		// Insert in sorted position within the group so the result stays
+		// gofmt-clean (single-group imports are sorted by path).
+		for _, spec := range gd.Specs {
+			is, ok := spec.(*ast.ImportSpec)
+			if !ok {
+				continue
+			}
+			if existing, err := strconv.Unquote(is.Path.Value); err == nil && existing > path {
+				at := p.Fset.Position(is.Pos())
+				return TextEdit{Pos: at, End: at, NewText: "\"" + path + "\"\n\t"}, true
+			}
+		}
+		at := p.Fset.Position(gd.Rparen)
+		return TextEdit{Pos: at, End: at, NewText: "\t\"" + path + "\"\n"}, true
+	}
+	return TextEdit{}, false
+}
+
+func (p *Pass) isIntegerExpr(e ast.Expr) bool {
+	t := p.Info.TypeOf(e)
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsInteger != 0
 }

@@ -1,10 +1,13 @@
 package analyzers_test
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
 	"flatflash/internal/analyzers"
 	"flatflash/internal/analyzers/analyzertest"
+	"flatflash/internal/analyzers/load"
 )
 
 // TestDirectiveValidation: //lint:ignore without a reason, or naming an
@@ -24,7 +27,7 @@ func TestDirectiveScope(t *testing.T) {
 // TestSuiteNames pins the suite composition: CLI -only flags and
 // //lint:ignore directives resolve against these names.
 func TestSuiteNames(t *testing.T) {
-	want := []string{"walltime", "seededrand", "mapiter", "hotalloc", "probenil", "sharedstate", "attribwindow", "detflow"}
+	want := []string{"walltime", "seededrand", "hotalloc", "probenil", "sharedstate", "attribwindow", "detflow"}
 	all := analyzers.All()
 	if len(all) != len(want) {
 		t.Fatalf("All() has %d analyzers, want %d", len(all), len(want))
@@ -36,5 +39,30 @@ func TestSuiteNames(t *testing.T) {
 		if a.Doc == "" {
 			t.Errorf("analyzer %q has no Doc", a.Name)
 		}
+	}
+}
+
+// TestRunIndependentOfGOMAXPROCS: Run fans targets out over GOMAXPROCS
+// workers, so the whole fixture corpus must yield the same diagnostics,
+// fixes included, on one worker and on four.
+func TestRunIndependentOfGOMAXPROCS(t *testing.T) {
+	targets, err := load.Packages("testdata/src", []string{"./..."})
+	if err != nil {
+		t.Fatalf("loading fixture corpus: %v", err)
+	}
+	run := func(procs int) []analyzers.Diagnostic {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return analyzers.Run(targets, analyzers.All())
+	}
+	one, four := run(1), run(4)
+	if len(one) == 0 {
+		t.Fatalf("fixture corpus produced no diagnostics")
+	}
+	if !slices.EqualFunc(one, four, func(a, b analyzers.Diagnostic) bool {
+		return a.String() == b.String() && slices.EqualFunc(a.Fixes, b.Fixes, func(x, y analyzers.Fix) bool {
+			return x.Message == y.Message && slices.Equal(x.Edits, y.Edits)
+		})
+	}) {
+		t.Errorf("diagnostics differ between GOMAXPROCS 1 (%d) and 4 (%d)", len(one), len(four))
 	}
 }

@@ -3,17 +3,19 @@ package analyzers
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 )
 
 // ApplyFixes applies every suggested fix carried by diags to the files on
 // disk and returns the list of rewritten file paths (sorted, deduped). Edits
 // are applied per file in descending offset order so earlier offsets stay
-// valid; overlapping edits in the same file are an error (two analyzers
-// proposing conflicting rewrites must be resolved by hand, not by whichever
-// applied last). A second run over the fixed tree must produce no further
-// fixes — flatflash-lint -fix is idempotent by construction because every
-// fix removes the diagnostic that suggested it.
+// valid; identical edits are applied once, and other overlapping edits in
+// the same file are an error (two analyzers proposing conflicting rewrites
+// must be resolved by hand, not by whichever applied last). A second run
+// over the fixed tree must produce no further fixes — flatflash-lint -fix
+// is idempotent by construction because every fix removes the diagnostic
+// that suggested it.
 func ApplyFixes(diags []Diagnostic) ([]string, error) {
 	type edit struct {
 		start, end int
@@ -47,7 +49,15 @@ func ApplyFixes(diags []Diagnostic) ([]string, error) {
 			if edits[i].start != edits[j].start {
 				return edits[i].start > edits[j].start
 			}
-			return edits[i].end > edits[j].end
+			if edits[i].end != edits[j].end {
+				return edits[i].end > edits[j].end
+			}
+			return edits[i].newText > edits[j].newText
+		})
+		// Fixes that make the same edit agree on it (two sorted-walk
+		// rewrites in one file both add the "sort" import): apply it once.
+		edits = slices.CompactFunc(edits, func(a, b edit) bool {
+			return a.start == b.start && a.end == b.end && a.newText == b.newText
 		})
 		// Descending order: edits[i] must start at or after edits[i+1] ends.
 		for i := 0; i+1 < len(edits); i++ {

@@ -32,10 +32,8 @@ import (
 type listPkg struct {
 	ImportPath string
 	Dir        string
-	Standard   bool
 	DepOnly    bool
 	GoFiles    []string
-	Imports    []string
 	ImportMap  map[string]string
 	Error      *struct{ Err string }
 }

@@ -28,7 +28,7 @@ func TestIgnoreMultiAnalyzer(t *testing.T) {
 	tgt := parseTarget(t, `package sup
 
 func f() {
-	//lint:ignore walltime,mapiter shared fixture clock
+	//lint:ignore walltime,detflow shared fixture clock
 	_ = 1
 }
 `)
@@ -37,7 +37,7 @@ func f() {
 		t.Fatalf("unexpected directive diagnostics: %v", bad)
 	}
 	stmt := token.Position{Filename: "sup.go", Line: 5}
-	for _, a := range []string{"walltime", "mapiter"} {
+	for _, a := range []string{"walltime", "detflow"} {
 		if !ig.suppressed(a, stmt) {
 			t.Errorf("%s not suppressed on the line below the directive", a)
 		}

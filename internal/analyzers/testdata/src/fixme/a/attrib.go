@@ -1,8 +1,8 @@
-// Package a is the auto-fix corpus: every diagnostic in it carries a
-// suggested fix, and TestApplyFixes asserts that applying them leaves the
-// package diagnostic-free, gofmt-clean, and stable under a second -fix run.
-// No // want comments here — the fix test drives the real driver twice
-// instead of matching expectations once.
+// Package a is the auto-fix corpus: every diagnostic outside assignwalk.go
+// carries a suggested fix, and TestApplyFixes asserts that applying them
+// leaves only assignwalk.go's unfixable reports, gofmt-clean, and stable
+// under a second -fix run. No // want comments here — the fix test drives
+// the real driver twice instead of matching expectations once.
 package a
 
 import "flatflash/internal/telemetry"

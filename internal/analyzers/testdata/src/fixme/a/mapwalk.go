@@ -15,3 +15,27 @@ func RenderCounts(m map[string]int) string {
 	}
 	return sb.String()
 }
+
+// ReportKeys feeds one walk into two sinks, the print and the return: only
+// the first report carries the rewrite, so -fix rewrites the walk once. The
+// second fix in this file needs the same "sort" import edit as the first;
+// it is applied once.
+func ReportKeys(m map[int]bool) []int {
+	var keys []int
+	for k := range m {
+		fmt.Println(k)
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+// DumpBoth walks two maps in one function; their rewrites declare distinct
+// slices, keys and keys2.
+func DumpBoth(a, b map[string]int) {
+	for k := range a {
+		fmt.Println(k)
+	}
+	for k := range b {
+		fmt.Println(k)
+	}
+}

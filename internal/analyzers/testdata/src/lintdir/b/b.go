@@ -16,7 +16,7 @@ func multiName() time.Time {
 // otherNames: the directive names only other analyzers — walltime still
 // fires.
 func otherNames() time.Time {
-	//lint:ignore seededrand,mapiter wrong analyzers for this line
+	//lint:ignore seededrand,detflow wrong analyzers for this line
 	return time.Now() // want "time.Now reads the wall clock"
 }
 

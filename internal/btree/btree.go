@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"flatflash/internal/core"
-	"flatflash/internal/sim"
 )
 
 // PageSize is the node size; it must match the hierarchy's page size.
@@ -410,8 +409,3 @@ func (t *Tree) Nodes() int { return t.used }
 
 // Stats returns node reads/writes issued to the hierarchy.
 func (t *Tree) Stats() (reads, writes int64) { return t.reads, t.writes }
-
-// AccessCostHint estimates a lookup's hierarchy cost: height node reads.
-func (t *Tree) AccessCostHint(dramLat sim.Duration) sim.Duration {
-	return sim.Duration(t.height) * dramLat
-}

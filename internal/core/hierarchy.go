@@ -13,7 +13,6 @@ import (
 var (
 	ErrOutOfRange    = errors.New("core: access outside mapped region")
 	ErrNoSSDSpace    = errors.New("core: SSD region exhausted")
-	ErrNotSupported  = errors.New("core: operation not supported by this hierarchy")
 	ErrNotPersistent = errors.New("core: address is not in a persistent region")
 	ErrCrashed       = errors.New("core: system is crashed; call Recover")
 )
@@ -114,6 +113,8 @@ type Hierarchy interface {
 // the frame map through it so that map-iteration order never leaks into
 // device state (flash allocation, wear) or telemetry output — two runs with
 // the same seed must produce byte-identical dumps.
+//
+//flatflash:deterministic
 func sortedFrames[V any](m map[int]V) []int {
 	frames := make([]int, 0, len(m))
 	for f := range m {

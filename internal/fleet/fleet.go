@@ -320,6 +320,8 @@ type pageHeat struct {
 // sortHeat flattens an epoch heat map into the deterministic selection
 // order — count descending, page ascending — so page choice is a pure
 // function of the run so far, never of map iteration.
+//
+//flatflash:deterministic
 func sortHeat(heat map[uint64]int64) []pageHeat {
 	hot := make([]pageHeat, 0, len(heat))
 	for page, n := range heat {

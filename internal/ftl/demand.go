@@ -473,10 +473,6 @@ func (f *FTL) MapStats() mapcache.Stats {
 	return f.mc.Stats()
 }
 
-// MapCache exposes the cached mapping table (nil when disabled); test and
-// experiment surface.
-func (f *FTL) MapCache() *mapcache.Cache { return f.mc }
-
 // TransWrites returns translation-page programs issued (0 when disabled).
 func (f *FTL) TransWrites() int64 { return f.transWrites }
 

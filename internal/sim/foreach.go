@@ -14,9 +14,9 @@ import (
 // exactly one goroutine, so f may write index-owned state without locking.
 //
 // It is the repository's one worker pool: the paper figures' independent
-// simulations, the consolidate and fleet sweeps' grid points and a fleet's
-// shard batches all fan out through it. Workers picks the worker count for
-// every grid of independent simulations.
+// simulations, the consolidate and fleet sweeps' grid points, a fleet's
+// shard batches and flatflash-lint's packages all fan out through it.
+// Workers picks the worker count for every grid of independent simulations.
 func ForEach(n, workers int, f func(i int) error) error {
 	errs := make([]error, n)
 	var next atomic.Int64

@@ -34,9 +34,6 @@ func (r *Resource) Acquire(now Time, d Duration) (start, done Time) {
 	return start, done
 }
 
-// FreeAt reports when the resource next becomes idle.
-func (r *Resource) FreeAt() Time { return r.freeAt }
-
 // Utilization returns total busy time and total queueing delay accumulated.
 func (r *Resource) Utilization() (busy, waited Duration) { return r.busy, r.waits }
 

@@ -28,9 +28,6 @@ const (
 // microseconds (e.g. 4.8 for a 4.8 µs PCIe MMIO read).
 func Micros(us float64) Duration { return Duration(us * float64(Microsecond)) }
 
-// Nanos returns a Duration of ns nanoseconds.
-func Nanos(ns int64) Duration { return Duration(ns) }
-
 // Add returns the time d after t.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 

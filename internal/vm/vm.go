@@ -33,13 +33,12 @@ const (
 // (Figure 3b) keeps every mapped page Present — the point of FlatFlash is
 // that SSD-resident pages are accessed directly rather than faulted in.
 type PTE struct {
-	Present  bool
-	Loc      Location
-	Frame    int    // DRAM frame when Loc == InDRAM
-	SSDPage  uint32 // SSD page (merged FTL mapping) when Loc == InSSD
-	Persist  bool   // §3.5: page belongs to a pmem region; never promote
-	Dirty    bool
-	Accessed bool
+	Present bool
+	Loc     Location
+	Frame   int    // DRAM frame when Loc == InDRAM
+	SSDPage uint32 // SSD page (merged FTL mapping) when Loc == InSSD
+	Persist bool   // §3.5: page belongs to a pmem region; never promote
+	Dirty   bool
 }
 
 // Config holds translation timing (Table 2).

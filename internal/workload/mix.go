@@ -83,6 +83,8 @@ var streamSpecs = map[string]streamSpec{
 }
 
 // Mixes returns the registered mix names in sorted order.
+//
+//flatflash:deterministic
 func Mixes() []string {
 	out := make([]string, 0, len(streamSpecs))
 	for name := range streamSpecs {

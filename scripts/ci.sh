@@ -38,69 +38,71 @@ sys.exit(1 if diags else 0)
 EOF
 
 echo "== flatflash-lint mutant smoke =="
-# The analyzers themselves are load-bearing: prove the attribwindow CFG
-# analysis still catches a real regression by deleting one attrib End call
-# from a scratch copy of the tree and requiring a diagnostic. A lint suite
-# that stays green on a mutated tree is a broken gate, not a clean one.
+# The analyzers themselves are load-bearing: each row below seeds one real
+# regression into a scratch copy of the tree and requires the named analyzer
+# alone to report it. The mutant must still pass go vet, so only the
+# analyzer can fail it. A lint suite that stays green on a mutated tree is a
+# broken gate, not a clean one. A row is (file, edit, analyzer, package); an
+# edit is a list of (old, new) replacements, each old text found in the file
+# and replaced once. The file is restored before the next row.
 mutant_dir=$(mktemp -d)
 trap 'rm -rf "$mutant_dir"' EXIT
 tar --exclude=.git -cf - . | (cd "$mutant_dir" && tar -xf -)
-python3 - "$mutant_dir/internal/core/persist.go" <<'EOF'
-import sys
-path = sys.argv[1]
-src = open(path).read()
-lines = src.splitlines(keepends=True)
-out, dropped = [], False
-for l in lines:
-    if not dropped and "s.att.End(" in l:
-        dropped = True
-        continue
-    out.append(l)
-if not dropped:
-    sys.exit("mutant smoke: no s.att.End( line found in persist.go to delete")
-open(path, "w").writelines(out)
+python3 - "$mutant_dir" /tmp/flatflash-lint <<'EOF'
+import subprocess, sys
+root, lint = sys.argv[1], sys.argv[2]
+rows = [
+    # A deleted attribution End leaves the window open.
+    ("internal/core/persist.go",
+     [("\ts.att.End(t.clock.Now().Sub(start), s.clock.Now())\n", "")],
+     "attribwindow", "./internal/core/"),
+    # The PCIe link's first nil guard becomes a bare block.
+    ("internal/pcie/pcie.go", [("if l.obs != nil {", "{")],
+     "probenil", "./internal/pcie/"),
+    # Drain and Crash walk the frame map unsorted.
+    ("internal/core/hierarchy.go", [("sort.Ints(frames)", "_ = sort.Ints")],
+     "detflow", "./internal/core/"),
+    # An allocation on the DRAM hit path.
+    ("internal/dram/dram.go",
+     [("func (d *DRAM) Touch(f int) (sim.Duration, error) {\n",
+       "func (d *DRAM) Touch(f int) (sim.Duration, error) {\n\t_ = make([]byte, 1)\n")],
+     "hotalloc", "./internal/dram/"),
+    # A goroutine inside a body the sweep already runs concurrently.
+    ("internal/mtsim/mtsim.go",
+     [("func Run(cfg Config) (*Result, error) {\n",
+       "func Run(cfg Config) (*Result, error) {\n\tgo func() {}()\n")],
+     "sharedstate", "./internal/mtsim/"),
+    # A wall-clock read in a paper figure.
+    ("internal/experiments/fig14.go",
+     [("func Fig14(scale Scale) []*Report {\n",
+       "func Fig14(scale Scale) []*Report {\n\t_ = time.Now()\n")],
+     "walltime", "./internal/experiments/"),
+    # Process-wide randomness that no seed replays.
+    ("internal/workload/mix.go",
+     [('\t"fmt"\n', '\t"fmt"\n\t"math/rand"\n'),
+      ("func Mixes() []string {\n", "func Mixes() []string {\n\t_ = rand.Intn(2)\n")],
+     "seededrand", "./internal/workload/"),
+]
+for path, edit, name, pkg in rows:
+    full = root + "/" + path
+    orig = src = open(full).read()
+    for old, new in edit:
+        if old not in src:
+            sys.exit("mutant smoke: %s row: %r not found in %s" % (name, old, path))
+        src = src.replace(old, new, 1)
+    open(full, "w").write(src)
+    vet = subprocess.run(["go", "vet", pkg], cwd=root, capture_output=True, text=True)
+    if vet.returncode != 0:
+        sys.exit("mutant smoke: the %s mutant of %s fails go vet:\n%s" % (name, path, vet.stderr))
+    res = subprocess.run([lint, "-q", "-only", name, pkg], cwd=root, capture_output=True, text=True)
+    if res.returncode != 1 or "[%s]" % name not in res.stdout:
+        sys.exit("mutant smoke FAILED: %s missed its mutant of %s (exit %d):\n%s%s"
+                 % (name, path, res.returncode, res.stdout, res.stderr))
+    open(full, "w").write(orig)
+    print("mutant smoke ok (%s caught its mutant of %s)" % (name, path))
 EOF
-if (cd "$mutant_dir" && /tmp/flatflash-lint -q -only attribwindow ./internal/core/ > /tmp/mutant.txt 2>&1); then
-    echo "mutant smoke FAILED: attribwindow missed a deleted End call"
-    exit 1
-fi
-grep -q "attribwindow" /tmp/mutant.txt || {
-    echo "mutant smoke FAILED: lint failed for a reason other than attribwindow:"
-    cat /tmp/mutant.txt
-    exit 1
-}
-echo "mutant smoke ok (attribwindow caught the deleted End)"
-# Same for probenil: strip one `l.obs != nil` guard from the PCIe link so
-# its Observe call runs unguarded, and require a probenil diagnostic.
-python3 - "$mutant_dir/internal/pcie/pcie.go" <<'EOF'
-import sys
-path = sys.argv[1]
-lines = open(path).read().splitlines(keepends=True)
-out, i, stripped = [], 0, False
-while i < len(lines):
-    if not stripped and lines[i].strip() == "if l.obs != nil {" and lines[i + 2].strip() == "}":
-        out.append(lines[i + 1])
-        i += 3
-        stripped = True
-        continue
-    out.append(lines[i])
-    i += 1
-if not stripped:
-    sys.exit("mutant smoke: no `if l.obs != nil {` guard found in pcie.go to strip")
-open(path, "w").writelines(out)
-EOF
-if (cd "$mutant_dir" && /tmp/flatflash-lint -q -only probenil ./internal/pcie/ > /tmp/mutant.txt 2>&1); then
-    echo "mutant smoke FAILED: probenil missed an unguarded Sink call"
-    exit 1
-fi
-grep -q "probenil" /tmp/mutant.txt || {
-    echo "mutant smoke FAILED: lint failed for a reason other than probenil:"
-    cat /tmp/mutant.txt
-    exit 1
-}
 rm -rf "$mutant_dir"
 trap - EXIT
-echo "mutant smoke ok (probenil caught the stripped guard)"
 # The SSD-Cache shares flash's read-only page buffers until a write takes
 # the entry over with Own. Strip the Own before the MMIO write's copy in a
 # fresh scratch copy: the write then lands in flash's buffer, and the core
