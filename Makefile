@@ -9,8 +9,8 @@ ci:
 	./scripts/ci.sh
 
 # Static enforcement of determinism / virtual-time / hot-path invariants
-# (walltime, seededrand, hotalloc, probenil, sharedstate, attribwindow,
-# detflow — see the analyzer catalog in DESIGN.md).
+# (walltime, seededrand, hotalloc, sharedstate, attribwindow, detflow —
+# see the analyzer catalog in DESIGN.md).
 lint:
 	go run ./cmd/flatflash-lint ./...
 

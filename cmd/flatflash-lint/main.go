@@ -7,7 +7,6 @@
 //	seededrand    no global math/rand state; randomness replays from seeds
 //	hotalloc      no allocating constructs (and no unannotated same-package
 //	              callees) in //flatflash:hotpath functions
-//	probenil      *telemetry.Sink calls are nil-guarded
 //	sharedstate   no cross-shard mutable package state
 //	attribwindow  telemetry.Attribution Begin/End/Abandon pair on all CFG
 //	              paths; Charge is dominated by Begin; Suspend balances Resume

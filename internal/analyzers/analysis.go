@@ -189,7 +189,7 @@ func (p *Pass) SourceText(start, end token.Pos) string {
 
 // All returns the full flatflash-lint suite.
 func All() []*Analyzer {
-	return []*Analyzer{Walltime, SeededRand, HotAlloc, ProbeNil, SharedState, AttribWindow, DetFlow}
+	return []*Analyzer{Walltime, SeededRand, HotAlloc, SharedState, AttribWindow, DetFlow}
 }
 
 // Run applies the analyzers to every target, drops diagnostics suppressed
@@ -285,6 +285,14 @@ func hasDirective(doc *ast.CommentGroup, directive string) bool {
 		}
 	}
 	return false
+}
+
+// hasPathSuffix reports whether the import path ends with the
+// slash-separated suffix, as "flatflash/internal/telemetry" ends with
+// "internal/telemetry".
+func hasPathSuffix(path, suffix string) bool {
+	return len(path) > len(suffix) && path[len(path)-len(suffix)-1] == '/' &&
+		path[len(path)-len(suffix):] == suffix
 }
 
 // isNilIdent reports whether e is the predeclared nil.

@@ -27,7 +27,7 @@ func TestDirectiveScope(t *testing.T) {
 // TestSuiteNames pins the suite composition: CLI -only flags and
 // //lint:ignore directives resolve against these names.
 func TestSuiteNames(t *testing.T) {
-	want := []string{"walltime", "seededrand", "hotalloc", "probenil", "sharedstate", "attribwindow", "detflow"}
+	want := []string{"walltime", "seededrand", "hotalloc", "sharedstate", "attribwindow", "detflow"}
 	all := analyzers.All()
 	if len(all) != len(want) {
 		t.Fatalf("All() has %d analyzers, want %d", len(all), len(want))

@@ -1,33 +1,13 @@
 // Package telemetry is a fixture stub with the same shape as the real
-// flatflash/internal/telemetry: a *Sink every layer reports through, whose
-// calls sit behind nil checks. The package itself sits on probenil's
-// allowlist, so the unguarded forwarding below is tolerated here and
-// nowhere else.
+// flatflash/internal/telemetry's attribution engine, for the attribwindow
+// fixtures: the analyzer recognises the window calls by this import path.
 package telemetry
 
-type (
-	SpanKind uint8
-	Track    uint8
-	Time     int64
-)
+// Time is a virtual timestamp.
+type Time int64
 
 // Component is a latency-attribution component id.
 type Component uint8
-
-// Sink is the one instrumentation seam; a nil *Sink is the disabled path.
-type Sink struct{ att *Attribution }
-
-// Observe reports one interval.
-func (s *Sink) Observe(kind SpanKind, track Track, start, end Time, arg int64) {}
-
-// Suspend forwards to the attribution.
-func (s *Sink) Suspend() { s.att.Suspend() }
-
-// Resume forwards to the attribution.
-func (s *Sink) Resume() { s.att.Resume() }
-
-// Forward relays to a sink its caller already validated; allowlisted.
-func Forward(s *Sink, kind SpanKind, at Time) { s.Observe(kind, 0, at, at, 0) }
 
 // TenantAttrib is one attribution account.
 type TenantAttrib struct{ pend [4]int64 }

@@ -41,12 +41,10 @@ type pagingHierarchy struct {
 
 	c   *stats.Counters
 	hot baselineHot
-	// Registry counter cells: dead boxes until Instrument attaches a
-	// registry, matching the nil registry's no-op Add.
-	regAccesses stats.Handle
-	regFaults   stats.Handle
-	obs         *telemetry.Sink // the tracer's sink; nil when detached
-	reg         *telemetry.Registry
+
+	accesses int64           // Read/Write calls, for the registry's accesses rate
+	obs      *telemetry.Sink // the tracer's sink; nil when detached
+	reg      *telemetry.Registry
 }
 
 // baselineHot pre-resolves the counters the baselines' fault-and-access loop
@@ -121,8 +119,6 @@ func newPaging(cfg Config, name string, metaOverhead float64, faultCost, syncCos
 		c:         stats.NewCounters(),
 	}
 	p.hot.resolve(p.c)
-	p.regAccesses = new(int64)
-	p.regFaults = new(int64)
 	return p, nil
 }
 
@@ -147,9 +143,7 @@ func (p *pagingHierarchy) Instrument(tr *telemetry.Tracer, reg *telemetry.Regist
 	})
 	reg.RegisterGauge("write_amplification", p.ftl.WriteAmplification)
 	reg.RegisterRate("faults", func() int64 { return p.c.Get("faults") })
-	reg.RegisterRate("accesses", func() int64 { return p.reg.Get("accesses") })
-	p.regAccesses = reg.CounterHandle("accesses")
-	p.regFaults = reg.CounterHandle("faults")
+	reg.RegisterRate("accesses", func() int64 { return p.accesses })
 }
 
 // Now implements Hierarchy.
@@ -207,35 +201,16 @@ func (p *pagingHierarchy) access(addr uint64, buf []byte, isWrite bool) (sim.Dur
 	}
 	start := p.clock.Now()
 	total := len(buf)
-	ps, ls := p.cfg.PageSize, p.cfg.CacheLineSize
-	// Inline chunk split (page then cache-line boundaries): same chunk
-	// sequence as the old chunker callback, without the closure allocation.
 	for len(buf) > 0 {
-		vpn := addr / uint64(ps)
-		off := int(addr % uint64(ps))
-		n := ps - off
-		if n > len(buf) {
-			n = len(buf)
-		}
-		seg := buf[:n]
-		for len(seg) > 0 {
-			cn := ls - off%ls
-			if cn > len(seg) {
-				cn = len(seg)
-			}
-			if err := p.accessChunk(vpn, off, seg[:cn], isWrite); err != nil {
-				return 0, err
-			}
-			off += cn
-			seg = seg[cn:]
+		vpn, off, n := lineChunk(addr, len(buf), p.cfg.PageSize, p.cfg.CacheLineSize)
+		if err := p.accessChunk(vpn, off, buf[:n], isWrite); err != nil {
+			return 0, err
 		}
 		addr += uint64(n)
 		buf = buf[n:]
 	}
-	if p.obs != nil {
-		p.obs.Observe(telemetry.SpanAccess, telemetry.TrackCPU, start, p.clock.Now(), int64(total))
-	}
-	*p.regAccesses++
+	p.obs.Observe(telemetry.SpanAccess, telemetry.TrackCPU, start, p.clock.Now(), int64(total))
+	p.accesses++
 	p.reg.Tick(p.clock.Now())
 	return p.clock.Now().Sub(start), nil
 }
@@ -246,7 +221,7 @@ func (p *pagingHierarchy) accessChunk(vpn uint64, off int, b []byte, isWrite boo
 	if err != nil {
 		return ErrOutOfRange
 	}
-	if tLat > 0 && p.obs != nil {
+	if tLat > 0 {
 		p.obs.Observe(telemetry.SpanTranslate, telemetry.TrackCPU, now, now.Add(tLat), int64(vpn))
 	}
 	now = now.Add(tLat)
@@ -275,10 +250,7 @@ func (p *pagingHierarchy) accessChunk(vpn uint64, off int, b []byte, isWrite boo
 		now = done.Add(upd)
 		*p.hot.faults++
 		*p.hot.pageMovements++
-		*p.regFaults++
-		if p.obs != nil {
-			p.obs.Observe(telemetry.SpanPageFault, telemetry.TrackCPU, faultStart, now, int64(pte.SSDPage))
-		}
+		p.obs.Observe(telemetry.SpanPageFault, telemetry.TrackCPU, faultStart, now, int64(pte.SSDPage))
 		pte = p.as.PTEOf(vpn)
 	}
 
@@ -295,9 +267,7 @@ func (p *pagingHierarchy) accessChunk(vpn uint64, off int, b []byte, isWrite boo
 		copy(b, data[off:off+len(b)])
 		*p.hot.dramReads++
 	}
-	if p.obs != nil {
-		p.obs.Observe(telemetry.SpanDRAM, telemetry.TrackCPU, now, now.Add(lat), int64(pte.Frame))
-	}
+	p.obs.Observe(telemetry.SpanDRAM, telemetry.TrackCPU, now, now.Add(lat), int64(pte.Frame))
 	p.clock.AdvanceTo(now.Add(lat))
 	return nil
 }
@@ -397,9 +367,7 @@ func (p *pagingHierarchy) SyncPages(addr uint64, n int) (sim.Duration, error) {
 		now = last
 	}
 	*p.hot.syncCalls++
-	if p.obs != nil {
-		p.obs.Observe(telemetry.SpanSync, telemetry.TrackCPU, start, now, int64(n))
-	}
+	p.obs.Observe(telemetry.SpanSync, telemetry.TrackCPU, start, now, int64(n))
 	p.clock.AdvanceTo(now)
 	return p.clock.Now().Sub(start), nil
 }

@@ -8,32 +8,33 @@ import (
 	"flatflash/internal/sim"
 )
 
-// chunker must cover every byte exactly once, never span a cache line or a
-// page, and visit addresses in order.
+// lineChunk's pieces must cover every byte exactly once, never span a cache
+// line or a page, and visit addresses in order.
 func TestChunkerProperty(t *testing.T) {
 	f := func(addrRaw uint32, nRaw uint16) bool {
 		const pageSize, lineSize = 4096, 64
 		addr := uint64(addrRaw)
 		n := int(nRaw)%1000 + 1
-		buf := make([]byte, n)
 		covered := 0
-		prevEnd := addr
-		err := chunker(addr, buf, pageSize, lineSize, func(vpn uint64, off int, b []byte) error {
+		for prevEnd := addr; covered < n; {
+			vpn, off, size := lineChunk(prevEnd, n-covered, pageSize, lineSize)
 			start := vpn*pageSize + uint64(off)
 			if start != prevEnd {
 				t.Fatalf("gap at %d", start)
 			}
-			if off/lineSize != (off+len(b)-1)/lineSize {
+			if size <= 0 {
+				t.Fatalf("empty chunk at %d", start)
+			}
+			if off/lineSize != (off+size-1)/lineSize {
 				t.Fatal("chunk spans cache lines")
 			}
-			if off+len(b) > pageSize {
+			if off+size > pageSize {
 				t.Fatal("chunk spans pages")
 			}
-			covered += len(b)
-			prevEnd = start + uint64(len(b))
-			return nil
-		})
-		return err == nil && covered == n
+			covered += size
+			prevEnd = start + uint64(size)
+		}
+		return covered == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -57,10 +57,9 @@ type FlatFlash struct {
 
 	c   *stats.Counters
 	hot hotCounters
-	// regAccesses is the registry's "accesses" counter cell. Until
-	// Instrument attaches a registry it is a dead box, matching the nil
-	// registry's no-op Add.
-	regAccesses stats.Handle
+	// accesses counts every tenant's Read/Write calls, for the registry's
+	// accesses rate.
+	accesses int64
 }
 
 // hotCounters holds pre-resolved cells (stats.Handle) for every counter the
@@ -181,7 +180,6 @@ func NewFlatFlash(cfg Config) (*FlatFlash, error) {
 		c:         stats.NewCounters(),
 	}
 	s.hot.resolve(s.c)
-	s.regAccesses = new(int64)
 	s.self = &Tenant{s: s, id: 0, as: as, clock: s.clock, track: telemetry.TrackCPU}
 	s.tenants = []*Tenant{s.self}
 	return s, nil
@@ -246,8 +244,7 @@ func (s *FlatFlash) Instrument(tr *telemetry.Tracer, reg *telemetry.Registry) {
 	})
 	reg.RegisterGauge("write_amplification", s.ftl.WriteAmplification)
 	reg.RegisterRate("promotions", func() int64 { return s.c.Get("promotions") })
-	reg.RegisterRate("accesses", func() int64 { return s.reg.Get("accesses") })
-	s.regAccesses = reg.CounterHandle("accesses")
+	reg.RegisterRate("accesses", func() int64 { return s.accesses })
 }
 
 // SetAttribution attaches (or with nil detaches) the latency attribution
@@ -355,10 +352,9 @@ func (s *FlatFlash) Write(addr uint64, data []byte) (sim.Duration, error) {
 // advancing t's clock by the latency t's thread observes and pulling the
 // device frontier (s.clock) up to it.
 //
-// The access is split at cache-line boundaries, which never cross a page
-// (Validate requires PageSize to be a multiple of CacheLineSize): every
-// chunk is one CPU cache-line access through accessChunkFor (§3), a DRAM
-// hit, a PLB redirect, or an MMIO.
+// The access is split at cache-line boundaries (lineChunk): every chunk is
+// one CPU cache-line access through accessChunkFor (§3), a DRAM hit, a PLB
+// redirect, or an MMIO.
 //
 //flatflash:hotpath
 func (s *FlatFlash) accessFor(t *Tenant, addr uint64, buf []byte, isWrite bool) (sim.Duration, error) {
@@ -367,30 +363,23 @@ func (s *FlatFlash) accessFor(t *Tenant, addr uint64, buf []byte, isWrite bool) 
 	}
 	start := t.clock.Now()
 	total := len(buf)
-	ps, ls := uint64(s.cfg.PageSize), s.cfg.CacheLineSize
 	s.att.Begin(t.att)
 	for len(buf) > 0 {
-		off := int(addr % ps)
-		n := ls - off%ls
-		if n > len(buf) {
-			n = len(buf)
-		}
-		if err := s.accessChunkFor(t, addr/ps, off, buf[:n], isWrite); err != nil {
+		vpn, off, n := lineChunk(addr, len(buf), s.cfg.PageSize, s.cfg.CacheLineSize)
+		if err := s.accessChunkFor(t, vpn, off, buf[:n], isWrite); err != nil {
 			s.att.Abandon()
 			return 0, err
 		}
 		addr += uint64(n)
 		buf = buf[n:]
 	}
-	if s.obs != nil {
-		s.obs.Observe(telemetry.SpanAccess, t.track, start, t.clock.Now(), int64(total))
-	}
+	s.obs.Observe(telemetry.SpanAccess, t.track, start, t.clock.Now(), int64(total))
 	s.clock.AdvanceTo(t.clock.Now())
 	s.att.End(t.clock.Now().Sub(start), s.clock.Now())
 	if s.arb != nil {
 		s.arb.Tick(s.clock.Now())
 	}
-	*s.regAccesses++
+	s.accesses++
 	s.reg.Tick(s.clock.Now())
 	return t.clock.Now().Sub(start), nil
 }
@@ -416,7 +405,7 @@ func (s *FlatFlash) accessChunkFor(t *Tenant, vpn uint64, off int, b []byte, isW
 	if err != nil {
 		return ErrOutOfRange
 	}
-	if tLat > 0 && s.obs != nil {
+	if tLat > 0 {
 		s.obs.Observe(telemetry.SpanTranslate, t.track, now, now.Add(tLat), int64(vpn))
 	}
 	now = now.Add(tLat)
@@ -439,9 +428,7 @@ func (s *FlatFlash) accessChunkFor(t *Tenant, vpn uint64, off int, b []byte, isW
 		if s.arb != nil {
 			s.arb.NoteHit(t.id)
 		}
-		if s.obs != nil {
-			s.obs.Observe(telemetry.SpanDRAM, t.track, now, now.Add(lat), int64(pte.Frame))
-		}
+		s.obs.Observe(telemetry.SpanDRAM, t.track, now, now.Add(lat), int64(pte.Frame))
 		t.clock.AdvanceTo(now.Add(lat))
 		return nil
 	}
@@ -452,9 +439,7 @@ func (s *FlatFlash) accessChunkFor(t *Tenant, vpn uint64, off int, b []byte, isW
 	switch s.plb.Access(now, lpn, off, b, isWrite) {
 	case plb.RouteDRAM:
 		*s.hot.plbRedirects++
-		if s.obs != nil {
-			s.obs.Observe(telemetry.SpanPLBRedirect, t.track, now, now.Add(s.cfg.DRAMLat), int64(lpn))
-		}
+		s.obs.Observe(telemetry.SpanPLBRedirect, t.track, now, now.Add(s.cfg.DRAMLat), int64(lpn))
 		t.clock.AdvanceTo(now.Add(s.cfg.DRAMLat))
 		return nil
 	case plb.RouteSSD:
@@ -515,9 +500,7 @@ func (s *FlatFlash) accessChunkFor(t *Tenant, vpn uint64, off int, b []byte, isW
 		if data, ok := s.hostCache.lookup(lpn, line); ok {
 			copy(b, data[off-lineStart:off-lineStart+len(b)])
 			*s.hot.hostcacheHits++
-			if s.obs != nil {
-				s.obs.Observe(telemetry.SpanHostCacheHit, t.track, now, now.Add(s.cfg.HostCacheLatency), int64(lpn))
-			}
+			s.obs.Observe(telemetry.SpanHostCacheHit, t.track, now, now.Add(s.cfg.HostCacheLatency), int64(lpn))
 			t.clock.AdvanceTo(now.Add(s.cfg.HostCacheLatency))
 			return nil
 		}
@@ -560,9 +543,7 @@ func (s *FlatFlash) countHit(hit bool) {
 //flatflash:hotpath
 func (s *FlatFlash) ensureCachedFor(t *Tenant, now sim.Time, lpn uint32) (*ssdcache.Entry, sim.Time, bool) {
 	if e, ok := s.cach.Lookup(lpn); ok {
-		if s.obs != nil {
-			s.obs.Observe(telemetry.SpanCacheProbe, telemetry.TrackSSD, now, now.Add(ssdcache.AccessCost), int64(lpn))
-		}
+		s.obs.Observe(telemetry.SpanCacheProbe, telemetry.TrackSSD, now, now.Add(ssdcache.AccessCost), int64(lpn))
 		return e, now.Add(ssdcache.AccessCost), true
 	}
 	// The entry shares flash's read-only buffer: a clean fill copies nothing.
@@ -570,11 +551,9 @@ func (s *FlatFlash) ensureCachedFor(t *Tenant, now sim.Time, lpn uint32) (*ssdca
 	if err != nil {
 		return nil, now, false
 	}
-	if s.obs != nil {
-		// Miss fill: the span shows the whole fill on the SSD track; the
-		// nested flash_read span comes from the FTL.
-		s.obs.Observe(telemetry.SpanCacheProbe, telemetry.TrackSSD, now, done, int64(lpn))
-	}
+	// Miss fill: the span shows the whole fill on the SSD track; the
+	// nested flash_read span comes from the FTL.
+	s.obs.Observe(telemetry.SpanCacheProbe, telemetry.TrackSSD, now, done, int64(lpn))
 	e, victim, evicted := s.cach.InsertShared(lpn, view)
 	e.Owner = t.id
 	if evicted {
@@ -625,9 +604,7 @@ func (s *FlatFlash) maybePromote(t *Tenant, now sim.Time, vpn uint64, lpn uint32
 	if s.plb.InFlight(lpn) {
 		return
 	}
-	if s.obs != nil {
-		s.obs.Observe(telemetry.EvPromoteTrigger, telemetry.TrackSSD, now, now, int64(lpn))
-	}
+	s.obs.Observe(telemetry.EvPromoteTrigger, telemetry.TrackSSD, now, now, int64(lpn))
 	if !s.cfg.UsePLB {
 		// Ablation: no PLB means the CPU stalls for the whole promotion.
 		s.promoteStalling(t, now, vpn, lpn)
@@ -695,9 +672,7 @@ func (s *FlatFlash) promoteStalling(t *Tenant, now sim.Time, vpn uint64, lpn uin
 	// even though promotion kickoff runs under attribution suspension, so it
 	// charges the tenant's account directly rather than through the sink.
 	stall := s.cfg.PLB.PromotionLatency + upd
-	if s.obs != nil {
-		s.obs.Observe(telemetry.SpanPromotionStall, t.track, now, now.Add(stall), int64(lpn))
-	}
+	s.obs.Observe(telemetry.SpanPromotionStall, t.track, now, now.Add(stall), int64(lpn))
 	t.att.Charge(telemetry.CompPromote, stall)
 	t.clock.AdvanceTo(now.Add(stall))
 }

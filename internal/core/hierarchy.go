@@ -124,24 +124,14 @@ func sortedFrames[V any](m map[int]V) []int {
 	return frames
 }
 
-// chunker splits a byte-granular access into (vpn, pageOff, sub-slice)
-// pieces that stay within one cache line and one page, calling f for each.
-func chunker(addr uint64, buf []byte, pageSize, lineSize int, f func(vpn uint64, off int, b []byte) error) error {
-	for len(buf) > 0 {
-		vpn := addr / uint64(pageSize)
-		off := int(addr % uint64(pageSize))
-		n := lineSize - off%lineSize // to end of cache line
-		if rem := pageSize - off; n > rem {
-			n = rem
-		}
-		if n > len(buf) {
-			n = len(buf)
-		}
-		if err := f(vpn, off, buf[:n]); err != nil {
-			return err
-		}
-		addr += uint64(n)
-		buf = buf[n:]
-	}
-	return nil
+// lineChunk splits the first piece off an access of n bytes at addr: the
+// piece's page vpn, its offset off in that page, and its size, which stops
+// at the first cache-line boundary or after n bytes. A piece never crosses
+// a page, because Validate requires PageSize to be a multiple of
+// CacheLineSize.
+//
+//flatflash:hotpath
+func lineChunk(addr uint64, n, pageSize, lineSize int) (vpn uint64, off, size int) {
+	off = int(addr % uint64(pageSize))
+	return addr / uint64(pageSize), off, min(lineSize-off%lineSize, n)
 }

@@ -111,9 +111,9 @@ func TestMixedWorkloadDigests(t *testing.T) {
 		counters, trace, metrics, data string
 		now                            sim.Time
 	}{
-		{1, "2ac779784cae67e3", "c92ea71654144f0e", "ceff5feb6c7b20c5", "368417133fa992c8", 262869060},
-		{42, "f3a849099cd935f9", "505fa28d0a168d6a", "17428743e8fde849", "14d291f1b80c1cf5", 231855980},
-		{20260805, "b60ee88e8bacf3cc", "0ce89c9f550cc62f", "fd7859bcc7b8924b", "86c0a7e5ed144d0c", 228114920},
+		{1, "2ac779784cae67e3", "c92ea71654144f0e", "e108c1ece1f29c4b", "368417133fa992c8", 262869060},
+		{42, "f3a849099cd935f9", "505fa28d0a168d6a", "ee0f2d64b587b8c3", "14d291f1b80c1cf5", 231855980},
+		{20260805, "b60ee88e8bacf3cc", "0ce89c9f550cc62f", "63669afaa6de747a", "86c0a7e5ed144d0c", 228114920},
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("seed=%d", tc.seed), func(t *testing.T) {

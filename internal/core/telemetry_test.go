@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
+	"strings"
 	"testing"
 
 	"flatflash/internal/fault"
@@ -314,5 +317,71 @@ func TestAttachOrderIrrelevant(t *testing.T) {
 				t.Errorf("attach order %v: %s differs from order %v", order, name, orders[0])
 			}
 		}
+	}
+}
+
+// TestSharedRegistryColumns: two hierarchies built one after the other share
+// a registry, as a paper figure's systems do. Rows sampled before the second
+// one registered must still label each value with its own column, and each
+// hierarchy's accesses rate must integrate to its own access count.
+func TestSharedRegistryColumns(t *testing.T) {
+	reg := telemetry.NewRegistry(100 * sim.Microsecond)
+	builds := []func() (Hierarchy, error){buildFF, func() (Hierarchy, error) { return NewUnifiedMMap(testConfig()) }}
+	counts := []int{3000, 1000}
+	var last sim.Time
+	buf := make([]byte, 64)
+	for i, build := range builds {
+		h, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Instrument(nil, reg)
+		region, err := h.Mmap(1 << 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := sim.NewRNG(uint64(i + 1))
+		for n := 0; n < counts[i]; n++ {
+			if _, err := h.Read(region.Base+uint64(rng.Intn(int(region.Size-64))), buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		last = last.Max(h.Now())
+	}
+	reg.Finish(last.Add(1)) // a final row after both runs
+
+	var mb bytes.Buffer
+	if err := reg.WriteJSONL(&mb); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(mb.String()), "\n")
+	integral := map[string]float64{}
+	prevT := 0.0
+	for _, l := range lines[:len(lines)-1] {
+		var row map[string]float64
+		if err := json.Unmarshal([]byte(l), &row); err != nil {
+			t.Fatal(err)
+		}
+		dt := (row["t_ns"] - prevT) / 1e9
+		prevT = row["t_ns"]
+		for name, v := range row {
+			switch {
+			case strings.HasPrefix(name, "dram_occupancy"), strings.HasSuffix(name, "hit_ratio"):
+				if v < 0 || v > 1 {
+					t.Fatalf("epoch %v: %s = %v, not a ratio", row["epoch"], name, v)
+				}
+			case strings.HasPrefix(name, "accesses_per_s"):
+				integral[name] += v * dt
+			}
+		}
+	}
+	if got, want := math.Round(integral["accesses_per_s"]), float64(counts[0]); got != want {
+		t.Errorf("FlatFlash's accesses rate integrates to %v, want %v", got, want)
+	}
+	if got, want := math.Round(integral["accesses_per_s#2"]), float64(counts[1]); got != want {
+		t.Errorf("UnifiedMMap's accesses rate integrates to %v, want %v", got, want)
+	}
+	if got, want := reg.Get("accesses"), int64(counts[0]+counts[1]); got != want {
+		t.Errorf(`Get("accesses") = %d, want %d`, got, want)
 	}
 }

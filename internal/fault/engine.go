@@ -111,9 +111,7 @@ func (e *Engine) CrashDue(now sim.Time) bool {
 	at := e.crashes[e.nextCrash]
 	e.nextCrash++
 	e.stats.CrashesFired++
-	if e.obs != nil {
-		e.obs.Observe(telemetry.EvFaultCrash, telemetry.TrackCPU, now, now, int64(at))
-	}
+	e.obs.Observe(telemetry.EvFaultCrash, telemetry.TrackCPU, now, now, int64(at))
 	return true
 }
 
@@ -141,9 +139,7 @@ func (e *Engine) FailProgram(now sim.Time) bool {
 		return false
 	}
 	e.stats.ProgramFailures++
-	if e.obs != nil {
-		e.obs.Observe(telemetry.EvFaultNAND, telemetry.TrackFlash, now, now, 0)
-	}
+	e.obs.Observe(telemetry.EvFaultNAND, telemetry.TrackFlash, now, now, 0)
 	return true
 }
 
@@ -153,9 +149,7 @@ func (e *Engine) FailErase(now sim.Time) bool {
 		return false
 	}
 	e.stats.EraseFailures++
-	if e.obs != nil {
-		e.obs.Observe(telemetry.EvFaultNAND, telemetry.TrackFlash, now, now, 1)
-	}
+	e.obs.Observe(telemetry.EvFaultNAND, telemetry.TrackFlash, now, now, 1)
 	return true
 }
 
@@ -167,16 +161,12 @@ func (e *Engine) MMIOWrite(now sim.Time) WriteOutcome {
 	}
 	if consume(e.drops, now) {
 		e.stats.MMIODropped++
-		if e.obs != nil {
-			e.obs.Observe(telemetry.EvFaultMMIO, telemetry.TrackPCIe, now, now, 0)
-		}
+		e.obs.Observe(telemetry.EvFaultMMIO, telemetry.TrackPCIe, now, now, 0)
 		return WriteDropped
 	}
 	if consume(e.tears, now) {
 		e.stats.MMIOTorn++
-		if e.obs != nil {
-			e.obs.Observe(telemetry.EvFaultMMIO, telemetry.TrackPCIe, now, now, 1)
-		}
+		e.obs.Observe(telemetry.EvFaultMMIO, telemetry.TrackPCIe, now, now, 1)
 		return WriteTorn
 	}
 	return WriteOK
@@ -194,9 +184,7 @@ func (e *Engine) BatteryBudget(now sim.Time) (keep int, limited bool) {
 			keep = e.battery[i].remaining
 			e.battery[i].at = sim.Time(int64(^uint64(0) >> 1)) // consumed: unreachable
 			e.stats.BatteryTruncated++
-			if e.obs != nil {
-				e.obs.Observe(telemetry.EvFaultBattery, telemetry.TrackSSD, now, now, int64(keep))
-			}
+			e.obs.Observe(telemetry.EvFaultBattery, telemetry.TrackSSD, now, now, int64(keep))
 			return keep, true
 		}
 	}

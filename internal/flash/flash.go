@@ -244,9 +244,7 @@ func (d *Device) Sense(now sim.Time, p PageAddr, size int) (sim.Time, error) {
 		d.readsTrans++
 		kind = telemetry.ChargeNANDMap
 	}
-	if d.obs != nil {
-		d.obs.Observe(kind, telemetry.TrackFlash, now, done, int64(p))
-	}
+	d.obs.Observe(kind, telemetry.TrackFlash, now, done, int64(p))
 	return done, nil
 }
 
@@ -366,9 +364,7 @@ func (d *Device) program(now sim.Time, p PageAddr, size int, t PageType) (sim.Ti
 	if t == PageTrans {
 		kind = telemetry.ChargeNANDMap
 	}
-	if d.obs != nil {
-		d.obs.Observe(kind, telemetry.TrackFlash, now, done, int64(p))
-	}
+	d.obs.Observe(kind, telemetry.TrackFlash, now, done, int64(p))
 	// The OOB tag is written with the program attempt, success or not: a
 	// failed program still leaves whatever reached the cells.
 	d.ptype[p] = t

@@ -78,9 +78,7 @@ func (f *FTL) writeBackBatch() int {
 func (f *FTL) mapAccess(now sim.Time, lpn uint32, dirty bool) (sim.Time, error) {
 	tvpn := uint32(int(lpn) / f.epp)
 	if f.mc.Lookup(tvpn) {
-		if f.obs != nil {
-			f.obs.Observe(telemetry.ChargeMapHit, telemetry.TrackFlash, now, now.Add(MapHitCost), int64(lpn))
-		}
+		f.obs.Observe(telemetry.ChargeMapHit, telemetry.TrackFlash, now, now.Add(MapHitCost), int64(lpn))
 		now = now.Add(MapHitCost)
 	} else {
 		if addr := f.mc.GTD(tvpn); addr != flash.InvalidPage {
@@ -170,10 +168,8 @@ func (f *FTL) flushWriteBacks(now sim.Time) (sim.Time, error) {
 // return mid-batch, which previously needed a hand-written Resume on each
 // early exit.
 func (f *FTL) flushWriteBacksPipelined(now sim.Time) (sim.Time, error) {
-	if f.obs != nil {
-		f.obs.Suspend()
-		defer f.obs.Resume()
-	}
+	f.obs.Suspend()
+	defer f.obs.Resume()
 	t := now
 	for _, tvpn := range f.wbPending {
 		done, err := f.persistTransPage(t, tvpn)

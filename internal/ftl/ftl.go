@@ -285,9 +285,7 @@ func (f *FTL) ReadPageShared(now sim.Time, lpn uint32) ([]byte, sim.Time, error)
 	if err != nil {
 		return nil, now, err
 	}
-	if f.obs != nil {
-		f.obs.Observe(telemetry.SpanFlashRead, telemetry.TrackFlash, now, done, int64(lpn))
-	}
+	f.obs.Observe(telemetry.SpanFlashRead, telemetry.TrackFlash, now, done, int64(lpn))
 	return data, done, nil
 }
 
@@ -340,7 +338,7 @@ func (f *FTL) writePage(now sim.Time, lpn uint32, data []byte, own bool) (held [
 		if err != nil {
 			return held, now, err
 		}
-		if f.obs != nil && now.After(pre) {
+		if now.After(pre) {
 			f.obs.Observe(telemetry.ChargeGCStall, telemetry.TrackFlash, pre, now, int64(lpn))
 		}
 	}
@@ -370,9 +368,7 @@ func (f *FTL) writePage(now sim.Time, lpn uint32, data []byte, own bool) (held [
 	f.l2p[lpn] = p
 	f.p2l[p] = int32(lpn)
 	f.validCount[f.dev.BlockOf(p)]++
-	if f.obs != nil {
-		f.obs.Observe(telemetry.SpanFlashWrite, telemetry.TrackFlash, now, done, int64(lpn))
-	}
+	f.obs.Observe(telemetry.SpanFlashWrite, telemetry.TrackFlash, now, done, int64(lpn))
 	if f.mc != nil && !f.inGC {
 		done, err = f.maybeCheckpoint(done)
 		if err != nil {
@@ -629,9 +625,7 @@ func (f *FTL) collect(now sim.Time, victim int) (sim.Time, error) {
 		// batch per GC pass, via a single interrupt (§4).
 		f.remap.BatchInterrupts++
 	}
-	if f.obs != nil {
-		f.obs.Observe(telemetry.SpanGC, telemetry.TrackFlash, gcStart, done, int64(victim))
-	}
+	f.obs.Observe(telemetry.SpanGC, telemetry.TrackFlash, gcStart, done, int64(victim))
 	return done, nil
 }
 

@@ -95,9 +95,7 @@ func (l *Link) MMIORead(now sim.Time, persist bool) sim.Time {
 		l.persistTagged++
 	}
 	done := start.Add(l.cfg.MMIOReadLatency)
-	if l.obs != nil {
-		l.obs.Observe(telemetry.SpanMMIORead, telemetry.TrackPCIe, now, done, persistArg(persist))
-	}
+	l.obs.Observe(telemetry.SpanMMIORead, telemetry.TrackPCIe, now, done, persistArg(persist))
 	return done
 }
 
@@ -129,9 +127,7 @@ func (l *Link) MMIOWriteChecked(now sim.Time, persist bool) (sim.Time, fault.Wri
 		l.mmioTorn++
 	}
 	done := start.Add(l.cfg.MMIOWriteLatency)
-	if l.obs != nil {
-		l.obs.Observe(telemetry.SpanMMIOWrite, telemetry.TrackPCIe, now, done, persistArg(persist))
-	}
+	l.obs.Observe(telemetry.SpanMMIOWrite, telemetry.TrackPCIe, now, done, persistArg(persist))
 	return done, outcome
 }
 
@@ -141,9 +137,7 @@ func (l *Link) DMAPage(now sim.Time) sim.Time {
 	start, _ := l.res.Acquire(now, l.cfg.PageOccupancy)
 	l.dmaPages++
 	done := start.Add(l.cfg.DMAPageLatency)
-	if l.obs != nil {
-		l.obs.Observe(telemetry.SpanDMAPage, telemetry.TrackPCIe, now, done, 0)
-	}
+	l.obs.Observe(telemetry.SpanDMAPage, telemetry.TrackPCIe, now, done, 0)
 	return done
 }
 

@@ -212,9 +212,7 @@ func (p *PLB) Start(now sim.Time, lpn uint32, frame int, src, dst []byte, srcDir
 	}
 	p.pending++
 	p.started++
-	if p.obs != nil {
-		p.obs.Observe(telemetry.SpanPromotion, telemetry.TrackPromo, now, slot.deadline, int64(lpn))
-	}
+	p.obs.Observe(telemetry.SpanPromotion, telemetry.TrackPromo, now, slot.deadline, int64(lpn))
 	return nil
 }
 
@@ -356,9 +354,7 @@ func (p *PLB) Expired(now sim.Time) []Completion {
 		}
 		p.progress(e, e.deadline.Add(p.cfg.PromotionLatency)) // force all lines
 		out = append(out, Completion{LPN: e.lpn, Frame: e.frame, Deadline: e.deadline, Dirty: e.dirty})
-		if p.obs != nil {
-			p.obs.Observe(telemetry.EvPromoteComplete, telemetry.TrackPromo, e.deadline, e.deadline, int64(e.lpn))
-		}
+		p.obs.Observe(telemetry.EvPromoteComplete, telemetry.TrackPromo, e.deadline, e.deadline, int64(e.lpn))
 		p.clearEntry(e)
 		p.completed++
 	}
@@ -378,11 +374,9 @@ func (p *PLB) Flush(now sim.Time) []Completion {
 			continue
 		}
 		p.progress(e, e.deadline.Add(p.cfg.PromotionLatency))
-		out = append(out, Completion{LPN: e.lpn, Frame: e.frame, Deadline: e.deadline.Max(now), Dirty: e.dirty})
-		if p.obs != nil {
-			at := e.deadline.Max(now)
-			p.obs.Observe(telemetry.EvPromoteComplete, telemetry.TrackPromo, at, at, int64(e.lpn))
-		}
+		at := e.deadline.Max(now)
+		out = append(out, Completion{LPN: e.lpn, Frame: e.frame, Deadline: at, Dirty: e.dirty})
+		p.obs.Observe(telemetry.EvPromoteComplete, telemetry.TrackPromo, at, at, int64(e.lpn))
 		p.clearEntry(e)
 		p.completed++
 	}

@@ -114,11 +114,13 @@ func (p *Policy) Update(pageCnt int) (promote bool) {
 		p.aggPromotedCnt = 0
 		p.currThreshold = p.params.MaxThreshold
 		p.epochs++
+		// The guard skips the p.now clock read when no sink is attached.
 		if p.obs != nil {
 			at := p.now()
 			p.obs.Observe(telemetry.EvEpochReset, telemetry.TrackSSD, at, at, p.epochs)
 		}
 	}
+	// The guard skips the p.now clock read when no sink is attached.
 	if p.obs != nil && p.currThreshold != before {
 		at := p.now()
 		p.obs.Observe(telemetry.EvThreshold, telemetry.TrackSSD, at, at, int64(p.currThreshold))

@@ -159,6 +159,7 @@ func (c *Cache) Lookup(lpn uint32) (*Entry, bool) {
 		c.tick++
 		e.rrpv = 0
 		e.used = c.tick
+		// The guard skips the c.now clock read when no sink is attached.
 		if c.obs != nil {
 			// The hit is an instant event that still charges AccessCost.
 			at := c.now()
@@ -167,6 +168,7 @@ func (c *Cache) Lookup(lpn uint32) (*Entry, bool) {
 		return e, true
 	}
 	c.misses++
+	// The guard skips the c.now clock read when no sink is attached.
 	if c.obs != nil {
 		at := c.now()
 		c.obs.Observe(telemetry.EvCacheMiss, telemetry.TrackSSD, at, at, int64(lpn))
@@ -277,6 +279,7 @@ func (c *Cache) insert(lpn uint32, data []byte, dirty, shared bool) (e *Entry, v
 		if v.Dirty {
 			c.dirtyEvicts++
 		}
+		// The guard skips the c.now clock read when no sink is attached.
 		if c.obs != nil {
 			at := c.now()
 			c.obs.Observe(telemetry.EvCacheEvict, telemetry.TrackSSD, at, at, int64(v.LPN))

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 
 	"flatflash/internal/sim"
-	"flatflash/internal/stats"
 )
 
 // DefaultEpoch is the default sampling interval of the metrics registry.
@@ -18,11 +18,13 @@ const DefaultEpoch = sim.Millisecond
 // cannot exhaust memory; sampling stops (and DroppedRows counts) beyond it.
 const maxRows = 1 << 20
 
-// Registry generalizes stats.Counters with gauges and epoch-sampled time
-// series on the virtual clock. Hierarchies register pull-gauges (hit ratios,
-// occupancy, write amplification) and rate-gauges (promotions per virtual
-// second) at Instrument time; every access calls Tick, which samples all
-// gauges each time virtual time crosses an epoch boundary.
+// Registry samples gauges and rates as epoch time series on the virtual
+// clock. Hierarchies register pull-gauges (hit ratios, occupancy, write
+// amplification) and rates (promotions per virtual second) at Instrument
+// time; every access calls Tick, which samples every column each time
+// virtual time crosses an epoch boundary. Several hierarchies may share one
+// registry: their columns append in registration order, so a row sampled
+// before a later hierarchy registered is a prefix of the later rows.
 //
 // All methods are nil-receiver safe so call sites need no guards: a nil
 // *Registry is the disabled, zero-cost configuration.
@@ -34,22 +36,25 @@ type Registry struct {
 	next  sim.Time
 	last  sim.Time // latest time observed by Tick/Finish
 
-	gaugeNames []string
-	gaugeFns   []func() float64
-
-	rateNames []string
-	rateFns   []func() int64
-	ratePrev  []int64
-	prevRowT  sim.Time
-
-	counters *stats.Counters
+	cols     []column // registration order
+	prevRowT sim.Time
 
 	rows    []Row
 	dropped int64
 }
 
-// Row is one sampled epoch: gauge values in registration order (gauges
-// first, then rates).
+// column is one sampled series: a gauge, or a rate over a monotonically
+// increasing counter.
+type column struct {
+	name  string
+	gauge func() float64 // nil for a rate
+
+	counter string       // a rate's counter name, as Get and the counters line know it
+	total   func() int64 // a rate's running total
+	prev    int64        // total at the previous row
+}
+
+// Row is one sampled epoch: column values in registration order.
 type Row struct {
 	T    sim.Time
 	Vals []float64
@@ -61,7 +66,7 @@ func NewRegistry(epoch sim.Duration) *Registry {
 	if epoch <= 0 {
 		epoch = DefaultEpoch
 	}
-	return &Registry{epoch: epoch, counters: stats.NewCounters()}
+	return &Registry{epoch: epoch}
 }
 
 // Epoch returns the sampling interval.
@@ -76,13 +81,8 @@ func (r *Registry) Epoch() sim.Duration {
 // several instrumented hierarchies can share one registry deterministically.
 func (r *Registry) uniqueName(name string) string {
 	taken := func(n string) bool {
-		for _, g := range r.gaugeNames {
-			if g == n {
-				return true
-			}
-		}
-		for _, g := range r.rateNames {
-			if g == n {
+		for _, c := range r.cols {
+			if c.name == n {
 				return true
 			}
 		}
@@ -105,54 +105,32 @@ func (r *Registry) RegisterGauge(name string, fn func() float64) {
 	if r == nil || fn == nil {
 		return
 	}
-	r.gaugeNames = append(r.gaugeNames, r.uniqueName(name))
-	r.gaugeFns = append(r.gaugeFns, fn)
+	r.cols = append(r.cols, column{name: r.uniqueName(name), gauge: fn})
 }
 
 // RegisterRate registers a monotonically increasing counter fn whose
-// per-virtual-second rate is sampled each epoch. No-op on nil.
+// per-virtual-second rate is sampled each epoch as the column
+// name+"_per_s". No-op on nil.
 func (r *Registry) RegisterRate(name string, fn func() int64) {
 	if r == nil || fn == nil {
 		return
 	}
-	r.rateNames = append(r.rateNames, r.uniqueName(name+"_per_s"))
-	r.rateFns = append(r.rateFns, fn)
-	r.ratePrev = append(r.ratePrev, 0)
+	r.cols = append(r.cols, column{name: r.uniqueName(name + "_per_s"), counter: name, total: fn})
 }
 
-// Add increments a named counter. No-op on nil.
-func (r *Registry) Add(name string, delta int64) {
-	if r == nil {
-		return
-	}
-	r.counters.Add(name, delta)
-}
-
-// CounterHandle returns a pre-resolved cell for a registry counter, so hot
-// paths can increment it with one pointer add instead of a map lookup (see
-// stats.Handle for the visibility contract). On a nil registry it returns a
-// dead cell: increments land nowhere, matching Add's nil no-op.
-func (r *Registry) CounterHandle(name string) stats.Handle {
-	if r == nil {
-		return new(int64)
-	}
-	return r.counters.Handle(name)
-}
-
-// Get returns a counter value (0 on nil registry or absent counter).
+// Get returns the running total of the named counter, summed over every
+// rate registered under that name (0 on a nil registry or unknown name).
 func (r *Registry) Get(name string) int64 {
 	if r == nil {
 		return 0
 	}
-	return r.counters.Get(name)
-}
-
-// Counters returns the registry's counter set (nil on a nil registry).
-func (r *Registry) Counters() *stats.Counters {
-	if r == nil {
-		return nil
+	var sum int64
+	for _, c := range r.cols {
+		if c.total != nil && c.counter == name {
+			sum += c.total()
+		}
 	}
-	return r.counters
+	return sum
 }
 
 // Start positions the epoch grid at now. Instrument calls it; calling it
@@ -204,19 +182,19 @@ func (r *Registry) sample(at sim.Time) {
 		r.dropped++
 		return
 	}
-	vals := make([]float64, 0, len(r.gaugeFns)+len(r.rateFns))
-	for _, fn := range r.gaugeFns {
-		vals = append(vals, sanitize(fn()))
-	}
+	vals := make([]float64, len(r.cols))
 	dt := at.Sub(r.prevRowT).Seconds()
-	for i, fn := range r.rateFns {
-		cur := fn()
-		rate := 0.0
-		if dt > 0 {
-			rate = float64(cur-r.ratePrev[i]) / dt
+	for i := range r.cols {
+		c := &r.cols[i]
+		if c.gauge != nil {
+			vals[i] = sanitize(c.gauge())
+			continue
 		}
-		r.ratePrev[i] = cur
-		vals = append(vals, sanitize(rate))
+		cur := c.total()
+		if dt > 0 {
+			vals[i] = sanitize(float64(cur-c.prev) / dt)
+		}
+		c.prev = cur
 	}
 	r.prevRowT = at
 	r.rows = append(r.rows, Row{T: at, Vals: vals})
@@ -229,15 +207,16 @@ func sanitize(v float64) float64 {
 	return v
 }
 
-// SeriesNames returns all sampled column names: gauges then rates, in
-// registration order.
+// SeriesNames returns all sampled column names in registration order.
 func (r *Registry) SeriesNames() []string {
 	if r == nil {
 		return nil
 	}
-	out := make([]string, 0, len(r.gaugeNames)+len(r.rateNames))
-	out = append(out, r.gaugeNames...)
-	return append(out, r.rateNames...)
+	out := make([]string, len(r.cols))
+	for i, c := range r.cols {
+		out[i] = c.name
+	}
+	return out
 }
 
 // Rows returns the sampled series.
@@ -276,10 +255,11 @@ func (r *Registry) Elapsed() sim.Duration {
 }
 
 // WriteJSONL writes the metrics series as JSON Lines: one object per
-// sampled epoch with "t_ns", "epoch", and every gauge/rate column, followed
-// by one final object with "t_ns" and the full counter snapshot (sorted by
-// name). Output is deterministic: column order is registration order and
-// counters are sorted, so same-seed runs produce byte-identical files.
+// sampled epoch with "t_ns", "epoch", and every column the row sampled,
+// followed by one final object with "t_ns" and every rate's counter total
+// (see Get), sorted by name. Output is deterministic: column order is
+// registration order and counters are sorted, so same-seed runs produce
+// byte-identical files.
 func (r *Registry) WriteJSONL(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -295,12 +275,20 @@ func (r *Registry) WriteJSONL(w io.Writer) error {
 			return err
 		}
 	}
+	var counters []string
+	for _, c := range r.cols {
+		if c.total != nil {
+			counters = append(counters, c.counter)
+		}
+	}
+	slices.Sort(counters)
+	counters = slices.Compact(counters)
 	fmt.Fprintf(bw, `{"t_ns":%d,"counters":{`, int64(r.last))
-	for i, kv := range r.counters.Snapshot() {
+	for i, name := range counters {
 		if i > 0 {
 			bw.WriteByte(',')
 		}
-		fmt.Fprintf(bw, `"%s":%d`, kv.Name, kv.Value)
+		fmt.Fprintf(bw, `"%s":%d`, name, r.Get(name))
 	}
 	if _, err := bw.WriteString("}}\n"); err != nil {
 		return err

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"reflect"
 	"testing"
 
 	"flatflash/internal/sim"
@@ -14,13 +15,39 @@ func newFullSink() (*Sink, *Tracer, *FlightRecorder, *Attribution) {
 }
 
 // TestNewSinkNilWhenEmpty: with no consumer the sink is the nil, disabled
-// sink every call site guards against.
+// sink.
 func TestNewSinkNilWhenEmpty(t *testing.T) {
 	if s := NewSink(nil, nil, nil); s != nil {
 		t.Fatalf("NewSink(nil, nil, nil) = %p, want nil", s)
 	}
 	if NewSink(nil, nil, NewAttribution(0, 0)) == nil {
 		t.Fatal("a sink with only an attribution engine came back nil")
+	}
+}
+
+// TestNilSinkIsNoOp: the nil sink is the disabled configuration, and call
+// sites report through it unguarded, so every exported method — found by
+// reflection, so a new one is covered too — must be a no-op on it.
+func TestNilSinkIsNoOp(t *testing.T) {
+	var s *Sink
+	typ := reflect.TypeOf(s)
+	for i := 0; i < typ.NumMethod(); i++ {
+		m := typ.Method(i)
+		args := []reflect.Value{reflect.ValueOf(s)}
+		for j := 1; j < m.Type.NumIn(); j++ {
+			args = append(args, reflect.Zero(m.Type.In(j)))
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("(*Sink)(nil).%s panicked: %v", m.Name, r)
+				}
+			}()
+			m.Func.Call(args)
+		}()
+	}
+	for k := SpanKind(0); k < numKinds; k++ {
+		s.Observe(k, TrackCPU, 100, 200, 1)
 	}
 }
 

@@ -134,11 +134,10 @@ func TestNilRegistryAndCountersAreSafe(t *testing.T) {
 	var r *Registry
 	r.RegisterGauge("g", func() float64 { return 1 })
 	r.RegisterRate("r", func() int64 { return 1 })
-	r.Add("c", 1)
 	r.Start(0)
 	r.Tick(100)
 	r.Finish(200)
-	if r.Get("c") != 0 || r.Elapsed() != 0 || r.Rows() != nil || r.SeriesNames() != nil {
+	if r.Get("r") != 0 || r.Elapsed() != 0 || r.Rows() != nil || r.SeriesNames() != nil {
 		t.Error("nil registry leaked state")
 	}
 	if err := r.WriteJSONL(&bytes.Buffer{}); err != nil {
@@ -151,9 +150,9 @@ func TestWriteJSONLDeterministicAndParseable(t *testing.T) {
 		r := NewRegistry(100)
 		v := 0.0
 		r.RegisterGauge("ratio", func() float64 { return v })
+		r.RegisterRate("zebra", func() int64 { return 3 })
+		r.RegisterRate("alpha", func() int64 { return 1 })
 		r.Start(0)
-		r.Add("zebra", 3)
-		r.Add("alpha", 1)
 		v = 0.5
 		r.Tick(250)
 		r.Finish(250)

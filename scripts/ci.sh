@@ -56,9 +56,6 @@ rows = [
     ("internal/core/persist.go",
      [("\ts.att.End(t.clock.Now().Sub(start), s.clock.Now())\n", "")],
      "attribwindow", "./internal/core/"),
-    # The PCIe link's first nil guard becomes a bare block.
-    ("internal/pcie/pcie.go", [("if l.obs != nil {", "{")],
-     "probenil", "./internal/pcie/"),
     # Drain and Crash walk the frame map unsorted.
     ("internal/core/hierarchy.go", [("sort.Ints(frames)", "_ = sort.Ints")],
      "detflow", "./internal/core/"),
@@ -103,6 +100,13 @@ for path, edit, name, pkg in rows:
 EOF
 rm -rf "$mutant_dir"
 trap - EXIT
+# Call sites report through a possibly-nil *telemetry.Sink unguarded, so a
+# detached sink is free only while Observe (and its nil check) inlines.
+go build -gcflags=-m ./internal/telemetry 2>&1 | grep -q 'can inline (\*Sink).Observe' || {
+    echo "inline check FAILED: (*telemetry.Sink).Observe no longer inlines"
+    exit 1
+}
+echo "inline check ok ((*telemetry.Sink).Observe inlines)"
 # The SSD-Cache shares flash's read-only page buffers until a write takes
 # the entry over with Own. Strip the Own before the MMIO write's copy in a
 # fresh scratch copy: the write then lands in flash's buffer, and the core
