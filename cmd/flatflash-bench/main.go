@@ -405,45 +405,20 @@ func parseUints(csv string) ([]uint64, error) {
 func runCrashsweep(args []string) {
 	fs := flag.NewFlagSet("crashsweep", flag.ExitOnError)
 	subUsage(fs, "crashsweep")
-	var (
-		points    = fs.Int("points", 60, "crash points per workload")
-		seed      = fs.Uint64("seed", 1, "sweep seed (same seed => byte-identical report)")
-		workloads = fs.String("workloads", "fsim,txdb", "comma-separated workloads to sweep")
-		planPath  = fs.String("fault-plan", "", "layer extra faults from this plan file onto every crash run")
-		breakRec  = fs.Bool("break-recovery", false, "sabotage recovery (test-only; the sweep must then report violations)")
-		flightOut = fs.String("flight-out", "", obsflags.FlightOutHelp)
-		mapCache  = fs.Int("map-cache", 0, obsflags.MapCacheHelp)
-	)
-	check(fs.Parse(args))
-	cfg := crashsweep.Config{
-		Seed:          *seed,
-		Points:        *points,
-		Workloads:     strings.Split(*workloads, ","),
-		BreakRecovery: *breakRec,
-		MapCachePages: *mapCache,
-	}
-	if *flightOut != "" {
-		cfg.Flight = telemetry.NewFlightRecorder(telemetry.DefaultFlightCapacity, telemetry.DefaultFlightSnapshots)
-	}
-	if *planPath != "" {
-		f, err := os.Open(*planPath)
-		check(err)
-		cfg.ExtraPlan, err = fault.ParsePlan(f)
-		f.Close()
-		check(err)
-	}
+	cfg, flightOut, err := parseCrashsweep(fs, args)
+	badArgs(fs, err)
 	rep, err := crashsweep.Run(cfg)
 	check(err)
 	check(rep.Write(os.Stdout))
 	if cfg.Flight != nil {
-		f, err := os.Create(*flightOut)
+		f, err := os.Create(flightOut)
 		check(err)
 		check(cfg.Flight.WriteDump(f))
 		check(f.Close())
 		fmt.Printf("flight: %d triggers, %d snapshots -> %s\n",
-			cfg.Flight.Triggers(), len(cfg.Flight.Snapshots()), *flightOut)
+			cfg.Flight.Triggers(), len(cfg.Flight.Snapshots()), flightOut)
 	}
-	if *breakRec {
+	if cfg.BreakRecovery {
 		// Self-test mode: a sabotaged recovery that produces a clean report
 		// means the harness checks nothing.
 		if rep.Violations == 0 {
@@ -457,4 +432,48 @@ func runCrashsweep(args []string) {
 		fmt.Fprintf(os.Stderr, "flatflash-bench: %d crash-consistency violations\n", rep.Violations)
 		os.Exit(1)
 	}
+}
+
+// parseCrashsweep parses the crashsweep subcommand's flags on fs into a
+// validated sweep config and the flight dump path. Stray positional
+// arguments, an unreadable fault plan and a config the sweep would reject
+// are all errors.
+func parseCrashsweep(fs *flag.FlagSet, args []string) (crashsweep.Config, string, error) {
+	var (
+		points    = fs.Int("points", 60, "crash points per workload")
+		seed      = fs.Uint64("seed", 1, "sweep seed (same seed => byte-identical report)")
+		workloads = fs.String("workloads", "fsim,txdb", "comma-separated workloads to sweep")
+		planPath  = fs.String("fault-plan", "", "layer extra faults from this plan file onto every crash run")
+		breakRec  = fs.Bool("break-recovery", false, "sabotage recovery (test-only; the sweep must then report violations)")
+		flightOut = fs.String("flight-out", "", obsflags.FlightOutHelp)
+		mapCache  = fs.Int("map-cache", 0, obsflags.MapCacheHelp)
+	)
+	if err := fs.Parse(args); err != nil {
+		return crashsweep.Config{}, "", err
+	}
+	if fs.NArg() > 0 {
+		return crashsweep.Config{}, "", fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	cfg := crashsweep.Config{
+		Seed:          *seed,
+		Points:        *points,
+		Workloads:     strings.Split(*workloads, ","),
+		BreakRecovery: *breakRec,
+		MapCachePages: *mapCache,
+	}
+	if *flightOut != "" {
+		cfg.Flight = telemetry.NewFlightRecorder(telemetry.DefaultFlightCapacity, telemetry.DefaultFlightSnapshots)
+	}
+	if *planPath != "" {
+		f, err := os.Open(*planPath)
+		if err != nil {
+			return crashsweep.Config{}, "", err
+		}
+		cfg.ExtraPlan, err = fault.ParsePlan(f)
+		f.Close()
+		if err != nil {
+			return crashsweep.Config{}, "", err
+		}
+	}
+	return cfg, *flightOut, cfg.Validate()
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"reflect"
 	"testing"
 )
@@ -41,3 +43,28 @@ func TestParseGridLists(t *testing.T) {
 func ints(csv string) (any, error)   { return parseInts(csv) }
 func floats(csv string) (any, error) { return parseFloats(csv) }
 func uints(csv string) (any, error)  { return parseUints(csv) }
+
+// The crashsweep subcommand rejects what its siblings reject: a stray
+// positional argument or a workload the sweep does not know is a usage
+// error, caught before any crash point runs.
+func TestParseCrashsweepRejectsBadArgs(t *testing.T) {
+	for _, args := range [][]string{
+		{"-points", "2", "stray-arg"},
+		{"-workloads", "fsim,bogus"},
+		{"-fault-plan", t.TempDir() + "/missing.plan"},
+	} {
+		fs := flag.NewFlagSet("crashsweep", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		if _, _, err := parseCrashsweep(fs, args); err == nil {
+			t.Errorf("crashsweep %q accepted", args)
+		}
+	}
+	fs := flag.NewFlagSet("crashsweep", flag.ContinueOnError)
+	cfg, flightOut, err := parseCrashsweep(fs, []string{"-points", "2", "-workloads", "txdb", "-flight-out", "f.jsonl"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Points != 2 || !reflect.DeepEqual(cfg.Workloads, []string{"txdb"}) || cfg.Flight == nil || flightOut != "f.jsonl" {
+		t.Errorf("cfg = %+v, flight-out %q", cfg, flightOut)
+	}
+}

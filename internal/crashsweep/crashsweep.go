@@ -67,14 +67,9 @@ type Config struct {
 	// pre-anomaly span dumps. May be nil.
 	Flight *telemetry.FlightRecorder
 
-	// Hierarchy overrides the hierarchy configuration (zero value = a small
-	// battery-backed FlatFlash suitable for sweeps).
-	Hierarchy *core.Config
-
 	// MapCachePages > 0 runs every crash point with the FTL's demand-paged
 	// translation map (that many translation pages resident), exercising the
-	// GTD recovery path instead of the full OOB scan. Ignored when Hierarchy
-	// is set — put the value in the override config instead.
+	// GTD recovery path instead of the full OOB scan.
 	MapCachePages int
 }
 
@@ -98,7 +93,9 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-func (c Config) validate() error {
+// Validate checks the configuration once zero fields take their defaults.
+func (c Config) Validate() error {
+	c = c.withDefaults()
 	if int64(c.FsimOps) >= fsim.JournalSlots() {
 		return fmt.Errorf("crashsweep: FsimOps %d must stay below %d journal slots", c.FsimOps, fsim.JournalSlots())
 	}
@@ -110,11 +107,9 @@ func (c Config) validate() error {
 	return c.ExtraPlan.Validate()
 }
 
-// hierarchy builds a fresh FlatFlash for one run.
+// hierarchy builds a fresh FlatFlash for one run: a small battery-backed
+// device suitable for sweeps.
 func (c Config) hierarchy() (*core.FlatFlash, error) {
-	if c.Hierarchy != nil {
-		return core.NewFlatFlash(*c.Hierarchy)
-	}
 	// 16 MB SSD: fsim alone maps a 2 MB journal plus 2 MB of data slots.
 	cfg := core.DefaultConfig(16<<20, 256<<10)
 	cfg.SSDCacheFraction = 0.01 // a few dozen cache pages; still battery-backed
@@ -173,10 +168,10 @@ func (r *Report) Write(w io.Writer) error {
 
 // Run executes the sweep.
 func Run(cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg = cfg.withDefaults()
 	rep := &Report{Seed: cfg.Seed}
 	for _, w := range cfg.Workloads {
 		var (

@@ -22,7 +22,7 @@ var registry = []struct {
 	{"fig10", "Figure 10: graph analytics (PageRank, ConnComp)", Fig10},
 	{"fig11", "Figure 11: YCSB tail latency", Fig11},
 	{"fig12", "Figure 12: YCSB average latency & hit ratio", Fig12},
-	{"fig13", "Figure 13: file-system metadata persistence", one13},
+	{"fig13", "Figure 13: file-system metadata persistence", one(Fig13)},
 	{"fig14", "Figure 14a-c: database throughput scaling", Fig14},
 	{"fig14d", "Figure 14d: device-latency sweep", one(Fig14d)},
 	{"fig7", "Figure 7 ablation: centralized vs per-tx logging", one(Fig7Ablation)},
@@ -39,8 +39,6 @@ var registry = []struct {
 func one(f func(Scale) *Report) Runner {
 	return func(s Scale) []*Report { return []*Report{f(s)} }
 }
-
-func one13(s Scale) []*Report { return []*Report{Fig13(s)} }
 
 // IDs returns all experiment IDs in run order.
 func IDs() []string {

@@ -82,7 +82,7 @@ func (c Config) deviceConfig() core.Config {
 	if c.Device != nil {
 		return *c.Device
 	}
-	return core.DefaultConfig(64<<20, 4<<20)
+	return mtsim.DefaultDeviceConfig()
 }
 
 // Result is the outcome of one fleet run.

@@ -29,6 +29,10 @@ const MapHitCost = 200 * sim.Nanosecond
 
 const noTrans = int32(-1)
 
+// mapWriteBackBatch is how many evicted dirty translation pages accumulate
+// before one batched write-back.
+const mapWriteBackBatch = 4
+
 // RecoveryInfo describes how the last RebuildL2P ran in demand-paged mode.
 type RecoveryInfo struct {
 	UsedGTD        bool // map reloaded from persisted translation pages
@@ -63,13 +67,6 @@ func (f *FTL) initDemandMap() error {
 	return nil
 }
 
-func (f *FTL) writeBackBatch() int {
-	if f.cfg.MapWriteBackBatch > 0 {
-		return f.cfg.MapWriteBackBatch
-	}
-	return 4
-}
-
 // mapAccess consults the cached mapping table for lpn's translation page and
 // returns when the mapping is available: immediately after the table hit, or
 // after the translation page is fetched from flash on a miss. dirty records
@@ -96,7 +93,7 @@ func (f *FTL) mapAccess(now sim.Time, lpn uint32, dirty bool) (sim.Time, error) 
 		}
 		if v, evicted := f.mc.Insert(tvpn); evicted && v.Dirty {
 			f.queueWriteBack(v.TVPN)
-			if len(f.wbPending) >= f.writeBackBatch() {
+			if len(f.wbPending) >= mapWriteBackBatch {
 				var err error
 				now, err = f.flushWriteBacks(now)
 				if err != nil {

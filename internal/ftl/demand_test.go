@@ -291,11 +291,6 @@ func TestDemandConfigValidate(t *testing.T) {
 	if c.Validate() == nil {
 		t.Error("negative MapCachePages accepted")
 	}
-	c = testConfig()
-	c.MapWriteBackBatch = -1
-	if c.Validate() == nil {
-		t.Error("negative MapWriteBackBatch accepted")
-	}
 	// Pipelining without demand paging is inert, not an error.
 	c = testConfig()
 	c.MapPipeline = true

@@ -54,26 +54,21 @@ type Config struct {
 	// blocks, higher erase counts penalize selection so erases spread
 	// evenly. Disabled, victims are chosen greedily by valid count alone.
 	WearLeveling bool
-	// WearWeight is how many valid pages one erase of wear is "worth" when
-	// WearLeveling is on (default 2 when zero).
-	WearWeight int
 
 	// MapCachePages > 0 enables the demand-paged translation map (DFTL
 	// style): the L2P map is sliced into translation pages stored in flash
 	// as their own page type, and only MapCachePages of them stay resident
 	// in the cached mapping table at a time. Map misses fetch the
 	// translation page from flash; evicted dirty pages are written back in
-	// batches. 0 (the default) keeps the whole map host-resident, with
-	// behavior and reports byte-identical to before the mode existed.
+	// batches of mapWriteBackBatch. 0 (the default) keeps the whole map
+	// host-resident, with behavior and reports byte-identical to before the
+	// mode existed.
 	MapCachePages int
 	// MapPipeline overlaps a host write's translation-map access with its
 	// data program and takes evicted-page write-backs off the critical path
 	// (FMMU-style pipelining). Reads still serialize the map fetch before
 	// the data read — the data's location is the fetch's output.
 	MapPipeline bool
-	// MapWriteBackBatch is how many evicted dirty translation pages
-	// accumulate before one batched write-back (default 4 when zero).
-	MapWriteBackBatch int
 	// MapCheckpointEvery checkpoints the map — flush every dirty
 	// translation page and commit the GTD root — after this many page
 	// programs (default 256 when zero; negative disables periodic
@@ -105,9 +100,6 @@ func (c Config) Validate() error {
 	}
 	if c.MapCachePages < 0 {
 		return fmt.Errorf("ftl: MapCachePages %d", c.MapCachePages)
-	}
-	if c.MapWriteBackBatch < 0 {
-		return fmt.Errorf("ftl: MapWriteBackBatch %d", c.MapWriteBackBatch)
 	}
 	return nil
 }
@@ -510,6 +502,10 @@ func (f *FTL) maybeGC(now sim.Time) (sim.Time, error) {
 	return now, nil
 }
 
+// wearWeight is how many valid pages one erase of wear is "worth" in
+// wear-aware victim selection.
+const wearWeight = 2
+
 // pickVictim returns the garbage-collection victim: the non-active,
 // non-free block with the lowest cost, or -1 if no block would yield free
 // space. Cost is the valid-page count (pages that must be relocated), plus
@@ -522,10 +518,7 @@ func (f *FTL) pickVictim() int {
 	}
 	weight := 0
 	if f.cfg.WearLeveling {
-		weight = f.cfg.WearWeight
-		if weight == 0 {
-			weight = 2
-		}
+		weight = wearWeight
 	}
 	minWear := int64(0)
 	if weight > 0 {

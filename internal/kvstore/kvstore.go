@@ -20,11 +20,9 @@ const RecordSize = 64
 
 // Config parameterizes a YCSB run against the store.
 type Config struct {
-	Records  uint64  // initial record count
-	MaxGrow  uint64  // extra record slots for workload D inserts (0: auto)
-	Ops      int     // operations to run
-	Workload byte    // 'B' or 'D'
-	Theta    float64 // Zipfian skew (0: YCSB default)
+	Records  uint64 // initial record count
+	Ops      int    // operations to run
+	Workload byte   // 'B' or 'D'
 	Seed     uint64
 }
 
@@ -101,13 +99,9 @@ func Run(h core.Hierarchy, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	theta := cfg.Theta
-	if theta == 0 {
-		theta = workload.DefaultZipfTheta
-	}
-	grow := cfg.MaxGrow
-	if grow == 0 && cfg.Workload == 'D' {
-		// Inserts are ~5% of ops.
+	var grow uint64
+	if cfg.Workload == 'D' {
+		// Headroom for inserts, which are ~5% of ops.
 		grow = uint64(cfg.Ops/10) + 16
 	}
 	st, err := Open(h, cfg.Records+grow)
@@ -117,7 +111,7 @@ func Run(h core.Hierarchy, cfg Config) (Result, error) {
 	if err := st.Load(cfg.Records); err != nil {
 		return Result{}, err
 	}
-	gen := workload.NewYCSB(cfg.Workload, sim.NewRNG(cfg.Seed), cfg.Records, theta)
+	gen := workload.NewYCSB(cfg.Workload, sim.NewRNG(cfg.Seed), cfg.Records, workload.DefaultZipfTheta)
 	hist := stats.NewHistogram()
 	var rec [RecordSize]byte
 	moved0 := h.Counters().Get("page_movements")

@@ -70,10 +70,6 @@ type Config struct {
 	// DisableArbiter turns off DRAM-budget partitioning (ablation: tenants
 	// compete for frames unmanaged, first-hot wins).
 	DisableArbiter bool
-	// ArbiterEpoch and ArbiterMinShare override the arbiter defaults when
-	// non-zero.
-	ArbiterEpoch    sim.Duration
-	ArbiterMinShare int
 
 	// Tracer and Registry instrument the SHARED run (solo golden runs stay
 	// uninstrumented so their timing-independent instrumentation cost is
@@ -130,19 +126,9 @@ func streamSeed(base, tenant uint64, idx int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// accessor is the tenant-facing slice of the device API an op needs; both
-// *core.Tenant and the solo golden devices satisfy it through SelfTenant.
-type accessor interface {
-	Read(addr uint64, buf []byte) (sim.Duration, error)
-	Write(addr uint64, data []byte) (sim.Duration, error)
-	Persist(addr uint64, size int) (sim.Duration, error)
-	Now() sim.Time
-	AdvanceTo(tm sim.Time)
-}
-
-// runOp executes one access op against a, returning the latency the
+// runOp executes one access op against tenant a, returning the latency the
 // tenant's thread observed (including the commit barrier for Barrier ops).
-func runOp(a accessor, base uint64, op workload.AccessOp, scratch []byte) (sim.Duration, error) {
+func runOp(a *core.Tenant, base uint64, op workload.AccessOp, scratch []byte) (sim.Duration, error) {
 	addr := base + op.Off
 	var (
 		lat sim.Duration
@@ -265,14 +251,7 @@ func sharedRun(cfg Config, dev core.Config, res *Result) error {
 		actors[i] = t
 	}
 	if !cfg.DisableArbiter {
-		acfg := promote.DefaultArbiterConfig(int(dev.DRAMBytes / uint64(dev.PageSize)))
-		if cfg.ArbiterEpoch > 0 {
-			acfg.Epoch = cfg.ArbiterEpoch
-		}
-		if cfg.ArbiterMinShare > 0 {
-			acfg.MinShare = cfg.ArbiterMinShare
-		}
-		arb, err := promote.NewArbiter(acfg)
+		arb, err := promote.NewArbiter(promote.DefaultArbiterConfig(int(dev.DRAMBytes / uint64(dev.PageSize))))
 		if err != nil {
 			return err
 		}

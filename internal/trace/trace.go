@@ -105,7 +105,6 @@ type GenConfig struct {
 	AccessSize int    // bytes per access
 	Extent     uint64 // region bytes the trace covers
 	WriteFrac  float64
-	Stride     uint64 // for Strided (default: 8 pages)
 	Seed       uint64
 }
 
@@ -129,10 +128,7 @@ func Generate(cfg GenConfig) (Trace, error) {
 		z := workload.NewScrambledZipf(rng, slots, workload.DefaultZipfTheta)
 		next = func(int) uint64 { return z.Next() }
 	case Strided:
-		stride := cfg.Stride
-		if stride == 0 {
-			stride = 8 * 4096 / uint64(cfg.AccessSize)
-		}
+		stride := 8 * 4096 / uint64(cfg.AccessSize) // 8 pages
 		next = func(i int) uint64 { return (uint64(i) * stride) % slots }
 	default:
 		return nil, fmt.Errorf("trace: unknown pattern %q", cfg.Pattern)

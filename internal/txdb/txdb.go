@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"hash/crc32"
 
-	"flatflash/internal/btree"
 	"flatflash/internal/core"
 	"flatflash/internal/sim"
 	"flatflash/internal/workload"
@@ -101,12 +100,6 @@ type Config struct {
 	TxPerThread int
 	DBBytes     uint64 // table region size
 	Seed        uint64
-	Theta       float64 // record-popularity skew (0: 0.99, TPC-style buffer locality)
-	// UseIndex accesses records through a page-structured B+tree (hot
-	// root/inner nodes promote to DRAM, leaves stay byte-accessed on the
-	// SSD) instead of direct record addressing — the Shore-MT storage-
-	// manager access pattern.
-	UseIndex bool
 	// FunctionalLog writes real, CRC-protected log records through the
 	// hierarchy on every commit so RecoverCommitted can replay them after
 	// a crash. Commit *timing* always comes from the calibrated contention
@@ -147,9 +140,8 @@ type DB struct {
 	logLock   *sim.Resource // centralized log buffer lock
 	logDevice *sim.Resource // the log storage path (occupancy model)
 
-	index    *btree.Tree // non-nil when cfg.UseIndex
-	logHeads []int64     // per-worker log append offsets
-	logSeqs  []uint64    // per-worker next commit sequence number
+	logHeads []int64  // per-worker log append offsets
+	logSeqs  []uint64 // per-worker next commit sequence number
 
 	// Calibrated per-record log costs (measured once through the real
 	// hierarchy so FlatFlash's byte persistence vs the baselines' block
@@ -190,21 +182,6 @@ func Open(h core.Hierarchy, cfg Config) (*DB, error) {
 	}
 	for w := range db.logSeqs {
 		db.logSeqs[w] = 1
-	}
-	if cfg.UseIndex {
-		// Size the index generously: leaves hold ~255 records but splits
-		// leave them half full.
-		pages := int(db.records)/100 + 16
-		db.index, err = btree.New(h, pages)
-		if err != nil {
-			return nil, err
-		}
-		// Bulk-load: key -> heap slot, ascending for dense leaves.
-		for k := uint64(0); k < db.records; k++ {
-			if err := db.index.Insert(k, k); err != nil {
-				return nil, err
-			}
-		}
 	}
 	if err := db.calibrateLog(); err != nil {
 		return nil, err
@@ -311,21 +288,6 @@ func (db *DB) runTx(now sim.Time, rng *sim.RNG, keys *workload.Zipf, wid, seq in
 	// Data phase: reads then writes at skewed-random records.
 	for i := 0; i < db.prof.reads; i++ {
 		k := keys.Next()
-		if db.index != nil {
-			// Index traversal: B+tree lookup (root/inner pages hot), then
-			// the heap record. Latency measured as the hierarchy time the
-			// traversal consumed.
-			t0 := db.h.Now()
-			slot, err := db.index.Get(k)
-			if err != nil {
-				return now, err
-			}
-			if _, err := db.h.Read(db.table.Base+slot*RecordSize, rec[:]); err != nil {
-				return now, err
-			}
-			now = now.Add(db.h.Now().Sub(t0))
-			continue
-		}
 		lat, err := db.h.Read(db.table.Base+k*RecordSize, rec[:])
 		if err != nil {
 			return now, err
@@ -371,18 +333,14 @@ func (db *DB) runTx(now sim.Time, rng *sim.RNG, keys *workload.Zipf, wid, seq in
 // Stepper both start from it, which is what keeps a Stepper run
 // step-for-step deterministic against Run.
 func (db *DB) workerStreams() ([]*sim.RNG, []*workload.Zipf) {
-	theta := db.cfg.Theta
-	if theta == 0 {
-		// TPC-style workloads show strong page-level buffer locality; the
-		// paper's Shore-MT runs keep their working set largely in the 6 GB
-		// buffer pool, leaving logging as the bottleneck.
-		theta = 0.99
-	}
 	rngs := make([]*sim.RNG, db.cfg.Threads)
 	gens := make([]*workload.Zipf, db.cfg.Threads)
 	for w := range rngs {
 		rngs[w] = sim.NewRNG(db.cfg.Seed + uint64(w)*7919)
-		gens[w] = workload.NewZipf(rngs[w], db.records, theta)
+		// TPC-style workloads show strong page-level buffer locality; the
+		// paper's Shore-MT runs keep their working set largely in the 6 GB
+		// buffer pool, leaving logging as the bottleneck.
+		gens[w] = workload.NewZipf(rngs[w], db.records, workload.DefaultZipfTheta)
 	}
 	return rngs, gens
 }

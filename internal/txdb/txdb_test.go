@@ -159,31 +159,6 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
-// The B+tree-indexed access path must behave identically in outcome (all
-// transactions complete) with plausible slowdown from index traversals.
-func TestIndexedAccessPath(t *testing.T) {
-	cfg := Config{
-		Workload: TPCB, LogMode: PerTransaction,
-		Threads: 4, TxPerThread: 30, DBBytes: 2 << 20, Seed: 4, UseIndex: true,
-	}
-	res, err := Run(newFF(t), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalTx != 120 || res.Throughput <= 0 {
-		t.Fatalf("res = %+v", res)
-	}
-	// Direct addressing still works from the same config.
-	cfg.UseIndex = false
-	direct, err := Run(newFF(t), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.TotalTx != 120 || direct.Throughput <= 0 {
-		t.Fatalf("direct res = %+v", direct)
-	}
-}
-
 // A Stepper driven round-robin through Run's warm-up and measured rounds
 // must leave an identical hierarchy in an identical state: same counters,
 // same clock, on both a FlatFlash and a paging baseline.

@@ -318,6 +318,43 @@ grep -q "gtd_partial=1" /tmp/map_cs.txt || {
     echo "demand-mode crash sweep never used GTD partial-scan recovery"; exit 1; }
 echo "demand map smoke ok"
 
+echo "== reachability smoke =="
+# Every package linked into a CLI must be reachable from one. Coverage-
+# instrumented builds of both CLIs run a quick pass of every entry point,
+# and a linked package that ran not one statement fails the gate: its code
+# backs no report. Packages with no statements are exempt (covdata prints
+# no percentage for them).
+reach_dir=$(mktemp -d)
+trap 'rm -rf "$reach_dir"' EXIT
+go build -cover -o "$reach_dir/flatflash-bench" ./cmd/flatflash-bench
+go build -cover -o "$reach_dir/flatflash-sim" ./cmd/flatflash-sim
+mkdir "$reach_dir/cov"
+(
+    cd "$reach_dir"
+    export GOCOVERDIR="$reach_dir/cov"
+    ./flatflash-bench -quick > /dev/null
+    ./flatflash-bench crashsweep -points 6 > /dev/null
+    ./flatflash-bench consolidate > /dev/null
+    ./flatflash-bench fleet -shards 1,2 -rates 50000,400000 -ops 800 -region 262144 -slo 400us > /dev/null
+    ./flatflash-sim -ops 4000 > /dev/null
+    ./flatflash-sim -openloop -ops 4000 > /dev/null
+)
+go tool covdata percent -i="$reach_dir/cov" > "$reach_dir/percent.txt"
+python3 - "$reach_dir/percent.txt" <<'EOF'
+import re, sys
+text = open(sys.argv[1]).read()
+pcts = re.findall(r"(\S+)\s+coverage: ([0-9.]+)% of statements", text)
+if not pcts:
+    sys.exit("reachability smoke: no coverage figures in:\n" + text)
+dead = [pkg for pkg, pct in pcts if float(pct) == 0]
+if dead:
+    sys.exit("reachability smoke FAILED: no entry point runs a statement of:\n  " + "\n  ".join(dead))
+low = min(pcts, key=lambda p: float(p[1]))
+print("reachability smoke ok (%d packages reached; lowest %s at %s%%)" % (len(pcts), low[0], low[1]))
+EOF
+rm -rf "$reach_dir"
+trap - EXIT
+
 echo "== coverage floors =="
 # Safety-critical packages keep a per-package statement-coverage floor: the
 # fault engine guards crash consistency, and the analyzer suite guards every
