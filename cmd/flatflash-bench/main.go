@@ -77,12 +77,10 @@ func main() {
 	}
 	quick := flag.Bool("quick", false, "run with reduced sizes (faster, noisier)")
 	list := flag.Bool("list", false, "list available experiments and subcommands, then exit")
-	traceOut := flag.String("trace-out", "", "write a Chrome/Perfetto trace-event JSON file covering all runs")
-	metricsOut := flag.String("metrics-out", "", "write epoch-sampled metrics as JSON Lines")
-	metricsEp := flag.Duration("metrics-epoch", time.Millisecond, "virtual-time metrics sampling epoch")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment runs to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile taken after the runs to this file")
-	obs := obsflags.Register(flag.CommandLine)
+	obs := obsflags.Register(flag.CommandLine, obsflags.Trace|obsflags.Metrics|obsflags.Latency|
+		obsflags.Flight|obsflags.SLO|obsflags.MapCache)
 	flag.Parse()
 
 	if *cpuProfile != "" {
@@ -109,24 +107,13 @@ func main() {
 	// Telemetry is attached to every hierarchy the experiments build. The
 	// hierarchies run on independent virtual clocks, so the shared trace
 	// overlays their timelines; gauge names are deduplicated per instance.
-	var (
-		tracer *telemetry.Tracer
-		reg    *telemetry.Registry
-	)
-	if *traceOut != "" {
-		tracer = telemetry.NewTracer(telemetry.DefaultTracerCapacity)
-	}
-	if *traceOut != "" || *metricsOut != "" {
-		reg = telemetry.NewRegistry(sim.Duration(metricsEp.Nanoseconds()))
-	}
-	experiments.SetTelemetry(tracer, reg)
-
 	// Latency attribution and the flight recorder attach to every FlatFlash
-	// hierarchy the experiments build; the consolidate sweep additionally
-	// gets per-point attribution engines rendered in its report.
-	att, flightRec := obs.Build()
-	experiments.SetAttribution(att, flightRec)
-	experiments.SetMapCache(*obs.MapCache)
+	// hierarchy; the consolidate sweep additionally gets per-point
+	// attribution engines rendered in its report.
+	obs.Build(false)
+	experiments.SetTelemetry(obs.Tracer, obs.Registry)
+	experiments.SetAttribution(obs.Attribution, obs.Recorder)
+	experiments.SetMapCache(obs.MapCache)
 
 	scale := experiments.Full
 	if *quick {
@@ -134,39 +121,20 @@ func main() {
 	}
 	ids := flag.Args()
 	if len(ids) == 0 {
-		if err := experiments.RunAll(os.Stdout, scale); err != nil {
+		ids = experiments.IDs()
+	}
+	for _, id := range ids {
+		if err := experiments.Run(os.Stdout, id, scale); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-	} else {
-		for _, id := range ids {
-			if err := experiments.Run(os.Stdout, id, scale); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
 	}
 
-	reg.Finish(reg.LastObserved())
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		check(err)
-		check(telemetry.WriteChromeTrace(f, tracer, reg))
-		check(f.Close())
-		fmt.Printf("trace: %d spans -> %s (load in ui.perfetto.dev)\n", tracer.Recorded(), *traceOut)
-	}
-	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		check(err)
-		check(reg.WriteJSONL(f))
-		check(f.Close())
-		fmt.Printf("metrics: %d epochs -> %s\n", len(reg.Rows()), *metricsOut)
-	}
-	if att != nil {
-		check(att.WriteBudget(os.Stdout))
-	}
-	check(obs.WriteLatency(att, os.Stdout))
-	check(obs.WriteFlight(flightRec, os.Stdout))
+	obs.Registry.Finish(obs.Registry.LastObserved())
+	check(obs.WriteTrace(os.Stdout))
+	check(obs.WriteMetrics(os.Stdout))
+	check(obs.WriteLatency(os.Stdout, obs.Attribution))
+	check(obs.WriteFlight(os.Stdout))
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		check(err)
@@ -210,7 +178,7 @@ func runConsolidate(args []string) {
 		region  = fs.Uint64("region", 256<<10, "mapped region bytes per tenant")
 		think   = fs.Duration("think", time.Microsecond, "virtual think time between a tenant's operations")
 		noArb   = fs.Bool("no-arbiter", false, "disable the DRAM-budget arbiter (unmanaged frame contention)")
-		obs     = obsflags.Register(fs)
+		obs     = obsflags.Register(fs, obsflags.Latency|obsflags.Flight|obsflags.SLO|obsflags.MapCache)
 	)
 	subUsage(fs, "consolidate")
 	check(fs.Parse(args))
@@ -222,17 +190,10 @@ func runConsolidate(args []string) {
 	badArgs(fs, err)
 	seedList, err := parseUints(*seeds)
 	badArgs(fs, err)
-	var dev *core.Config
-	if *obs.MapCache > 0 {
-		// Same geometry the sweep uses by default, with the demand-paged map
-		// switched on for every tenant's device.
-		d := mtsim.DefaultDeviceConfig()
-		d.MapCachePages = *obs.MapCache
-		d.MapPipeline = true
-		dev = &d
-	}
+	dev := obs.MapDevice(mtsim.DefaultDeviceConfig())
+	obs.BuildRecorder()
 	cfg := mtsim.SweepConfig{
-		Device:         dev,
+		Device:         &dev,
 		TenantCounts:   tenantCounts,
 		MixSpecs:       strings.Split(*mixes, ","),
 		Seeds:          seedList,
@@ -242,28 +203,18 @@ func runConsolidate(args []string) {
 		DisableArbiter: *noArb,
 		Attrib:         obs.AttribEnabled(),
 		SLO:            obs.SLODur(),
-	}
-	var flightRec *telemetry.FlightRecorder
-	if obs.FlightEnabled() {
-		flightRec = telemetry.NewFlightRecorder(telemetry.DefaultFlightCapacity, telemetry.DefaultFlightSnapshots)
-		cfg.Flight = flightRec
+		Flight:         obs.Recorder,
 	}
 	res, err := mtsim.Sweep(cfg)
 	badArgs(fs, err)
 	check(res.Write(os.Stdout))
-	if *obs.LatencyOut != "" {
-		// Each sweep point carries a private attribution engine; the dump
-		// concatenates their JSONL records in grid order.
-		f, err := os.Create(*obs.LatencyOut)
-		check(err)
-		for i := range res.Points {
-			if a := res.Points[i].Res.Attribution; a != nil {
-				check(a.WriteJSONL(f))
-			}
-		}
-		check(f.Close())
+	// Each grid point carries a private attribution engine.
+	var atts []*telemetry.Attribution
+	for i := range res.Points {
+		atts = append(atts, res.Points[i].Res.Attribution)
 	}
-	check(obs.WriteFlight(flightRec, os.Stdout))
+	check(obs.WriteLatency(nil, atts...))
+	check(obs.WriteFlight(os.Stdout))
 }
 
 // runFleet executes the sharded fleet sweep: for each (shard count, offered
@@ -295,7 +246,7 @@ func runFleet(args []string) {
 		mEpoch   = fs.Duration("migrate-epoch", 0, "cross-shard migration epoch (0 disables migration)")
 		mPages   = fs.Int("migrate-pages", 0, "max pages migrated per shard per epoch (0 = default)")
 		mLat     = fs.Duration("migrate-lat", 0, "per-page migration copy cost (0 = default)")
-		obs      = obsflags.RegisterOpenLoop(fs)
+		obs      = obsflags.Register(fs, obsflags.Latency|obsflags.Flight|obsflags.SLO|obsflags.ShedWait|obsflags.MapCache)
 	)
 	subUsage(fs, "fleet")
 	check(fs.Parse(args))
@@ -309,9 +260,8 @@ func runFleet(args []string) {
 	badArgs(fs, err)
 	seedList, err := parseUints(*seeds)
 	badArgs(fs, err)
-	dev := core.DefaultConfig(*ssd, *dram)
-	dev.MapCachePages = *obs.MapCache
-	dev.MapPipeline = *obs.MapCache > 0
+	dev := obs.MapDevice(core.DefaultConfig(*ssd, *dram))
+	obs.BuildRecorder()
 	cfg := fleet.SweepConfig{
 		Device:      &dev,
 		ShardCounts: shardCounts,
@@ -331,6 +281,8 @@ func runFleet(args []string) {
 			IssueOverhead: sim.Duration(issue.Nanoseconds()),
 			SLO:           obs.SLODur(),
 			ShedWait:      obs.ShedWaitDur(),
+			Attrib:        obs.AttribEnabled(),
+			Flight:        obs.Recorder,
 		},
 		VNodes:       *vnodes,
 		RingSeed:     *ringSeed,
@@ -338,32 +290,18 @@ func runFleet(args []string) {
 		MigratePages: *mPages,
 		MigrateLat:   sim.Duration(mLat.Nanoseconds()),
 	}
-	var flightRec *telemetry.FlightRecorder
-	if obs.FlightEnabled() {
-		flightRec = telemetry.NewFlightRecorder(telemetry.DefaultFlightCapacity, telemetry.DefaultFlightSnapshots)
-		cfg.Server.Flight = flightRec
-	}
-	if obs.AttribEnabled() {
-		cfg.Server.Attrib = true
-	}
 	res, err := fleet.Sweep(cfg)
 	badArgs(fs, err)
 	check(res.Write(os.Stdout))
-	if *obs.LatencyOut != "" {
-		// Every shard of every point carries a private attribution engine;
-		// the dump concatenates their JSONL records in grid+shard order.
-		f, err := os.Create(*obs.LatencyOut)
-		check(err)
-		for i := range res.Points {
-			for _, s := range res.Points[i].Res.Shards {
-				if a := s.Attribution(); a != nil {
-					check(a.WriteJSONL(f))
-				}
-			}
+	// Every shard of every grid point carries a private attribution engine.
+	var atts []*telemetry.Attribution
+	for i := range res.Points {
+		for _, s := range res.Points[i].Res.Shards {
+			atts = append(atts, s.Attribution())
 		}
-		check(f.Close())
 	}
-	check(obs.WriteFlight(flightRec, os.Stdout))
+	check(obs.WriteLatency(nil, atts...))
+	check(obs.WriteFlight(os.Stdout))
 }
 
 // badArgs reports err, prints fs's usage and exits 2; it is a no-op when
@@ -405,19 +343,12 @@ func parseUints(csv string) ([]uint64, error) {
 func runCrashsweep(args []string) {
 	fs := flag.NewFlagSet("crashsweep", flag.ExitOnError)
 	subUsage(fs, "crashsweep")
-	cfg, flightOut, err := parseCrashsweep(fs, args)
+	cfg, obs, err := parseCrashsweep(fs, args)
 	badArgs(fs, err)
 	rep, err := crashsweep.Run(cfg)
 	check(err)
 	check(rep.Write(os.Stdout))
-	if cfg.Flight != nil {
-		f, err := os.Create(flightOut)
-		check(err)
-		check(cfg.Flight.WriteDump(f))
-		check(f.Close())
-		fmt.Printf("flight: %d triggers, %d snapshots -> %s\n",
-			cfg.Flight.Triggers(), len(cfg.Flight.Snapshots()), flightOut)
-	}
+	check(obs.WriteFlight(os.Stdout))
 	if cfg.BreakRecovery {
 		// Self-test mode: a sabotaged recovery that produces a clean report
 		// means the harness checks nothing.
@@ -435,45 +366,43 @@ func runCrashsweep(args []string) {
 }
 
 // parseCrashsweep parses the crashsweep subcommand's flags on fs into a
-// validated sweep config and the flight dump path. Stray positional
-// arguments, an unreadable fault plan and a config the sweep would reject
-// are all errors.
-func parseCrashsweep(fs *flag.FlagSet, args []string) (crashsweep.Config, string, error) {
+// validated sweep config and the observability flags that write its flight
+// dump. Stray positional arguments, an unreadable fault plan and a config
+// the sweep would reject are all errors.
+func parseCrashsweep(fs *flag.FlagSet, args []string) (crashsweep.Config, *obsflags.Flags, error) {
 	var (
 		points    = fs.Int("points", 60, "crash points per workload")
 		seed      = fs.Uint64("seed", 1, "sweep seed (same seed => byte-identical report)")
 		workloads = fs.String("workloads", "fsim,txdb", "comma-separated workloads to sweep")
 		planPath  = fs.String("fault-plan", "", "layer extra faults from this plan file onto every crash run")
 		breakRec  = fs.Bool("break-recovery", false, "sabotage recovery (test-only; the sweep must then report violations)")
-		flightOut = fs.String("flight-out", "", obsflags.FlightOutHelp)
-		mapCache  = fs.Int("map-cache", 0, obsflags.MapCacheHelp)
+		obs       = obsflags.Register(fs, obsflags.Flight|obsflags.MapCache)
 	)
 	if err := fs.Parse(args); err != nil {
-		return crashsweep.Config{}, "", err
+		return crashsweep.Config{}, nil, err
 	}
 	if fs.NArg() > 0 {
-		return crashsweep.Config{}, "", fmt.Errorf("unexpected argument %q", fs.Arg(0))
+		return crashsweep.Config{}, nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
+	obs.BuildRecorder()
 	cfg := crashsweep.Config{
 		Seed:          *seed,
 		Points:        *points,
 		Workloads:     strings.Split(*workloads, ","),
 		BreakRecovery: *breakRec,
-		MapCachePages: *mapCache,
-	}
-	if *flightOut != "" {
-		cfg.Flight = telemetry.NewFlightRecorder(telemetry.DefaultFlightCapacity, telemetry.DefaultFlightSnapshots)
+		MapCachePages: obs.MapCache,
+		Flight:        obs.Recorder,
 	}
 	if *planPath != "" {
 		f, err := os.Open(*planPath)
 		if err != nil {
-			return crashsweep.Config{}, "", err
+			return crashsweep.Config{}, nil, err
 		}
 		cfg.ExtraPlan, err = fault.ParsePlan(f)
 		f.Close()
 		if err != nil {
-			return crashsweep.Config{}, "", err
+			return crashsweep.Config{}, nil, err
 		}
 	}
-	return cfg, *flightOut, cfg.Validate()
+	return cfg, obs, cfg.Validate()
 }

@@ -52,6 +52,7 @@ func TestParseCrashsweepRejectsBadArgs(t *testing.T) {
 		{"-points", "2", "stray-arg"},
 		{"-workloads", "fsim,bogus"},
 		{"-fault-plan", t.TempDir() + "/missing.plan"},
+		{"-slo", "4us"}, // the sweep reads no SLO
 	} {
 		fs := flag.NewFlagSet("crashsweep", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
@@ -60,11 +61,12 @@ func TestParseCrashsweepRejectsBadArgs(t *testing.T) {
 		}
 	}
 	fs := flag.NewFlagSet("crashsweep", flag.ContinueOnError)
-	cfg, flightOut, err := parseCrashsweep(fs, []string{"-points", "2", "-workloads", "txdb", "-flight-out", "f.jsonl"})
+	cfg, obs, err := parseCrashsweep(fs, []string{"-points", "2", "-workloads", "txdb", "-flight-out", "f.jsonl", "-map-cache", "4"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Points != 2 || !reflect.DeepEqual(cfg.Workloads, []string{"txdb"}) || cfg.Flight == nil || flightOut != "f.jsonl" {
-		t.Errorf("cfg = %+v, flight-out %q", cfg, flightOut)
+	if cfg.Points != 2 || !reflect.DeepEqual(cfg.Workloads, []string{"txdb"}) || cfg.Flight == nil ||
+		cfg.Flight != obs.Recorder || obs.FlightOut != "f.jsonl" || cfg.MapCachePages != 4 {
+		t.Errorf("cfg = %+v, flight-out %q", cfg, obs.FlightOut)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -30,176 +31,202 @@ import (
 	"flatflash/internal/mtsim"
 	"flatflash/internal/obsflags"
 	"flatflash/internal/sim"
-	"flatflash/internal/telemetry"
 	"flatflash/internal/trace"
 	"flatflash/internal/workload"
 )
 
+// options holds the parsed command line.
+type options struct {
+	kind, ssd, dram, wss, pattern, record, replay, faultPlan, mix string
+	ops, size, qdepth, batch                                      int
+	writes, rate, amp                                             float64
+	seed, clients                                                 uint64
+	period, issue                                                 time.Duration
+	openloop                                                      bool
+	obs                                                           *obsflags.Flags
+}
+
+// modeOnly lists, by -openloop value, the flags only that mode reads.
+// Setting one in the other mode is a usage error.
+var modeOnly = map[bool][]string{
+	false: {"kind", "pattern", "size", "writes", "record", "replay", "fault-plan",
+		"trace-out", "metrics-out", "metrics-epoch"},
+	true: {"mix", "rate", "clients", "amp", "period", "qdepth", "batch", "issue-overhead", "shed-wait"},
+}
+
+// parse declares the flags on fs and parses args. A stray argument, or a
+// flag set explicitly that the selected mode does not read, is an error.
+func parse(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{}
+	fs.StringVar(&o.kind, "kind", "flatflash", "hierarchy: flatflash | unifiedmmap | traditional")
+	fs.StringVar(&o.ssd, "ssd", "256MB", "SSD capacity")
+	fs.StringVar(&o.dram, "dram", "4MB", "host DRAM")
+	fs.StringVar(&o.wss, "wss", "32MB", "working-set (mapped region) size")
+	fs.StringVar(&o.pattern, "pattern", "zipf", "access pattern: seq | rand | zipf | stride")
+	fs.IntVar(&o.ops, "ops", 20000, "number of accesses")
+	fs.IntVar(&o.size, "size", 64, "bytes per access")
+	fs.Float64Var(&o.writes, "writes", 0.05, "fraction of accesses that are writes")
+	fs.Uint64Var(&o.seed, "seed", 1, "workload seed")
+	fs.StringVar(&o.record, "record", "", "write the generated trace to this file")
+	fs.StringVar(&o.replay, "replay", "", "replay a trace file instead of generating")
+	fs.StringVar(&o.faultPlan, "fault-plan", "", "inject faults from this plan file (flatflash only); the replay recovers and rides through crashes")
+
+	fs.BoolVar(&o.openloop, "openloop", false, "open-loop mode: Poisson arrivals with admission control instead of trace replay")
+	fs.StringVar(&o.mix, "mix", "zipf", "open-loop mix spec; '+' interleaves mixes across clients")
+	fs.Float64Var(&o.rate, "rate", 100000, "open-loop offered arrival rate (ops/s)")
+	fs.Uint64Var(&o.clients, "clients", 1<<20, "open-loop simulated client population")
+	fs.Float64Var(&o.amp, "amp", 0, "open-loop diurnal modulation amplitude in [0,1)")
+	fs.DurationVar(&o.period, "period", 10*time.Millisecond, "open-loop diurnal period in virtual time")
+	fs.IntVar(&o.qdepth, "qdepth", 0, "open-loop queue depth bound (0 = default)")
+	fs.IntVar(&o.batch, "batch", 0, "open-loop MMIO doorbell batch size (0 = default)")
+	fs.DurationVar(&o.issue, "issue-overhead", 300*time.Nanosecond, "open-loop per-batch doorbell cost")
+
+	o.obs = obsflags.Register(fs, obsflags.Trace|obsflags.Metrics|obsflags.Latency|obsflags.Flight|
+		obsflags.SLO|obsflags.ShedWait|obsflags.MapCache)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && slices.Contains(modeOnly[!o.openloop], f.Name) {
+			err = fmt.Errorf("-%s is not read with -openloop=%v", f.Name, o.openloop)
+		}
+	})
+	return o, err
+}
+
 func main() {
-	var (
-		kind      = flag.String("kind", "flatflash", "hierarchy: flatflash | unifiedmmap | traditional")
-		ssd       = flag.String("ssd", "256MB", "SSD capacity")
-		dram      = flag.String("dram", "4MB", "host DRAM")
-		wss       = flag.String("wss", "32MB", "working-set (mapped region) size")
-		pattern   = flag.String("pattern", "zipf", "access pattern: seq | rand | zipf | stride")
-		ops       = flag.Int("ops", 20000, "number of accesses")
-		size      = flag.Int("size", 64, "bytes per access")
-		writeFrac = flag.Float64("writes", 0.05, "fraction of accesses that are writes")
-		seed      = flag.Uint64("seed", 1, "workload seed")
-		record    = flag.String("record", "", "write the generated trace to this file")
-		replay    = flag.String("replay", "", "replay a trace file instead of generating")
-		faultPlan = flag.String("fault-plan", "", "inject faults from this plan file (flatflash only); the replay recovers and rides through crashes")
-
-		openloop = flag.Bool("openloop", false, "open-loop mode: Poisson arrivals with admission control instead of trace replay")
-		mix      = flag.String("mix", "zipf", "open-loop mix spec; '+' interleaves mixes across clients")
-		rate     = flag.Float64("rate", 100000, "open-loop offered arrival rate (ops/s)")
-		clients  = flag.Uint64("clients", 1<<20, "open-loop simulated client population")
-		amp      = flag.Float64("amp", 0, "open-loop diurnal modulation amplitude in [0,1)")
-		period   = flag.Duration("period", 10*time.Millisecond, "open-loop diurnal period in virtual time")
-		qdepth   = flag.Int("qdepth", 0, "open-loop queue depth bound (0 = default)")
-		batch    = flag.Int("batch", 0, "open-loop MMIO doorbell batch size (0 = default)")
-		issue    = flag.Duration("issue-overhead", 300*time.Nanosecond, "open-loop per-batch doorbell cost")
-
-		traceOut   = flag.String("trace-out", "", "write a Chrome/Perfetto trace-event JSON file")
-		metricsOut = flag.String("metrics-out", "", "write epoch-sampled metrics as JSON Lines")
-		metricsEp  = flag.Duration("metrics-epoch", time.Millisecond, "virtual-time metrics sampling epoch")
-		obs        = obsflags.RegisterOpenLoop(flag.CommandLine)
-	)
-	flag.Parse()
-
-	ssdB, err := parseSize(*ssd)
-	check(err)
-	dramB, err := parseSize(*dram)
-	check(err)
-	wssB, err := parseSize(*wss)
-	check(err)
-
-	if *openloop {
-		dev := core.DefaultConfig(ssdB, dramB)
-		dev.MapCachePages = *obs.MapCache
-		dev.MapPipeline = *obs.MapCache > 0
-		cfg := fleet.Config{
-			Shards: 1,
-			Device: &dev,
-			Arrivals: workload.ArrivalConfig{
-				MixSpec:       *mix,
-				Rate:          *rate,
-				DiurnalAmp:    *amp,
-				DiurnalPeriod: sim.Duration(period.Nanoseconds()),
-				Clients:       *clients,
-				RegionBytes:   wssB,
-				Ops:           *ops,
-				Seed:          *seed,
-			},
-			Server: mtsim.ServerOptions{
-				QueueDepth:    *qdepth,
-				Batch:         *batch,
-				IssueOverhead: sim.Duration(issue.Nanoseconds()),
-				SLO:           obs.SLODur(),
-				ShedWait:      obs.ShedWaitDur(),
-				Attrib:        obs.AttribEnabled(),
-			},
-		}
-		var flightRec *telemetry.FlightRecorder
-		if obs.FlightEnabled() {
-			flightRec = telemetry.NewFlightRecorder(telemetry.DefaultFlightCapacity, telemetry.DefaultFlightSnapshots)
-			cfg.Server.Flight = flightRec
-		}
-		res, err := fleet.Run(cfg)
-		check(err)
-		a, srv := cfg.Arrivals, res.Shards[0]
-		fmt.Printf("openloop mix=%s ops=%d rate=%.1f clients=%d amp=%.2f seed=%d slo_ns=%d\n",
-			a.MixSpec, a.Ops, a.Rate, a.Clients, a.DiurnalAmp, a.Seed, int64(cfg.Server.SLO))
-		check(srv.WriteReport(os.Stdout, 0))
-		att := srv.Attribution()
-		if att != nil {
-			check(att.WriteBudget(os.Stdout))
-		}
-		check(obs.WriteLatency(att, os.Stdout))
-		check(obs.WriteFlight(flightRec, os.Stdout))
-		return
+	o, err := parse(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "flatflash-sim:", err)
+		flag.Usage()
+		os.Exit(2)
 	}
-
-	cfg := core.DefaultConfig(ssdB, dramB)
-	cfg.MapCachePages = *obs.MapCache
-	cfg.MapPipeline = *obs.MapCache > 0
-	var h core.Hierarchy
-	switch strings.ToLower(*kind) {
-	case "flatflash", "ff":
-		h, err = core.NewFlatFlash(cfg)
-	case "unifiedmmap", "um":
-		h, err = core.NewUnifiedMMap(cfg)
-	case "traditional", "traditionalstack", "ts":
-		h, err = core.NewTraditionalStack(cfg)
-	default:
-		check(fmt.Errorf("unknown kind %q", *kind))
+	ssdB, err := parseSize(o.ssd)
+	check(err)
+	dramB, err := parseSize(o.dram)
+	check(err)
+	wssB, err := parseSize(o.wss)
+	check(err)
+	dev := o.obs.MapDevice(core.DefaultConfig(ssdB, dramB))
+	if o.openloop {
+		runOpenLoop(o, dev, wssB)
+	} else {
+		runReplay(o, dev, wssB)
 	}
+}
+
+// runOpenLoop offers seeded arrivals to one device behind an admission
+// controlled queue: a one-shard fleet.
+func runOpenLoop(o *options, dev core.Config, wssB uint64) {
+	obs := o.obs
+	obs.BuildRecorder()
+	cfg := fleet.Config{
+		Shards: 1,
+		Device: &dev,
+		Arrivals: workload.ArrivalConfig{
+			MixSpec:       o.mix,
+			Rate:          o.rate,
+			DiurnalAmp:    o.amp,
+			DiurnalPeriod: sim.Duration(o.period.Nanoseconds()),
+			Clients:       o.clients,
+			RegionBytes:   wssB,
+			Ops:           o.ops,
+			Seed:          o.seed,
+		},
+		Server: mtsim.ServerOptions{
+			QueueDepth:    o.qdepth,
+			Batch:         o.batch,
+			IssueOverhead: sim.Duration(o.issue.Nanoseconds()),
+			SLO:           obs.SLODur(),
+			ShedWait:      obs.ShedWaitDur(),
+			Attrib:        obs.AttribEnabled(),
+			Flight:        obs.Recorder,
+		},
+	}
+	res, err := fleet.Run(cfg)
+	check(err)
+	a, srv := cfg.Arrivals, res.Shards[0]
+	fmt.Printf("openloop mix=%s ops=%d rate=%.1f clients=%d amp=%.2f seed=%d slo_ns=%d\n",
+		a.MixSpec, a.Ops, a.Rate, a.Clients, a.DiurnalAmp, a.Seed, int64(cfg.Server.SLO))
+	check(srv.WriteReport(os.Stdout, 0))
+	check(obs.WriteLatency(os.Stdout, srv.Attribution()))
+	check(obs.WriteFlight(os.Stdout))
+}
+
+// kindAliases maps -kind's short spellings to hierarchy names; core.New
+// takes the full names in any letter case.
+var kindAliases = map[string]string{
+	"ff":          "FlatFlash",
+	"um":          "UnifiedMMap",
+	"ts":          "TraditionalStack",
+	"traditional": "TraditionalStack",
+}
+
+// runReplay generates (or loads) a trace and replays it on one hierarchy.
+func runReplay(o *options, cfg core.Config, wssB uint64) {
+	name := o.kind
+	if full, ok := kindAliases[strings.ToLower(name)]; ok {
+		name = full
+	}
+	h, err := core.New(name, cfg)
 	check(err)
 
-	// Fault injection targets the FlatFlash hierarchy's device boundaries;
-	// the baselines don't model them.
+	// Fault injection, latency attribution and the flight recorder target
+	// the FlatFlash hierarchy's component boundaries; the baselines don't
+	// model them. The registry always runs: it feeds the virtual-time
+	// summary.
+	obs := o.obs
+	obs.Build(true)
+	ff, isFF := h.(*core.FlatFlash)
+	if !isFF && (o.faultPlan != "" || obs.Attribution != nil || obs.Recorder != nil) {
+		check(fmt.Errorf("-fault-plan/-latency-out/-flight-out/-slo require -kind flatflash, not %q", o.kind))
+	}
 	var faults *fault.Engine
-	if *faultPlan != "" {
-		ff, ok := h.(*core.FlatFlash)
-		if !ok {
-			check(fmt.Errorf("-fault-plan requires -kind flatflash, not %q", *kind))
-		}
-		f, err := os.Open(*faultPlan)
+	if o.faultPlan != "" {
+		f, err := os.Open(o.faultPlan)
 		check(err)
 		plan, err := fault.ParsePlan(f)
 		f.Close()
 		check(err)
-		faults, err = fault.NewEngine(plan, *seed)
+		faults, err = fault.NewEngine(plan, o.seed)
 		check(err)
 		ff.SetFaults(faults)
 	}
-
-	// Telemetry: the registry always runs (it feeds the ops/virtual-second
-	// summary); the span tracer only when a trace file was requested. The
-	// tracer stays nil otherwise, keeping the access path allocation-free.
-	reg := telemetry.NewRegistry(sim.Duration(metricsEp.Nanoseconds()))
-	var tracer *telemetry.Tracer
-	if *traceOut != "" {
-		tracer = telemetry.NewTracer(telemetry.DefaultTracerCapacity)
+	if isFF {
+		ff.SetFlightRecorder(obs.Recorder)
+		ff.SetAttribution(obs.Attribution)
 	}
-	// Latency attribution and the flight recorder target the FlatFlash
-	// hierarchy's component boundaries; the baselines don't model them.
-	att, flightRec := obs.Build()
-	if att != nil || flightRec != nil {
-		ff, ok := h.(*core.FlatFlash)
-		if !ok {
-			check(fmt.Errorf("-latency-out/-flight-out/-slo require -kind flatflash, not %q", *kind))
-		}
-		ff.SetFlightRecorder(flightRec)
-		ff.SetAttribution(att)
-	}
-	h.Instrument(tracer, reg)
+	h.Instrument(obs.Tracer, obs.Registry)
 
 	var t trace.Trace
-	if *replay != "" {
-		f, err := os.Open(*replay)
+	if o.replay != "" {
+		f, err := os.Open(o.replay)
 		check(err)
 		t, err = trace.Parse(f)
 		f.Close()
 		check(err)
 	} else {
 		t, err = trace.Generate(trace.GenConfig{
-			Pattern:    trace.Pattern(*pattern),
-			Ops:        *ops,
-			AccessSize: *size,
+			Pattern:    trace.Pattern(o.pattern),
+			Ops:        o.ops,
+			AccessSize: o.size,
 			Extent:     wssB,
-			WriteFrac:  *writeFrac,
-			Seed:       *seed,
+			WriteFrac:  o.writes,
+			Seed:       o.seed,
 		})
 		check(err)
 	}
-	if *record != "" {
-		f, err := os.Create(*record)
+	if o.record != "" {
+		f, err := os.Create(o.record)
 		check(err)
 		_, err = t.WriteTo(f)
 		check(err)
 		check(f.Close())
-		fmt.Printf("recorded %d ops to %s\n", len(t), *record)
+		fmt.Printf("recorded %d ops to %s\n", len(t), o.record)
 	}
 
 	region, err := h.Mmap(wssB)
@@ -217,6 +244,7 @@ func main() {
 		res, err = trace.Replay(h, region, t)
 		check(err)
 	}
+	reg := obs.Registry
 	reg.Finish(h.Now())
 
 	fmt.Printf("system=%s ops=%d elapsed=%v\n", h.Name(), res.Ops, res.Elapsed)
@@ -236,30 +264,14 @@ func main() {
 		fmt.Printf("  %-26s %d\n", kv.Name, kv.Value)
 	}
 
-	if att != nil {
-		att.Finish(h.Now())
-		check(att.WriteBudget(os.Stdout))
+	obs.Attribution.Finish(h.Now())
+	check(obs.WriteLatency(os.Stdout, obs.Attribution))
+	check(obs.WriteFlight(os.Stdout))
+	check(obs.WriteTrace(os.Stdout))
+	if obs.Tracer != nil && obs.Tracer.Dropped() > 0 {
+		fmt.Printf("trace: ring overflowed, oldest %d spans dropped\n", obs.Tracer.Dropped())
 	}
-	check(obs.WriteLatency(att, os.Stdout))
-	check(obs.WriteFlight(flightRec, os.Stdout))
-
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		check(err)
-		check(telemetry.WriteChromeTrace(f, tracer, reg))
-		check(f.Close())
-		fmt.Printf("trace: %d spans -> %s (load in ui.perfetto.dev)\n", tracer.Recorded(), *traceOut)
-		if d := tracer.Dropped(); d > 0 {
-			fmt.Printf("trace: ring overflowed, oldest %d spans dropped\n", d)
-		}
-	}
-	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		check(err)
-		check(reg.WriteJSONL(f))
-		check(f.Close())
-		fmt.Printf("metrics: %d epochs -> %s\n", len(reg.Rows()), *metricsOut)
-	}
+	check(obs.WriteMetrics(os.Stdout))
 }
 
 func check(err error) {

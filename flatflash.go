@@ -111,20 +111,7 @@ func New(cfg Config) (*System, error) {
 	cc.BatteryBacked = !cfg.NoBattery
 	cc.HostCacheLines = cfg.CoherentHostCacheLines
 
-	var (
-		h   core.Hierarchy
-		err error
-	)
-	switch cfg.Kind {
-	case KindFlatFlash:
-		h, err = core.NewFlatFlash(cc)
-	case KindUnifiedMMap:
-		h, err = core.NewUnifiedMMap(cc)
-	case KindTraditionalStack:
-		h, err = core.NewTraditionalStack(cc)
-	default:
-		return nil, fmt.Errorf("flatflash: unknown kind %d", cfg.Kind)
-	}
+	h, err := core.New(cfg.Kind.String(), cc)
 	if err != nil {
 		return nil, err
 	}

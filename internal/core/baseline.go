@@ -414,23 +414,7 @@ func (p *pagingHierarchy) Recover() { p.crashed = false }
 func (p *pagingHierarchy) Counters() *stats.Counters {
 	out := stats.NewCounters()
 	out.Merge(p.c)
-	host, progs := p.ftl.Writes()
-	out.Add("flash_host_writes", host)
-	out.Add("flash_programs", progs)
-	out.Add("flash_reads", p.ftl.Device().Reads())
-	erases, maxWear, _ := p.ftl.Device().Wear()
-	out.Add("flash_erases", erases)
-	out.Add("flash_max_block_wear", maxWear)
-	rm := p.ftl.Remap()
-	out.Add("gc_runs", rm.GCRuns)
-	out.Add("gc_relocations", rm.Relocations)
-	out.Add("gc_remap_interrupts", rm.BatchInterrupts)
-	r, w, d, tagged := p.link.Stats()
-	out.Add("pcie_mmio_reads", r)
-	out.Add("pcie_mmio_writes", w)
-	out.Add("pcie_dma_pages", d)
-	out.Add("pcie_persist_tagged", tagged)
-	out.Add("pcie_traffic_bytes", p.link.TrafficBytes(p.cfg.CacheLineSize, p.cfg.PageSize))
+	substrateCounters(out, p.ftl, p.link, p.cfg, false)
 	th, tm, sd := p.as.Stats()
 	out.Add("tlb_hits", th)
 	out.Add("tlb_misses", tm)

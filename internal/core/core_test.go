@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -64,6 +65,35 @@ func TestNames(t *testing.T) {
 	for i, h := range hs {
 		if h.Name() != want[i] {
 			t.Errorf("name = %q, want %q", h.Name(), want[i])
+		}
+	}
+}
+
+// TestNewByName checks New builds each hierarchy from its Name in any
+// letter case, rejects an unknown name, and returns a nil interface (not a
+// typed nil) when the config is bad.
+func TestNewByName(t *testing.T) {
+	for _, name := range []string{"FlatFlash", "UnifiedMMap", "TraditionalStack"} {
+		for _, spelling := range []string{name, strings.ToLower(name), strings.ToUpper(name)} {
+			h, err := New(spelling, testConfig())
+			if err != nil {
+				t.Fatalf("New(%q): %v", spelling, err)
+			}
+			if h.Name() != name {
+				t.Errorf("New(%q).Name() = %q", spelling, h.Name())
+			}
+		}
+		bad := testConfig()
+		bad.PageSize = 0
+		if h, err := New(name, bad); err == nil || h != nil {
+			t.Errorf("New(%q) with a bad config = %v, %v; want nil and an error", name, h, err)
+		}
+	}
+	for _, name := range []string{"", "ff", "Kind(7)", "FlatFlashX"} {
+		if h, err := New(name, testConfig()); err == nil || h != nil {
+			t.Errorf("New(%q) = %v, %v; want an unknown-hierarchy error", name, h, err)
+		} else if !strings.Contains(err.Error(), "unknown hierarchy") {
+			t.Errorf("New(%q) error %q does not name the unknown hierarchy", name, err)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"flatflash/internal/fault"
@@ -246,5 +247,45 @@ func TestBaselineFaultReadFailureReleasesFrame(t *testing.T) {
 	}
 	if len(p.vpnOfFrm) != 4 {
 		t.Fatalf("%d tracked frames, want the 4 written pages", len(p.vpnOfFrm))
+	}
+}
+
+// TestBaselineDemandMapCounters checks the baselines report the demand-paged
+// map they run: with MapCachePages > 0 a workload that misses the map shows
+// map_fetches, and the default map shows no map counters at all.
+func TestBaselineDemandMapCounters(t *testing.T) {
+	for _, name := range []string{"UnifiedMMap", "TraditionalStack"} {
+		for _, demand := range []bool{false, true} {
+			cfg := DefaultConfig(32<<20, 1<<20)
+			if demand {
+				cfg = demandConfig(2)
+			}
+			h, err := New(name, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := h.Mmap(16 << 20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Touch every page twice: the 1MB DRAM evicts them to flash
+			// between the passes, so the second pass reads them back.
+			buf := make([]byte, 64)
+			for pass := 0; pass < 2; pass++ {
+				for off := uint64(0); off < r.Size; off += uint64(cfg.PageSize) {
+					if _, err := h.Write(r.Base+off, buf); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			names := h.Counters().Names()
+			fetches := h.Counters().Get("map_fetches")
+			if demand && fetches == 0 {
+				t.Errorf("%s with MapCachePages=2: map_fetches = 0; counters %v", name, names)
+			}
+			if !demand && slices.Contains(names, "map_cache_misses") {
+				t.Errorf("%s with the in-memory map reports map counters: %v", name, names)
+			}
+		}
 	}
 }

@@ -804,6 +804,49 @@ func (s *FlatFlash) completePromotions(now sim.Time) {
 	}
 }
 
+// substrateCounters adds the flash, GC, demand-map and PCIe counters every
+// hierarchy reports to out. The map counters exist only when the FTL pages
+// its translation map on demand, so default-config reports stay unchanged.
+// badBlocks adds ftl_bad_blocks, which only FlatFlash reports: fault
+// injection, the one way to grow it, targets FlatFlash alone.
+func substrateCounters(out *stats.Counters, f *ftl.FTL, link *pcie.Link, cfg Config, badBlocks bool) {
+	host, progs := f.Writes()
+	out.Add("flash_host_writes", host)
+	out.Add("flash_programs", progs)
+	out.Add("flash_reads", f.Device().Reads())
+	erases, maxWear, _ := f.Device().Wear()
+	out.Add("flash_erases", erases)
+	out.Add("flash_max_block_wear", maxWear)
+	rm := f.Remap()
+	out.Add("gc_runs", rm.GCRuns)
+	out.Add("gc_relocations", rm.Relocations)
+	out.Add("gc_remap_interrupts", rm.BatchInterrupts)
+	if badBlocks {
+		out.Add("ftl_bad_blocks", rm.BadBlocks)
+	}
+	if f.MapEnabled() {
+		ms := f.MapStats()
+		out.Add("map_cache_hits", ms.Hits)
+		out.Add("map_cache_misses", ms.Misses)
+		out.Add("map_fetches", ms.Fetches)
+		out.Add("map_cold_fills", ms.ColdFills)
+		out.Add("map_evictions", ms.Evictions)
+		out.Add("map_dirty_evictions", ms.DirtyEvs)
+		out.Add("flash_trans_programs", f.TransWrites())
+		_, transReads, _, _ := f.Device().WearByType()
+		out.Add("flash_trans_reads", transReads)
+		if rm.TransRelocations > 0 {
+			out.Add("gc_trans_relocations", rm.TransRelocations)
+		}
+	}
+	r, w, d, tagged := link.Stats()
+	out.Add("pcie_mmio_reads", r)
+	out.Add("pcie_mmio_writes", w)
+	out.Add("pcie_dma_pages", d)
+	out.Add("pcie_persist_tagged", tagged)
+	out.Add("pcie_traffic_bytes", link.TrafficBytes(cfg.CacheLineSize, cfg.PageSize))
+}
+
 // Counters implements Hierarchy: the event counters plus substrate stats.
 func (s *FlatFlash) Counters() *stats.Counters {
 	out := stats.NewCounters()
@@ -813,41 +856,7 @@ func (s *FlatFlash) Counters() *stats.Counters {
 	out.Add("ssdcache_raw_misses", misses)
 	out.Add("ssdcache_evictions", evict)
 	out.Add("ssdcache_dirty_evictions", dirty)
-	host, progs := s.ftl.Writes()
-	out.Add("flash_host_writes", host)
-	out.Add("flash_programs", progs)
-	out.Add("flash_reads", s.ftl.Device().Reads())
-	erases, maxWear, _ := s.ftl.Device().Wear()
-	out.Add("flash_erases", erases)
-	out.Add("flash_max_block_wear", maxWear)
-	rm := s.ftl.Remap()
-	out.Add("gc_runs", rm.GCRuns)
-	out.Add("gc_relocations", rm.Relocations)
-	out.Add("gc_remap_interrupts", rm.BatchInterrupts)
-	out.Add("ftl_bad_blocks", rm.BadBlocks)
-	if s.ftl.MapEnabled() {
-		// Demand-paged translation map: counters exist only in that mode so
-		// default-config reports stay byte-identical.
-		ms := s.ftl.MapStats()
-		out.Add("map_cache_hits", ms.Hits)
-		out.Add("map_cache_misses", ms.Misses)
-		out.Add("map_fetches", ms.Fetches)
-		out.Add("map_cold_fills", ms.ColdFills)
-		out.Add("map_evictions", ms.Evictions)
-		out.Add("map_dirty_evictions", ms.DirtyEvs)
-		out.Add("flash_trans_programs", s.ftl.TransWrites())
-		_, transReads, _, _ := s.ftl.Device().WearByType()
-		out.Add("flash_trans_reads", transReads)
-		if rm.TransRelocations > 0 {
-			out.Add("gc_trans_relocations", rm.TransRelocations)
-		}
-	}
-	r, w, d, p := s.link.Stats()
-	out.Add("pcie_mmio_reads", r)
-	out.Add("pcie_mmio_writes", w)
-	out.Add("pcie_dma_pages", d)
-	out.Add("pcie_persist_tagged", p)
-	out.Add("pcie_traffic_bytes", s.link.TrafficBytes(s.cfg.CacheLineSize, s.cfg.PageSize))
+	substrateCounters(out, s.ftl, s.link, s.cfg, true)
 	for _, t := range s.tenants {
 		th, tm, sd := t.as.Stats()
 		out.Add("tlb_hits", th)

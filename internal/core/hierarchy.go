@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sort"
+	"strings"
 
 	"flatflash/internal/sim"
 	"flatflash/internal/stats"
@@ -107,6 +109,24 @@ type Hierarchy interface {
 	// earlier one, and with both nil the access path stays allocation-free.
 	// Call before driving accesses.
 	Instrument(tr *telemetry.Tracer, reg *telemetry.Registry)
+}
+
+// New builds the hierarchy whose Name is name, matched case-insensitively:
+// "FlatFlash", "UnifiedMMap" or "TraditionalStack".
+func New(name string, cfg Config) (Hierarchy, error) {
+	switch {
+	case strings.EqualFold(name, "FlatFlash"):
+		ff, err := NewFlatFlash(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return ff, nil
+	case strings.EqualFold(name, "UnifiedMMap"):
+		return NewUnifiedMMap(cfg)
+	case strings.EqualFold(name, "TraditionalStack"):
+		return NewTraditionalStack(cfg)
+	}
+	return nil, fmt.Errorf("core: unknown hierarchy %q", name)
 }
 
 // sortedFrames returns m's keys in ascending order. Drain and Crash walk

@@ -92,20 +92,7 @@ func (e env) build(name string, cfg core.Config) (core.Hierarchy, error) {
 		cfg.MapCachePages = e.mapCache
 		cfg.MapPipeline = true
 	}
-	var (
-		h   core.Hierarchy
-		err error
-	)
-	switch name {
-	case "FlatFlash":
-		h, err = core.NewFlatFlash(cfg)
-	case "UnifiedMMap":
-		h, err = core.NewUnifiedMMap(cfg)
-	case "TraditionalStack":
-		h, err = core.NewTraditionalStack(cfg)
-	default:
-		return nil, fmt.Errorf("experiments: unknown system %q", name)
-	}
+	h, err := core.New(name, cfg)
 	if err != nil {
 		return nil, err
 	}

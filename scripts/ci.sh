@@ -195,29 +195,66 @@ else
 fi
 
 echo "== observability smoke =="
-# Two same-seed runs with the latency-attribution and flight-recorder dumps
-# enabled must produce byte-identical, line-parseable JSONL files, and the
-# budget table must reach stdout. Guards the ISSUE 6 determinism contract
-# end to end through the real CLI.
+# Every entry point runs twice with the same seed and every dump flag it
+# honors. The two runs must write byte-identical stdout and dumps, the
+# Chrome trace must be one JSON document, and every JSONL dump must be
+# non-empty and parse line by line. Each run writes relative dump names in
+# its own directory, so the stdout lines naming them compare equal too.
 go build -o /tmp/flatflash-sim ./cmd/flatflash-sim
-obs_run() {
-    /tmp/flatflash-sim -kind flatflash -pattern zipf -ops 4000 -seed 7 \
-        -slo 4us -latency-out "$1" -flight-out "$2"
+go build -o /tmp/flatflash-bench ./cmd/flatflash-bench
+obs_dir=$(mktemp -d)
+trap 'rm -rf "$obs_dir"' EXIT
+# obs_pair NAME "DUMPS" CMD...: run CMD twice, compare, parse DUMPS.
+obs_pair() {
+    name=$1
+    dumps=$2
+    shift 2
+    for run in 1 2; do
+        mkdir "$obs_dir/$name.$run"
+        (cd "$obs_dir/$name.$run" && "$@" > stdout) || {
+            echo "observability smoke: $name exited non-zero"; exit 1; }
+    done
+    for f in stdout $dumps; do
+        cmp "$obs_dir/$name.1/$f" "$obs_dir/$name.2/$f" || {
+            echo "observability smoke: $name $f differs across same-seed runs"; exit 1; }
+    done
+    # shellcheck disable=SC2086 # the dump list is split on purpose
+    python3 - "$obs_dir/$name.1" $dumps <<'EOF'
+import json, os, sys
+d = sys.argv[1]
+for name in sys.argv[2:]:
+    path = os.path.join(d, name)
+    if os.path.getsize(path) == 0:
+        sys.exit("observability smoke: %s is empty" % path)
+    if name.endswith(".jsonl"):
+        for n, line in enumerate(open(path), 1):
+            try:
+                json.loads(line)
+            except ValueError as e:
+                sys.exit("observability smoke: %s line %d: %s" % (path, n, e))
+    else:
+        json.load(open(path))
+EOF
 }
-obs_run /tmp/obs_lat1.jsonl /tmp/obs_flight1.jsonl > /tmp/obs_out1.txt
-obs_run /tmp/obs_lat2.jsonl /tmp/obs_flight2.jsonl > /tmp/obs_out2.txt
-cmp /tmp/obs_lat1.jsonl /tmp/obs_lat2.jsonl || {
-    echo "latency dumps differ across same-seed runs"; exit 1; }
-cmp /tmp/obs_flight1.jsonl /tmp/obs_flight2.jsonl || {
-    echo "flight dumps differ across same-seed runs"; exit 1; }
-grep -q "latency budget" /tmp/obs_out1.txt || {
+obs_pair sim-replay "t.json m.jsonl l.jsonl f.jsonl" /tmp/flatflash-sim -kind flatflash -pattern zipf \
+    -ops 4000 -seed 7 -slo 4us -trace-out t.json -metrics-out m.jsonl -latency-out l.jsonl -flight-out f.jsonl
+grep -q "latency budget" "$obs_dir/sim-replay.1/stdout" || {
     echo "budget table missing from sim output"; exit 1; }
-for dump in /tmp/obs_lat1.jsonl /tmp/obs_flight1.jsonl; do
-    [ -s "$dump" ] || { echo "$dump is empty"; exit 1; }
-    python3 -c 'import json,sys
-for line in open(sys.argv[1]):
-    json.loads(line)' "$dump" || { echo "$dump has invalid JSONL"; exit 1; }
-done
+obs_pair sim-openloop "l.jsonl f.jsonl" /tmp/flatflash-sim -openloop -ops 2000 -seed 7 -rate 2000000 \
+    -slo 50us -shed-wait 20us -latency-out l.jsonl -flight-out f.jsonl
+obs_pair bench-figures "t.json m.jsonl l.jsonl f.jsonl" /tmp/flatflash-bench -quick -slo 4us \
+    -trace-out t.json -metrics-out m.jsonl -latency-out l.jsonl -flight-out f.jsonl fig9a
+obs_pair bench-consolidate "l.jsonl f.jsonl" /tmp/flatflash-bench consolidate -tenants 1,2 -ops 200 \
+    -slo 4us -latency-out l.jsonl -flight-out f.jsonl
+obs_pair bench-fleet "l.jsonl f.jsonl" /tmp/flatflash-bench fleet -shards 1,2 -rates 50000,400000 \
+    -ops 800 -region 262144 -slo 400us -shed-wait 100us -latency-out l.jsonl -flight-out f.jsonl
+obs_pair bench-crashsweep "f.jsonl" /tmp/flatflash-bench crashsweep -points 6 -flight-out f.jsonl
+# A flag the selected mode does not read is a usage error, not a no-op.
+rc=0
+/tmp/flatflash-sim -openloop -trace-out "$obs_dir/x" > /dev/null 2>&1 || rc=$?
+[ "$rc" = 2 ] || { echo "flatflash-sim -openloop -trace-out exited $rc, want 2"; exit 1; }
+rm -rf "$obs_dir"
+trap - EXIT
 echo "observability smoke ok"
 
 echo "== open-loop golden smoke =="
@@ -242,7 +279,6 @@ echo "== fleet smoke =="
 # A tiny fleet sweep must be byte-identical across runs AND across worker
 # counts (the grid runs on GOMAXPROCS workers) — the fleet determinism
 # contract, end to end through the real CLI.
-go build -o /tmp/flatflash-bench ./cmd/flatflash-bench
 fleet_run() {
     GOMAXPROCS="$1" /tmp/flatflash-bench fleet -shards 1,2 -rates 50000,400000 -seeds 1 \
         -ops 800 -region 262144 -slo 400us
