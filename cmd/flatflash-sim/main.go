@@ -268,9 +268,6 @@ func runReplay(o *options, cfg core.Config, wssB uint64) {
 	check(obs.WriteLatency(os.Stdout, obs.Attribution))
 	check(obs.WriteFlight(os.Stdout))
 	check(obs.WriteTrace(os.Stdout))
-	if obs.Tracer != nil && obs.Tracer.Dropped() > 0 {
-		fmt.Printf("trace: ring overflowed, oldest %d spans dropped\n", obs.Tracer.Dropped())
-	}
 	check(obs.WriteMetrics(os.Stdout))
 }
 

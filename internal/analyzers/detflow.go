@@ -38,7 +38,7 @@ import (
 // assignment (x += k, x |= k) does NOT propagate order taint — integer
 // accumulation commutes. Sorting launders: sort.*/slices.Sort* clear their
 // argument's taint, which is exactly the collect-then-sort idiom the
-// codebase uses (core.sortedFrames).
+// codebase uses (fleet.sortHeat).
 //
 // Sinks, inside emit-shaped functions only (name matches emitShaped or doc
 // carries //flatflash:deterministic): arguments to fmt print calls,

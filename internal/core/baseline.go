@@ -36,7 +36,7 @@ type pagingHierarchy struct {
 	syncCost  sim.Duration // software cost of one durable block write
 
 	nextLPN  uint32
-	vpnOfFrm map[int]uint64
+	vpnOfFrm []uint64 // DRAM frame -> resident vpn, noVPN when not held
 	crashed  bool
 
 	c   *stats.Counters
@@ -46,6 +46,9 @@ type pagingHierarchy struct {
 	obs      *telemetry.Sink // the tracer's sink; nil when detached
 	reg      *telemetry.Registry
 }
+
+// noVPN marks a frame that holds no page in pagingHierarchy.vpnOfFrm.
+const noVPN = ^uint64(0)
 
 // baselineHot pre-resolves the counters the baselines' fault-and-access loop
 // increments (see hotCounters; same stats.Handle visibility contract).
@@ -115,7 +118,6 @@ func newPaging(cfg Config, name string, metaOverhead float64, faultCost, syncCos
 		link:      link,
 		faultCost: faultCost,
 		syncCost:  syncCost,
-		vpnOfFrm:  make(map[int]uint64),
 		c:         stats.NewCounters(),
 	}
 	p.hot.resolve(p.c)
@@ -236,6 +238,7 @@ func (p *pagingHierarchy) accessChunk(vpn uint64, off int, b []byte, isWrite boo
 			return ErrNoSSDSpace
 		}
 		now = fNow
+		// The page-in overwrites the whole frame.
 		data, _ := p.dram.Data(frame)
 		done, rerr := p.ftl.ReadPage(now, pte.SSDPage, data)
 		if rerr != nil {
@@ -246,7 +249,7 @@ func (p *pagingHierarchy) accessChunk(vpn uint64, off int, b []byte, isWrite boo
 		}
 		done = p.link.DMAPage(done)
 		upd := p.as.UpdateMapping(vpn, vm.PTE{Loc: vm.InDRAM, Frame: frame, SSDPage: pte.SSDPage})
-		p.vpnOfFrm[frame] = vpn
+		p.trackFrame(frame, vpn)
 		now = done.Add(upd)
 		*p.hot.faults++
 		*p.hot.pageMovements++
@@ -272,12 +275,22 @@ func (p *pagingHierarchy) accessChunk(vpn uint64, off int, b []byte, isWrite boo
 	return nil
 }
 
+// trackFrame records vpn as resident in frame, growing the frame table the
+// first time DRAM hands frame out.
+func (p *pagingHierarchy) trackFrame(frame int, vpn uint64) {
+	for frame >= len(p.vpnOfFrm) {
+		p.vpnOfFrm = append(p.vpnOfFrm, noVPN)
+	}
+	p.vpnOfFrm[frame] = vpn
+}
+
 // allocFrame returns a free frame, evicting the LRU page when DRAM is full.
-// A dirty victim is written back to flash; the write occupies the device
+// The frame keeps stale bytes: the caller pages a whole page into it. A
+// dirty victim is written back to flash; the write occupies the device
 // asynchronously (kswapd-style), but the fault still pays the DMA of the
 // outbound page on a loaded system — modeled by the link occupancy.
 func (p *pagingHierarchy) allocFrame(now sim.Time) (int, sim.Time, bool) {
-	if f, err := p.dram.Alloc(); err == nil {
+	if f, err := p.dram.AllocUnzeroed(); err == nil {
 		return f, now, true
 	}
 	victim, ok := p.dram.EvictCandidate()
@@ -303,9 +316,9 @@ func (p *pagingHierarchy) allocFrame(now sim.Time) (int, sim.Time, bool) {
 	upd := p.as.UpdateMapping(vpn, vm.PTE{Loc: vm.InSSD, SSDPage: pte.SSDPage})
 	now = now.Add(upd)
 	*p.hot.evictions++
-	delete(p.vpnOfFrm, victim)
+	p.vpnOfFrm[victim] = noVPN
 	p.dram.Release(victim)
-	f, err := p.dram.Alloc()
+	f, err := p.dram.AllocUnzeroed()
 	if err != nil {
 		return -1, now, false
 	}
@@ -375,8 +388,10 @@ func (p *pagingHierarchy) SyncPages(addr uint64, n int) (sim.Duration, error) {
 // Drain implements Hierarchy: all dirty DRAM pages are written to flash.
 func (p *pagingHierarchy) Drain() {
 	now := p.clock.Now()
-	for _, frame := range sortedFrames(p.vpnOfFrm) {
-		vpn := p.vpnOfFrm[frame]
+	for frame, vpn := range p.vpnOfFrm {
+		if vpn == noVPN {
+			continue
+		}
 		pte := p.as.PTEOf(vpn)
 		if !pte.Dirty {
 			continue
@@ -396,13 +411,15 @@ func (p *pagingHierarchy) Crash() {
 	if p.crashed {
 		return
 	}
-	for _, frame := range sortedFrames(p.vpnOfFrm) {
-		vpn := p.vpnOfFrm[frame]
+	for frame, vpn := range p.vpnOfFrm {
+		if vpn == noVPN {
+			continue
+		}
 		pte := p.as.PTEOf(vpn)
 		p.as.UpdateMapping(vpn, vm.PTE{Loc: vm.InSSD, SSDPage: pte.SSDPage})
 		p.dram.Release(frame)
+		p.vpnOfFrm[frame] = noVPN
 	}
-	p.vpnOfFrm = make(map[int]uint64)
 	p.c.Add("crashes", 1)
 	p.crashed = true
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"flatflash/internal/dram"
 	"flatflash/internal/fault"
@@ -39,10 +39,9 @@ type FlatFlash struct {
 	tenants []*Tenant
 	arb     *promote.Arbiter // nil = unpartitioned promotion
 
-	nextLPN   uint32
-	vpnOfLPN  map[uint32]pageRef // SSD page -> owning (tenant, vpn)
-	vpnOfFrm  map[int]pageRef    // DRAM frame -> owning (tenant, vpn)
-	hostCache *hostLineCache     // nil unless cfg.HostCacheLines > 0 (§3.1)
+	vpnOfLPN  []pageRef      // SSD page -> owning (tenant, vpn); mmap hands out LPNs from 0
+	vpnOfFrm  []pageRef      // DRAM frame -> owning (tenant, vpn); t == nil when not held
+	hostCache *hostLineCache // nil unless cfg.HostCacheLines > 0 (§3.1)
 	crashed   bool
 
 	faults         *fault.Engine // nil = no injection
@@ -174,8 +173,6 @@ func NewFlatFlash(cfg Config) (*FlatFlash, error) {
 		pol:       pol,
 		link:      link,
 		plb:       pl,
-		vpnOfLPN:  make(map[uint32]pageRef),
-		vpnOfFrm:  make(map[int]pageRef),
 		hostCache: newHostLineCache(cfg.HostCacheLines, cfg.CacheLineSize),
 		c:         stats.NewCounters(),
 	}
@@ -312,18 +309,18 @@ func (s *FlatFlash) mmapFor(t *Tenant, size uint64, persist bool) (Region, error
 	if pages == 0 {
 		pages = 1
 	}
-	if int(s.nextLPN)+pages > s.ftl.LogicalPages() || int(s.nextLPN)+pages > s.cfg.ssdPages() {
+	if len(s.vpnOfLPN)+pages > s.ftl.LogicalPages() || len(s.vpnOfLPN)+pages > s.cfg.ssdPages() {
 		return Region{}, ErrNoSSDSpace
 	}
 	vpn, err := t.as.Reserve(pages)
 	if err != nil {
 		return Region{}, ErrNoSSDSpace
 	}
+	s.vpnOfLPN = slices.Grow(s.vpnOfLPN, pages)
 	for i := 0; i < pages; i++ {
-		lpn := s.nextLPN
-		s.nextLPN++
+		lpn := uint32(len(s.vpnOfLPN))
 		t.as.Map(vpn+uint64(i), vm.PTE{Loc: vm.InSSD, SSDPage: lpn, Persist: persist})
-		s.vpnOfLPN[lpn] = pageRef{t: t, vpn: vpn + uint64(i)}
+		s.vpnOfLPN = append(s.vpnOfLPN, pageRef{t: t, vpn: vpn + uint64(i)})
 	}
 	return Region{Base: vpn * uint64(s.cfg.PageSize), Size: uint64(pages) * uint64(s.cfg.PageSize)}, nil
 }
@@ -686,31 +683,27 @@ func (s *FlatFlash) promoteStalling(t *Tenant, now sim.Time, vpn uint64, lpn uin
 func (s *FlatFlash) allocFrameFor(t *Tenant, now sim.Time) (int, bool) {
 	if s.arb != nil && !s.arb.Allow(t.id) {
 		victim, ok := s.dram.EvictCandidateWhere(func(f int) bool {
-			ref, held := s.vpnOfFrm[f]
-			return held && ref.t == t
+			return s.ownerOf(f) == t
 		})
 		if !ok {
 			return -1, false
 		}
 		s.evictFrame(victim, now)
-		f, err := s.dram.Alloc()
+		f, err := s.dram.AllocUnzeroed()
 		if err != nil {
 			return -1, false
 		}
 		return f, true
 	}
-	if f, err := s.dram.Alloc(); err == nil {
+	if f, err := s.dram.AllocUnzeroed(); err == nil {
 		return f, true
 	}
 	victim, ok := s.dram.EvictCandidate()
-	if !ok {
-		return -1, false
-	}
-	if _, held := s.vpnOfFrm[victim]; !held {
+	if !ok || s.ownerOf(victim) == nil {
 		return -1, false
 	}
 	s.evictFrame(victim, now)
-	f, err := s.dram.Alloc()
+	f, err := s.dram.AllocUnzeroed()
 	if err != nil {
 		return -1, false
 	}
@@ -742,7 +735,10 @@ func (s *FlatFlash) evictFrame(frame int, now sim.Time) {
 //
 //flatflash:hotpath
 func (s *FlatFlash) trackFrame(frame int, ref pageRef) {
-	if old, held := s.vpnOfFrm[frame]; held && s.arb != nil {
+	if frame >= len(s.vpnOfFrm) {
+		s.coverFrame(frame)
+	}
+	if old := s.vpnOfFrm[frame]; old.t != nil && s.arb != nil {
 		s.arb.NoteFrame(old.t.id, -1)
 	}
 	s.vpnOfFrm[frame] = ref
@@ -751,13 +747,29 @@ func (s *FlatFlash) trackFrame(frame int, ref pageRef) {
 	}
 }
 
+// ownerOf returns the tenant whose page frame holds, or nil.
+func (s *FlatFlash) ownerOf(frame int) *Tenant {
+	if frame < len(s.vpnOfFrm) {
+		return s.vpnOfFrm[frame].t
+	}
+	return nil
+}
+
+// coverFrame grows the frame table to hold frame, the first time DRAM hands
+// it out.
+//
+//flatflash:coldpath
+func (s *FlatFlash) coverFrame(frame int) {
+	s.vpnOfFrm = append(s.vpnOfFrm, make([]pageRef, frame+1-len(s.vpnOfFrm))...)
+}
+
 // untrackFrame forgets frame's owner and releases its arbiter holding.
 func (s *FlatFlash) untrackFrame(frame int) {
-	if ref, held := s.vpnOfFrm[frame]; held {
+	if ref := s.vpnOfFrm[frame]; ref.t != nil {
 		if s.arb != nil {
 			s.arb.NoteFrame(ref.t.id, -1)
 		}
-		delete(s.vpnOfFrm, frame)
+		s.vpnOfFrm[frame] = pageRef{}
 	}
 }
 
@@ -792,11 +804,7 @@ func (s *FlatFlash) writeBackToCache(now sim.Time, lpn uint32, data []byte, owne
 //flatflash:hotpath
 func (s *FlatFlash) completePromotions(now sim.Time) {
 	for _, c := range s.plb.Expired(now) {
-		ref, ok := s.vpnOfLPN[c.LPN]
-		if !ok {
-			s.dram.Release(c.Frame)
-			continue
-		}
+		ref := s.vpnOfLPN[c.LPN]
 		ref.t.as.UpdateMapping(ref.vpn, vm.PTE{Loc: vm.InDRAM, Frame: c.Frame, SSDPage: c.LPN, Dirty: c.Dirty})
 		s.dram.Unpin(c.Frame)
 		s.trackFrame(c.Frame, ref)
@@ -904,22 +912,14 @@ func (s *FlatFlash) Counters() *stats.Counters {
 // FTL's zero page if unmapped), and the FTL's L2P/P2L maps are mutual
 // inverses with consistent per-block valid counts.
 func (s *FlatFlash) CheckInvariants() error {
-	lpns := make([]uint32, 0, len(s.vpnOfLPN))
-	for lpn := range s.vpnOfLPN {
-		lpns = append(lpns, lpn)
-	}
-	sort.Slice(lpns, func(i, j int) bool { return lpns[i] < lpns[j] })
-	for _, lpn := range lpns {
-		ref := s.vpnOfLPN[lpn]
+	for i, ref := range s.vpnOfLPN {
+		lpn := uint32(i)
 		pte := ref.t.as.PTEOf(ref.vpn)
-		if pte == nil {
-			return fmt.Errorf("core: vpn %d of lpn %d has no PTE", ref.vpn, lpn)
-		}
 		if pte.SSDPage != lpn {
 			return fmt.Errorf("core: vpn %d PTE names lpn %d, want %d", ref.vpn, pte.SSDPage, lpn)
 		}
 		if pte.Loc == vm.InDRAM {
-			if mapped, ok := s.vpnOfFrm[pte.Frame]; !ok || mapped != ref {
+			if pte.Frame >= len(s.vpnOfFrm) || s.vpnOfFrm[pte.Frame] != ref {
 				return fmt.Errorf("core: vpn %d PTE names frame %d not mapped back to it", ref.vpn, pte.Frame)
 			}
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"flatflash/internal/sim"
@@ -127,21 +126,6 @@ func New(name string, cfg Config) (Hierarchy, error) {
 		return NewTraditionalStack(cfg)
 	}
 	return nil, fmt.Errorf("core: unknown hierarchy %q", name)
-}
-
-// sortedFrames returns m's keys in ascending order. Drain and Crash walk
-// the frame map through it so that map-iteration order never leaks into
-// device state (flash allocation, wear) or telemetry output — two runs with
-// the same seed must produce byte-identical dumps.
-//
-//flatflash:deterministic
-func sortedFrames[V any](m map[int]V) []int {
-	frames := make([]int, 0, len(m))
-	for f := range m {
-		frames = append(frames, f)
-	}
-	sort.Ints(frames)
-	return frames
 }
 
 // lineChunk splits the first piece off an access of n bytes at addr: the

@@ -115,18 +115,16 @@ func (s *FlatFlash) syncPagesFor(t *Tenant, addr uint64, n int) (sim.Duration, e
 func (s *FlatFlash) Drain() {
 	s.completePromotions(s.clock.Now())
 	for _, c := range s.plb.Flush(s.clock.Now()) {
-		ref, ok := s.vpnOfLPN[c.LPN]
-		if !ok {
-			s.dram.Release(c.Frame)
-			continue
-		}
+		ref := s.vpnOfLPN[c.LPN]
 		ref.t.as.UpdateMapping(ref.vpn, vm.PTE{Loc: vm.InDRAM, Frame: c.Frame, SSDPage: c.LPN, Dirty: c.Dirty})
 		s.dram.Unpin(c.Frame)
 		s.trackFrame(c.Frame, ref)
 	}
 	now := s.clock.Now()
-	for _, frame := range sortedFrames(s.vpnOfFrm) {
-		ref := s.vpnOfFrm[frame]
+	for frame, ref := range s.vpnOfFrm {
+		if ref.t == nil {
+			continue
+		}
 		pte := ref.t.as.PTEOf(ref.vpn)
 		if pte.Dirty {
 			data, _ := s.dram.Data(frame)
@@ -168,13 +166,15 @@ func (s *FlatFlash) Crash() {
 	}
 	// Every DRAM-resident page reverts to its SSD backing (whatever last
 	// reached the persistence domain).
-	for _, frame := range sortedFrames(s.vpnOfFrm) {
-		ref := s.vpnOfFrm[frame]
+	for frame, ref := range s.vpnOfFrm {
+		if ref.t == nil {
+			continue
+		}
 		pte := ref.t.as.PTEOf(ref.vpn)
 		ref.t.as.UpdateMapping(ref.vpn, vm.PTE{Loc: vm.InSSD, SSDPage: pte.SSDPage, Persist: pte.Persist})
 		s.dram.Release(frame)
 	}
-	s.vpnOfFrm = make(map[int]pageRef)
+	clear(s.vpnOfFrm)
 	if s.arb != nil {
 		s.arb.ResetFrames()
 	}

@@ -39,23 +39,29 @@ func (c Config) Validate() error {
 }
 
 // DRAM is the host memory. Frames are small dense integers, so the LRU list
-// is intrusive: prev/next arrays indexed by frame replace container/list and
-// its per-node allocations, and page buffers are retained across
-// Release/Alloc cycles (re-zeroed on Alloc) so steady-state promotion and
-// eviction churn allocates nothing.
+// is intrusive: prev/next links in each frame's record replace container/list
+// and its per-node allocations, and page buffers are retained across
+// Release/Alloc cycles so steady-state promotion and eviction churn
+// allocates nothing. A frame's record and buffer are created on its first
+// Alloc, so a DRAM costs what a run touches, not what it could hold.
 type DRAM struct {
 	cfg    Config
-	frames [][]byte // lazily created, retained after Release for reuse
-	free   []int
+	frames []frame // every frame allocated at least once, by index
+	free   []int   // released frames, reused last in first out
 
 	// Intrusive LRU over allocated, unpinned frames. head is MRU, tail LRU;
-	// -1 terminates. inList[f] says whether f is linked.
-	prev, next []int32
+	// -1 terminates.
 	head, tail int32
-	inList     []bool
-	pinned     []bool
-	allocd     []bool
 	accesses   int64
+}
+
+// frame is one page frame's buffer and bookkeeping.
+type frame struct {
+	data       []byte
+	prev, next int32 // LRU links, meaningful while inList
+	inList     bool
+	pinned     bool
+	allocd     bool
 }
 
 // New builds DRAM with all frames free.
@@ -63,71 +69,70 @@ func New(cfg Config) (*DRAM, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	d := &DRAM{
-		cfg:    cfg,
-		frames: make([][]byte, cfg.Frames),
-		prev:   make([]int32, cfg.Frames),
-		next:   make([]int32, cfg.Frames),
-		head:   -1,
-		tail:   -1,
-		inList: make([]bool, cfg.Frames),
-		pinned: make([]bool, cfg.Frames),
-		allocd: make([]bool, cfg.Frames),
-	}
-	for i := cfg.Frames - 1; i >= 0; i-- {
-		d.free = append(d.free, i)
-	}
-	return d, nil
+	return &DRAM{cfg: cfg, head: -1, tail: -1}, nil
 }
 
 // Config returns the DRAM configuration.
 func (d *DRAM) Config() Config { return d.cfg }
 
 // FreeFrames returns the number of unallocated frames.
-func (d *DRAM) FreeFrames() int { return len(d.free) }
+func (d *DRAM) FreeFrames() int { return len(d.free) + d.cfg.Frames - len(d.frames) }
 
 //flatflash:hotpath
 func (d *DRAM) detach(f int32) {
-	p, n := d.prev[f], d.next[f]
+	fr := &d.frames[f]
+	p, n := fr.prev, fr.next
 	if p >= 0 {
-		d.next[p] = n
+		d.frames[p].next = n
 	} else {
 		d.head = n
 	}
 	if n >= 0 {
-		d.prev[n] = p
+		d.frames[n].prev = p
 	} else {
 		d.tail = p
 	}
-	d.inList[f] = false
+	fr.inList = false
 }
 
 //flatflash:hotpath
 func (d *DRAM) pushFront(f int32) {
-	d.prev[f] = -1
-	d.next[f] = d.head
+	fr := &d.frames[f]
+	fr.prev = -1
+	fr.next = d.head
 	if d.head >= 0 {
-		d.prev[d.head] = f
+		d.frames[d.head].prev = f
 	} else {
 		d.tail = f
 	}
 	d.head = f
-	d.inList[f] = true
+	fr.inList = true
 }
 
 // Alloc takes a free frame (zeroed) and places it at the MRU position.
-func (d *DRAM) Alloc() (int, error) {
-	if len(d.free) == 0 {
+// Released frames are reused before a frame is used for the first time.
+func (d *DRAM) Alloc() (int, error) { return d.alloc(true) }
+
+// AllocUnzeroed is Alloc for a caller that overwrites the whole page before
+// anything reads it (a page-in or a promotion): a reused frame keeps its
+// previous page's bytes instead of being cleared.
+func (d *DRAM) AllocUnzeroed() (int, error) { return d.alloc(false) }
+
+func (d *DRAM) alloc(zero bool) (int, error) {
+	var f int
+	if n := len(d.free); n > 0 {
+		f = d.free[n-1]
+		d.free = d.free[:n-1]
+		if zero {
+			clear(d.frames[f].data)
+		}
+	} else if len(d.frames) < d.cfg.Frames {
+		f = len(d.frames)
+		d.frames = append(d.frames, frame{data: make([]byte, d.cfg.PageSize)})
+	} else {
 		return -1, ErrNoFrames
 	}
-	f := d.free[len(d.free)-1]
-	d.free = d.free[:len(d.free)-1]
-	if d.frames[f] == nil {
-		d.frames[f] = make([]byte, d.cfg.PageSize)
-	} else {
-		clear(d.frames[f])
-	}
-	d.allocd[f] = true
+	d.frames[f].allocd = true
 	d.pushFront(int32(f))
 	return f, nil
 }
@@ -137,18 +142,18 @@ func (d *DRAM) Release(f int) error {
 	if err := d.check(f); err != nil {
 		return err
 	}
-	if d.inList[f] {
+	if d.frames[f].inList {
 		d.detach(int32(f))
 	}
-	d.pinned[f] = false
-	d.allocd[f] = false
+	d.frames[f].pinned = false
+	d.frames[f].allocd = false
 	d.free = append(d.free, f)
 	return nil
 }
 
 //flatflash:hotpath
 func (d *DRAM) check(f int) error {
-	if f < 0 || f >= d.cfg.Frames || !d.allocd[f] {
+	if f < 0 || f >= len(d.frames) || !d.frames[f].allocd {
 		return ErrBadFrame
 	}
 	return nil
@@ -161,7 +166,7 @@ func (d *DRAM) Data(f int) ([]byte, error) {
 	if err := d.check(f); err != nil {
 		return nil, err
 	}
-	return d.frames[f], nil
+	return d.frames[f].data, nil
 }
 
 // Touch records a use of frame f (moves it to MRU) and returns the
@@ -172,7 +177,7 @@ func (d *DRAM) Touch(f int) (sim.Duration, error) {
 	if err := d.check(f); err != nil {
 		return 0, err
 	}
-	if d.inList[f] && int32(f) != d.head {
+	if d.frames[f].inList && int32(f) != d.head {
 		d.detach(int32(f))
 		d.pushFront(int32(f))
 	}
@@ -185,10 +190,10 @@ func (d *DRAM) Pin(f int) error {
 	if err := d.check(f); err != nil {
 		return err
 	}
-	if d.inList[f] {
+	if d.frames[f].inList {
 		d.detach(int32(f))
 	}
-	d.pinned[f] = true
+	d.frames[f].pinned = true
 	return nil
 }
 
@@ -197,10 +202,10 @@ func (d *DRAM) Unpin(f int) error {
 	if err := d.check(f); err != nil {
 		return err
 	}
-	if !d.pinned[f] {
+	if !d.frames[f].pinned {
 		return nil
 	}
-	d.pinned[f] = false
+	d.frames[f].pinned = false
 	d.pushFront(int32(f))
 	return nil
 }
@@ -219,7 +224,7 @@ func (d *DRAM) EvictCandidate() (int, bool) {
 // multi-tenant DRAM arbiter uses it to reclaim a frame from one specific
 // tenant (the one over its budget) without disturbing the others.
 func (d *DRAM) EvictCandidateWhere(keep func(frame int) bool) (int, bool) {
-	for f := d.tail; f >= 0; f = d.prev[f] {
+	for f := d.tail; f >= 0; f = d.frames[f].prev {
 		if keep(int(f)) {
 			return int(f), true
 		}

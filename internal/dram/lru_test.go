@@ -83,6 +83,50 @@ func TestAllocReusesZeroedBuffer(t *testing.T) {
 	}
 }
 
+// TestAllocOrderAndUnzeroedReuse pins the order frames are handed out in —
+// released frames first, last in first out, then untouched frames lowest
+// first — which every report depends on, and that AllocUnzeroed hands a
+// released frame back with its bytes, for a caller that overwrites them.
+func TestAllocOrderAndUnzeroedReuse(t *testing.T) {
+	d := newSmall(t, 1<<20)
+	if d.FreeFrames() != 1<<20 {
+		t.Fatalf("free = %d, want every frame", d.FreeFrames())
+	}
+	alloc := func(unzeroed bool) int {
+		t.Helper()
+		take := d.Alloc
+		if unzeroed {
+			take = d.AllocUnzeroed
+		}
+		f, err := take()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	for want := 0; want < 3; want++ {
+		if f := alloc(false); f != want {
+			t.Fatalf("fresh frame %d, want %d", f, want)
+		}
+	}
+	data, _ := d.Data(1)
+	data[0] = 0xAB
+	d.Release(2)
+	d.Release(1)
+	if f := alloc(true); f != 1 {
+		t.Fatalf("got frame %d, want the last released, 1", f)
+	}
+	if data, _ := d.Data(1); data[0] != 0xAB {
+		t.Fatalf("AllocUnzeroed cleared the reused frame: byte 0 = %#x", data[0])
+	}
+	if f, g := alloc(false), alloc(false); f != 2 || g != 3 {
+		t.Fatalf("got frames %d, %d, want released 2 then fresh 3", f, g)
+	}
+	if d.FreeFrames() != 1<<20-4 {
+		t.Fatalf("free = %d, want %d", d.FreeFrames(), 1<<20-4)
+	}
+}
+
 // TestChurnZeroAllocSteadyState: once every frame's buffer exists, the
 // promotion/eviction churn loop — alloc, touch, evict, release — allocates
 // nothing.

@@ -41,12 +41,19 @@ func Fig10(scale Scale) []*Report {
 	dram := func(spec graphSpec, div uint64) uint64 {
 		return max(footprint(spec)/div, 16<<10)
 	}
+	// Each graph is generated once and loaded by all of its cells.
+	shapes := make([]*graph.Shape, len(specs))
+	for i, spec := range specs {
+		var err error
+		shapes[i], err = graph.NewShape(spec.vertices, spec.avgDegree, spec.seed)
+		must(err)
+	}
 	// Cell i is system i%3 at DRAM divisor (i/3)%3, algorithm (i/9)%2, graph i/18.
 	perRow, perRep := len(names), len(names)*len(divs)
 	runs := fanOut(len(specs)*len(algs)*perRep, func(e env, i int) (graph.Result, error) {
-		spec := specs[i/(perRep*len(algs))]
-		cfg := core.DefaultConfig(footprint(spec)*8, dram(spec, divs[i/perRow%len(divs)]))
-		return graphCell(e, names[i%perRow], cfg, spec, algs[i/perRep%len(algs)])
+		g := i / (perRep * len(algs))
+		cfg := core.DefaultConfig(footprint(specs[g])*8, dram(specs[g], divs[i/perRow%len(divs)]))
+		return graphCell(e, names[i%perRow], cfg, shapes[g], algs[i/perRep%len(algs)])
 	})
 	var reports []*Report
 	for _, spec := range specs {
@@ -72,18 +79,25 @@ func Fig10(scale Scale) []*Report {
 	return reports
 }
 
-// graphCell generates spec's graph on a fresh hierarchy and runs alg on it.
+// graphCell loads shape into a fresh hierarchy and runs alg on it.
 //
 //flatflash:lp
-func graphCell(e env, name string, cfg core.Config, spec graphSpec, alg string) (graph.Result, error) {
+func graphCell(e env, name string, cfg core.Config, shape *graph.Shape, alg string) (graph.Result, error) {
 	h, err := e.build(name, cfg)
 	if err != nil {
 		return graph.Result{}, err
 	}
-	g, err := graph.Generate(h, spec.vertices, spec.avgDegree, spec.seed)
+	g, err := shape.Load(h)
 	if err != nil {
 		return graph.Result{}, err
 	}
+	return runGraph(g, alg)
+}
+
+// runGraph runs alg, PageRank or ConnComp, on g.
+//
+//flatflash:lp
+func runGraph(g *graph.Graph, alg string) (graph.Result, error) {
 	if alg == "PageRank" {
 		return g.PageRank(2)
 	}

@@ -8,10 +8,11 @@ import (
 	"flatflash/internal/telemetry"
 )
 
-// Figure-level gate for the consolidate and fleet grids: their points fan
-// out over GOMAXPROCS, so rendering each with one processor and with four
-// must produce byte-identical report output. This is the same comparison
-// ci.sh makes end-to-end through the flatflash-bench binary.
+// Figure-level gate for the consolidate and fleet grids and for the
+// experiments whose cells build the largest devices: their cells and points
+// fan out over GOMAXPROCS, so rendering each with one processor and with
+// four must produce byte-identical report output. This is the same
+// comparison ci.sh makes end-to-end through the flatflash-bench binary.
 func TestParallelReportsByteIdentical(t *testing.T) {
 	render := func(t *testing.T, procs int, id string) string {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -21,7 +22,7 @@ func TestParallelReportsByteIdentical(t *testing.T) {
 		}
 		return out.String()
 	}
-	for _, id := range []string{"consolidate", "fleet"} {
+	for _, id := range []string{"fig7", "fig14", "fig14d", "table1", "table3", "consolidate", "fleet"} {
 		t.Run(id, func(t *testing.T) {
 			one, four := render(t, 1, id), render(t, 4, id)
 			if one != four {
@@ -39,7 +40,7 @@ func TestParallelReportsByteIdentical(t *testing.T) {
 // in-line, in index order, so their dumps keep their bytes too (and the
 // race detector would flag concurrent writes into them).
 func TestFanOutIndependentOfGOMAXPROCS(t *testing.T) {
-	ids := []string{"fig11", "fig13", "consolidate", "fleet"}
+	ids := []string{"fig7", "fig11", "fig13", "fig14", "fig14d", "table1", "table3", "consolidate", "fleet"}
 	run := func(procs int, withSinks bool) (reports []string, attrib, flight []byte) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		var (

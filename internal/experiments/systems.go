@@ -15,8 +15,7 @@ var sysNames = []string{"FlatFlash", "UnifiedMMap", "TraditionalStack"}
 // env is the settings the experiments build their hierarchies under,
 // installed with the Set functions below. Cell bodies may run
 // concurrently, so they get it as an argument; current, the installed
-// copy, is read only by fanOut, mustBuild and the consolidate and fleet
-// sweeps.
+// copy, is read only by fanOut and the consolidate and fleet sweeps.
 type env struct {
 	// mapCache > 0 switches every hierarchy built by the experiments to
 	// the demand-paged translation map (flatflash-bench's -map-cache flag).
@@ -63,7 +62,8 @@ func SetAttribution(a *telemetry.Attribution, r *telemetry.FlightRecorder) {
 // reports from the slots exactly as a sequential loop would. Every sink in
 // env is shared by all the cells, so with any of them attached the cells
 // run in-line, in index order, and traces and dumps keep their bytes too.
-// The first failing cell in index order panics, as mustBuild does.
+// The first failing cell in index order panics (configs are internal
+// constants, so a failure is a bug).
 func fanOut[T any](n int, cell func(e env, i int) (T, error)) []T {
 	e := current
 	workers := sim.Workers(e.tracer != nil || e.reg != nil || e.att != nil || e.rec != nil)
@@ -104,14 +104,6 @@ func (e env) build(name string, cfg core.Config) (core.Hierarchy, error) {
 		h.Instrument(e.tracer, e.reg)
 	}
 	return h, nil
-}
-
-// mustBuild builds under the current settings and panics on failure
-// (configs are internal constants). Only in-line experiments use it.
-func mustBuild(name string, cfg core.Config) core.Hierarchy {
-	h, err := current.build(name, cfg)
-	must(err)
-	return h
 }
 
 // ratio formats a/b as "N.NNx" (guarding zero).

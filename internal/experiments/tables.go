@@ -14,42 +14,47 @@ import (
 )
 
 // appRun executes one named application workload on hierarchy h and returns
-// elapsed virtual time. Used by Table 1 and Table 3.
-func appRun(app string, h core.Hierarchy, scale Scale) sim.Duration {
+// elapsed virtual time. Used by Table 1 and Table 3; the graph workloads
+// load shape.
+//
+//flatflash:lp
+func appRun(app string, h core.Hierarchy, scale Scale, shape *graph.Shape) (sim.Duration, error) {
 	switch app {
 	case "GUPS":
 		res, err := gups.Run(h, gups.Config{TableBytes: 2 << 20, Updates: scale.pick(4000, 20000), Seed: 7})
-		must(err)
-		return res.Elapsed
+		return res.Elapsed, err
 	case "PageRank", "ConnComp":
-		g, err := graph.Generate(h, scale.pick(1200, 4000), 10, 40)
-		must(err)
-		var res graph.Result
-		if app == "PageRank" {
-			res, err = g.PageRank(2)
-		} else {
-			res, err = g.ConnectedComponents(6)
+		g, err := shape.Load(h)
+		if err != nil {
+			return 0, err
 		}
-		must(err)
-		return res.Elapsed
+		res, err := runGraph(g, app)
+		return res.Elapsed, err
 	case "YCSB-B", "YCSB-D":
 		wl := byte(app[len(app)-1])
 		res, err := kvstore.Run(h, kvstore.Config{
 			Records: 16384, Ops: scale.pick(5000, 20000), Workload: wl, Seed: 11,
 		})
-		must(err)
-		return sim.Duration(res.Avg) * sim.Duration(res.Hist.Count())
+		if err != nil {
+			return 0, err
+		}
+		return sim.Duration(res.Avg) * sim.Duration(res.Hist.Count()), nil
 	case "TPCC", "TPCB", "TATP":
 		wl := map[string]txdb.Workload{"TPCC": txdb.TPCC, "TPCB": txdb.TPCB, "TATP": txdb.TATP}[app]
 		res, err := txdb.Run(h, txdb.Config{
 			Workload: wl, LogMode: txdb.PerTransaction,
 			Threads: 8, TxPerThread: scale.pick(25, 80), DBBytes: 16 << 20, Seed: 5,
 		})
-		must(err)
-		return res.Elapsed
-	default:
-		panic("experiments: unknown app " + app)
+		return res.Elapsed, err
 	}
+	return 0, fmt.Errorf("experiments: unknown app %q", app)
+}
+
+// appShape returns the graph Table 1 and Table 3's graph workloads load.
+func appShape(scale Scale) *graph.Shape {
+	shape, err := graph.NewShape(scale.pick(1200, 4000), 10, 40)
+	must(err)
+	return shape
 }
 
 func must(err error) {
@@ -89,30 +94,25 @@ func Table1(scale Scale) *Report {
 		Title:  "FlatFlash improvement over UnifiedMMap (performance, SSD lifetime)",
 		Header: []string{"Workload", "Performance", "SSD lifetime"},
 	}
-	for _, app := range table1Apps {
-		ff := mustBuild("FlatFlash", appConfig(app))
-		um := mustBuild("UnifiedMMap", appConfig(app))
-		et := appRun(app, ff, scale)
-		eu := appRun(app, um, scale)
-		// Flush deferred write-back on both sides before comparing wear.
-		ff.Drain()
-		um.Drain()
-		pf := ff.Counters().Get("flash_programs")
-		pu := um.Counters().Get("flash_programs")
-		life := "1.0x"
-		if pf > 0 && pu > 0 {
-			life = fmt.Sprintf("%.1fx", float64(pu)/float64(pf))
-		}
-		rep.AddRow(app, ratio(float64(eu), float64(et)), life)
+	apps, shape := table1Apps, appShape(scale)
+	rows := fanOut(len(apps), func(e env, i int) ([]string, error) {
+		return table1Cell(e, apps[i], scale, shape)
+	})
+	for _, row := range rows {
+		rep.AddRow(row...)
 	}
 	// File-system rows: byte persistence vs the conventional block stack.
-	for _, kind := range []fsim.FSKind{fsim.EXT4, fsim.XFS, fsim.BtrFS} {
-		hb := mustBuild("TraditionalStack", core.DefaultConfig(64<<20, 4<<20))
-		rb, err := fsim.RunWorkload(hb, kind, fsim.BlockJournal, fsim.WCreateFile, scale.pick(60, 200))
-		must(err)
-		hf := mustBuild("FlatFlash", core.DefaultConfig(64<<20, 4<<20))
-		rf, err := fsim.RunWorkload(hf, kind, fsim.BytePersist, fsim.WCreateFile, scale.pick(60, 200))
-		must(err)
+	// Cells come in pairs per file system, block journaling first.
+	kinds := []fsim.FSKind{fsim.EXT4, fsim.XFS, fsim.BtrFS}
+	ops := scale.pick(60, 200)
+	runs := fanOut(2*len(kinds), func(e env, i int) (fsim.Result, error) {
+		if i%2 == 0 {
+			return fsimCell(e, "TraditionalStack", kinds[i/2], fsim.BlockJournal, fsim.WCreateFile, ops)
+		}
+		return fsimCell(e, "FlatFlash", kinds[i/2], fsim.BytePersist, fsim.WCreateFile, ops)
+	})
+	for i, kind := range kinds {
+		rb, rf := runs[2*i], runs[2*i+1]
 		life := "-"
 		if rf.FlashProgramsDelta > 0 {
 			life = fmt.Sprintf("%.1fx", float64(rb.FlashProgramsDelta)/float64(rf.FlashProgramsDelta))
@@ -121,6 +121,40 @@ func Table1(scale Scale) *Report {
 	}
 	rep.AddNote("paper Table 1: GUPS 1.6x/1.3x, PageRank 1.3x/1.5x, ConnComp 1.5x/1.9x, YCSB 2.1-2.2x/1.3x, FS 2.6-18.9x/1.4-12.1x, DB 1.3-2.8x/1.0x")
 	return rep
+}
+
+// table1Cell runs app on FlatFlash and on UnifiedMMap and returns its Table 1
+// row: the speedup, and the flash-program ratio once both have drained
+// their deferred write-back.
+//
+//flatflash:lp
+func table1Cell(e env, app string, scale Scale, shape *graph.Shape) ([]string, error) {
+	ff, err := e.build("FlatFlash", appConfig(app))
+	if err != nil {
+		return nil, err
+	}
+	um, err := e.build("UnifiedMMap", appConfig(app))
+	if err != nil {
+		return nil, err
+	}
+	et, err := appRun(app, ff, scale, shape)
+	if err != nil {
+		return nil, err
+	}
+	eu, err := appRun(app, um, scale, shape)
+	if err != nil {
+		return nil, err
+	}
+	// Flush deferred write-back on both sides before comparing wear.
+	ff.Drain()
+	um.Drain()
+	pf := ff.Counters().Get("flash_programs")
+	pu := um.Counters().Get("flash_programs")
+	life := "1.0x"
+	if pf > 0 && pu > 0 {
+		life = fmt.Sprintf("%.1fx", float64(pu)/float64(pf))
+	}
+	return []string{app, ratio(float64(eu), float64(et)), life}, nil
 }
 
 // Table2 reproduces Table 2: the latency of FlatFlash's major components —
@@ -163,18 +197,14 @@ func Table3(scale Scale) *Report {
 	// (Table 3's 8.9x slow-down against ~25 µs FlatFlash updates).
 	const gupsCPUPerOp = 2500 * sim.Nanosecond
 	ycsbOps := map[string]bool{"YCSB-B": true, "YCSB-D": true}
-	for _, app := range table1Apps {
+	apps, shape := table1Apps, appShape(scale)
+	// Cell i times application i on FlatFlash, then on the DRAM-only system.
+	elapsed := fanOut(len(apps), func(e env, i int) ([2]sim.Duration, error) {
+		return table3Cell(e, apps[i], scale, shape)
+	})
+	for i, app := range apps {
 		cfg := appConfig(app)
-		ff := mustBuild("FlatFlash", cfg)
-		et := appRun(app, ff, scale)
-		// DRAM-only: the same FlatFlash machinery with DRAM covering the
-		// whole SSD and eager promotion, so after warm-up every access is
-		// at DRAM speed.
-		dcfg := cfg
-		dcfg.DRAMBytes = cfg.SSDBytes
-		dcfg.Promotion = core.PromoteAlways
-		dramOnly := mustBuild("FlatFlash", dcfg)
-		ed := appRun(app, dramOnly, scale)
+		et, ed := elapsed[i][0], elapsed[i][1]
 		if ycsbOps[app] {
 			ops := sim.Duration(scale.pick(5000, 20000)) * serverCPUPerOp
 			et += ops
@@ -193,4 +223,27 @@ func Table3(scale Scale) *Report {
 	}
 	rep.AddNote("paper Table 3: slow-downs 1.2-11.0x, cost-savings 2.4-15.0x, effectiveness 1.3-3.8x")
 	return rep
+}
+
+// table3Cell returns app's elapsed time on FlatFlash and on the DRAM-only
+// comparator: the same FlatFlash machinery with DRAM covering the whole SSD
+// and eager promotion, so after warm-up every access is at DRAM speed.
+//
+//flatflash:lp
+func table3Cell(e env, app string, scale Scale, shape *graph.Shape) ([2]sim.Duration, error) {
+	cfg := appConfig(app)
+	dcfg := cfg
+	dcfg.DRAMBytes = cfg.SSDBytes
+	dcfg.Promotion = core.PromoteAlways
+	var out [2]sim.Duration
+	for i, c := range []core.Config{cfg, dcfg} {
+		h, err := e.build("FlatFlash", c)
+		if err != nil {
+			return out, err
+		}
+		if out[i], err = appRun(app, h, scale, shape); err != nil {
+			return out, err
+		}
+	}
+	return out, nil
 }

@@ -4,7 +4,9 @@
 // latencies for read, program, and erase operations.
 //
 // The device stores the real bytes of every live page (allocated lazily per
-// page), so the layers above it — FTL, SSD-Cache, the FlatFlash hierarchy —
+// page, like the per-page state, which covers the pages up to the highest
+// one programmed), so the layers above it — FTL, SSD-Cache, the FlatFlash
+// hierarchy —
 // can be tested for functional correctness, not just timing. A page's bytes
 // are dropped when its owner releases it (the FTL does so when it invalidates
 // a data page) or moves them to another page, or its block erases; every
@@ -122,10 +124,8 @@ const (
 // which hands the buffer itself to the new page, keeps such a view valid.
 type Device struct {
 	cfg    Config
-	data   [][]byte // nil until first program after an erase, and after Release
-	state  []pageState
-	ptype  []PageType // OOB page-type tag, set at program time
-	erases []int64    // per-block erase count (wear)
+	pages  []page  // per-page state up to the highest page programmed
+	erases []int64 // per-block erase count (wear)
 	chans  []*sim.Resource
 
 	// erased is the read-only view of every page that holds no bytes:
@@ -151,6 +151,16 @@ type Device struct {
 	programFails, eraseFails int64
 }
 
+// page is one flash page's state. Pages above the highest one programmed
+// have no record: they read as erased data pages. The FTL opens every block
+// in ascending order before it reuses any, so the records cover the blocks
+// a run has written, not the device.
+type page struct {
+	data  []byte // nil until first program after an erase, and after Release
+	state pageState
+	ptype PageType // OOB page-type tag, set at program time
+}
+
 // NewDevice builds a device from cfg; all blocks start erased.
 func NewDevice(cfg Config) (*Device, error) {
 	if err := cfg.Validate(); err != nil {
@@ -158,9 +168,6 @@ func NewDevice(cfg Config) (*Device, error) {
 	}
 	d := &Device{
 		cfg:    cfg,
-		data:   make([][]byte, cfg.TotalPages()),
-		state:  make([]pageState, cfg.TotalPages()),
-		ptype:  make([]PageType, cfg.TotalPages()),
 		erases: make([]int64, cfg.Blocks),
 		chans:  make([]*sim.Resource, cfg.Channels),
 		erased: make([]byte, cfg.PageSize),
@@ -198,6 +205,24 @@ func (d *Device) checkPage(p PageAddr) error {
 		return ErrOutOfRange
 	}
 	return nil
+}
+
+// pageOf returns page p's record, or nil if no page at or above p was ever
+// programmed. The pointer is good until the next program.
+func (d *Device) pageOf(p PageAddr) *page {
+	if int(p) < len(d.pages) {
+		return &d.pages[p]
+	}
+	return nil
+}
+
+// programmedPage returns in-range page p's record, extending the records to
+// cover p on its first program.
+func (d *Device) programmedPage(p PageAddr) *page {
+	if grow := int(p) + 1 - len(d.pages); grow > 0 {
+		d.pages = append(d.pages, make([]page, grow)...)
+	}
+	return &d.pages[p]
 }
 
 // Read copies page p into buf (which must be PageSize long) and returns the
@@ -240,7 +265,7 @@ func (d *Device) Sense(now sim.Time, p PageAddr, size int) (sim.Time, error) {
 	_, done := d.channelOf(p).Acquire(now, d.cfg.ReadLatency)
 	d.reads++
 	kind := telemetry.ChargeNAND
-	if d.ptype[p] == PageTrans {
+	if pg := d.pageOf(p); pg != nil && pg.ptype == PageTrans {
 		d.readsTrans++
 		kind = telemetry.ChargeNANDMap
 	}
@@ -275,8 +300,8 @@ func (d *Device) PeekShared(p PageAddr) []byte {
 
 // view returns page p's buffer, or the 0xFF page if p holds no bytes.
 func (d *Device) view(p PageAddr) []byte {
-	if buf := d.data[p]; buf != nil {
-		return buf
+	if pg := d.pageOf(p); pg != nil && pg.data != nil {
+		return pg.data
 	}
 	return d.erased
 }
@@ -329,7 +354,7 @@ func (d *Device) store(p PageAddr, buf []byte) []byte {
 		}
 		buf = pooled
 	}
-	d.data[p] = buf
+	d.programmedPage(p).data = buf
 	return pooled
 }
 
@@ -342,7 +367,9 @@ func (d *Device) ProgramMove(now sim.Time, dst, src PageAddr, t PageType) (sim.T
 	}
 	done, err := d.program(now, dst, d.cfg.PageSize, t)
 	if err == nil {
-		d.data[dst], d.data[src] = d.data[src], nil
+		to := d.programmedPage(dst)
+		from := d.pageOf(src)
+		to.data, from.data = from.data, nil
 	}
 	return done, err
 }
@@ -356,7 +383,7 @@ func (d *Device) program(now sim.Time, p PageAddr, size int, t PageType) (sim.Ti
 	if size != d.cfg.PageSize {
 		return now, ErrBadPageSize
 	}
-	if d.state[p] != pageErased {
+	if pg := d.pageOf(p); pg != nil && pg.state != pageErased {
 		return now, ErrNotErased
 	}
 	_, done := d.channelOf(p).Acquire(now, d.cfg.ProgramLatency)
@@ -367,8 +394,9 @@ func (d *Device) program(now sim.Time, p PageAddr, size int, t PageType) (sim.Ti
 	d.obs.Observe(kind, telemetry.TrackFlash, now, done, int64(p))
 	// The OOB tag is written with the program attempt, success or not: a
 	// failed program still leaves whatever reached the cells.
-	d.ptype[p] = t
-	d.state[p] = pageProgrammed
+	pg := d.programmedPage(p)
+	pg.ptype = t
+	pg.state = pageProgrammed
 	if d.faults.FailProgram(now) {
 		// A failed program leaves the page in an untrustworthy, non-erased
 		// state (data nil reads back as 0xFF). The FTL must retire the block.
@@ -396,14 +424,11 @@ func (d *Device) Erase(now sim.Time, b int) (sim.Time, error) {
 		d.eraseFails++
 		return done, ErrEraseFailed
 	}
-	for i := 0; i < d.cfg.PagesPerBlock; i++ {
-		p := first + PageAddr(i)
-		d.state[p] = pageErased
-		if buf := d.data[p]; buf != nil {
+	for p := int(first); p < min(int(first)+d.cfg.PagesPerBlock, len(d.pages)); p++ {
+		if buf := d.pages[p].data; buf != nil {
 			d.free = append(d.free, buf)
 		}
-		d.data[p] = nil
-		d.ptype[p] = PageData
+		d.pages[p] = page{}
 	}
 	d.erases[b]++
 	return done, nil
@@ -420,9 +445,9 @@ func (d *Device) Release(p PageAddr) {
 	if d.checkPage(p) != nil {
 		return
 	}
-	if buf := d.data[p]; buf != nil {
-		d.free = append(d.free, buf)
-		d.data[p] = nil
+	if pg := d.pageOf(p); pg != nil && pg.data != nil {
+		d.free = append(d.free, pg.data)
+		pg.data = nil
 	}
 }
 
@@ -432,18 +457,29 @@ func (d *Device) TypeOf(p PageAddr) PageType {
 	if d.checkPage(p) != nil {
 		return PageData
 	}
-	return d.ptype[p]
+	if pg := d.pageOf(p); pg != nil {
+		return pg.ptype
+	}
+	return PageData
 }
 
 // Holds reports whether the device stores page p's bytes: p was programmed
 // successfully and has not been released or erased since.
 func (d *Device) Holds(p PageAddr) bool {
-	return d.checkPage(p) == nil && d.data[p] != nil
+	if d.checkPage(p) != nil {
+		return false
+	}
+	pg := d.pageOf(p)
+	return pg != nil && pg.data != nil
 }
 
 // IsErased reports whether page p is in the erased state.
 func (d *Device) IsErased(p PageAddr) bool {
-	return d.checkPage(p) == nil && d.state[p] == pageErased
+	if d.checkPage(p) != nil {
+		return false
+	}
+	pg := d.pageOf(p)
+	return pg == nil || pg.state == pageErased
 }
 
 // Wear returns total erase count, max per-block erase count, and total

@@ -406,12 +406,12 @@ func TestReleaseRecyclesBuffer(t *testing.T) {
 	if _, err := d.ProgramTyped(0, 0, data, PageTrans); err != nil {
 		t.Fatal(err)
 	}
-	buf := d.data[0]
+	buf := dataOf(d, 0)
 	erases, maxErases, progs := d.Wear()
 	reads := d.Reads()
 
 	d.Release(0)
-	if d.Holds(0) || d.data[0] != nil {
+	if d.Holds(0) || dataOf(d, 0) != nil {
 		t.Fatal("released page still holds its bytes")
 	}
 	if d.IsErased(0) || d.TypeOf(0) != PageTrans {
@@ -435,7 +435,7 @@ func TestReleaseRecyclesBuffer(t *testing.T) {
 		if _, err := d.Program(0, next, data); err != nil {
 			t.Fatal(err)
 		}
-		if &d.data[next][0] != &buf[0] {
+		if &dataOf(d, next)[0] != &buf[0] {
 			t.Fatal("program did not reuse the released buffer")
 		}
 		d.Release(next)
@@ -510,8 +510,8 @@ func TestProgramOwnedExchangeBounded(t *testing.T) {
 			now = done
 		}
 		seen := make(map[*byte]bool)
-		for _, buf := range d.data {
-			if buf != nil {
+		for p := 0; p < cfg.TotalPages(); p++ {
+			if buf := dataOf(d, PageAddr(p)); buf != nil {
 				seen[&buf[0]] = true
 			}
 		}
@@ -535,12 +535,20 @@ func TestProgramOwnedExchangeBounded(t *testing.T) {
 // held counts the pages that hold a buffer.
 func held(d *Device) int {
 	n := 0
-	for _, buf := range d.data {
-		if buf != nil {
+	for p := 0; p < d.cfg.TotalPages(); p++ {
+		if dataOf(d, PageAddr(p)) != nil {
 			n++
 		}
 	}
 	return n
+}
+
+// dataOf returns the buffer page p holds, or nil.
+func dataOf(d *Device, p PageAddr) []byte {
+	if pg := d.pageOf(p); pg != nil {
+		return pg.data
+	}
+	return nil
 }
 
 // Property: whatever sequence of program/erase operations runs, a Read of a

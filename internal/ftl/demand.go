@@ -59,10 +59,7 @@ func (f *FTL) initDemandMap() error {
 	}
 	f.mc = mc
 	f.transBuf = make([]byte, f.cfg.Flash.PageSize)
-	f.p2t = make([]int32, f.cfg.Flash.TotalPages())
-	for i := range f.p2t {
-		f.p2t[i] = noTrans
-	}
+	f.p2t = newPageMap(f.cfg.Flash.TotalPages(), noTrans)
 	f.blockStamp = make([]int64, f.cfg.Flash.Blocks)
 	return nil
 }
@@ -186,8 +183,8 @@ func (f *FTL) encodeTrans(tvpn uint32) {
 	base := int(tvpn) * f.epp
 	for j := 0; j < f.epp; j++ {
 		v := uint32(flash.InvalidPage)
-		if lpn := base + j; lpn < len(f.l2p) {
-			v = uint32(f.l2p[lpn])
+		if lpn := base + j; lpn < f.l2p.len() {
+			v = uint32(f.l2p.get(lpn))
 		}
 		binary.LittleEndian.PutUint32(f.transBuf[j*mapcache.EntryBytes:], v)
 	}
@@ -202,10 +199,10 @@ func (f *FTL) persistTransPage(now sim.Time, tvpn uint32) (sim.Time, error) {
 		return now, err
 	}
 	if old := f.mc.GTD(tvpn); old != flash.InvalidPage {
-		f.p2t[old] = noTrans
+		f.p2t.set(int(old), noTrans)
 		f.validCount[f.dev.BlockOf(old)]--
 	}
-	f.p2t[p] = int32(tvpn)
+	f.p2t.set(int(p), int32(tvpn))
 	f.validCount[f.dev.BlockOf(p)]++
 	f.mc.SetGTD(tvpn, p, f.mapSeq)
 	f.mc.Clean(tvpn)
@@ -275,7 +272,7 @@ func (f *FTL) CrashMap() {
 // needed), then re-serialize from the live map and program a fresh copy (the
 // rewrite also folds in any unpersisted updates).
 func (f *FTL) relocateTransPage(now sim.Time, p flash.PageAddr) (sim.Time, error) {
-	tvpn := uint32(f.p2t[p])
+	tvpn := uint32(f.p2t.get(int(p)))
 	done, err := f.dev.Sense(now, p, f.cfg.Flash.PageSize)
 	if err != nil {
 		return now, err
@@ -317,7 +314,7 @@ func (f *FTL) rebuildFromGTD() int {
 		}
 		if int(addr) >= f.cfg.Flash.TotalPages() ||
 			f.dev.TypeOf(addr) != flash.PageTrans ||
-			f.p2t[addr] != int32(tvpn) {
+			f.p2t.get(int(addr)) != int32(tvpn) {
 			ok = false
 			break
 		}
@@ -333,7 +330,7 @@ func (f *FTL) rebuildFromGTD() int {
 	}
 	info.UsedGTD = true
 
-	cand := make([]flash.PageAddr, len(f.l2p))
+	cand := make([]flash.PageAddr, f.l2p.len())
 	for i := range cand {
 		cand[i] = flash.InvalidPage
 	}
@@ -383,7 +380,7 @@ func (f *FTL) rebuildFromGTD() int {
 		for i := 0; i < ppb; i++ {
 			p := flash.PageAddr(b*ppb + i)
 			info.ScannedPages++
-			if lpn := f.p2l[p]; lpn != noLogical {
+			if lpn := f.p2l.get(int(p)); lpn != noLogical {
 				cand[lpn] = p
 			}
 		}
@@ -409,8 +406,8 @@ func (f *FTL) repairGTDFromOOB() {
 	for tvpn := 0; tvpn < f.mc.TransPages(); tvpn++ {
 		f.mc.SetGTD(uint32(tvpn), flash.InvalidPage, f.mc.Stamp(uint32(tvpn)))
 	}
-	for p, tvpn := range f.p2t {
-		if tvpn != noTrans {
+	for p := 0; p < f.p2t.len(); p++ {
+		if tvpn := f.p2t.get(p); tvpn != noTrans {
 			f.mc.SetGTD(uint32(tvpn), flash.PageAddr(p), f.mc.Stamp(uint32(tvpn)))
 		}
 	}
@@ -419,12 +416,12 @@ func (f *FTL) repairGTDFromOOB() {
 // rebuildFullScan derives the map a full OOB scan would recover: every
 // programmed page's logical tag, device-order.
 func (f *FTL) rebuildFullScan() []flash.PageAddr {
-	m := make([]flash.PageAddr, len(f.l2p))
+	m := make([]flash.PageAddr, f.l2p.len())
 	for i := range m {
 		m[i] = flash.InvalidPage
 	}
-	for p, lpn := range f.p2l {
-		if lpn != noLogical {
+	for p := 0; p < f.p2l.len(); p++ {
+		if lpn := f.p2l.get(p); lpn != noLogical {
 			m[lpn] = flash.PageAddr(p)
 		}
 	}
@@ -436,19 +433,21 @@ func (f *FTL) rebuildFullScan() []flash.PageAddr {
 // live mappings.
 func (f *FTL) installMap(m []flash.PageAddr) int {
 	n := 0
-	copy(f.l2p, m)
+	for lpn, p := range m {
+		f.l2p.set(lpn, p)
+	}
 	for i := range f.validCount {
 		f.validCount[i] = 0
 	}
-	for p, lpn := range f.p2l {
-		if lpn == noLogical {
+	for p := 0; p < f.p2l.len(); p++ {
+		if f.p2l.get(p) == noLogical {
 			continue
 		}
 		f.validCount[f.dev.BlockOf(flash.PageAddr(p))]++
 		n++
 	}
-	for p, tvpn := range f.p2t {
-		if tvpn != noTrans {
+	for p := 0; p < f.p2t.len(); p++ {
+		if f.p2t.get(p) != noTrans {
 			f.validCount[f.dev.BlockOf(flash.PageAddr(p))]++
 		}
 	}

@@ -218,7 +218,7 @@ func TestRecoveryTornGTDFallsBack(t *testing.T) {
 	// catch the tear.
 	var victim flash.PageAddr = flash.InvalidPage
 	for p := 0; p < f.Config().Flash.TotalPages(); p++ {
-		if f.p2l[p] != noLogical {
+		if f.p2l.get(p) != noLogical {
 			victim = flash.PageAddr(p)
 			break
 		}

@@ -120,13 +120,13 @@ type FTL struct {
 	cfg Config
 	dev *flash.Device
 
-	l2p        []flash.PageAddr // logical -> physical
-	p2l        []int32          // physical -> logical, noLogical if none
-	validCount []int            // valid pages per block
-	freeBlocks []int            // FIFO: allocSlot opens the oldest first
-	bad        []bool           // retired blocks: never programmed, erased, or GC'd again
-	active     int              // active block, -1 if none
-	activeNext int              // next page slot within active block
+	l2p        pageMap[flash.PageAddr] // logical -> physical
+	p2l        pageMap[int32]          // physical -> logical, noLogical if none
+	validCount []int                   // valid pages per block
+	freeBlocks []int                   // FIFO: allocSlot opens the oldest first
+	bad        []bool                  // retired blocks: never programmed, erased, or GC'd again
+	active     int                     // active block, -1 if none
+	activeNext int                     // next page slot within active block
 
 	dirtySrc DirtySource
 	inGC     bool
@@ -142,13 +142,13 @@ type FTL struct {
 
 	// Demand-paged translation map state (nil/empty when MapCachePages=0).
 	mc         *mapcache.Cache
-	epp        int      // L2P entries per translation page
-	transBuf   []byte   // scratch for translation-page serialization
-	p2t        []int32  // physical page -> tvpn (OOB tag), -1 if none
-	blockStamp []int64  // per-block sequence of the last program (OOB)
-	mapSeq     int64    // monotone map-mutation/program sequence
-	sinceCkpt  int64    // programs since the last checkpoint
-	wbPending  []uint32 // evicted dirty tvpns awaiting a batched write-back
+	epp        int            // L2P entries per translation page
+	transBuf   []byte         // scratch for translation-page serialization
+	p2t        pageMap[int32] // physical page -> tvpn (OOB tag), -1 if none
+	blockStamp []int64        // per-block sequence of the last program (OOB)
+	mapSeq     int64          // monotone map-mutation/program sequence
+	sinceCkpt  int64          // programs since the last checkpoint
+	wbPending  []uint32       // evicted dirty tvpns awaiting a batched write-back
 	lastRec    RecoveryInfo
 }
 
@@ -164,19 +164,13 @@ func New(cfg Config) (*FTL, error) {
 	f := &FTL{
 		cfg:        cfg,
 		dev:        dev,
-		l2p:        make([]flash.PageAddr, cfg.LogicalPages()),
-		p2l:        make([]int32, cfg.Flash.TotalPages()),
+		l2p:        newPageMap(cfg.LogicalPages(), flash.InvalidPage),
+		p2l:        newPageMap(cfg.Flash.TotalPages(), noLogical),
 		validCount: make([]int, cfg.Flash.Blocks),
 		bad:        make([]bool, cfg.Flash.Blocks),
 		active:     -1,
 		gcFree:     make([]bool, cfg.Flash.Blocks),
 		zero:       make([]byte, cfg.Flash.PageSize),
-	}
-	for i := range f.l2p {
-		f.l2p[i] = flash.InvalidPage
-	}
-	for i := range f.p2l {
-		f.p2l[i] = noLogical
 	}
 	for b := 0; b < cfg.Flash.Blocks; b++ {
 		f.freeBlocks = append(f.freeBlocks, b)
@@ -224,13 +218,13 @@ func (f *FTL) SetSink(s *telemetry.Sink) {
 
 // IsMapped reports whether logical page lpn has ever been written.
 func (f *FTL) IsMapped(lpn uint32) bool {
-	return int(lpn) < len(f.l2p) && f.l2p[lpn] != flash.InvalidPage
+	return int(lpn) < f.l2p.len() && f.l2p.get(int(lpn)) != flash.InvalidPage
 }
 
 // ReadPage copies logical page lpn into buf and returns the completion
 // time: ReadPageShared plus the copy.
 func (f *FTL) ReadPage(now sim.Time, lpn uint32, buf []byte) (sim.Time, error) {
-	if int(lpn) < len(f.l2p) && len(buf) != f.cfg.Flash.PageSize {
+	if int(lpn) < f.l2p.len() && len(buf) != f.cfg.Flash.PageSize {
 		return now, flash.ErrBadPageSize
 	}
 	data, done, err := f.ReadPageShared(now, lpn)
@@ -247,7 +241,7 @@ func (f *FTL) ReadPage(now sim.Time, lpn uint32, buf []byte) (sim.Time, error) {
 // the paper's setup the mapped file spans the whole SSD, so every logical
 // page exists on flash whether or not the experiment wrote it.
 func (f *FTL) ReadPageShared(now sim.Time, lpn uint32) ([]byte, sim.Time, error) {
-	if int(lpn) >= len(f.l2p) {
+	if int(lpn) >= f.l2p.len() {
 		return nil, now, ErrOutOfRange
 	}
 	if f.mc != nil {
@@ -259,7 +253,7 @@ func (f *FTL) ReadPageShared(now sim.Time, lpn uint32) ([]byte, sim.Time, error)
 		}
 		now = ready
 	}
-	p := f.l2p[lpn]
+	p := f.l2p.get(int(lpn))
 	var data []byte
 	var done sim.Time
 	var err error
@@ -286,10 +280,10 @@ func (f *FTL) ReadPageShared(now sim.Time, lpn uint32) ([]byte, sim.Time, error)
 // charging anything, or nil if lpn is out of range. It exists for invariant
 // checks that compare a held view against flash.
 func (f *FTL) PageView(lpn uint32) []byte {
-	if int(lpn) >= len(f.l2p) {
+	if int(lpn) >= f.l2p.len() {
 		return nil
 	}
-	if p := f.l2p[lpn]; p != flash.InvalidPage {
+	if p := f.l2p.get(int(lpn)); p != flash.InvalidPage {
 		return f.dev.PeekShared(p)
 	}
 	return f.zero
@@ -317,7 +311,7 @@ func (f *FTL) writePage(now sim.Time, lpn uint32, data []byte, own bool) (held [
 	if own {
 		held = data
 	}
-	if int(lpn) >= len(f.l2p) {
+	if int(lpn) >= f.l2p.len() {
 		return held, now, ErrOutOfRange
 	}
 	if len(data) != f.cfg.Flash.PageSize {
@@ -357,8 +351,8 @@ func (f *FTL) writePage(now sim.Time, lpn uint32, data []byte, own bool) (held [
 		done = mapReady
 	}
 	f.invalidate(lpn)
-	f.l2p[lpn] = p
-	f.p2l[p] = int32(lpn)
+	f.l2p.set(int(lpn), p)
+	f.p2l.set(int(p), int32(lpn))
 	f.validCount[f.dev.BlockOf(p)]++
 	f.obs.Observe(telemetry.SpanFlashWrite, telemetry.TrackFlash, now, done, int64(lpn))
 	if f.mc != nil && !f.inGC {
@@ -430,10 +424,10 @@ func (f *FTL) markBad(b int) {
 // Trim discards logical page lpn: subsequent reads return zeros and the old
 // physical page becomes garbage.
 func (f *FTL) Trim(lpn uint32) error {
-	if int(lpn) >= len(f.l2p) {
+	if int(lpn) >= f.l2p.len() {
 		return ErrOutOfRange
 	}
-	if f.mc != nil && f.l2p[lpn] != flash.InvalidPage {
+	if f.mc != nil && f.l2p.get(int(lpn)) != flash.InvalidPage {
 		// A trim removes a mapping without programming anywhere, so it
 		// leaves no new-copy evidence for recovery's partial OOB scan.
 		// Stamp the old page's block as mutated: recovery then rescans it
@@ -441,11 +435,11 @@ func (f *FTL) Trim(lpn uint32) error {
 		// goes dirty so the next checkpoint persists the removal. Trim has
 		// no clock, so the residency touch is timeless.
 		f.mapSeq++
-		f.blockStamp[f.dev.BlockOf(f.l2p[lpn])] = f.mapSeq
+		f.blockStamp[f.dev.BlockOf(f.l2p.get(int(lpn)))] = f.mapSeq
 		f.touchMapTimeless(lpn)
 	}
 	f.invalidate(lpn)
-	f.l2p[lpn] = flash.InvalidPage
+	f.l2p.set(int(lpn), flash.InvalidPage)
 	return nil
 }
 
@@ -454,11 +448,11 @@ func (f *FTL) Trim(lpn uint32) error {
 // only p2l-valid pages and recovery rebuilds from the OOB tags — so the
 // device releases its bytes now rather than at the block's erase.
 func (f *FTL) invalidate(lpn uint32) {
-	old := f.l2p[lpn]
+	old := f.l2p.get(int(lpn))
 	if old == flash.InvalidPage {
 		return
 	}
-	f.p2l[old] = noLogical
+	f.p2l.set(int(old), noLogical)
 	f.validCount[f.dev.BlockOf(old)]--
 	f.dev.Release(old)
 }
@@ -559,9 +553,9 @@ func (f *FTL) collect(now sim.Time, victim int) (sim.Time, error) {
 	moved := int64(0)
 	for i := 0; i < ppb; i++ {
 		p := first + flash.PageAddr(i)
-		lpn := f.p2l[p]
+		lpn := f.p2l.get(int(p))
 		if lpn == noLogical {
-			if f.mc != nil && f.p2t[p] != noTrans {
+			if f.mc != nil && f.p2t.get(int(p)) != noTrans {
 				// Live translation page in the victim: relocate it like
 				// data, but through the GTD rather than the L2P map.
 				done, err := f.relocateTransPage(now, p)
@@ -635,13 +629,13 @@ func (f *FTL) writeRelocated(now sim.Time, lpn uint32, data []byte) (sim.Time, e
 		// victim frees (GC livelock). The l2p array is already authoritative.
 		f.touchMapTimeless(lpn)
 	}
-	p, _, done, err := f.programAt(now, data, false, f.l2p[lpn], flash.PageData)
+	p, _, done, err := f.programAt(now, data, false, f.l2p.get(int(lpn)), flash.PageData)
 	if err != nil {
 		return now, err
 	}
 	f.invalidate(lpn)
-	f.l2p[lpn] = p
-	f.p2l[p] = int32(lpn)
+	f.l2p.set(int(lpn), p)
+	f.p2l.set(int(p), int32(lpn))
 	f.validCount[f.dev.BlockOf(p)]++
 	return done, nil
 }
@@ -686,46 +680,49 @@ func (f *FTL) RebuildL2P() int {
 // translation pages may be held without being valid (recovery may read a
 // superseded copy until its block erases).
 func (f *FTL) CheckConsistency() error {
-	for p := range f.p2l {
-		pa := flash.PageAddr(p)
+	for p := 0; p < f.p2l.len(); p++ {
+		pa, lpn := flash.PageAddr(p), f.p2l.get(p)
 		held := f.dev.Holds(pa)
 		switch {
 		case held && f.dev.IsErased(pa):
 			return fmt.Errorf("ftl: erased page %d holds bytes", p)
-		case f.p2l[p] != noLogical && !held:
-			return fmt.Errorf("ftl: page %d maps lpn %d but holds no bytes", p, f.p2l[p])
-		case held && f.p2l[p] == noLogical && f.dev.TypeOf(pa) == flash.PageData:
+		case lpn != noLogical && !held:
+			return fmt.Errorf("ftl: page %d maps lpn %d but holds no bytes", p, lpn)
+		case held && lpn == noLogical && f.dev.TypeOf(pa) == flash.PageData:
 			return fmt.Errorf("ftl: invalid data page %d still holds bytes", p)
 		}
 	}
 	valid := make([]int, len(f.validCount))
-	for p, lpn := range f.p2l {
+	for p := 0; p < f.p2l.len(); p++ {
+		lpn := f.p2l.get(p)
 		if lpn == noLogical {
 			continue
 		}
-		if int(lpn) >= len(f.l2p) {
+		if int(lpn) >= f.l2p.len() {
 			return fmt.Errorf("ftl: p2l[%d] = %d out of logical range", p, lpn)
 		}
-		if f.l2p[lpn] != flash.PageAddr(p) {
-			return fmt.Errorf("ftl: p2l[%d] = %d but l2p[%d] = %d", p, lpn, lpn, f.l2p[lpn])
+		if f.l2p.get(int(lpn)) != flash.PageAddr(p) {
+			return fmt.Errorf("ftl: p2l[%d] = %d but l2p[%d] = %d", p, lpn, lpn, f.l2p.get(int(lpn)))
 		}
 		valid[f.dev.BlockOf(flash.PageAddr(p))]++
 	}
-	for lpn, p := range f.l2p {
+	for lpn := 0; lpn < f.l2p.len(); lpn++ {
+		p := f.l2p.get(lpn)
 		if p == flash.InvalidPage {
 			continue
 		}
-		if int(p) >= len(f.p2l) || f.p2l[p] != int32(lpn) {
+		if int(p) >= f.p2l.len() || f.p2l.get(int(p)) != int32(lpn) {
 			return fmt.Errorf("ftl: l2p[%d] = %d not mirrored in p2l", lpn, p)
 		}
 	}
 	if f.mc != nil {
-		for p, tvpn := range f.p2t {
+		for p := 0; p < f.p2t.len(); p++ {
+			tvpn := f.p2t.get(p)
 			if tvpn == noTrans {
 				continue
 			}
-			if f.p2l[p] != noLogical {
-				return fmt.Errorf("ftl: page %d tagged both data (lpn %d) and translation (tvpn %d)", p, f.p2l[p], tvpn)
+			if f.p2l.get(p) != noLogical {
+				return fmt.Errorf("ftl: page %d tagged both data (lpn %d) and translation (tvpn %d)", p, f.p2l.get(p), tvpn)
 			}
 			if got := f.mc.GTD(uint32(tvpn)); got != flash.PageAddr(p) {
 				return fmt.Errorf("ftl: p2t[%d] = %d but GTD points at %d", p, tvpn, got)
@@ -740,7 +737,7 @@ func (f *FTL) CheckConsistency() error {
 			if addr == flash.InvalidPage {
 				continue
 			}
-			if int(addr) >= len(f.p2t) || f.p2t[addr] != int32(tvpn) {
+			if int(addr) >= f.p2t.len() || f.p2t.get(int(addr)) != int32(tvpn) {
 				return fmt.Errorf("ftl: GTD[%d] = %d not mirrored in p2t", tvpn, addr)
 			}
 		}

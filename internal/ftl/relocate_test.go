@@ -211,8 +211,8 @@ func TestCollectRejectsValidPageWithoutBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	victim := f.Device().BlockOf(f.l2p[3])
-	f.Device().Release(f.l2p[3])
+	victim := f.Device().BlockOf(f.l2p.get(3))
+	f.Device().Release(f.l2p.get(3))
 	if _, err := f.collect(now, victim); !errors.Is(err, flash.ErrNoData) {
 		t.Fatalf("collect over a valid page without bytes: err = %v, want ErrNoData", err)
 	}

@@ -7,7 +7,7 @@
 //
 // The paper runs on the Twitter (61.5 M vertices / 1.5 B edges) and
 // Friendster (65.6 M / 1.8 B) graphs; those downloads are unavailable here,
-// so Generate builds synthetic stand-ins with the same shape: power-law
+// so NewShape builds synthetic stand-ins with the same shape: power-law
 // in-degree (Zipfian targets) at the same average degree, scaled down with
 // the rest of the simulator.
 package graph
@@ -55,47 +55,57 @@ func (g *Graph) edgeAddr(i int) uint64 {
 	return g.region.Base + uint64(2*g.V)*vertexSlot + uint64(i)*4
 }
 
-// Generate builds a synthetic power-law graph with v vertices and roughly
-// avgDegree edges per vertex inside a region of h, and returns it.
-func Generate(h core.Hierarchy, v, avgDegree int, seed uint64) (*Graph, error) {
+// Shape is a synthetic power-law graph held host-side: the CSR offsets and
+// the edge targets, a pure function of NewShape's arguments. Load writes it
+// into a hierarchy. A Shape is never written after NewShape returns, so
+// runs on different hierarchies may load one Shape concurrently.
+type Shape struct {
+	offsets []int32  // CSR: edges of v are [offsets[v], offsets[v+1])
+	targets []uint32 // edge targets, in CSR order
+}
+
+// NewShape builds a synthetic power-law graph with v vertices and roughly
+// avgDegree edges per vertex.
+func NewShape(v, avgDegree int, seed uint64) (*Shape, error) {
 	if v <= 1 || avgDegree < 1 {
 		return nil, fmt.Errorf("graph: V %d avgDegree %d", v, avgDegree)
 	}
 	rng := sim.NewRNG(seed)
 	// Out-degrees: mildly skewed around avgDegree; targets: scrambled
 	// Zipfian for power-law in-degree (hubs), like real social graphs.
-	targets := workload.NewScrambledZipf(rng, uint64(v), 0.75)
+	zipf := workload.NewScrambledZipf(rng, uint64(v), 0.75)
 	offsets := make([]int32, v+1)
-	degs := make([]int, v)
-	e := 0
 	for i := 0; i < v; i++ {
-		d := 1 + rng.Intn(2*avgDegree-1)
-		degs[i] = d
-		e += d
+		offsets[i+1] = offsets[i] + int32(1+rng.Intn(2*avgDegree-1))
 	}
-	total := uint64(2*v)*vertexSlot + uint64(e)*4
-	region, err := h.Mmap(total)
-	if err != nil {
-		return nil, err
-	}
-	g := &Graph{h: h, region: region, V: v, E: e, offsets: offsets}
-	// Write the edge array through the hierarchy (bulk sequential load).
-	idx := 0
+	targets := make([]uint32, offsets[v])
 	for i := 0; i < v; i++ {
-		offsets[i] = int32(idx)
-		for k := 0; k < degs[i]; k++ {
-			t := uint32(targets.Next())
+		for k := offsets[i]; k < offsets[i+1]; k++ {
+			t := uint32(zipf.Next())
 			if t == uint32(i) {
 				t = uint32((i + 1) % v) // no self loops
 			}
-			binary.LittleEndian.PutUint32(g.scratch[:4], t)
-			if _, err := h.Write(g.edgeAddr(idx), g.scratch[:4]); err != nil {
-				return nil, err
-			}
-			idx++
+			targets[k] = t
 		}
 	}
-	offsets[v] = int32(idx)
+	return &Shape{offsets: offsets, targets: targets}, nil
+}
+
+// Load maps a region of h, writes the edge array through the hierarchy (a
+// bulk sequential load), and returns the graph stored there.
+func (s *Shape) Load(h core.Hierarchy) (*Graph, error) {
+	v, e := len(s.offsets)-1, len(s.targets)
+	region, err := h.Mmap(uint64(2*v)*vertexSlot + uint64(e)*4)
+	if err != nil {
+		return nil, err
+	}
+	g := &Graph{h: h, region: region, V: v, E: e, offsets: s.offsets}
+	for i, t := range s.targets {
+		binary.LittleEndian.PutUint32(g.scratch[:4], t)
+		if _, err := h.Write(g.edgeAddr(i), g.scratch[:4]); err != nil {
+			return nil, err
+		}
+	}
 	return g, nil
 }
 

@@ -16,21 +16,31 @@ func newFF(t *testing.T) core.Hierarchy {
 	return h
 }
 
+// generate builds the shape and loads it into h.
+func generate(t *testing.T, h core.Hierarchy, v, avgDegree int, seed uint64) *Graph {
+	t.Helper()
+	s, err := NewShape(v, avgDegree, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := s.Load(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestGenerateValidation(t *testing.T) {
-	h := newFF(t)
-	if _, err := Generate(h, 1, 4, 1); err == nil {
+	if _, err := NewShape(1, 4, 1); err == nil {
 		t.Error("V=1 accepted")
 	}
-	if _, err := Generate(h, 10, 0, 1); err == nil {
+	if _, err := NewShape(10, 0, 1); err == nil {
 		t.Error("avgDegree=0 accepted")
 	}
 }
 
 func TestGenerateShape(t *testing.T) {
-	g, err := Generate(newFF(t), 200, 4, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := generate(t, newFF(t), 200, 4, 42)
 	if g.V != 200 || g.E <= 0 {
 		t.Fatalf("V=%d E=%d", g.V, g.E)
 	}
@@ -69,10 +79,7 @@ func TestGenerateShape(t *testing.T) {
 }
 
 func TestPageRankConserves(t *testing.T) {
-	g, err := Generate(newFF(t), 100, 4, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := generate(t, newFF(t), 100, 4, 7)
 	res, err := g.PageRank(3)
 	if err != nil {
 		t.Fatal(err)
@@ -99,10 +106,7 @@ func TestPageRankConserves(t *testing.T) {
 }
 
 func TestConnectedComponentsConverges(t *testing.T) {
-	g, err := Generate(newFF(t), 100, 4, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := generate(t, newFF(t), 100, 4, 9)
 	res, err := g.ConnectedComponents(50)
 	if err != nil {
 		t.Fatal(err)
@@ -135,10 +139,7 @@ func TestGraphFlatFlashVsPaging(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := Generate(h, 2000, 6, 21)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := generate(t, h, 2000, 6, 21)
 		res, err := g.PageRank(2)
 		if err != nil {
 			t.Fatal(err)

@@ -121,11 +121,16 @@ func (f *Flags) BuildRecorder() {
 }
 
 // WriteTrace writes the Chrome/Perfetto trace of Tracer and Registry to
-// the -trace-out file and its progress line to w.
+// the -trace-out file and its progress line to w, followed by a warning
+// line when the span ring overflowed and the file lacks the oldest spans.
 func (f *Flags) WriteTrace(w io.Writer) error {
 	return write(w, f.TraceOut, func(out io.Writer) error { return telemetry.WriteChromeTrace(out, f.Tracer, f.Registry) },
 		func() string {
-			return fmt.Sprintf("trace: %d spans -> %s (load in ui.perfetto.dev)\n", f.Tracer.Recorded(), f.TraceOut)
+			line := fmt.Sprintf("trace: %d spans -> %s (load in ui.perfetto.dev)\n", f.Tracer.Recorded(), f.TraceOut)
+			if n := f.Tracer.Dropped(); n > 0 {
+				line += fmt.Sprintf("trace: ring overflowed, oldest %d spans dropped\n", n)
+			}
+			return line
 		})
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -222,6 +223,36 @@ func TestWriteTraceAndMetrics(t *testing.T) {
 	h := parse(t, MapCache, "-map-cache", "4")
 	if got := h.MapDevice(core.DefaultConfig(16<<20, 1<<20)); got.MapCachePages != 4 || !got.MapPipeline {
 		t.Fatalf("MapDevice with -map-cache 4 = %d pages, pipeline %v", got.MapCachePages, got.MapPipeline)
+	}
+}
+
+// TestWriteTraceWarnsOnOverflow checks the trace's progress line is followed
+// by a warning once the span ring has dropped its oldest spans, and only
+// then.
+func TestWriteTraceWarnsOnOverflow(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.json")
+	f := parse(t, all, "-trace-out", path)
+	f.Build(false)
+	f.Tracer = telemetry.NewTracer(4)
+	sink := telemetry.NewSink(f.Tracer, nil, nil)
+	progress := func(spans int) string {
+		for i := 0; i < spans; i++ {
+			sink.Observe(telemetry.SpanAccess, telemetry.TrackCPU, 0, 10, 0)
+		}
+		var buf bytes.Buffer
+		if err := f.WriteTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	line := func(spans int) string {
+		return fmt.Sprintf("trace: %d spans -> %s (load in ui.perfetto.dev)\n", spans, path)
+	}
+	if got, want := progress(4), line(4); got != want {
+		t.Fatalf("full ring: progress = %q, want %q", got, want)
+	}
+	if got, want := progress(3), line(7)+"trace: ring overflowed, oldest 3 spans dropped\n"; got != want {
+		t.Fatalf("overflowed ring: progress = %q, want %q", got, want)
 	}
 }
 

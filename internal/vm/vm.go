@@ -73,8 +73,9 @@ func (c Config) Validate() error {
 // AddressSpace is one process's unified page table plus TLB.
 type AddressSpace struct {
 	cfg   Config
-	pages []PTE // indexed by VPN
-	next  uint64
+	pages []PTE  // indexed by VPN; covers the VPNs handed out so far
+	next  uint64 // next VPN Reserve hands out
+	limit uint64 // VPNs the space can map
 
 	tlb        *tlb
 	walks      int64
@@ -83,7 +84,9 @@ type AddressSpace struct {
 	shootdowns int64
 }
 
-// New builds an empty address space able to map up to maxPages pages.
+// New builds an empty address space able to map up to maxPages pages. The
+// page table and the TLB's index start empty and grow as pages are mapped,
+// so building one costs nothing per mappable page.
 func New(cfg Config, maxPages int) (*AddressSpace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -93,8 +96,8 @@ func New(cfg Config, maxPages int) (*AddressSpace, error) {
 	}
 	return &AddressSpace{
 		cfg:   cfg,
-		pages: make([]PTE, maxPages),
-		tlb:   newTLB(cfg.TLBEntries, maxPages),
+		limit: uint64(maxPages),
+		tlb:   newTLB(cfg.TLBEntries, 0),
 	}, nil
 }
 
@@ -107,27 +110,43 @@ func (a *AddressSpace) PageSize() int { return a.cfg.PageSize }
 // Reserve allocates a contiguous run of n virtual pages and returns the
 // first VPN.
 func (a *AddressSpace) Reserve(n int) (uint64, error) {
-	if n <= 0 || a.next+uint64(n) > uint64(len(a.pages)) {
+	if n <= 0 || a.next+uint64(n) > a.limit {
 		return 0, ErrOutOfSpace
 	}
 	vpn := a.next
 	a.next += uint64(n)
+	a.cover(a.next)
 	return vpn, nil
 }
 
-// Map installs a PTE for vpn.
+// Map installs a PTE for vpn, which must be below the space's maxPages.
 func (a *AddressSpace) Map(vpn uint64, pte PTE) {
+	if vpn >= a.limit {
+		panic(fmt.Sprintf("vm: Map of vpn %d beyond maxPages %d", vpn, a.limit))
+	}
+	a.cover(vpn + 1)
 	pte.Present = true
 	a.pages[vpn] = pte
 }
 
+// cover grows the page table and the TLB's index to hold VPNs below n.
+// Growing may move the table, so a *PTE is good only until the next
+// Reserve or Map.
+func (a *AddressSpace) cover(n uint64) {
+	if grow := int(n) - len(a.pages); grow > 0 {
+		a.pages = append(a.pages, make([]PTE, grow)...)
+		a.tlb.cover(int(n))
+	}
+}
+
 // PTEOf returns a pointer to vpn's entry for in-place updates by the
-// hierarchy (promotion completion, eviction).
+// hierarchy (promotion completion, eviction), valid until the next Reserve
+// or Map.
 func (a *AddressSpace) PTEOf(vpn uint64) *PTE { return &a.pages[vpn] }
 
 // Translate resolves vpn, charging TLB-hit or page-walk latency, and
-// returns the PTE plus the translation delay. A missing mapping returns
-// ErrUnmapped.
+// returns the PTE (valid until the next Reserve or Map) plus the
+// translation delay. A missing mapping returns ErrUnmapped.
 //
 //flatflash:hotpath
 func (a *AddressSpace) Translate(vpn uint64) (*PTE, sim.Duration, error) {
@@ -167,9 +186,9 @@ func (a *AddressSpace) MappedPages() uint64 { return a.next }
 // tlb is a fully associative exact-LRU TLB, laid out as an intrusive
 // doubly-linked list over preallocated slot arrays so that lookups, inserts,
 // and evictions are allocation-free. The vpn -> slot index is a dense array
-// over the address space (4 bytes per mappable page), so a lookup is one
-// load rather than a hash. Exact LRU — not CLOCK — keeps hit/miss
-// sequences, and therefore every latency and counter downstream,
+// over the mapped VPNs (4 bytes per page), grown with the page table, so a
+// lookup is one load rather than a hash. Exact LRU — not CLOCK — keeps
+// hit/miss sequences, and therefore every latency and counter downstream,
 // byte-identical to the original container/list implementation.
 type tlb struct {
 	slot []int32  // vpn -> slot index + 1; 0 when vpn is not resident
@@ -181,10 +200,11 @@ type tlb struct {
 	free []int32  // unused slot stack
 }
 
-// newTLB builds a TLB of capacity entries for VPNs below maxPages.
-func newTLB(capacity, maxPages int) *tlb {
+// newTLB builds a TLB of capacity entries for VPNs below pages; cover
+// extends that range.
+func newTLB(capacity, pages int) *tlb {
 	t := &tlb{
-		slot: make([]int32, maxPages),
+		slot: make([]int32, pages),
 		vpns: make([]uint64, capacity),
 		prev: make([]int32, capacity),
 		next: make([]int32, capacity),
@@ -196,6 +216,13 @@ func newTLB(capacity, maxPages int) *tlb {
 		t.free[i] = int32(capacity - 1 - i) // pop order 0,1,2,... as list fills
 	}
 	return t
+}
+
+// cover grows the vpn -> slot index to hold VPNs below n.
+func (t *tlb) cover(n int) {
+	if grow := n - len(t.slot); grow > 0 {
+		t.slot = append(t.slot, make([]int32, grow)...)
+	}
 }
 
 //flatflash:hotpath

@@ -56,9 +56,9 @@ rows = [
     ("internal/core/persist.go",
      [("\ts.att.End(t.clock.Now().Sub(start), s.clock.Now())\n", "")],
      "attribwindow", "./internal/core/"),
-    # Drain and Crash walk the frame map unsorted.
-    ("internal/core/hierarchy.go", [("sort.Ints(frames)", "_ = sort.Ints")],
-     "detflow", "./internal/core/"),
+    # The mix registry returns its names in map order.
+    ("internal/workload/mix.go", [("sort.Strings(out)", "_ = sort.Strings")],
+     "detflow", "./internal/workload/"),
     # An allocation on the DRAM hit path.
     ("internal/dram/dram.go",
      [("func (d *DRAM) Touch(f int) (sim.Duration, error) {\n",
@@ -296,13 +296,13 @@ echo "fleet smoke ok"
 
 echo "== parallel fan-out smoke =="
 # Figure cells and the consolidate and fleet grid points fan out over
-# GOMAXPROCS. Three fanned-out figures and the two grid experiments, once
-# plain and once with the latency and flight dumps (a shared sink runs
-# everything in-line), and the consolidate and fleet subcommands at their
-# defaults must print the same bytes at GOMAXPROCS=1 and =4. Each run writes
-# its dumps under the same relative names in its own directory, so the
-# stdout lines naming them compare equal too.
-fanout_exps="fig10 fig11 fig13 consolidate fleet"
+# GOMAXPROCS. Four fanned-out figures, Table 1 and the two grid
+# experiments, once plain and once with the latency and flight dumps (a
+# shared sink runs everything in-line), and the consolidate and fleet
+# subcommands at their defaults must print the same bytes at GOMAXPROCS=1
+# and =4. Each run writes its dumps under the same relative names in its
+# own directory, so the stdout lines naming them compare equal too.
+fanout_exps="fig10 fig11 fig13 fig14 table1 consolidate fleet"
 for procs in 1 4; do
     cells_dir="/tmp/fanout_cells_$procs"
     rm -rf "$cells_dir"
