@@ -23,9 +23,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -49,6 +51,10 @@ var subcommands = []struct{ name, summary string }{
 	{"consolidate", "multi-tenant consolidation sweep: per-tenant slowdown, fairness, DRAM budgets"},
 	{"fleet", "sharded multi-device sweep under open-loop load: shed rate, p99, fairness"},
 }
+
+// experimentFlags are the telemetry flags the experiment runs honor.
+const experimentFlags = obsflags.Trace | obsflags.Metrics | obsflags.Latency |
+	obsflags.Flight | obsflags.SLO | obsflags.MapCache
 
 func usage() {
 	fmt.Fprintf(flag.CommandLine.Output(), "usage: flatflash-bench [flags] [experiment ...]\n")
@@ -79,8 +85,7 @@ func main() {
 	list := flag.Bool("list", false, "list available experiments and subcommands, then exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment runs to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile taken after the runs to this file")
-	obs := obsflags.Register(flag.CommandLine, obsflags.Trace|obsflags.Metrics|obsflags.Latency|
-		obsflags.Flight|obsflags.SLO|obsflags.MapCache)
+	obs := obsflags.Register(flag.CommandLine, experimentFlags)
 	flag.Parse()
 
 	if *cpuProfile != "" {
@@ -123,6 +128,7 @@ func main() {
 	if len(ids) == 0 {
 		ids = experiments.IDs()
 	}
+	warnFleetIgnores(os.Stderr, ids, obs)
 	for _, id := range ids {
 		if err := experiments.Run(os.Stdout, id, scale); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -141,6 +147,35 @@ func main() {
 		runtime.GC() // settle the heap so the profile shows live allocations
 		check(pprof.WriteHeapProfile(f))
 		check(f.Close())
+	}
+}
+
+// warnFleetIgnores prints one line to w naming the set telemetry flags that
+// the fleet experiment, when it is among ids, does not read: its shards
+// build their own attribution engines under their own SLO on devices of
+// their own configuration, and no tracer or registry reaches them. Of the
+// telemetry flags only -flight-out reaches it.
+func warnFleetIgnores(w io.Writer, ids []string, obs *obsflags.Flags) {
+	if !slices.Contains(ids, "fleet") {
+		return
+	}
+	var ignored []string
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"-trace-out", obs.TraceOut != ""},
+		{"-metrics-out", obs.MetricsOut != ""},
+		{"-latency-out", obs.LatencyOut != ""},
+		{"-slo", obs.SLO != 0},
+		{"-map-cache", obs.MapCache != 0},
+	} {
+		if f.set {
+			ignored = append(ignored, f.name)
+		}
+	}
+	if len(ignored) > 0 {
+		fmt.Fprintf(w, "flatflash-bench: the fleet experiment ignores %s\n", strings.Join(ignored, ", "))
 	}
 }
 

@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"io"
 	"reflect"
 	"testing"
+
+	"flatflash/internal/obsflags"
 )
 
 // Grid values must parse whole: a token with trailing junk, an empty token
@@ -68,5 +71,35 @@ func TestParseCrashsweepRejectsBadArgs(t *testing.T) {
 	if cfg.Points != 2 || !reflect.DeepEqual(cfg.Workloads, []string{"txdb"}) || cfg.Flight == nil ||
 		cfg.Flight != obs.Recorder || obs.FlightOut != "f.jsonl" || cfg.MapCachePages != 4 {
 		t.Errorf("cfg = %+v, flight-out %q", cfg, obs.FlightOut)
+	}
+}
+
+// The fleet experiment reads none of -trace-out, -metrics-out,
+// -latency-out, -slo and -map-cache; when it runs with any of them set, one
+// stderr line names the ones it ignores. Other experiments, and the fleet
+// experiment with only the flags it reads, get no line.
+func TestWarnFleetIgnores(t *testing.T) {
+	for _, tc := range []struct {
+		ids  []string
+		args []string
+		want string
+	}{
+		{[]string{"fleet"}, []string{"-trace-out", "t.json", "-latency-out", "l.jsonl"},
+			"flatflash-bench: the fleet experiment ignores -trace-out, -latency-out\n"},
+		{[]string{"fig9a", "fleet"}, []string{"-metrics-out", "m.jsonl", "-slo", "4us", "-map-cache", "4", "-flight-out", "f.jsonl"},
+			"flatflash-bench: the fleet experiment ignores -metrics-out, -slo, -map-cache\n"},
+		{[]string{"fleet"}, []string{"-flight-out", "f.jsonl"}, ""},
+		{[]string{"fig9a"}, []string{"-trace-out", "t.json", "-slo", "4us"}, ""},
+	} {
+		fs := flag.NewFlagSet("flatflash-bench", flag.ContinueOnError)
+		obs := obsflags.Register(fs, experimentFlags)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		warnFleetIgnores(&buf, tc.ids, obs)
+		if got := buf.String(); got != tc.want {
+			t.Errorf("ids %v, flags %q: warning %q, want %q", tc.ids, tc.args, got, tc.want)
+		}
 	}
 }

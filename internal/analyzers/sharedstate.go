@@ -6,12 +6,12 @@ import (
 	"go/types"
 )
 
-// sharedstate is the compile-time side of the batched fan-out's determinism
-// contract. sim.ForEach runs bodies concurrently — a fleet flush drains
-// every shard's arrival batch at once, a sweep runs its grid points side
-// by side, a figure runs its independent simulations on every core — and
-// the byte-identical-report guarantee holds only if each body touches
-// nothing but its own index's state and its arguments. The
+// sharedstate is the compile-time side of the fan-out's determinism
+// contract. Bodies run concurrently — a fleet's shards drain their arrival
+// buffers side by side behind its coordinator, a sweep (sim.ForEach) runs
+// its grid points side by side, a figure runs its independent simulations
+// on every core — and the byte-identical-report guarantee holds only if
+// each body touches nothing but its own index's state and its arguments. The
 // GOMAXPROCS-matrix equivalence tests prove that dynamically for the
 // configurations they drive; sharedstate gates the source itself. A
 // function opts in by carrying //flatflash:lp in its doc comment, and every

@@ -10,8 +10,9 @@ import (
 // Fig11 reproduces Figure 11: Redis/YCSB 99th-percentile latency across the
 // three systems as the working set grows relative to DRAM (SSD:DRAM=256).
 // Fig12 reproduces Figure 12: average latency and FlatFlash's cache hit
-// ratio on the same runs. Both figures come from the same sweep, so RunYCSB
-// computes them together and Fig11/Fig12 slice the results.
+// ratio on the same runs. Both figures view the same 18-cell sweep, but
+// Fig11 and Fig12 each run all of it through runYCSB and keep only their
+// own view, so a pass that prints both runs the sweep twice.
 func Fig11(scale Scale) []*Report { return runYCSB(scale, true) }
 
 // Fig12 reports the average-latency/hit-ratio view of the YCSB sweep.

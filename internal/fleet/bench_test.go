@@ -4,13 +4,20 @@ import (
 	"testing"
 
 	"flatflash/internal/mtsim"
+	"flatflash/internal/sim"
 	"flatflash/internal/workload"
 )
 
-// BenchmarkBatchFlush times the fleet coordinator's flush of one full batch:
-// batchLimit arrivals, routed over two shards by the ring, drained in-line
-// through their servers. Generating and routing the next batch happens
-// outside the timer; ns/arrival is the per-request cost of the drain.
+// benchBatch is how many arrivals one timed iteration pushes through the
+// pipeline: eight shard buffers' worth.
+const benchBatch = 8 * shardBatch
+
+// BenchmarkBatchFlush times the fleet pipeline over one batch of
+// benchBatch arrivals, routed over two shards by the ring: the coordinator
+// hands each full shard buffer to its drain, then waits at a barrier until
+// every shard has served its share, on sim.Workers goroutines as a run
+// would. Generating and routing the next batch happens outside the timer;
+// ns/arrival is the per-request cost of the drain.
 func BenchmarkBatchFlush(b *testing.B) {
 	cfg := fleetConfig(2, 500000)
 	cfg.Arrivals.Ops = 1 << 40 // unbounded for any b.N
@@ -28,34 +35,35 @@ func BenchmarkBatchFlush(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	bt := &batch{
-		m:        newMigrator(cfg, servers),
-		pageSize: uint64(cfg.Device.PageSize),
-		bufs:     make([][]workload.Arrival, cfg.Shards),
-		limit:    batchLimit,
-	}
+	pageSize := uint64(cfg.Device.PageSize)
+	p := newPipeline(newMigrator(cfg, servers), pageSize, sim.Workers(false), shardBatch)
+	defer p.stop()
+	batch := make([]workload.Arrival, benchBatch)
+	shard := make([]int, benchBatch)
 	fill := func() {
-		for bt.n < bt.limit {
-			a, _ := gen.Next()
-			sh := ring.Lookup(a.Op.Off / bt.pageSize)
-			bt.bufs[sh] = append(bt.bufs[sh], a)
-			bt.n++
+		for i := range batch {
+			batch[i], _ = gen.Next()
+			shard[i] = ring.Lookup(batch[i].Op.Off / pageSize)
+		}
+	}
+	flush := func() {
+		for i, a := range batch {
+			p.add(shard[i], a)
+		}
+		if err := p.barrier(); err != nil {
+			b.Fatal(err)
 		}
 	}
 	// One warm batch touches the region, so the measured ones are steady.
 	fill()
-	if err := bt.flush(); err != nil {
-		b.Fatal(err)
-	}
+	flush()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		fill()
 		b.StartTimer()
-		if err := bt.flush(); err != nil {
-			b.Fatal(err)
-		}
+		flush()
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchLimit), "ns/arrival")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchBatch), "ns/arrival")
 }

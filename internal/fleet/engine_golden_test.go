@@ -29,14 +29,13 @@ func randomShape(rng *sim.RNG) Config {
 	return cfg
 }
 
-// engineGolden renders the engine fixture at the given worker count: the
-// migration config at two epochs, eight seeded random shapes, and a
-// shedding run's report plus its flight-recorder dump.
-func engineGolden(t *testing.T, parallel int) []byte {
+// engineGolden renders the engine fixture: the migration config at two
+// epochs, eight seeded random shapes, and a shedding run's report plus its
+// flight-recorder dump.
+func engineGolden(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	section := func(name string, cfg Config) {
-		cfg.Parallel = parallel
 		fmt.Fprintf(&buf, "== %s\n%s", name, fleetReport(t, cfg))
 	}
 
@@ -64,12 +63,13 @@ func engineGolden(t *testing.T, parallel int) []byte {
 }
 
 // The engine fixture pins the fleet's event semantics: reports and flight
-// dumps must match the committed bytes at every worker count. Regenerate
-// with `go test ./internal/fleet -run TestEngineGolden -update` only for an
+// dumps must match the committed bytes at every GOMAXPROCS, in-line (1) and
+// pipelined (2, 4). Regenerate with
+// `go test ./internal/fleet -run TestEngineGolden -update` only for an
 // intended semantic change.
 func TestEngineGolden(t *testing.T) {
 	if *updateGolden {
-		if err := os.WriteFile(goldenPath, engineGolden(t, 0), 0o644); err != nil {
+		if err := os.WriteFile(goldenPath, engineGolden(t), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -77,9 +77,11 @@ func TestEngineGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, parallel := range []int{0, 1, 2, 4} {
-		if got := engineGolden(t, parallel); !bytes.Equal(got, want) {
-			t.Errorf("Parallel=%d diverges from %s:\n%s", parallel, goldenPath, got)
-		}
+	for _, procs := range []int{1, 2, 4} {
+		withGOMAXPROCS(procs, func() {
+			if got := engineGolden(t); !bytes.Equal(got, want) {
+				t.Errorf("GOMAXPROCS=%d diverges from %s:\n%s", procs, goldenPath, got)
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"flatflash/internal/core"
 	"flatflash/internal/mtsim"
@@ -46,12 +47,9 @@ type Config struct {
 	// selects 20µs (a page transit over the inter-shard link).
 	MigrateLat sim.Duration
 
-	// Parallel is how many goroutines drain the shards' arrival batches; 0
-	// or 1 drains them in-line. Reports and flight dumps are byte-identical
-	// at any value. A shared flight recorder (a single-writer sink) keeps
-	// the drain in-line regardless. Outside tests only the perf harness
-	// sets it (perf/workload.go, for its fleet workload and probes); the
-	// CLIs and sweeps leave it at 0.
+	// Deprecated: Parallel is ignored. The shards drain on
+	// sim.Workers goroutines, like every other fan-out; the field stays
+	// only because the perf harness still sets it.
 	Parallel int
 }
 
@@ -68,9 +66,6 @@ func (c Config) Validate() error {
 	}
 	if c.MigrateEpoch < 0 || c.MigratePages < 0 || c.MigrateLat < 0 {
 		return fmt.Errorf("fleet: negative migration parameter")
-	}
-	if c.Parallel < 0 {
-		return fmt.Errorf("fleet: negative parallel worker count %d", c.Parallel)
 	}
 	if err := c.Arrivals.Validate(); err != nil {
 		return err
@@ -100,7 +95,7 @@ type Result struct {
 // Run executes the fleet: arrivals stream from the generator in virtual-time
 // order, route through the ring (as overridden by migrations) at page
 // granularity, and queue on their shard's server. Seeded and
-// byte-deterministic whatever cfg.Parallel is.
+// byte-deterministic whatever GOMAXPROCS is.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -155,86 +150,184 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// batchLimit is how many routed arrivals the coordinator buffers before it
-// flushes them to the shards. Reports do not depend on it; it only sets how
-// much device work one fan-out amortizes.
-const batchLimit = 4096
+// Pipeline sizes. Reports do not depend on them: shardBatch sets how much
+// device work one hand-off amortizes, queueDepth how far the coordinator
+// may run ahead of a drain goroutine before it waits for it.
+const (
+	shardBatch = 512
+	queueDepth = 4
+)
 
 // run is the fleet's event loop. Arrivals stream from the generator in
 // virtual-time order; the migrator's overrides and the ring pick each one's
-// shard, and it joins that shard's buffer. The buffers flush before every
-// epoch boundary and whenever batchLimit arrivals wait. Routing only changes
-// at a boundary and shards share no state, so between two flushes the order
-// in which different shards serve their arrivals cannot change any result.
+// shard, and it joins that shard's buffer. A full buffer is handed to the
+// shard's drain goroutine and the coordinator routes on. It waits for every
+// drain to finish only before an epoch boundary and at the end: routing
+// changes only at a boundary and shards share no state, so between two
+// boundaries the order in which different shards serve their arrivals
+// cannot change any result.
 func run(cfg Config, gen *workload.ArrivalGen, ring *Ring, servers []*mtsim.Server, dev core.Config, migrations *int64) ([]int64, error) {
-	b := &batch{
-		m:        newMigrator(cfg, servers),
-		pageSize: uint64(dev.PageSize),
-		bufs:     make([][]workload.Arrival, cfg.Shards),
-		limit:    batchLimit,
-		workers:  cfg.Parallel,
-	}
+	limit := shardBatch
 	if cfg.Server.Flight != nil {
 		// Every shard triggers into the one recorder, whose trigger order is
-		// part of its dump: hand arrivals over one at a time, in order.
-		b.limit, b.workers = 1, 1
+		// part of its dump: serve arrivals one at a time, in order, in-line.
+		limit = 1
 	}
+	p := newPipeline(newMigrator(cfg, servers), uint64(dev.PageSize), sim.Workers(cfg.Server.Flight != nil), limit)
+	defer p.stop()
 	routed := make([]int64, cfg.Shards)
 	for a, ok := gen.Next(); ok; a, ok = gen.Next() {
-		if b.n >= b.limit || b.m.due(a.At) {
-			if err := b.flush(); err != nil {
+		if p.m.due(a.At) {
+			if err := p.barrier(); err != nil {
 				return nil, err
 			}
-			b.m.maybeRebalance(a.At, migrations)
+			p.m.maybeRebalance(a.At, migrations)
 		}
-		page := a.Op.Off / b.pageSize
-		sh := b.m.owner(page)
+		page := a.Op.Off / p.pageSize
+		sh := p.m.owner(page)
 		if sh < 0 {
 			sh = ring.Lookup(page)
 		}
 		routed[sh]++
-		b.bufs[sh] = append(b.bufs[sh], a)
-		b.n++
+		p.add(sh, a)
 	}
-	return routed, b.flush()
+	return routed, p.barrier()
 }
 
-// batch holds each shard's routed-but-unserved arrivals.
-type batch struct {
+// pipeline carries routed arrivals from the coordinator to the shards.
+// Shard sh always drains on goroutine sh % len(queues), so each shard serves
+// its arrivals in arrival order. When there would be only one drain
+// goroutine there are none, and the coordinator drains each full buffer
+// itself.
+type pipeline struct {
 	m        *migrator
 	pageSize uint64
-	bufs     [][]workload.Arrival
-	n        int // arrivals buffered across all shards
-	limit    int
-	workers  int
+	limit    int                  // arrivals per hand-off
+	bufs     [][]workload.Arrival // each shard's filling buffer
+	errs     []error              // each shard's first failure, written by its drain
+	queues   []chan handoff       // one per drain goroutine; nil drains in-line
+	free     chan []workload.Arrival
+	pending  sync.WaitGroup // handed-off buffers not yet drained
+	exited   sync.WaitGroup // drain goroutines still running
 }
 
-// flush drains every shard's buffer on up to b.workers goroutines. Errors
-// surface in shard-index order.
-func (b *batch) flush() error {
-	if b.n == 0 {
-		return nil
+// handoff is one full buffer of shard sh's arrivals.
+type handoff struct {
+	sh  int
+	arr []workload.Arrival
+}
+
+// newPipeline starts min(shards, workers) drain goroutines, or none when
+// that is one, and hands arrivals over limit at a time.
+func newPipeline(m *migrator, pageSize uint64, workers, limit int) *pipeline {
+	shards := len(m.servers)
+	p := &pipeline{
+		m:        m,
+		pageSize: pageSize,
+		limit:    limit,
+		bufs:     make([][]workload.Arrival, shards),
+		errs:     make([]error, shards),
 	}
-	b.n = 0
-	return sim.ForEach(len(b.bufs), b.workers, b.drain)
+	for sh := range p.bufs {
+		p.bufs[sh] = make([]workload.Arrival, 0, limit)
+	}
+	n := min(shards, workers)
+	if n < 2 {
+		return p
+	}
+	// A buffer is made only when the free list is empty, so every buffer is
+	// filling (one per shard), queued, held by a drain or free, and the free
+	// list has room for all of them: returning one never blocks.
+	p.free = make(chan []workload.Arrival, shards+n*(queueDepth+1))
+	p.queues = make([]chan handoff, n)
+	p.exited.Add(n)
+	for i := range p.queues {
+		q := make(chan handoff, queueDepth)
+		p.queues[i] = q
+		go func() {
+			defer p.exited.Done()
+			for h := range q {
+				p.drain(h.sh, h.arr)
+				p.free <- h.arr[:0]
+				p.pending.Done()
+			}
+		}()
+	}
+	return p
 }
 
-// drain serves shard sh's buffered arrivals in arrival order and records
-// their admissions in the shard's epoch heat. Drains of different shards run
-// concurrently, so it touches only shard sh's buffer, server, and heat.
+// add appends a, routed to shard sh, to the shard's buffer and sends the
+// buffer once it holds limit arrivals.
+func (p *pipeline) add(sh int, a workload.Arrival) {
+	p.bufs[sh] = append(p.bufs[sh], a)
+	if len(p.bufs[sh]) >= p.limit {
+		p.send(sh)
+	}
+}
+
+// send hands shard sh's filling buffer to its drain goroutine and gives the
+// shard a recycled one, or drains it in-line when there are no goroutines.
+func (p *pipeline) send(sh int) {
+	if p.queues == nil {
+		p.drain(sh, p.bufs[sh])
+		p.bufs[sh] = p.bufs[sh][:0]
+		return
+	}
+	p.pending.Add(1)
+	p.queues[sh%len(p.queues)] <- handoff{sh, p.bufs[sh]}
+	select {
+	case p.bufs[sh] = <-p.free:
+	default:
+		p.bufs[sh] = make([]workload.Arrival, 0, p.limit)
+	}
+}
+
+// barrier hands off every partial buffer and waits until every shard has
+// served all it was routed. It returns the first failure in shard-index
+// order; a failed shard serves nothing after its failure, and which shards
+// fail before a barrier does not depend on timing.
+func (p *pipeline) barrier() error {
+	for sh, buf := range p.bufs {
+		if len(buf) > 0 {
+			p.send(sh)
+		}
+	}
+	p.pending.Wait()
+	for _, err := range p.errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// stop ends the drain goroutines and waits for them to exit.
+func (p *pipeline) stop() {
+	for _, q := range p.queues {
+		close(q)
+	}
+	p.exited.Wait()
+}
+
+// drain serves arrivals, all routed to shard sh, in arrival order and
+// records their admissions in the shard's epoch heat. Drains of different
+// shards run concurrently, so it touches only shard sh's server, heat and
+// error slot.
 //
 //flatflash:lp
-func (b *batch) drain(sh int) error {
-	srv := b.m.servers[sh]
-	for _, a := range b.bufs[sh] {
+func (p *pipeline) drain(sh int, arrivals []workload.Arrival) {
+	if p.errs[sh] != nil {
+		return
+	}
+	srv := p.m.servers[sh]
+	for _, a := range arrivals {
 		admitted, err := srv.Arrive(a.At, a.Op)
 		if err != nil {
-			return fmt.Errorf("fleet: shard %d arrival at %d: %w", sh, a.At, err)
+			p.errs[sh] = fmt.Errorf("fleet: shard %d arrival at %d: %w", sh, a.At, err)
+			return
 		}
-		b.m.observe(sh, a.Op.Off/b.pageSize, admitted)
+		p.m.observe(sh, a.Op.Off/p.pageSize, admitted)
 	}
-	b.bufs[sh] = b.bufs[sh][:0]
-	return nil
 }
 
 // migrator tracks per-epoch page heat and promotion churn and rebalances

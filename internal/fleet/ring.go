@@ -7,9 +7,11 @@
 // internal/workload, it is the "millions of users" step of the ROADMAP's
 // north star.
 //
-// Like mtsim, a fleet run is single-goroutine and seeded: a configuration
-// names one byte-exact report. Parallelism lives in the sweep driver across
-// independent fleet instances.
+// Like mtsim, a fleet run is seeded: a configuration names one byte-exact
+// report. Its shards drain on sim.Workers goroutines behind the arrival
+// coordinator, which waits for them before every migration epoch boundary
+// and at the end (see run), so the bytes do not depend on GOMAXPROCS. A
+// sweep runs its independent fleet instances on the same workers.
 package fleet
 
 import (

@@ -10,7 +10,7 @@
 # a new snapshot, pass its name.
 #
 # BENCHTIME overrides the per-benchmark budget (default 1s). CI's warn-only
-# regression diff sets a small iteration count to keep the gate fast.
+# regression diff sets a shorter time budget (100ms) to keep the gate fast.
 #
 # COUNT=N runs every benchmark N times (go test -count=N, default 1).
 # ns_per_op and allocs_per_op are then the medians of the N runs, and min
