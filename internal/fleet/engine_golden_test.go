@@ -11,7 +11,7 @@ import (
 	"flatflash/internal/telemetry"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/engine_golden.txt from the current engine")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata goldens from the current engine")
 
 const goldenPath = "testdata/engine_golden.txt"
 
