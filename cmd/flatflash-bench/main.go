@@ -227,20 +227,15 @@ func runConsolidate(args []string) {
 	badArgs(fs, err)
 	dev := obs.MapDevice(mtsim.DefaultDeviceConfig())
 	obs.BuildRecorder()
-	cfg := mtsim.SweepConfig{
+	base := mtsim.Config{
 		Device:         &dev,
-		TenantCounts:   tenantCounts,
-		MixSpecs:       strings.Split(*mixes, ","),
-		Seeds:          seedList,
-		Ops:            *ops,
-		RegionBytes:    *region,
-		Think:          sim.Duration(think.Nanoseconds()),
 		DisableArbiter: *noArb,
 		Attrib:         obs.AttribEnabled(),
 		SLO:            obs.SLODur(),
 		Flight:         obs.Recorder,
 	}
-	res, err := mtsim.Sweep(cfg)
+	tenant := mtsim.TenantSpec{Ops: *ops, RegionBytes: *region, Think: sim.Duration(think.Nanoseconds())}
+	res, err := mtsim.Sweep(base, tenant, tenantCounts, strings.Split(*mixes, ","), seedList)
 	badArgs(fs, err)
 	check(res.Write(os.Stdout))
 	// Each grid point carries a private attribution engine.
@@ -297,11 +292,10 @@ func runFleet(args []string) {
 	badArgs(fs, err)
 	dev := obs.MapDevice(core.DefaultConfig(*ssd, *dram))
 	obs.BuildRecorder()
-	cfg := fleet.SweepConfig{
-		Device:      &dev,
-		ShardCounts: shardCounts,
-		Rates:       rateList,
-		Seeds:       seedList,
+	base := fleet.Config{
+		VNodes:   *vnodes,
+		RingSeed: *ringSeed,
+		Device:   &dev,
 		Arrivals: workload.ArrivalConfig{
 			MixSpec:       *mix,
 			DiurnalAmp:    *amp,
@@ -319,13 +313,11 @@ func runFleet(args []string) {
 			Attrib:        obs.AttribEnabled(),
 			Flight:        obs.Recorder,
 		},
-		VNodes:       *vnodes,
-		RingSeed:     *ringSeed,
 		MigrateEpoch: sim.Duration(mEpoch.Nanoseconds()),
 		MigratePages: *mPages,
 		MigrateLat:   sim.Duration(mLat.Nanoseconds()),
 	}
-	res, err := fleet.Sweep(cfg)
+	res, err := fleet.Sweep(base, shardCounts, rateList, seedList)
 	badArgs(fs, err)
 	check(res.Write(os.Stdout))
 	// Every shard of every grid point carries a private attribution engine.

@@ -21,11 +21,16 @@
 //   - Post-recovery usability: the workload can continue on the recovered
 //     hierarchy.
 //
+// One driver (sweep and crashPoint) runs every workload: a workload supplies
+// only how to open it, its operation step, its durability checks and its
+// resume rule, and the driver owns recovery and the hierarchy-wide checks.
+//
 // Everything runs on virtual time with seeded RNGs, so a (seed, plan) pair
 // produces a byte-identical report — two sweeps can be diffed.
 package crashsweep
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -173,19 +178,10 @@ func Run(cfg Config) (*Report, error) {
 	}
 	cfg = cfg.withDefaults()
 	rep := &Report{Seed: cfg.Seed}
-	for _, w := range cfg.Workloads {
-		var (
-			points []PointResult
-			err    error
-		)
-		switch w {
-		case WorkloadFsim:
-			points, err = sweepFsim(cfg)
-		case WorkloadTxdb:
-			points, err = sweepTxdb(cfg)
-		}
+	for _, name := range cfg.Workloads {
+		points, err := sweep(cfg, cfg.workload(name))
 		if err != nil {
-			return nil, fmt.Errorf("crashsweep: %s: %w", w, err)
+			return nil, fmt.Errorf("crashsweep: %s: %w", name, err)
 		}
 		rep.Points = append(rep.Points, points...)
 	}
@@ -193,6 +189,144 @@ func Run(cfg Config) (*Report, error) {
 		rep.Violations += len(p.Violations)
 	}
 	return rep, nil
+}
+
+// resumeOps bounds how far each recovered run continues to prove the
+// hierarchy usable after recovery: fsim operations, or txdb rounds.
+const resumeOps = 8
+
+// A workload is one crash-swept client of the hierarchy. The driver runs its
+// steps 0..steps-1 once fault-free to learn the virtual-time window, then
+// once per crash point.
+type workload struct {
+	name  string
+	steps int
+	// open builds the workload on a fresh hierarchy. arm attaches a crash
+	// run's fault engine, recovery sabotage and flight recorder; open calls
+	// it at the point from which the workload's device traffic may fault.
+	open func(arm func(*core.FlatFlash)) (*core.FlatFlash, client, error)
+}
+
+// client is one opened workload.
+type client interface {
+	// step runs operation i of the deterministic operation stream.
+	step(i int) error
+	// check runs the workload's durability checks on the recovered
+	// hierarchy and returns the violations it found.
+	check(ff *core.FlatFlash) ([]string, error)
+	// resume names the steps [from, from+n) that continue the workload on
+	// the recovered hierarchy, given that steps [0, done) completed before
+	// the crash.
+	resume(done int) (from, n int)
+}
+
+// workload returns the named workload's driver hooks.
+func (c Config) workload(name string) workload {
+	if name == WorkloadTxdb {
+		return workload{name: name, steps: c.TxPerThread * c.Threads, open: c.openTxdb}
+	}
+	return workload{name: name, steps: c.FsimOps, open: c.openFsim}
+}
+
+// sweep runs w's golden (fault-free) pass to learn its virtual-time window,
+// then replays it Points times with a power loss at each sampled instant.
+// The crash run is deterministic and identical to the golden run right up to
+// the crash, so every sampled time lands inside the workload.
+func sweep(cfg Config, w workload) ([]PointResult, error) {
+	ff, c, err := w.open(func(*core.FlatFlash) {})
+	if err != nil {
+		return nil, err
+	}
+	workStart := ff.Now()
+	for i := 0; i < w.steps; i++ {
+		if err := c.step(i); err != nil {
+			return nil, fmt.Errorf("golden run step %d: %w", i, err)
+		}
+	}
+	workEnd := ff.Now()
+
+	out := make([]PointResult, 0, cfg.Points)
+	for i, at := range sampleTimes(workStart, workEnd, cfg.Points) {
+		p, err := crashPoint(cfg, w, i, at)
+		if err != nil {
+			return nil, fmt.Errorf("point %d (crash at %v): %w", i, at, err)
+		}
+		out = append(out, p)
+	}
+	return out, nil
+}
+
+// crashPoint runs w with a power loss scheduled at at, recovers, and checks
+// the workload's durability promises plus the hierarchy-wide invariants:
+// monotonic wear, L2P/PTE agreement, a clean recovery and, in demand-paged
+// mode, GTD recovery agreeing with the full OOB scan.
+func crashPoint(cfg Config, w workload, idx int, at sim.Time) (PointResult, error) {
+	res := PointResult{Workload: w.name, Index: idx, CrashAt: at}
+	eng, err := fault.NewEngine(cfg.plan(at), cfg.Seed)
+	if err != nil {
+		return res, err
+	}
+	ff, c, err := w.open(func(ff *core.FlatFlash) {
+		ff.SetFaults(eng)
+		ff.BreakRecoveryForTesting(cfg.BreakRecovery)
+		ff.SetFlightRecorder(cfg.Flight)
+	})
+	if err != nil {
+		return res, err
+	}
+
+	done := 0
+	for ; done < w.steps; done++ {
+		if err := c.step(done); err != nil {
+			if errors.Is(err, core.ErrCrashed) {
+				res.Fired = true
+				break
+			}
+			return res, err
+		}
+	}
+	if res.Fired {
+		progs0 := ff.Counters().Get("flash_programs")
+		erases0 := ff.Counters().Get("flash_erases")
+		ff.Recover()
+
+		violations, err := c.check(ff)
+		if err != nil {
+			return res, err
+		}
+		res.Violations = append(res.Violations, violations...)
+		// Monotonic wear: recovery must never rewind lifetime counters.
+		if p := ff.Counters().Get("flash_programs"); p < progs0 {
+			res.Violations = append(res.Violations,
+				fmt.Sprintf("flash_programs went backwards across recovery: %d -> %d", progs0, p))
+		}
+		if e := ff.Counters().Get("flash_erases"); e < erases0 {
+			res.Violations = append(res.Violations,
+				fmt.Sprintf("flash_erases went backwards across recovery: %d -> %d", erases0, e))
+		}
+		// Post-recovery usability: the workload continues on the recovered
+		// hierarchy (a later ExtraPlan crash may legitimately interrupt it).
+		from, n := c.resume(done)
+		for i := from; i < from+n; i++ {
+			if err := c.step(i); err != nil {
+				if errors.Is(err, core.ErrCrashed) {
+					ff.Recover()
+					break
+				}
+				return res, err
+			}
+		}
+	}
+	if err := ff.CheckInvariants(); err != nil {
+		res.Violations = append(res.Violations, fmt.Sprintf("invariants: %v", err))
+	}
+	if v := ff.Counters().Get("recovery_invariant_violations"); v > 0 {
+		res.Violations = append(res.Violations,
+			fmt.Sprintf("recovery reported %d internal invariant violations", v))
+	}
+	noteMapRecovery(ff, &res)
+	res.Faults = eng.Stats()
+	return res, nil
 }
 
 // sampleTimes spreads n crash times evenly across the open interval
@@ -204,17 +338,6 @@ func sampleTimes(start, end sim.Time, n int) []sim.Time {
 		out[i] = start.Add(span * sim.Duration(i+1) / sim.Duration(n+1))
 	}
 	return out
-}
-
-// instrument attaches the configured flight recorder (if any) to one crash
-// run's hierarchy: the recorder's ring records the run's spans, fault events
-// (crash, NAND failures, MMIO drops) self-trigger anomaly snapshots, and
-// recovery invariant failures dump the pre-anomaly window.
-func (c Config) instrument(ff *core.FlatFlash) {
-	if c.Flight == nil {
-		return
-	}
-	ff.SetFlightRecorder(c.Flight)
 }
 
 // noteMapRecovery folds the demand-paged map's recovery outcomes into a
@@ -236,4 +359,27 @@ func noteMapRecovery(ff *core.FlatFlash, res *PointResult) {
 func (c Config) plan(crashAt sim.Time) fault.Plan {
 	p := fault.Plan{{Kind: fault.Crash, At: crashAt, N: 1}}
 	return append(p, c.ExtraPlan...)
+}
+
+// errCheckFailed is a sentinel readBack uses to separate "check failed"
+// (a violation) from hierarchy errors (a harness failure).
+var errCheckFailed = errors.New("crashsweep: check failed")
+
+// readBack runs a validation read, transparently recovering once if an
+// ExtraPlan fault crashes the hierarchy mid-check. Returns (false, nil) when
+// the check itself failed, (false, err) on a real hierarchy error.
+func readBack(ff *core.FlatFlash, f func() error) (bool, error) {
+	err := f()
+	if errors.Is(err, core.ErrCrashed) {
+		ff.Recover()
+		err = f()
+	}
+	switch {
+	case err == nil:
+		return true, nil
+	case errors.Is(err, errCheckFailed):
+		return false, nil
+	default:
+		return false, err
+	}
 }

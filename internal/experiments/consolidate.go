@@ -20,26 +20,26 @@ func Consolidate(s Scale) *Report {
 		uint64(s.pick(8<<20, 32<<20)),
 		uint64(s.pick(256<<10, 1<<20)),
 	)
-	cfg := mtsim.SweepConfig{
-		Device:       &dev,
-		TenantCounts: []int{1, 2, 4, s.pick(6, 8)},
-		MixSpecs:     []string{"zipf", "zipf+uniform+ycsb-b+txlog"},
-		Seeds:        []uint64{1},
-		Ops:          s.pick(300, 2000),
-		RegionBytes:  uint64(s.pick(128<<10, 512<<10)),
-		Think:        sim.Micros(1),
-		Tracer:       current.tracer,
-		Registry:     current.reg,
-		Attrib:       current.att != nil,
-		SLO:          current.att.SLO(),
-		Flight:       current.rec,
+	base := mtsim.Config{
+		Device:   &dev,
+		Tracer:   current.tracer,
+		Registry: current.reg,
+		Attrib:   current.att != nil,
+		SLO:      current.att.SLO(),
+		Flight:   current.rec,
 	}
+	tenant := mtsim.TenantSpec{
+		Ops:         s.pick(300, 2000),
+		RegionBytes: uint64(s.pick(128<<10, 512<<10)),
+		Think:       sim.Micros(1),
+	}
+	mixSpecs := []string{"zipf", "zipf+uniform+ycsb-b+txlog"}
 	rep := &Report{
 		ID:     "consolidate",
 		Title:  "Server consolidation: per-tenant slowdown vs tenant count",
 		Header: []string{"tenants", "mixes", "tenant", "mix", "slowdown", "p99(us)", "solo-p99(us)", "dram-budget"},
 	}
-	res, err := mtsim.Sweep(cfg)
+	res, err := mtsim.Sweep(base, tenant, []int{1, 2, 4, s.pick(6, 8)}, mixSpecs, []uint64{1})
 	if err != nil {
 		rep.AddNote("sweep failed: %v", err)
 		return rep
@@ -80,6 +80,6 @@ func Consolidate(s Scale) *Report {
 	}
 	rep.AddNote("slowdown = consolidated mean latency / solo mean latency (same workload, same seed, private idle device)")
 	rep.AddNote("fairness = Jain index over per-tenant normalized progress; 1.0 = every tenant pays the same consolidation cost")
-	rep.AddNote("mixes cycle across tenants: %s", strings.Join(cfg.MixSpecs, " | "))
+	rep.AddNote("mixes cycle across tenants: %s", strings.Join(mixSpecs, " | "))
 	return rep
 }

@@ -22,11 +22,8 @@ func FleetSweep(s Scale) *Report {
 		uint64(s.pick(512<<10, 1<<20)),
 	)
 	slo := 400 * sim.Microsecond
-	cfg := fleet.SweepConfig{
-		Device:      &dev,
-		ShardCounts: []int{1, 2, s.pick(4, 8)},
-		Rates:       []float64{50_000, 500_000, float64(s.pick(2_000_000, 4_000_000))},
-		Seeds:       []uint64{1},
+	cfg := fleet.Config{
+		Device: &dev,
 		Arrivals: workload.ArrivalConfig{
 			MixSpec:       "zipf",
 			DiurnalAmp:    0.4,
@@ -47,7 +44,9 @@ func FleetSweep(s Scale) *Report {
 		Title:  "Fleet scale-out: shards x offered rate under open-loop load",
 		Header: []string{"shards", "rate(op/s)", "admitted", "shed-rate", "ops/s", "p99(us)", "fairness"},
 	}
-	res, err := fleet.Sweep(cfg)
+	shards := []int{1, 2, s.pick(4, 8)}
+	rates := []float64{50_000, 500_000, float64(s.pick(2_000_000, 4_000_000))}
+	res, err := fleet.Sweep(cfg, shards, rates, []uint64{1})
 	if err != nil {
 		rep.AddNote("sweep failed: %v", err)
 		return rep

@@ -182,20 +182,28 @@ func TestFleetMigrationDeterministic(t *testing.T) {
 	}
 }
 
-func sweepConfig() SweepConfig {
-	return SweepConfig{
-		Device:      testDevice(),
-		ShardCounts: []int{1, 2, 4},
-		Rates:       []float64{100000, 1e6},
-		Seeds:       []uint64{1, 2},
-		Arrivals:    testArrivals(100000),
-		Server:      testServer(),
+// sweepGrid is a small shards × rates × seeds grid over the test fleet.
+type sweepGrid struct {
+	base   Config
+	shards []int
+	rates  []float64
+	seeds  []uint64
+}
+
+func testGrid() sweepGrid {
+	return sweepGrid{
+		base:   Config{Device: testDevice(), Arrivals: testArrivals(100000), Server: testServer()},
+		shards: []int{1, 2, 4},
+		rates:  []float64{100000, 1e6},
+		seeds:  []uint64{1, 2},
 	}
 }
 
-func sweepReport(t *testing.T, cfg SweepConfig) string {
+func (g sweepGrid) sweep() (*SweepResult, error) { return Sweep(g.base, g.shards, g.rates, g.seeds) }
+
+func sweepReport(t *testing.T, g sweepGrid) string {
 	t.Helper()
-	res, err := Sweep(cfg)
+	res, err := g.sweep()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,8 +219,8 @@ func sweepReport(t *testing.T, cfg SweepConfig) string {
 // keeps.
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	var seq, par string
-	withGOMAXPROCS(1, func() { seq = sweepReport(t, sweepConfig()) })
-	withGOMAXPROCS(4, func() { par = sweepReport(t, sweepConfig()) })
+	withGOMAXPROCS(1, func() { seq = sweepReport(t, testGrid()) })
+	withGOMAXPROCS(4, func() { par = sweepReport(t, testGrid()) })
 	if seq != par {
 		t.Fatalf("GOMAXPROCS 1 and 4 reports differ:\n--- 1 ---\n%s--- 4 ---\n%s", seq, par)
 	}
@@ -222,19 +230,19 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestSweepValidates(t *testing.T) {
-	cfg := sweepConfig()
-	cfg.ShardCounts = nil
-	if _, err := Sweep(cfg); err == nil {
+	g := testGrid()
+	g.shards = nil
+	if _, err := g.sweep(); err == nil {
 		t.Error("empty shard grid accepted")
 	}
-	cfg = sweepConfig()
-	cfg.Rates = []float64{-5}
-	if _, err := Sweep(cfg); err == nil {
+	g = testGrid()
+	g.rates = []float64{-5}
+	if _, err := g.sweep(); err == nil {
 		t.Error("negative rate accepted")
 	}
-	cfg = sweepConfig()
-	cfg.ShardCounts = []int{0}
-	if _, err := Sweep(cfg); err == nil {
+	g = testGrid()
+	g.shards = []int{0}
+	if _, err := g.sweep(); err == nil {
 		t.Error("zero shard count accepted")
 	}
 }

@@ -4,62 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"flatflash/internal/core"
-	"flatflash/internal/mtsim"
 	"flatflash/internal/sim"
-	"flatflash/internal/workload"
 )
-
-// SweepConfig fans fleet runs out over (shard count × arrival rate × seed).
-// Each point is an independent fleet instance, so points run in parallel on
-// sim.Workers goroutines; results merge in point-index order, keeping the
-// report byte-identical whatever GOMAXPROCS is — the same contract
-// mtsim.Sweep keeps.
-type SweepConfig struct {
-	// Device configures every shard of every point (nil → mtsim default).
-	Device *core.Config
-
-	// ShardCounts, Rates, and Seeds define the grid in nested order: for
-	// each shard count, for each rate, for each seed.
-	ShardCounts []int
-	Rates       []float64
-	Seeds       []uint64
-
-	// Arrivals is the traffic template; each point overrides its Rate and
-	// Seed from the grid.
-	Arrivals workload.ArrivalConfig
-
-	// Server is every shard's queueing/admission policy. Every point shares
-	// its flight recorder, so setting Server.Flight runs the points in-line,
-	// in grid order.
-	Server mtsim.ServerOptions
-
-	// VNodes, RingSeed, and the Migrate knobs apply to every point.
-	VNodes       int
-	RingSeed     uint64
-	MigrateEpoch sim.Duration
-	MigratePages int
-	MigrateLat   sim.Duration
-}
-
-// Validate checks the sweep grid.
-func (c SweepConfig) Validate() error {
-	if len(c.ShardCounts) == 0 || len(c.Rates) == 0 || len(c.Seeds) == 0 {
-		return fmt.Errorf("fleet: sweep needs shard counts, rates, and seeds")
-	}
-	for _, n := range c.ShardCounts {
-		if n <= 0 {
-			return fmt.Errorf("fleet: sweep shard count %d", n)
-		}
-	}
-	for _, rate := range c.Rates {
-		point := c.pointConfig(c.ShardCounts[0], rate, c.Seeds[0])
-		if err := point.Validate(); err != nil {
-			return fmt.Errorf("fleet: rate %v: %w", rate, err)
-		}
-	}
-	return nil
-}
 
 // SweepPoint is one grid point and its result.
 type SweepPoint struct {
@@ -74,43 +20,44 @@ type SweepResult struct {
 	Points []SweepPoint
 }
 
-// pointConfig builds the Run configuration for one grid point.
-func (c SweepConfig) pointConfig(shards int, rate float64, seed uint64) Config {
-	arr := c.Arrivals
-	arr.Rate = rate
-	arr.Seed = seed
-	return Config{
-		Shards:       shards,
-		VNodes:       c.VNodes,
-		RingSeed:     c.RingSeed,
-		Device:       c.Device,
-		Arrivals:     arr,
-		Server:       c.Server,
-		MigrateEpoch: c.MigrateEpoch,
-		MigratePages: c.MigratePages,
-		MigrateLat:   c.MigrateLat,
+// Sweep fans fleet runs out over the grid shards × rates × seeds, in that
+// nested order. Each point runs a copy of base with Shards, Arrivals.Rate
+// and Arrivals.Seed set from the grid; every other field applies to every
+// point.
+//
+// Every point is a private simulator, so points run on sim.Workers
+// goroutines; the only shared state is the results slice, written at
+// distinct indices and merged in index order, which keeps the report
+// byte-identical whatever GOMAXPROCS is — the same contract mtsim.Sweep
+// keeps. Every point shares base.Server.Flight, so setting it runs the
+// points in-line, in grid order.
+func Sweep(base Config, shards []int, rates []float64, seeds []uint64) (*SweepResult, error) {
+	if len(shards) == 0 || len(rates) == 0 || len(seeds) == 0 {
+		return nil, fmt.Errorf("fleet: sweep needs shard counts, rates, and seeds")
 	}
-}
-
-// Sweep runs the full grid on sim.Workers goroutines. Each point is a
-// private simulator; the only shared state is the results slice, written at
-// distinct indices and merged in index order.
-func Sweep(cfg SweepConfig) (*SweepResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	var points []SweepPoint
-	for _, n := range cfg.ShardCounts {
-		for _, rate := range cfg.Rates {
-			for _, seed := range cfg.Seeds {
+	var (
+		points []SweepPoint
+		cfgs   []Config
+	)
+	for _, n := range shards {
+		for _, rate := range rates {
+			for _, seed := range seeds {
+				cfg := base
+				cfg.Shards = n
+				cfg.Arrivals.Rate = rate
+				cfg.Arrivals.Seed = seed
+				if err := cfg.Validate(); err != nil {
+					return nil, fmt.Errorf("fleet: sweep point shards=%d rate=%v seed=%d: %w", n, rate, seed, err)
+				}
 				points = append(points, SweepPoint{Shards: n, Rate: rate, Seed: seed})
+				cfgs = append(cfgs, cfg)
 			}
 		}
 	}
-	err := sim.ForEach(len(points), sim.Workers(cfg.Server.Flight != nil), func(i int) error {
+	err := sim.ForEach(len(points), sim.Workers(base.Server.Flight != nil), func(i int) error {
 		p := &points[i]
 		var err error
-		if p.Res, err = Run(cfg.pointConfig(p.Shards, p.Rate, p.Seed)); err != nil {
+		if p.Res, err = Run(cfgs[i]); err != nil {
 			return fmt.Errorf("fleet: point %d (shards=%d rate=%v seed=%d): %w", i, p.Shards, p.Rate, p.Seed, err)
 		}
 		return nil

@@ -20,11 +20,8 @@ func sweepGolden(t *testing.T) []byte {
 	t.Helper()
 	dev := core.DefaultConfig(256<<20, 4<<20)
 	slo := 400 * sim.Microsecond
-	res, err := Sweep(SweepConfig{
-		Device:      &dev,
-		ShardCounts: []int{1, 2},
-		Rates:       []float64{50000, 400000},
-		Seeds:       []uint64{1},
+	res, err := Sweep(Config{
+		Device: &dev,
 		Arrivals: workload.ArrivalConfig{
 			MixSpec:       "zipf",
 			DiurnalAmp:    0.4,
@@ -38,7 +35,7 @@ func sweepGolden(t *testing.T) []byte {
 			SLO:           slo,
 			Attrib:        true,
 		},
-	})
+	}, []int{1, 2}, []float64{50000, 400000}, []uint64{1})
 	if err != nil {
 		t.Fatal(err)
 	}

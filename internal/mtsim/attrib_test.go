@@ -104,18 +104,14 @@ func TestAttributionOffByDefault(t *testing.T) {
 // flight recorder still merges deterministically (it forces one worker) and
 // every point carries its own attribution engine.
 func TestSweepAttributionSequentialWithFlight(t *testing.T) {
-	cfg := SweepConfig{
-		Device:       testDevice(),
-		TenantCounts: []int{1, 2},
-		MixSpecs:     []string{"zipf"},
-		Seeds:        []uint64{1},
-		Ops:          150,
-		RegionBytes:  128 << 10,
-		Attrib:       true,
-		SLO:          sim.Micros(5),
-		Flight:       telemetry.NewFlightRecorder(256, 4),
+	base := Config{
+		Device: testDevice(),
+		Attrib: true,
+		SLO:    sim.Micros(5),
+		Flight: telemetry.NewFlightRecorder(256, 4),
 	}
-	res, err := Sweep(cfg)
+	res, err := Sweep(base, TenantSpec{Ops: 150, RegionBytes: 128 << 10},
+		[]int{1, 2}, []string{"zipf"}, []uint64{1})
 	if err != nil {
 		t.Fatal(err)
 	}

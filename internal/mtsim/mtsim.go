@@ -12,7 +12,8 @@
 // partition host DRAM across tenants by observed promotion benefit.
 //
 // For QoS accounting, every tenant also gets a solo golden run — the same
-// workload and seed on a private, idle device — so the engine reports
+// workload and seed on a private, idle device, through the same
+// co-scheduling loop with one actor — so the engine reports
 // per-tenant slowdown (shared mean latency over solo mean latency) and a
 // Jain fairness index over normalized progress.
 //
@@ -152,43 +153,19 @@ func runOp(a *core.Tenant, base uint64, op workload.AccessOp, scratch []byte) (s
 	return lat, nil
 }
 
-// mapRegion maps the spec's region on t, persistent when the mix issues
-// barriers.
-func mapRegion(t *core.Tenant, spec TenantSpec) (core.Region, error) {
-	if workload.MixPersistent(spec.Mix) {
-		return t.MmapPersistent(spec.RegionBytes)
-	}
-	return t.Mmap(spec.RegionBytes)
-}
-
-// soloRun measures spec alone on a fresh, idle device: the QoS baseline.
-func soloRun(dev core.Config, spec TenantSpec, seed uint64) (*stats.Histogram, sim.Duration, error) {
+// soloRun measures spec alone on a fresh, idle device: the QoS baseline. It
+// runs the shared run's co-scheduling loop with one actor, no arbiter and no
+// sinks, so a one-tenant shared run reproduces it sample for sample.
+func soloRun(dev core.Config, spec TenantSpec, seed uint64) (*actor, error) {
 	ff, err := core.NewFlatFlash(dev)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	t := ff.SelfTenant()
-	reg, err := mapRegion(t, spec)
+	a, err := newActor(ff.SelfTenant(), spec, seed)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	stream, err := workload.NewStream(spec.Mix, sim.NewRNG(seed), spec.RegionBytes)
-	if err != nil {
-		return nil, 0, err
-	}
-	hist := stats.NewHistogram()
-	scratch := make([]byte, workload.RecordBytes)
-	for i := 0; i < spec.Ops; i++ {
-		lat, err := runOp(t, reg.Base, stream.Next(), scratch)
-		if err != nil {
-			return nil, 0, err
-		}
-		hist.Record(lat)
-		if spec.Think > 0 && i+1 < spec.Ops {
-			t.AdvanceTo(t.Now().Add(spec.Think))
-		}
-	}
-	return hist, t.Now().Sub(0), nil
+	return a, coSchedule([]*actor{a})
 }
 
 // Run executes the consolidation: one solo golden run per tenant, then the
@@ -209,11 +186,11 @@ func Run(cfg Config) (*Result, error) {
 		Tenants:   make([]TenantResult, len(cfg.Tenants)),
 	}
 	for i, spec := range cfg.Tenants {
-		hist, elapsed, err := soloRun(dev, spec, streamSeed(cfg.Seed, spec.Seed, i))
+		a, err := soloRun(dev, spec, streamSeed(cfg.Seed, spec.Seed, i))
 		if err != nil {
 			return nil, fmt.Errorf("mtsim: solo run of tenant %d: %w", i, err)
 		}
-		res.Tenants[i] = TenantResult{ID: i, Spec: spec, Solo: hist, SoloElapsed: elapsed}
+		res.Tenants[i] = TenantResult{ID: i, Spec: spec, Solo: a.hist, SoloElapsed: a.t.Now().Sub(0)}
 	}
 	if err := sharedRun(cfg, dev, res); err != nil {
 		return nil, err
@@ -241,14 +218,14 @@ func sharedRun(cfg Config, dev core.Config, res *Result) error {
 		ff.SetAttribution(att)
 		res.Attribution = att
 	}
-	actors := make([]*core.Tenant, len(cfg.Tenants))
-	actors[0] = ff.SelfTenant()
+	tenants := make([]*core.Tenant, len(cfg.Tenants))
+	tenants[0] = ff.SelfTenant()
 	for i := 1; i < len(cfg.Tenants); i++ {
 		t, err := ff.OpenTenant()
 		if err != nil {
 			return err
 		}
-		actors[i] = t
+		tenants[i] = t
 	}
 	if !cfg.DisableArbiter {
 		arb, err := promote.NewArbiter(promote.DefaultArbiterConfig(int(dev.DRAMBytes / uint64(dev.PageSize))))
@@ -258,56 +235,22 @@ func sharedRun(cfg Config, dev core.Config, res *Result) error {
 		ff.SetArbiter(arb)
 	}
 
-	regions := make([]core.Region, len(actors))
-	streams := make([]workload.Stream, len(actors))
+	actors := make([]*actor, len(tenants))
 	for i, spec := range cfg.Tenants {
-		reg, err := mapRegion(actors[i], spec)
-		if err != nil {
-			return fmt.Errorf("mtsim: tenant %d mmap: %w", i, err)
-		}
-		regions[i] = reg
-		streams[i], err = workload.NewStream(spec.Mix, sim.NewRNG(streamSeed(cfg.Seed, spec.Seed, i)), spec.RegionBytes)
-		if err != nil {
-			return err
+		if actors[i], err = newActor(tenants[i], spec, streamSeed(cfg.Seed, spec.Seed, i)); err != nil {
+			return fmt.Errorf("mtsim: tenant %d: %w", i, err)
 		}
 	}
-
-	// The co-scheduling loop: always execute the tenant whose next operation
-	// starts earliest in global virtual time (ties to the lower id), so the
-	// interleaving — and therefore all shared-resource queueing — is a pure
-	// function of the configuration.
-	var q sim.EventQueue
-	remaining := make([]int, len(actors))
-	hists := make([]*stats.Histogram, len(actors))
-	scratch := make([]byte, workload.RecordBytes)
-	for i := range actors {
-		remaining[i] = cfg.Tenants[i].Ops
-		hists[i] = stats.NewHistogram()
-		q.Push(actors[i].Now(), i)
-	}
-	for q.Len() > 0 {
-		_, id := q.Pop()
-		t := actors[id]
-		lat, err := runOp(t, regions[id].Base, streams[id].Next(), scratch)
-		if err != nil {
-			return fmt.Errorf("mtsim: tenant %d op: %w", id, err)
-		}
-		hists[id].Record(lat)
-		remaining[id]--
-		if remaining[id] > 0 {
-			if th := cfg.Tenants[id].Think; th > 0 {
-				t.AdvanceTo(t.Now().Add(th))
-			}
-			q.Push(t.Now(), id)
-		}
+	if err := coSchedule(actors); err != nil {
+		return err
 	}
 
 	for i := range res.Tenants {
 		tr := &res.Tenants[i]
-		tr.Shared = hists[i]
-		tr.Elapsed = actors[i].Now().Sub(0)
-		tr.DRAMHits = actors[i].DRAMHits()
-		tr.Promotions = actors[i].Promotions()
+		tr.Shared = actors[i].hist
+		tr.Elapsed = tenants[i].Now().Sub(0)
+		tr.DRAMHits = tenants[i].DRAMHits()
+		tr.Promotions = tenants[i].Promotions()
 		if arb := ff.Arbiter(); arb != nil {
 			tr.Budget = arb.Budget(i)
 		}
@@ -315,6 +258,64 @@ func sharedRun(cfg Config, dev core.Config, res *Result) error {
 	ff.Attribution().Finish(ff.Now())
 	res.Makespan = ff.Now().Sub(0)
 	res.Counters = ff.Counters()
+	return nil
+}
+
+// actor is one tenant's closed-loop client: its mapped region, its workload
+// stream, the operations it has left and the latencies it observed.
+type actor struct {
+	t         *core.Tenant
+	think     sim.Duration
+	base      uint64
+	stream    workload.Stream
+	remaining int
+	hist      *stats.Histogram
+}
+
+// newActor maps spec's region on t, persistent when the mix issues
+// barriers, and seeds its workload stream.
+func newActor(t *core.Tenant, spec TenantSpec, seed uint64) (*actor, error) {
+	mmap := t.Mmap
+	if workload.MixPersistent(spec.Mix) {
+		mmap = t.MmapPersistent
+	}
+	reg, err := mmap(spec.RegionBytes)
+	if err != nil {
+		return nil, err
+	}
+	stream, err := workload.NewStream(spec.Mix, sim.NewRNG(seed), spec.RegionBytes)
+	if err != nil {
+		return nil, err
+	}
+	return &actor{t: t, think: spec.Think, base: reg.Base, stream: stream, remaining: spec.Ops, hist: stats.NewHistogram()}, nil
+}
+
+// coSchedule is the co-scheduling loop: it always executes the actor whose
+// next operation starts earliest in global virtual time (ties to the lower
+// index), so the interleaving — and therefore all shared-resource queueing —
+// is a pure function of the configuration.
+func coSchedule(actors []*actor) error {
+	var q sim.EventQueue
+	scratch := make([]byte, workload.RecordBytes)
+	for i, a := range actors {
+		q.Push(a.t.Now(), i)
+	}
+	for q.Len() > 0 {
+		_, id := q.Pop()
+		a := actors[id]
+		lat, err := runOp(a.t, a.base, a.stream.Next(), scratch)
+		if err != nil {
+			return fmt.Errorf("mtsim: tenant %d op: %w", id, err)
+		}
+		a.hist.Record(lat)
+		a.remaining--
+		if a.remaining > 0 {
+			if a.think > 0 {
+				a.t.AdvanceTo(a.t.Now().Add(a.think))
+			}
+			q.Push(a.t.Now(), id)
+		}
+	}
 	return nil
 }
 

@@ -176,19 +176,12 @@ func TestSharedRunTelemetry(t *testing.T) {
 // The sweep runs its points on GOMAXPROCS workers, so the report must be
 // byte-identical whatever GOMAXPROCS is.
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
-	cfg := SweepConfig{
-		Device:       testDevice(),
-		TenantCounts: []int{1, 2, 3},
-		MixSpecs:     []string{"zipf", "zipf+scan"},
-		Seeds:        []uint64{1, 2},
-		Ops:          150,
-		RegionBytes:  128 << 10,
-		Think:        sim.Micros(1),
-	}
+	tenant := TenantSpec{Ops: 150, RegionBytes: 128 << 10, Think: sim.Micros(1)}
 	var reports []string
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
-		res, err := Sweep(cfg)
+		res, err := Sweep(Config{Device: testDevice()}, tenant,
+			[]int{1, 2, 3}, []string{"zipf", "zipf+scan"}, []uint64{1, 2})
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
@@ -209,17 +202,17 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestSweepValidates(t *testing.T) {
-	if _, err := Sweep(SweepConfig{}); err == nil {
+	tenant := TenantSpec{Ops: 10, RegionBytes: 64 << 10}
+	if _, err := Sweep(Config{}, tenant, nil, nil, nil); err == nil {
 		t.Fatal("empty sweep accepted")
 	}
-	bad := SweepConfig{
-		TenantCounts: []int{1},
-		MixSpecs:     []string{"zipf+bogus"},
-		Seeds:        []uint64{1},
-		Ops:          10,
-		RegionBytes:  64 << 10,
-	}
-	if _, err := Sweep(bad); err == nil {
+	if _, err := Sweep(Config{}, tenant, []int{1}, []string{"zipf+bogus"}, []uint64{1}); err == nil {
 		t.Fatal("bogus mix in spec accepted")
+	}
+	if _, err := Sweep(Config{}, tenant, []int{0}, []string{"zipf"}, []uint64{1}); err == nil {
+		t.Fatal("zero tenant count accepted")
+	}
+	if _, err := Sweep(Config{}, TenantSpec{}, []int{1}, []string{"zipf"}, []uint64{1}); err == nil {
+		t.Fatal("zero-op tenant accepted")
 	}
 }

@@ -18,15 +18,9 @@ const sweepGoldenPath = "testdata/sweep_golden.txt"
 func sweepGolden(t *testing.T) []byte {
 	t.Helper()
 	dev := DefaultDeviceConfig()
-	res, err := Sweep(SweepConfig{
-		Device:       &dev,
-		TenantCounts: []int{1, 2, 4},
-		MixSpecs:     []string{"zipf+uniform+ycsb-b+txlog"},
-		Seeds:        []uint64{1},
-		Ops:          500,
-		RegionBytes:  256 << 10,
-		Think:        sim.Micros(1),
-	})
+	res, err := Sweep(Config{Device: &dev},
+		TenantSpec{Ops: 500, RegionBytes: 256 << 10, Think: sim.Micros(1)},
+		[]int{1, 2, 4}, []string{"zipf+uniform+ycsb-b+txlog"}, []uint64{1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -329,64 +329,32 @@ func (db *DB) runTx(now sim.Time, rng *sim.RNG, keys *workload.Zipf, wid, seq in
 	return now, nil
 }
 
-// workerStreams seeds each worker's RNG and Zipf key generator. Run and
-// Stepper both start from it, which is what keeps a Stepper run
-// step-for-step deterministic against Run.
-func (db *DB) workerStreams() ([]*sim.RNG, []*workload.Zipf) {
-	rngs := make([]*sim.RNG, db.cfg.Threads)
-	gens := make([]*workload.Zipf, db.cfg.Threads)
-	for w := range rngs {
-		rngs[w] = sim.NewRNG(db.cfg.Seed + uint64(w)*7919)
-		// TPC-style workloads show strong page-level buffer locality; the
-		// paper's Shore-MT runs keep their working set largely in the 6 GB
-		// buffer pool, leaving logging as the bottleneck.
-		gens[w] = workload.NewZipf(rngs[w], db.records, workload.DefaultZipfTheta)
-	}
-	return rngs, gens
-}
-
-// Run executes the configured workload and returns throughput.
+// Run executes the configured workload on a Stepper and returns throughput.
 func Run(h core.Hierarchy, cfg Config) (Result, error) {
-	db, err := Open(h, cfg)
+	st, err := NewStepper(h, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	clocks := make([]sim.Time, cfg.Threads)
-	rngs, gens := db.workerStreams()
 	// Warm-up: a quarter of the run populates the buffer pool and settles
 	// the promotion policy; it is excluded from the measurement.
-	warm := cfg.TxPerThread/4 + 1
-	for seq := 0; seq < warm; seq++ {
-		for w := 0; w < cfg.Threads; w++ {
-			clocks[w], err = db.runTx(clocks[w], rngs[w], gens[w], w, seq)
-			if err != nil {
-				return Result{}, err
-			}
-		}
+	if err := st.rounds(cfg.TxPerThread/4 + 1); err != nil {
+		return Result{}, err
 	}
 	starts := make([]sim.Time, cfg.Threads)
-	copy(starts, clocks)
-	_, warmWaited := db.logLock.Utilization()
+	copy(starts, st.clocks)
+	_, warmWaited := st.db.logLock.Utilization()
 
-	// Round-robin execution keeps worker clocks loosely synchronized so the
-	// shared resources see a realistic interleaving.
-	total := 0
-	for seq := 0; seq < cfg.TxPerThread; seq++ {
-		for w := 0; w < cfg.Threads; w++ {
-			clocks[w], err = db.runTx(clocks[w], rngs[w], gens[w], w, warm+seq)
-			if err != nil {
-				return Result{}, err
-			}
-			total++
-		}
+	if err := st.rounds(cfg.TxPerThread); err != nil {
+		return Result{}, err
 	}
 	var elapsed sim.Duration
-	for w := range clocks {
-		if d := clocks[w].Sub(starts[w]); d > elapsed {
+	for w := range st.clocks {
+		if d := st.clocks[w].Sub(starts[w]); d > elapsed {
 			elapsed = d
 		}
 	}
-	_, waited := db.logLock.Utilization()
+	_, waited := st.db.logLock.Utilization()
+	total := cfg.TxPerThread * cfg.Threads
 	res := Result{TotalTx: total, Elapsed: elapsed, LogWaits: waited - warmWaited}
 	if res.Elapsed > 0 {
 		res.Throughput = float64(total) / res.Elapsed.Seconds()
@@ -402,9 +370,8 @@ func (db *DB) LogCosts() (latency, service sim.Duration) {
 
 // Stepper drives the workload one transaction at a time, for harnesses that
 // interleave their own events (crash points, fault windows) with the
-// transaction stream. It shares Run's initialization — identical
-// per-worker RNG seeding and Zipf key streams — so a Stepper run is
-// step-for-step deterministic against Run with the same Config.
+// transaction stream. Run is a Stepper driven in whole rounds, so a Stepper
+// run is step-for-step deterministic against Run with the same Config.
 type Stepper struct {
 	db     *DB
 	clocks []sim.Time
@@ -422,9 +389,17 @@ func NewStepper(h core.Hierarchy, cfg Config) (*Stepper, error) {
 	st := &Stepper{
 		db:     db,
 		clocks: make([]sim.Time, cfg.Threads),
+		rngs:   make([]*sim.RNG, cfg.Threads),
+		gens:   make([]*workload.Zipf, cfg.Threads),
 		seqs:   make([]int, cfg.Threads),
 	}
-	st.rngs, st.gens = db.workerStreams()
+	for w := range st.rngs {
+		st.rngs[w] = sim.NewRNG(cfg.Seed + uint64(w)*7919)
+		// TPC-style workloads show strong page-level buffer locality; the
+		// paper's Shore-MT runs keep their working set largely in the 6 GB
+		// buffer pool, leaving logging as the bottleneck.
+		st.gens[w] = workload.NewZipf(st.rngs[w], db.records, workload.DefaultZipfTheta)
+	}
 	return st, nil
 }
 
@@ -440,6 +415,20 @@ func (st *Stepper) Step(w int) error {
 		return err
 	}
 	st.seqs[w]++
+	return nil
+}
+
+// rounds runs n round-robin rounds: every worker's next transaction, worker 0
+// first. Round-robin execution keeps worker clocks loosely synchronized so
+// the shared resources see a realistic interleaving.
+func (st *Stepper) rounds(n int) error {
+	for r := 0; r < n; r++ {
+		for w := range st.clocks {
+			if err := st.Step(w); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
 }
 
