@@ -91,10 +91,13 @@ type Server struct {
 	hist  *stats.Histogram
 	waits *stats.Histogram
 
-	// pending holds the completion times of admitted-but-unfinished
-	// requests; FIFO service makes it non-decreasing, so queue depth at an
-	// arrival is a front-prune plus a length.
-	pending []sim.Time
+	// pending is a ring of QueueDepth slots holding the completion times of
+	// the depth admitted-but-unfinished requests, oldest at head. FIFO
+	// service makes them non-decreasing, so queue depth at an arrival is a
+	// front-prune plus a count, and admission never lets depth exceed the
+	// ring.
+	pending     []sim.Time
+	head, depth int
 
 	arrivals  int64
 	admitted  int64
@@ -129,6 +132,7 @@ func NewServer(dev core.Config, mixSpec string, regionBytes uint64, opts ServerO
 		hist:    stats.NewHistogram(),
 		waits:   stats.NewHistogram(),
 		scratch: make([]byte, workload.RecordBytes),
+		pending: make([]sim.Time, opts.QueueDepth),
 	}
 	if opts.Attrib || opts.SLO > 0 {
 		s.att = telemetry.NewAttribution(opts.SLO, 0)
@@ -158,10 +162,11 @@ func NewServer(dev core.Config, mixSpec string, regionBytes uint64, opts ServerO
 // nothing). at must be non-decreasing across calls.
 func (s *Server) Arrive(at sim.Time, op workload.AccessOp) (bool, error) {
 	s.arrivals++
-	for len(s.pending) > 0 && s.pending[0] <= at {
-		s.pending = s.pending[1:]
+	for s.depth > 0 && s.pending[s.head] <= at {
+		s.head = (s.head + 1) % len(s.pending)
+		s.depth--
 	}
-	depth := len(s.pending)
+	depth := s.depth
 	frontier := s.t.Now()
 	var wait sim.Duration
 	if frontier > at {
@@ -207,9 +212,10 @@ func (s *Server) Arrive(at sim.Time, op workload.AccessOp) (bool, error) {
 		s.sloViol++
 	}
 	s.busy += comp.Sub(start)
-	s.pending = append(s.pending, comp)
-	if len(s.pending) > s.maxDepth {
-		s.maxDepth = len(s.pending)
+	s.pending[(s.head+s.depth)%len(s.pending)] = comp
+	s.depth++
+	if s.depth > s.maxDepth {
+		s.maxDepth = s.depth
 	}
 	return true, nil
 }
