@@ -4,6 +4,12 @@
 # (make ci does).
 set -eu
 
+# Every scratch file (binaries, lint output, run captures, mutant trees)
+# lives under one private directory that is removed on exit, so two
+# checkouts can run the gate at the same time.
+scratch=$(mktemp -d)
+trap 'rm -rf "$scratch"' EXIT
+
 echo "== gofmt =="
 unformatted=$(gofmt -l . | grep -v '^\.git/' || true)
 if [ -n "$unformatted" ]; then
@@ -24,9 +30,9 @@ echo "== flatflash-lint =="
 # JSON output is re-emitted in file:line form (annotation-friendly) with a
 # per-analyzer count summary, so a failing run names the invariant that
 # broke, not just a wall of text.
-go build -o /tmp/flatflash-lint ./cmd/flatflash-lint
-/tmp/flatflash-lint -q -json ./... > /tmp/lint.json || true
-python3 - /tmp/lint.json <<'EOF'
+go build -o "$scratch/flatflash-lint" ./cmd/flatflash-lint
+"$scratch/flatflash-lint" -q -json ./... > "$scratch/lint.json" || true
+python3 - "$scratch/lint.json" <<'EOF'
 import json, sys, collections
 diags = json.load(open(sys.argv[1]))
 counts = collections.Counter(d["analyzer"] for d in diags)
@@ -45,10 +51,10 @@ echo "== flatflash-lint mutant smoke =="
 # broken gate, not a clean one. A row is (file, edit, analyzer, package); an
 # edit is a list of (old, new) replacements, each old text found in the file
 # and replaced once. The file is restored before the next row.
-mutant_dir=$(mktemp -d)
-trap 'rm -rf "$mutant_dir"' EXIT
+mutant_dir="$scratch/mutant"
+mkdir "$mutant_dir"
 tar --exclude=.git -cf - . | (cd "$mutant_dir" && tar -xf -)
-python3 - "$mutant_dir" /tmp/flatflash-lint <<'EOF'
+python3 - "$mutant_dir" "$scratch/flatflash-lint" <<'EOF'
 import subprocess, sys
 root, lint = sys.argv[1], sys.argv[2]
 rows = [
@@ -99,7 +105,6 @@ for path, edit, name, pkg in rows:
     print("mutant smoke ok (%s caught its mutant of %s)" % (name, path))
 EOF
 rm -rf "$mutant_dir"
-trap - EXIT
 # Call sites report through a possibly-nil *telemetry.Sink unguarded, so a
 # detached sink is free only while Observe (and its nil check) inlines.
 go build -gcflags=-m ./internal/telemetry 2>&1 | grep -q 'can inline (\*Sink).Observe' || {
@@ -112,8 +117,8 @@ echo "inline check ok ((*telemetry.Sink).Observe inlines)"
 # fresh scratch copy: the write then lands in flash's buffer, and the core
 # tests must catch it. The mutant must still build, so only a test failure
 # counts.
-mutant_dir=$(mktemp -d)
-trap 'rm -rf "$mutant_dir"' EXIT
+mutant_dir="$scratch/mutant"
+mkdir "$mutant_dir"
 tar --exclude=.git -cf - . | (cd "$mutant_dir" && tar -xf -)
 python3 - "$mutant_dir/internal/core/flatflash.go" <<'EOF'
 import sys
@@ -133,17 +138,16 @@ EOF
     echo "mutant smoke FAILED: the Own-stripped mutant does not build"
     exit 1
 }
-if (cd "$mutant_dir" && go test -count=1 ./internal/core > /tmp/mutant.txt 2>&1); then
+if (cd "$mutant_dir" && go test -count=1 ./internal/core > "$scratch/mutant.txt" 2>&1); then
     echo "mutant smoke FAILED: core tests passed with the MMIO write's Own stripped"
     exit 1
 fi
-grep -q -- "--- FAIL: TestHierarchyShadowMemoryProperty" /tmp/mutant.txt || {
+grep -q -- "--- FAIL: TestHierarchyShadowMemoryProperty" "$scratch/mutant.txt" || {
     echo "mutant smoke FAILED: the shadow-memory property missed the stripped Own:"
-    cat /tmp/mutant.txt
+    cat "$scratch/mutant.txt"
     exit 1
 }
 rm -rf "$mutant_dir"
-trap - EXIT
 echo "mutant smoke ok (core tests caught the stripped Own)"
 
 echo "== go test -race =="
@@ -186,8 +190,8 @@ if [ -n "$latest_bench" ] && ! grep -q '"Benchmark' "$latest_bench"; then
     latest_bench=""
 fi
 if [ -n "$latest_bench" ] && [ -x scripts/bench.sh ]; then
-    if BENCHTIME=100ms ./scripts/bench.sh /tmp/BENCH_ci.json >/dev/null 2>&1; then
-        ./scripts/benchdiff.sh "$latest_bench" /tmp/BENCH_ci.json || \
+    if BENCHTIME=100ms ./scripts/bench.sh "$scratch/BENCH_ci.json" >/dev/null 2>&1; then
+        ./scripts/benchdiff.sh "$latest_bench" "$scratch/BENCH_ci.json" || \
             echo "benchdiff: comparison failed (warn only)"
     else
         echo "benchdiff: bench run failed (warn only)"
@@ -202,10 +206,12 @@ echo "== observability smoke =="
 # Chrome trace must be one JSON document, and every JSONL dump must be
 # non-empty and parse line by line. Each run writes relative dump names in
 # its own directory, so the stdout lines naming them compare equal too.
-go build -o /tmp/flatflash-sim ./cmd/flatflash-sim
-go build -o /tmp/flatflash-bench ./cmd/flatflash-bench
-obs_dir=$(mktemp -d)
-trap 'rm -rf "$obs_dir"' EXIT
+sim="$scratch/flatflash-sim"
+bench="$scratch/flatflash-bench"
+go build -o "$sim" ./cmd/flatflash-sim
+go build -o "$bench" ./cmd/flatflash-bench
+obs_dir="$scratch/obs"
+mkdir "$obs_dir"
 # obs_pair NAME "DUMPS" CMD...: run CMD twice, compare, parse DUMPS.
 obs_pair() {
     name=$1
@@ -238,25 +244,24 @@ for name in sys.argv[2:]:
         json.load(open(path))
 EOF
 }
-obs_pair sim-replay "t.json m.jsonl l.jsonl f.jsonl" /tmp/flatflash-sim -kind flatflash -pattern zipf \
+obs_pair sim-replay "t.json m.jsonl l.jsonl f.jsonl" "$sim" -kind flatflash -pattern zipf \
     -ops 4000 -seed 7 -slo 4us -trace-out t.json -metrics-out m.jsonl -latency-out l.jsonl -flight-out f.jsonl
 grep -q "latency budget" "$obs_dir/sim-replay.1/stdout" || {
     echo "budget table missing from sim output"; exit 1; }
-obs_pair sim-openloop "l.jsonl f.jsonl" /tmp/flatflash-sim -openloop -ops 2000 -seed 7 -rate 2000000 \
+obs_pair sim-openloop "l.jsonl f.jsonl" "$sim" -openloop -ops 2000 -seed 7 -rate 2000000 \
     -slo 50us -shed-wait 20us -latency-out l.jsonl -flight-out f.jsonl
-obs_pair bench-figures "t.json m.jsonl l.jsonl f.jsonl" /tmp/flatflash-bench -quick -slo 4us \
+obs_pair bench-figures "t.json m.jsonl l.jsonl f.jsonl" "$bench" -quick -slo 4us \
     -trace-out t.json -metrics-out m.jsonl -latency-out l.jsonl -flight-out f.jsonl fig9a
-obs_pair bench-consolidate "l.jsonl f.jsonl" /tmp/flatflash-bench consolidate -tenants 1,2 -ops 200 \
+obs_pair bench-consolidate "l.jsonl f.jsonl" "$bench" consolidate -tenants 1,2 -ops 200 \
     -slo 4us -latency-out l.jsonl -flight-out f.jsonl
-obs_pair bench-fleet "l.jsonl f.jsonl" /tmp/flatflash-bench fleet -shards 1,2 -rates 50000,400000 \
+obs_pair bench-fleet "l.jsonl f.jsonl" "$bench" fleet -shards 1,2 -rates 50000,400000 \
     -ops 800 -region 262144 -slo 400us -shed-wait 100us -latency-out l.jsonl -flight-out f.jsonl
-obs_pair bench-crashsweep "f.jsonl" /tmp/flatflash-bench crashsweep -points 6 -flight-out f.jsonl
+obs_pair bench-crashsweep "f.jsonl" "$bench" crashsweep -points 6 -flight-out f.jsonl
 # A flag the selected mode does not read is a usage error, not a no-op.
 rc=0
-/tmp/flatflash-sim -openloop -trace-out "$obs_dir/x" > /dev/null 2>&1 || rc=$?
+"$sim" -openloop -trace-out "$obs_dir/x" > /dev/null 2>&1 || rc=$?
 [ "$rc" = 2 ] || { echo "flatflash-sim -openloop -trace-out exited $rc, want 2"; exit 1; }
 rm -rf "$obs_dir"
-trap - EXIT
 echo "observability smoke ok"
 
 echo "== open-loop golden smoke =="
@@ -265,9 +270,10 @@ echo "== open-loop golden smoke =="
 # dumps byte for byte. The golden's dump paths are relative, so the run
 # happens in a scratch directory.
 ol_golden="$PWD/internal/fleet/testdata/openloop"
-ol_dir=$(mktemp -d)
+ol_dir="$scratch/openloop"
+mkdir "$ol_dir"
 # shellcheck disable=SC2046 # the args file is split into flags on purpose
-(cd "$ol_dir" && /tmp/flatflash-sim $(cat "$ol_golden/obs.args") > obs.stdout)
+(cd "$ol_dir" && "$sim" $(cat "$ol_golden/obs.args") > obs.stdout)
 cmp "$ol_dir/obs.stdout" "$ol_golden/obs.stdout" || {
     echo "open-loop stdout differs from the golden"; exit 1; }
 cmp "$ol_dir/latency.jsonl" "$ol_golden/obs.latency.jsonl" || {
@@ -282,17 +288,17 @@ echo "== fleet smoke =="
 # counts (the grid runs on GOMAXPROCS workers) — the fleet determinism
 # contract, end to end through the real CLI.
 fleet_run() {
-    GOMAXPROCS="$1" /tmp/flatflash-bench fleet -shards 1,2 -rates 50000,400000 -seeds 1 \
+    GOMAXPROCS="$1" "$bench" fleet -shards 1,2 -rates 50000,400000 -seeds 1 \
         -ops 800 -region 262144 -slo 400us
 }
-fleet_run 2 > /tmp/fleet_run1.txt
-fleet_run 2 > /tmp/fleet_run2.txt
-fleet_run 1 > /tmp/fleet_seq.txt
-cmp /tmp/fleet_run1.txt /tmp/fleet_run2.txt || {
+fleet_run 2 > "$scratch/fleet_run1.txt"
+fleet_run 2 > "$scratch/fleet_run2.txt"
+fleet_run 1 > "$scratch/fleet_seq.txt"
+cmp "$scratch/fleet_run1.txt" "$scratch/fleet_run2.txt" || {
     echo "fleet reports differ across same-seed runs"; exit 1; }
-cmp /tmp/fleet_run1.txt /tmp/fleet_seq.txt || {
+cmp "$scratch/fleet_run1.txt" "$scratch/fleet_seq.txt" || {
     echo "fleet reports differ between GOMAXPROCS=2 and =1"; exit 1; }
-grep -q "fleet sweep points=4" /tmp/fleet_run1.txt || {
+grep -q "fleet sweep points=4" "$scratch/fleet_run1.txt" || {
     echo "fleet report missing sweep header"; exit 1; }
 echo "fleet smoke ok"
 
@@ -306,20 +312,20 @@ echo "== parallel fan-out smoke =="
 # own directory, so the stdout lines naming them compare equal too.
 fanout_exps="fig10 fig11 fig13 fig14 table1 consolidate fleet"
 for procs in 1 4; do
-    cells_dir="/tmp/fanout_cells_$procs"
+    cells_dir="$scratch/fanout_cells_$procs"
     rm -rf "$cells_dir"
     mkdir -p "$cells_dir"
     # shellcheck disable=SC2086 # the experiment list is split on purpose
     (cd "$cells_dir" &&
-        GOMAXPROCS=$procs /tmp/flatflash-bench -quick $fanout_exps > plain.txt &&
-        GOMAXPROCS=$procs /tmp/flatflash-bench -quick -slo 4us -latency-out latency.jsonl \
+        GOMAXPROCS=$procs "$bench" -quick $fanout_exps > plain.txt &&
+        GOMAXPROCS=$procs "$bench" -quick -slo 4us -latency-out latency.jsonl \
             -flight-out flight.jsonl $fanout_exps > obs.txt &&
-        GOMAXPROCS=$procs /tmp/flatflash-bench consolidate > consolidate.txt &&
-        GOMAXPROCS=$procs /tmp/flatflash-bench fleet > fleet.txt)
+        GOMAXPROCS=$procs "$bench" consolidate > consolidate.txt &&
+        GOMAXPROCS=$procs "$bench" fleet > fleet.txt)
 done
 for f in plain.txt obs.txt latency.jsonl flight.jsonl consolidate.txt fleet.txt; do
-    [ -s "/tmp/fanout_cells_1/$f" ] || { echo "fan-out smoke: $f is empty"; exit 1; }
-    cmp "/tmp/fanout_cells_1/$f" "/tmp/fanout_cells_4/$f" || {
+    [ -s "$scratch/fanout_cells_1/$f" ] || { echo "fan-out smoke: $f is empty"; exit 1; }
+    cmp "$scratch/fanout_cells_1/$f" "$scratch/fanout_cells_4/$f" || {
         echo "fan-out smoke: $f differs between GOMAXPROCS=1 and =4"; exit 1; }
 done
 echo "parallel fan-out smoke ok"
@@ -334,25 +340,25 @@ echo "== demand map smoke =="
 go test -count=1 -run 'TestDemandEquivalence' ./internal/ftl
 go test -count=1 -run 'TestDemandModeDataEquivalence' ./internal/core
 map_run() {
-    /tmp/flatflash-sim -kind flatflash -pattern zipf -ops 4000 -seed 7 -map-cache 4
+    "$sim" -kind flatflash -pattern zipf -ops 4000 -seed 7 -map-cache 4
 }
-map_run > /tmp/map_run1.txt
-map_run > /tmp/map_run2.txt
-cmp /tmp/map_run1.txt /tmp/map_run2.txt || {
+map_run > "$scratch/map_run1.txt"
+map_run > "$scratch/map_run2.txt"
+cmp "$scratch/map_run1.txt" "$scratch/map_run2.txt" || {
     echo "demand-mode reports differ across same-seed runs"; exit 1; }
 for counter in map_cache_hits map_cache_misses map_fetches flash_trans_programs; do
-    grep -q "$counter" /tmp/map_run1.txt || {
+    grep -q "$counter" "$scratch/map_run1.txt" || {
         echo "demand-mode report missing $counter"; exit 1; }
 done
-/tmp/flatflash-sim -kind flatflash -pattern zipf -ops 4000 -seed 7 > /tmp/map_off.txt
-if grep -q "map_cache" /tmp/map_off.txt; then
+"$sim" -kind flatflash -pattern zipf -ops 4000 -seed 7 > "$scratch/map_off.txt"
+if grep -q "map_cache" "$scratch/map_off.txt"; then
     echo "default mode leaked map counters into the report"; exit 1
 fi
-/tmp/flatflash-bench crashsweep -points 6 -map-cache 4 > /tmp/map_cs.txt || {
+"$bench" crashsweep -points 6 -map-cache 4 > "$scratch/map_cs.txt" || {
     echo "demand-mode crash sweep found violations"; exit 1; }
-grep -q "violations=0" /tmp/map_cs.txt || {
+grep -q "violations=0" "$scratch/map_cs.txt" || {
     echo "demand-mode crash sweep report lacks violations=0"; exit 1; }
-grep -q "gtd_partial=1" /tmp/map_cs.txt || {
+grep -q "gtd_partial=1" "$scratch/map_cs.txt" || {
     echo "demand-mode crash sweep never used GTD partial-scan recovery"; exit 1; }
 echo "demand map smoke ok"
 
@@ -362,8 +368,8 @@ echo "== reachability smoke =="
 # and a linked package that ran not one statement fails the gate: its code
 # backs no report. Packages with no statements are exempt (covdata prints
 # no percentage for them).
-reach_dir=$(mktemp -d)
-trap 'rm -rf "$reach_dir"' EXIT
+reach_dir="$scratch/reach"
+mkdir "$reach_dir"
 go build -cover -o "$reach_dir/flatflash-bench" ./cmd/flatflash-bench
 go build -cover -o "$reach_dir/flatflash-sim" ./cmd/flatflash-sim
 mkdir "$reach_dir/cov"
@@ -391,7 +397,6 @@ low = min(pcts, key=lambda p: float(p[1]))
 print("reachability smoke ok (%d packages reached; lowest %s at %s%%)" % (len(pcts), low[0], low[1]))
 EOF
 rm -rf "$reach_dir"
-trap - EXIT
 
 echo "== coverage floors =="
 # Safety-critical packages keep a per-package statement-coverage floor: the
