@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"flatflash/internal/alloctest"
 	"flatflash/internal/sim"
 )
 
@@ -222,21 +223,17 @@ func TestSteadyStateDRAMHitZeroAllocs(t *testing.T) {
 	}
 	h, addr := warmDRAMHit(t)
 	buf := make([]byte, 64)
-	if avg := testing.AllocsPerRun(200, func() {
+	alloctest.Exact(t, 1000, 0, func() {
 		if _, err := h.Read(addr, buf); err != nil {
 			t.Fatal(err)
 		}
-	}); avg != 0 {
-		t.Fatalf("steady-state DRAM-hit read allocates %.1f objects/op, want 0", avg)
-	}
+	})
 	page := make([]byte, 4096)
-	if avg := testing.AllocsPerRun(200, func() {
+	alloctest.Exact(t, 1000, 0, func() {
 		if _, err := h.Read(addr, page); err != nil {
 			t.Fatal(err)
 		}
-	}); avg != 0 {
-		t.Fatalf("steady-state DRAM-hit page read allocates %.1f objects/op, want 0", avg)
-	}
+	})
 }
 
 // TestSteadyStateSSDCacheMissZeroAllocs: a steady-state SSD-Cache miss

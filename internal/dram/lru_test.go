@@ -3,6 +3,7 @@ package dram
 import (
 	"testing"
 
+	"flatflash/internal/alloctest"
 	"flatflash/internal/sim"
 )
 
@@ -149,7 +150,7 @@ func TestChurnZeroAllocSteadyState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if avg := testing.AllocsPerRun(1000, func() {
+	alloctest.Exact(t, 1000, 0, func() {
 		f, err := d.Alloc()
 		if err != nil {
 			t.Fatal(err)
@@ -164,7 +165,5 @@ func TestChurnZeroAllocSteadyState(t *testing.T) {
 		if err := d.Release(c); err != nil {
 			t.Fatal(err)
 		}
-	}); avg != 0 {
-		t.Fatalf("steady-state churn allocates %.2f objects/op, want 0", avg)
-	}
+	})
 }

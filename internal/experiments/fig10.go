@@ -15,8 +15,9 @@ type graphSpec struct {
 	seed      uint64
 }
 
-// The Twitter and Friendster graphs scaled down (same ~24-27 average degree
-// and power-law shape; Friendster slightly larger, as in the paper).
+// The Twitter and Friendster graphs scaled down: the same power-law shape,
+// Friendster slightly larger as in the paper, and average degrees 12 and
+// 13, about half the paper's ~24–27.
 func graphSpecs(scale Scale) []graphSpec {
 	v := scale.pick(4000, 12000)
 	return []graphSpec{

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"flatflash/internal/alloctest"
 	"flatflash/internal/flash"
 	"flatflash/internal/sim"
 )
@@ -300,7 +301,7 @@ func TestHitPathZeroAllocs(t *testing.T) {
 	}
 	c := warmedCache(t)
 	tvpn := uint32(0)
-	if avg := testing.AllocsPerRun(200, func() {
+	alloctest.Exact(t, 1000, 0, func() {
 		if !c.Lookup(tvpn) {
 			t.Fatal("warmed page missed")
 		}
@@ -309,9 +310,7 @@ func TestHitPathZeroAllocs(t *testing.T) {
 		}
 		c.Clean(tvpn)
 		tvpn = (tvpn + 1) % 8
-	}); avg != 0 {
-		t.Fatalf("hit path allocates %.1f objects/op, want 0", avg)
-	}
+	})
 }
 
 // BenchmarkMapCacheHit measures the steady-state resident-lookup path.

@@ -14,13 +14,18 @@
 //
 // The simulator models background copying as linear progress over the
 // promotion latency (12.1 µs for a 4 KB page, Table 2): cache line i lands
-// at start + (i+1)·(latency/linesPerPage), materialized lazily on access
-// and at completion.
+// at start + (i+1)·(latency/linesPerPage). Start writes the whole source
+// page into the DRAM frame at once, so a line the copy has not reached
+// already holds its SSD-side bytes there; the bit vectors carry only
+// routing (which latency an access pays) and timing (which inbound lines
+// are dropped).
 package plb
 
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"flatflash/internal/sim"
 	"flatflash/internal/telemetry"
@@ -67,17 +72,14 @@ func (c Config) Validate() error {
 }
 
 type entry struct {
-	valid    bool
 	lpn      uint32 // SSD tag
 	frame    int    // Mem tag
 	copied   uint64 // Copied-CL bit vector: line is in host DRAM
 	byCPU    uint64 // lines whose DRAM copy came from a CPU store
 	start    sim.Time
 	deadline sim.Time
-	perLine  sim.Duration
-	src      []byte // snapshot of the page on the SSD side
 	dst      []byte // destination DRAM frame buffer
-	dirty    bool   // snapshot was dirty, or a store hit the page in flight
+	dirty    bool   // source was dirty, or a store hit the page in flight
 }
 
 // Completion reports a finished promotion so the caller can update the PTE
@@ -96,12 +98,18 @@ type Completion struct {
 type PLB struct {
 	cfg     Config
 	entries []entry
+	// busy has bit i%64 of word i/64 set while entries[i] holds a flight.
+	// Lookups and polls walk its set bits, so they visit occupied slots
+	// only, in slot order; a walk holds a copy of each word, so the slots it
+	// frees do not disturb it.
+	busy    []uint64
 	nLines  int
+	perLine sim.Duration
 	obs     *telemetry.Sink // nil when instrumentation is disabled
 
-	// pending counts valid entries and nextDeadline is the earliest deadline
-	// among them, so Expired — polled on every access — is a two-compare
-	// no-op while nothing can have completed, instead of an entry scan.
+	// pending counts occupied entries and nextDeadline is the earliest
+	// deadline among them, so Expired — polled on every access — is a
+	// two-compare no-op while nothing can have completed.
 	pending      int
 	nextDeadline sim.Time
 
@@ -121,10 +129,13 @@ func New(cfg Config) (*PLB, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	nLines := cfg.PageSize / cfg.CacheLineSize
 	return &PLB{
 		cfg:     cfg,
 		entries: make([]entry, cfg.Entries),
-		nLines:  cfg.PageSize / cfg.CacheLineSize,
+		busy:    make([]uint64, (cfg.Entries+63)/64),
+		nLines:  nLines,
+		perLine: cfg.PromotionLatency / sim.Duration(nLines),
 	}, nil
 }
 
@@ -138,17 +149,6 @@ func (p *PLB) Config() Config { return p.cfg }
 // charge lands on the background account. A nil sink disables it.
 func (p *PLB) SetSink(s *telemetry.Sink) { p.obs = s }
 
-// Free reports how many entries are available.
-func (p *PLB) Free() int {
-	n := 0
-	for i := range p.entries {
-		if !p.entries[i].valid {
-			n++
-		}
-	}
-	return n
-}
-
 // InFlight reports whether lpn is currently being promoted.
 func (p *PLB) InFlight(lpn uint32) bool {
 	return p.find(lpn) != nil
@@ -159,19 +159,22 @@ func (p *PLB) find(lpn uint32) *entry {
 	if p.pending == 0 {
 		return nil
 	}
-	for i := range p.entries {
-		if p.entries[i].valid && p.entries[i].lpn == lpn {
-			return &p.entries[i]
+	for w, word := range p.busy {
+		for ; word != 0; word &= word - 1 {
+			if e := &p.entries[w<<6|bits.TrailingZeros64(word)]; e.lpn == lpn {
+				return e
+			}
 		}
 	}
 	return nil
 }
 
-// Start begins promoting page lpn into DRAM frame frame. src is the page's
-// current SSD-side contents (snapshotted); dst is the DRAM frame buffer the
-// lines are copied into. srcDirty records that the SSD-side copy was newer
-// than flash. The promotion completes PromotionLatency later; Expired must
-// be polled to finalize it.
+// Start begins promoting page lpn into DRAM frame frame: src, the page's
+// current SSD-side contents, is copied into dst, the DRAM frame buffer, so
+// src need only be valid for the call. srcDirty records that the SSD-side
+// copy was newer than flash. On an error dst is left untouched. The
+// promotion completes PromotionLatency later; Expired must be polled to
+// finalize it.
 func (p *PLB) Start(now sim.Time, lpn uint32, frame int, src, dst []byte, srcDirty bool) error {
 	if len(src) != p.cfg.PageSize || len(dst) != p.cfg.PageSize {
 		return ErrBadBuffer
@@ -179,70 +182,50 @@ func (p *PLB) Start(now sim.Time, lpn uint32, frame int, src, dst []byte, srcDir
 	if p.find(lpn) != nil {
 		return ErrInFlight
 	}
-	var slot *entry
-	for i := range p.entries {
-		if !p.entries[i].valid {
-			slot = &p.entries[i]
-			break
-		}
-	}
-	if slot == nil {
+	if p.pending == len(p.entries) {
 		return ErrFull
 	}
-	// Reuse the slot's snapshot buffer from its previous flight; every byte
-	// is overwritten by the copy below.
-	snap := slot.src
-	if snap == nil {
-		snap = make([]byte, p.cfg.PageSize)
+	// The lowest free slot: every word before it is full, and bits past
+	// the last entry stay clear, so it lies below len(p.entries).
+	w := 0
+	for p.busy[w] == math.MaxUint64 {
+		w++
 	}
-	copy(snap, src)
-	*slot = entry{
-		valid:    true,
+	i := w<<6 | bits.TrailingZeros64(^p.busy[w])
+	p.busy[w] |= uint64(1) << uint(i&63)
+	copy(dst, src)
+	e := &p.entries[i]
+	*e = entry{
 		lpn:      lpn,
 		frame:    frame,
 		start:    now,
 		deadline: now.Add(p.cfg.PromotionLatency),
-		perLine:  p.cfg.PromotionLatency / sim.Duration(p.nLines),
-		src:      snap,
 		dst:      dst,
 		dirty:    srcDirty,
 	}
-	if p.pending == 0 || slot.deadline.Before(p.nextDeadline) {
-		p.nextDeadline = slot.deadline
+	if p.pending == 0 || e.deadline.Before(p.nextDeadline) {
+		p.nextDeadline = e.deadline
 	}
 	p.pending++
 	p.started++
-	p.obs.Observe(telemetry.SpanPromotion, telemetry.TrackPromo, now, slot.deadline, int64(lpn))
+	p.obs.Observe(telemetry.SpanPromotion, telemetry.TrackPromo, now, e.deadline, int64(lpn))
 	return nil
 }
 
-// progress materializes the background copy up to time now: every line whose
-// scheduled arrival has passed and that the CPU has not already written is
-// copied from the SSD snapshot into the DRAM frame. Inbound lines that find
-// their Copied-CL bit already set are dropped (Figure 4c).
+// progress lands the background copy up to time now: lines [0, done) have
+// arrived and get their Copied-CL bit. An arriving line whose bit a CPU
+// store already set is dropped (Figure 4c) and counted once. The frame
+// already holds every line's bytes, and byCPU ⊆ copied, so three mask
+// operations stand for the line-by-line copy.
 //
 //flatflash:hotpath
 func (p *PLB) progress(e *entry, now sim.Time) {
-	elapsed := now.Sub(e.start)
-	done := int(elapsed / e.perLine)
-	if done > p.nLines {
-		done = p.nLines
-	}
-	for i := 0; i < done; i++ {
-		bit := uint64(1) << uint(i)
-		if e.copied&bit != 0 {
-			if e.byCPU&bit != 0 {
-				// The inbound CL from the SSD is discarded: the CPU's
-				// store already placed the newest data in DRAM.
-				p.droppedInbound++
-				e.byCPU &^= bit // count the drop once
-			}
-			continue
-		}
-		off := i * p.cfg.CacheLineSize
-		copy(e.dst[off:off+p.cfg.CacheLineSize], e.src[off:off+p.cfg.CacheLineSize])
-		e.copied |= bit
-	}
+	// A tenant clock behind the flight's start has seen no line arrive.
+	done := min(max(int(now.Sub(e.start)/p.perLine), 0), p.nLines)
+	arrived := uint64(1)<<uint(done) - 1 // all ones when done is 64
+	p.droppedInbound += int64(bits.OnesCount64(e.byCPU & arrived))
+	e.byCPU &^= arrived
+	e.copied |= arrived
 }
 
 // Route describes where an access to an in-flight page was served.
@@ -281,24 +264,21 @@ func (p *PLB) Access(now sim.Time, lpn uint32, off int, buf []byte, isStore bool
 	if isStore {
 		// Figure 4b: the store sets the Copied-CL bit and is redirected to
 		// host DRAM via the Mem tag. CPU requests win over inbound copies.
-		// A store narrower than the line pulls the rest of the line with it
-		// (the CPU evicts whole cache lines).
-		if e.copied&bit == 0 {
-			lo := line * p.cfg.CacheLineSize
-			copy(e.dst[lo:lo+p.cfg.CacheLineSize], e.src[lo:lo+p.cfg.CacheLineSize])
-		}
-		copy(e.dst[off:off+len(buf)], buf)
+		// The rest of the line is already in the frame (the CPU evicts
+		// whole cache lines).
+		copy(e.dst[off:], buf)
 		e.copied |= bit
 		e.byCPU |= bit
 		e.dirty = true
 		p.redirectedStores++
 		return RouteDRAM
 	}
+	// A line the copy has not reached holds its SSD-side bytes in the
+	// frame; only the latency differs.
+	copy(buf, e.dst[off:off+len(buf)])
 	if e.copied&bit != 0 {
-		copy(buf, e.dst[off:off+len(buf)])
 		return RouteDRAM
 	}
-	copy(buf, e.src[off:off+len(buf)])
 	return RouteSSD
 }
 
@@ -309,56 +289,46 @@ func (p *PLB) Access(now sim.Time, lpn uint32, off int, buf []byte, isStore bool
 //flatflash:hotpath
 func (p *PLB) Pending() int { return p.pending }
 
-// clearEntry invalidates e but keeps its snapshot buffer for the slot's next
-// flight.
-func (p *PLB) clearEntry(e *entry) {
-	src := e.src
-	*e = entry{}
-	e.src = src
+// release frees slot i.
+func (p *PLB) release(i int) {
+	p.entries[i] = entry{}
+	p.busy[i>>6] &^= uint64(1) << uint(i&63)
 	p.pending--
 }
 
-// retarget recomputes the earliest deadline among remaining flights after
-// completions freed entries.
-func (p *PLB) retarget() {
-	if p.pending == 0 {
-		return
-	}
-	first := true
-	for i := range p.entries {
-		e := &p.entries[i]
-		if !e.valid {
-			continue
-		}
-		if first || e.deadline.Before(p.nextDeadline) {
-			p.nextDeadline = e.deadline
-			first = false
-		}
-	}
+// complete finalizes slot i's flight at time at: its remaining inbound
+// lines land, the slot is freed, and the Completion is appended to out.
+func (p *PLB) complete(out []Completion, i int, at sim.Time) []Completion {
+	e := &p.entries[i]
+	p.droppedInbound += int64(bits.OnesCount64(e.byCPU))
+	out = append(out, Completion{LPN: e.lpn, Frame: e.frame, Deadline: at, Dirty: e.dirty})
+	p.obs.Observe(telemetry.EvPromoteComplete, telemetry.TrackPromo, at, at, int64(e.lpn))
+	p.release(i)
+	p.completed++
+	return out
 }
 
-// Expired finalizes every promotion whose deadline has passed: remaining
-// lines are copied into the frame, the entry is freed for reuse, and a
-// Completion is returned so the caller can update the PTE and TLB. While no
-// deadline has been reached it returns nil without scanning the entries.
-// The returned slice is valid until the next Expired or Flush call.
+// Expired finalizes every promotion whose deadline has passed: the entry is
+// freed for reuse and a Completion is returned so the caller can update the
+// PTE and TLB. While no deadline has been reached it returns nil without
+// visiting the entries. The returned slice is valid until the next Expired
+// or Flush call.
 func (p *PLB) Expired(now sim.Time) []Completion {
 	if p.pending == 0 || p.nextDeadline.After(now) {
 		return nil
 	}
 	out := p.scratch[:0]
-	for i := range p.entries {
-		e := &p.entries[i]
-		if !e.valid || e.deadline.After(now) {
-			continue
+	p.nextDeadline = math.MaxInt64
+	for w, word := range p.busy {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			if d := p.entries[i].deadline; d.After(now) {
+				p.nextDeadline = min(p.nextDeadline, d)
+			} else {
+				out = p.complete(out, i, d)
+			}
 		}
-		p.progress(e, e.deadline.Add(p.cfg.PromotionLatency)) // force all lines
-		out = append(out, Completion{LPN: e.lpn, Frame: e.frame, Deadline: e.deadline, Dirty: e.dirty})
-		p.obs.Observe(telemetry.EvPromoteComplete, telemetry.TrackPromo, e.deadline, e.deadline, int64(e.lpn))
-		p.clearEntry(e)
-		p.completed++
 	}
-	p.retarget()
 	p.scratch = out
 	return out
 }
@@ -368,17 +338,11 @@ func (p *PLB) Expired(now sim.Time) []Completion {
 // returned slice is valid until the next Expired or Flush call.
 func (p *PLB) Flush(now sim.Time) []Completion {
 	out := p.scratch[:0]
-	for i := range p.entries {
-		e := &p.entries[i]
-		if !e.valid {
-			continue
+	for w, word := range p.busy {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			out = p.complete(out, i, p.entries[i].deadline.Max(now))
 		}
-		p.progress(e, e.deadline.Add(p.cfg.PromotionLatency))
-		at := e.deadline.Max(now)
-		out = append(out, Completion{LPN: e.lpn, Frame: e.frame, Deadline: at, Dirty: e.dirty})
-		p.obs.Observe(telemetry.EvPromoteComplete, telemetry.TrackPromo, at, at, int64(e.lpn))
-		p.clearEntry(e)
-		p.completed++
 	}
 	p.scratch = out
 	return out
@@ -393,19 +357,17 @@ type Aborted struct {
 // AbortAll discards every in-flight promotion without completing it: the PLB
 // lives in the host bridge, outside the SSD's persistence domain, so a power
 // loss simply loses the flights. The page's durable home remains the SSD
-// side (the SSD-Cache snapshot or flash), and partially-copied DRAM frames
-// are abandoned. The freed frames are returned so the caller can reclaim
-// them.
+// side (the SSD-Cache snapshot or flash), and the DRAM frames are
+// abandoned. The freed frames are returned so the caller can reclaim them.
 func (p *PLB) AbortAll() []Aborted {
 	var out []Aborted
-	for i := range p.entries {
-		e := &p.entries[i]
-		if !e.valid {
-			continue
+	for w, word := range p.busy {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			out = append(out, Aborted{LPN: p.entries[i].lpn, Frame: p.entries[i].frame})
+			p.release(i)
+			p.aborted++
 		}
-		out = append(out, Aborted{LPN: e.lpn, Frame: e.frame})
-		p.clearEntry(e)
-		p.aborted++
 	}
 	return out
 }

@@ -60,8 +60,8 @@ func TestStartErrors(t *testing.T) {
 	if err := p.Start(0, 9, 9, src, mkPage(0, 256), false); err != ErrFull {
 		t.Fatalf("full err = %v", err)
 	}
-	if p.Free() != 0 {
-		t.Fatalf("free = %d", p.Free())
+	if p.Pending() != 4 {
+		t.Fatalf("pending = %d", p.Pending())
 	}
 }
 
@@ -188,7 +188,7 @@ func TestFlushCompletesEverything(t *testing.T) {
 			t.Fatalf("frame %d not fully copied", i)
 		}
 	}
-	if p.Free() != 4 {
+	if p.Pending() != 0 {
 		t.Fatal("entries not freed")
 	}
 }
@@ -229,8 +229,8 @@ func TestPromotionConsistencyProperty(t *testing.T) {
 	}
 }
 
-// A store narrower than a cache line during flight must pull the rest of
-// its line from the SSD snapshot (partial stores must not zero the line).
+// A store narrower than a cache line during flight must keep the rest of
+// its line's SSD-side bytes (partial stores must not zero the line).
 func TestPartialStoreDuringFlightKeepsLine(t *testing.T) {
 	p, _ := New(testConfig())
 	src, dst := mkPage(0x55, 256), mkPage(0, 256)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"flatflash/internal/alloctest"
 	"flatflash/internal/sim"
 )
 
@@ -67,10 +68,11 @@ func TestPendingAndWatermark(t *testing.T) {
 	}
 }
 
-// TestSnapshotBufferReuse exercises the slot snapshot-buffer recycling:
-// back-to-back flights through the same slot must still deliver each flight's
-// own data, with no bleed-through from the previous snapshot.
-func TestSnapshotBufferReuse(t *testing.T) {
+// TestStartCopiesSource: Start copies the source page into the frame, so a
+// caller that reuses src right after Start (as the hierarchy does with the
+// SSD-Cache buffer it has just freed) cannot reach the flight. Back-to-back
+// flights through the same slot each deliver their own data.
+func TestStartCopiesSource(t *testing.T) {
 	p, err := New(smallConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -79,6 +81,7 @@ func TestSnapshotBufferReuse(t *testing.T) {
 	page := p.Config().PageSize
 	src := make([]byte, page)
 	dst := make([]byte, page)
+	buf := make([]byte, 8)
 	now := sim.Time(0)
 	for flight := 0; flight < 5; flight++ {
 		for i := range src {
@@ -87,10 +90,17 @@ func TestSnapshotBufferReuse(t *testing.T) {
 		if err := p.Start(now, uint32(flight), flight, src, dst, false); err != nil {
 			t.Fatal(err)
 		}
-		// Mutating the caller's buffer after Start must not leak into the
-		// flight: the PLB snapshotted it.
 		for i := range src {
 			src[i] = 0xEE
+		}
+		// A load before any line has arrived is served from the SSD side
+		// with the bytes src held at Start.
+		off := page - len(buf)
+		if r := p.Access(now, uint32(flight), off, buf, false); r != RouteSSD {
+			t.Fatalf("flight %d: early load routed %v, want RouteSSD", flight, r)
+		}
+		if buf[0] != byte(flight+off) {
+			t.Fatalf("flight %d: early load read %#x, want %#x", flight, buf[0], byte(flight+off))
 		}
 		now = now.Add(lat)
 		done := p.Expired(now)
@@ -105,6 +115,24 @@ func TestSnapshotBufferReuse(t *testing.T) {
 	}
 }
 
+// TestFlightZeroAlloc: a whole flight — Start, a load of every line as the
+// copy progresses, and the Expired poll that completes it — allocates
+// nothing once the completion scratch exists.
+func TestFlightZeroAlloc(t *testing.T) {
+	if sim.RaceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	p, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var now sim.Time
+	flight := newFlight(t, p)
+	alloctest.Exact(t, 1000, 0, func() {
+		now = flight(now)
+	})
+}
+
 // TestExpiredPollZeroAlloc is the hot-path budget: the per-access Expired
 // poll must not allocate, whether the PLB is empty or has flights whose
 // deadlines are still in the future.
@@ -116,26 +144,22 @@ func TestExpiredPollZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if avg := testing.AllocsPerRun(1000, func() {
+	alloctest.Exact(t, 1000, 0, func() {
 		if p.Expired(sim.Time(1)) != nil {
 			t.Fatal("unexpected completion")
 		}
-	}); avg != 0 {
-		t.Fatalf("empty-PLB Expired allocates %.2f objects/op, want 0", avg)
-	}
+	})
 	page := p.Config().PageSize
 	src := bytes.Repeat([]byte{1}, page)
 	dst := make([]byte, page)
 	if err := p.Start(sim.Time(0), 7, 3, src, dst, false); err != nil {
 		t.Fatal(err)
 	}
-	if avg := testing.AllocsPerRun(1000, func() {
+	alloctest.Exact(t, 1000, 0, func() {
 		if p.Expired(sim.Time(1)) != nil {
 			t.Fatal("unexpected completion")
 		}
-	}); avg != 0 {
-		t.Fatalf("in-flight Expired poll allocates %.2f objects/op, want 0", avg)
-	}
+	})
 }
 
 // TestIdleAccessCountsLookup: with nothing in flight, Access routes nowhere
@@ -162,7 +186,8 @@ func TestIdleAccessCountsLookup(t *testing.T) {
 
 // BenchmarkPLBAccess times one 8 B load through Access at the default 64
 // entries: idle (nothing in flight, the common case) and inflight (one other
-// page mid-promotion, so the lookup scans and misses).
+// page mid-promotion, so the lookup visits its one occupied slot and
+// misses).
 func BenchmarkPLBAccess(b *testing.B) {
 	for _, inflight := range []bool{false, true} {
 		name := "idle"
@@ -189,5 +214,49 @@ func BenchmarkPLBAccess(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// newFlight returns a function that runs one whole flight through p from
+// time now and returns the time it completed: Start, a load of every line,
+// spread evenly over the flight, and the Expired poll at the deadline.
+func newFlight(tb testing.TB, p *PLB) func(now sim.Time) sim.Time {
+	cfg := p.Config()
+	src := bytes.Repeat([]byte{1}, cfg.PageSize)
+	dst := make([]byte, cfg.PageSize)
+	buf := make([]byte, cfg.CacheLineSize)
+	lines := cfg.PageSize / cfg.CacheLineSize
+	step := cfg.PromotionLatency / sim.Duration(lines)
+	return func(now sim.Time) sim.Time {
+		if err := p.Start(now, 1, 0, src, dst, false); err != nil {
+			tb.Fatal(err)
+		}
+		for line := 0; line < lines; line++ {
+			if p.Access(now.Add(sim.Duration(line)*step), 1, line*cfg.CacheLineSize, buf, false) == RouteNone {
+				tb.Fatal("load of an in-flight page not routed")
+			}
+		}
+		now = now.Add(cfg.PromotionLatency)
+		if len(p.Expired(now)) != 1 {
+			tb.Fatal("flight did not complete at its deadline")
+		}
+		return now
+	}
+}
+
+// BenchmarkPromotionFlight times one whole flight at the default geometry
+// (64 lines of 64 B): Start, 64 line loads spread over the flight, then the
+// Expired poll that completes it.
+func BenchmarkPromotionFlight(b *testing.B) {
+	p, err := New(DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	flight := newFlight(b, p)
+	var now sim.Time
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now = flight(now)
 	}
 }

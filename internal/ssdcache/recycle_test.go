@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"flatflash/internal/alloctest"
 	"flatflash/internal/sim"
 )
 
@@ -184,15 +185,13 @@ func TestInsertChurnZeroAllocSteadyState(t *testing.T) {
 	for ; lpn < 5; lpn++ {
 		c.Insert(lpn, fill, false)
 	}
-	if avg := testing.AllocsPerRun(1000, func() {
+	alloctest.Exact(t, 1000, 0, func() {
 		if _, v, ok := c.Insert(lpn, fill, lpn%2 == 0); ok && v.Dirty {
 			c.Give(v.Data)
 		}
 		lpn++
-	}); avg != 0 {
-		t.Fatalf("steady-state insert allocates %.2f objects/op, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(1000, func() {
+	})
+	alloctest.Exact(t, 1000, 0, func() {
 		e, v, ok := c.InsertShared(lpn, fill)
 		if ok && v.Dirty {
 			c.Give(v.Data)
@@ -200,9 +199,7 @@ func TestInsertChurnZeroAllocSteadyState(t *testing.T) {
 		c.Own(e)
 		e.Dirty = true
 		lpn++
-	}); avg != 0 {
-		t.Fatalf("steady-state shared fill and write allocates %.2f objects/op, want 0", avg)
-	}
+	})
 }
 
 // BenchmarkCacheMissFill times the SSD-Cache half of a miss fill at a 4 KiB

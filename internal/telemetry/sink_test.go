@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"flatflash/internal/alloctest"
 	"flatflash/internal/sim"
 )
 
@@ -140,13 +141,11 @@ func TestSinkObserveZeroAlloc(t *testing.T) {
 	s, _, _, att := newFullSink()
 	acct := att.Account("tenant0")
 	att.Begin(acct)
-	if avg := testing.AllocsPerRun(1000, func() {
+	alloctest.Exact(t, 1000, 0, func() {
 		s.Observe(SpanDRAM, TrackCPU, 0, 50, 3)
 		s.Observe(EvCacheHit, TrackSSD, 50, 60, 4)
 		s.Observe(ChargeNAND, TrackFlash, 60, 90, 5)
-	}); avg != 0 {
-		t.Fatalf("Observe with all consumers allocates %.1f objects/op, want 0", avg)
-	}
+	})
 }
 
 // BenchmarkSinkObserve measures one Observe of a traced, charged kind (the

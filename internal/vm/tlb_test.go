@@ -3,6 +3,7 @@ package vm
 import (
 	"testing"
 
+	"flatflash/internal/alloctest"
 	"flatflash/internal/sim"
 )
 
@@ -147,14 +148,12 @@ func TestTranslateZeroAllocSteadyState(t *testing.T) {
 		}
 	}
 	var vpn uint64
-	if avg := testing.AllocsPerRun(1000, func() {
+	alloctest.Exact(t, 1000, 0, func() {
 		if _, _, err := a.Translate(vpn % 256); err != nil {
 			t.Fatal(err)
 		}
 		vpn += 3 // mix of hits and miss+evict cycles
-	}); avg != 0 {
-		t.Fatalf("Translate allocates %.2f objects/op at steady state, want 0", avg)
-	}
+	})
 }
 
 // BenchmarkTranslateHit times a TLB-hit translation over a working set that

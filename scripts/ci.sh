@@ -149,6 +149,34 @@ grep -q -- "--- FAIL: TestHierarchyShadowMemoryProperty" "$scratch/mutant.txt" |
 }
 rm -rf "$mutant_dir"
 echo "mutant smoke ok (core tests caught the stripped Own)"
+# The allocation budgets count every allocation of their 1,000 calls. Seed
+# an amortised append into DRAM.Touch in a fresh scratch copy: it
+# allocates on only a handful of those calls, which a per-call average
+# truncated to an integer reads as 0, and the dram budget must still fail.
+mutant_dir="$scratch/mutant"
+mkdir "$mutant_dir"
+tar --exclude=.git -cf - . | (cd "$mutant_dir" && tar -xf -)
+python3 - "$mutant_dir/internal/dram/dram.go" <<'EOF'
+import sys
+path = sys.argv[1]
+src = open(path).read()
+old = "func (d *DRAM) Touch(f int) (sim.Duration, error) {\n"
+if old not in src:
+    sys.exit("mutant smoke: no DRAM.Touch in dram.go")
+src = src.replace(old, "var touched []int\n\n" + old + "\ttouched = append(touched, f)\n", 1)
+open(path, "w").write(src)
+EOF
+if (cd "$mutant_dir" && go test -count=1 -run '^TestChurnZeroAllocSteadyState$' ./internal/dram > "$scratch/mutant.txt" 2>&1); then
+    echo "mutant smoke FAILED: the dram allocation budget passed an amortised append in Touch"
+    exit 1
+fi
+grep -q -- "--- FAIL: TestChurnZeroAllocSteadyState" "$scratch/mutant.txt" || {
+    echo "mutant smoke FAILED: the dram allocation budget did not fail as expected:"
+    cat "$scratch/mutant.txt"
+    exit 1
+}
+rm -rf "$mutant_dir"
+echo "mutant smoke ok (the dram allocation budget caught an amortised append)"
 
 echo "== go test -race =="
 go test -race ./...
