@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"testing"
 
 	"flatflash/internal/mtsim"
@@ -66,4 +67,42 @@ func BenchmarkBatchFlush(b *testing.B) {
 		flush()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchBatch), "ns/arrival")
+}
+
+var shardSink int
+
+// BenchmarkRingLookup measures routing one page on a two-shard ring of the
+// default 128 vnodes per shard.
+func BenchmarkRingLookup(b *testing.B) {
+	ring, err := NewRing(2, 128, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		shardSink = ring.Lookup(uint64(i))
+	}
+}
+
+// BenchmarkRoute times the coordinator's serial work per arrival, without
+// the drains: generating it and picking its shard on the ring.
+func BenchmarkRoute(b *testing.B) {
+	cfg := fleetConfig(2, 100000)
+	cfg.Arrivals.Ops = math.MaxInt
+	gen, err := workload.NewArrivalGen(cfg.Arrivals)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ring, err := NewRing(cfg.Shards, 128, cfg.RingSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pageSize := uint64(cfg.Device.PageSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a, _ := gen.Next()
+		shardSink = ring.Lookup(a.Op.Off / pageSize)
+	}
 }

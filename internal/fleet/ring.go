@@ -16,6 +16,8 @@ package fleet
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -29,6 +31,12 @@ type Ring struct {
 	shards int
 	points []ringPoint
 	pinned int // >= 0 routes every key there (degenerate/test rings)
+
+	// first[b] is the index of the first point whose hash is at or above
+	// b<<shift, the start of bucket b of the circle (len(points) when
+	// there is none), so Lookup starts its scan there.
+	first []uint32
+	shift uint
 }
 
 type ringPoint struct {
@@ -47,25 +55,49 @@ func NewRing(shards, vnodes int, seed uint64) (*Ring, error) {
 	if vnodes <= 0 {
 		return nil, fmt.Errorf("fleet: ring needs at least one vnode per shard, got %d", vnodes)
 	}
-	r := &Ring{
-		shards: shards,
-		points: make([]ringPoint, 0, shards*vnodes),
-		pinned: -1,
+	if uint64(shards)*uint64(vnodes) > math.MaxUint32 {
+		return nil, fmt.Errorf("fleet: ring of %d shards x %d vnodes exceeds 2^32 points", shards, vnodes)
 	}
+	points := make([]ringPoint, 0, shards*vnodes)
 	for s := 0; s < shards; s++ {
 		for v := 0; v < vnodes; v++ {
-			r.points = append(r.points, ringPoint{h: pointHash(seed, uint64(s), uint64(v)), shard: s})
+			points = append(points, ringPoint{h: pointHash(seed, uint64(s), uint64(v)), shard: s})
 		}
 	}
-	sort.Slice(r.points, func(i, j int) bool {
-		if r.points[i].h != r.points[j].h {
-			return r.points[i].h < r.points[j].h
+	return newRing(shards, points), nil
+}
+
+// maxBucketBits caps the bucket index at 4096 entries (16 KiB).
+const maxBucketBits = 12
+
+// newRing sorts points into ring order and indexes them by bucket: the
+// top k bits of a hash pick one of 2^k equal arcs, with k the smallest
+// giving at least two buckets per point, up to maxBucketBits.
+func newRing(shards int, points []ringPoint) *Ring {
+	sort.Slice(points, func(i, j int) bool {
+		if points[i].h != points[j].h {
+			return points[i].h < points[j].h
 		}
 		// Hash collisions resolve by shard id so the ring order is a pure
 		// function of (shards, vnodes, seed).
-		return r.points[i].shard < r.points[j].shard
+		return points[i].shard < points[j].shard
 	})
-	return r, nil
+	k := min(bits.Len(uint(len(points)-1))+1, maxBucketBits)
+	r := &Ring{
+		shards: shards,
+		points: points,
+		pinned: -1,
+		first:  make([]uint32, 1<<k),
+		shift:  uint(64 - k),
+	}
+	i := 0
+	for b := range r.first {
+		for i < len(points) && points[i].h>>r.shift < uint64(b) {
+			i++
+		}
+		r.first[b] = uint32(i)
+	}
+	return r
 }
 
 // PinnedRing returns a degenerate ring that reports shards shards but maps
@@ -87,7 +119,13 @@ func (r *Ring) Lookup(key uint64) int {
 		return r.pinned
 	}
 	h := keyHash(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].h >= h })
+	// Every point before first[b] hashes below bucket b's start, so below
+	// h: the scan finds the first point at or after h, as a binary search
+	// over all points would.
+	i := int(r.first[h>>r.shift])
+	for i < len(r.points) && r.points[i].h < h {
+		i++
+	}
 	if i == len(r.points) {
 		i = 0 // wrap: the first point owns the arc past the largest hash
 	}

@@ -1,7 +1,11 @@
 package fleet
 
 import (
+	"math"
+	"sort"
 	"testing"
+
+	"flatflash/internal/sim"
 )
 
 // Satellite property test 1: with enough vnodes, consistent hashing keeps
@@ -124,6 +128,9 @@ func TestRingValidates(t *testing.T) {
 	if _, err := NewRing(2, 0, 1); err == nil {
 		t.Error("zero vnodes accepted")
 	}
+	if _, err := NewRing(1<<17, 1<<16, 1); err == nil {
+		t.Error("a ring of 2^33 points accepted")
+	}
 	if _, err := PinnedRing(2, 2); err == nil {
 		t.Error("pinned owner outside ring accepted")
 	}
@@ -161,6 +168,88 @@ func TestRingDeterministic(t *testing.T) {
 	for k := uint64(0); k < 50_000; k++ {
 		if a.Lookup(k) != b.Lookup(k) {
 			t.Fatalf("same ring config disagrees on key %d", k)
+		}
+	}
+}
+
+// searchLookup is the ring's lookup by binary search over every point: the
+// first point at or after the key's hash, wrapping to point 0.
+func searchLookup(r *Ring, key uint64) int {
+	h := keyHash(key)
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].h >= h })
+	if i == len(r.points) {
+		i = 0
+	}
+	return r.points[i].shard
+}
+
+// TestRingMatchesSearch: the bucket-indexed Lookup returns exactly the shard
+// a binary search over the sorted points returns, for random keys on rings
+// of 1-8 shards and 1-256 vnodes, keys that hash past the largest point
+// (the wrap to point 0) among them, and on rings whose points share hashes.
+func TestRingMatchesSearch(t *testing.T) {
+	t.Run("random", testRingMatchesSearchRandom)
+	t.Run("duplicates", testRingMatchesSearchDuplicates)
+}
+
+func testRingMatchesSearchRandom(t *testing.T) {
+	rng := sim.NewRNG(33)
+	wrapped := 0
+	for trial := 0; trial < 200; trial++ {
+		shards := 1 + int(rng.Uint64n(8))
+		vnodes := 1 + int(rng.Uint64n(256))
+		seed := rng.Uint64()
+		r, err := NewRing(shards, vnodes, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := r.points[len(r.points)-1].h
+		for n := 0; n < 2000; n++ {
+			key := rng.Uint64()
+			if keyHash(key) > last {
+				wrapped++
+			}
+			if got, want := r.Lookup(key), searchLookup(r, key); got != want {
+				t.Fatalf("shards=%d vnodes=%d seed=%#x key=%#x: Lookup %d, search %d",
+					shards, vnodes, seed, key, got, want)
+			}
+		}
+	}
+	if wrapped == 0 {
+		t.Fatal("no key hashed past the largest point; the wrap went untested")
+	}
+}
+
+// Points that share a hash (across shards, at the circle's ends) resolve as
+// the binary search does, to the lowest shard of the first point at or after
+// the key.
+func testRingMatchesSearchDuplicates(t *testing.T) {
+	rng := sim.NewRNG(34)
+	keys := make([]uint64, 64)
+	for i := range keys {
+		keys[i] = rng.Uint64()
+	}
+	for _, shards := range []int{1, 2, 5, 8} {
+		var points []ringPoint
+		for i, k := range keys {
+			// Every key's own hash is a point, owned by up to three shards.
+			for c := 0; c <= i%3; c++ {
+				points = append(points, ringPoint{h: keyHash(k), shard: (i + 2*c) % shards})
+			}
+		}
+		points = append(points,
+			ringPoint{h: 0, shard: shards - 1}, ringPoint{h: 0, shard: 0},
+			ringPoint{h: math.MaxUint64, shard: shards - 1}, ringPoint{h: math.MaxUint64, shard: 0},
+			ringPoint{h: keyHash(keys[0]) + 1, shard: shards - 1})
+		r := newRing(shards, points)
+		probe := append([]uint64(nil), keys...)
+		for i := 0; i < 5000; i++ {
+			probe = append(probe, rng.Uint64())
+		}
+		for _, key := range probe {
+			if got, want := r.Lookup(key), searchLookup(r, key); got != want {
+				t.Fatalf("shards=%d key=%#x: Lookup %d, search %d", shards, key, got, want)
+			}
 		}
 	}
 }

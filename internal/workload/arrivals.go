@@ -105,6 +105,7 @@ type ArrivalGen struct {
 	now     sim.Time
 	emitted int
 	lambda  float64 // thinning envelope rate, per nanosecond
+	floor   float64 // at or below the curve's minimum rate; see Next
 }
 
 // NewArrivalGen builds the generator. Per-mix streams draw from RNGs derived
@@ -120,6 +121,7 @@ func NewArrivalGen(cfg ArrivalConfig) (*ArrivalGen, error) {
 		rng:     sim.NewRNG(mixSeed(cfg.Seed, 0)),
 		streams: make([]Stream, len(mixes)),
 		lambda:  cfg.Rate * (1 + cfg.DiurnalAmp) / 1e9,
+		floor:   cfg.Rate / 1e9 * (1 - cfg.DiurnalAmp) * (1 - 0x1p-30),
 	}
 	for i, mix := range mixes {
 		s, err := NewStream(mix, sim.NewRNG(mixSeed(cfg.Seed, uint64(i+1))), cfg.RegionBytes)
@@ -154,6 +156,12 @@ func (g *ArrivalGen) rate(t sim.Time) float64 {
 // The non-homogeneous Poisson process is sampled by thinning: candidate
 // points at the envelope rate, accepted with probability rate(t)/envelope,
 // which keeps every draw a pure function of the seeded RNG.
+//
+// A candidate whose acceptance draw is at or below floor is accepted
+// without evaluating the curve: every float operation in rate rounds
+// monotonically and sin >= -1, so rate(t) >= fl(r*(1-A)) >= floor for
+// every t, and the 2^-30 margin keeps that true even if math.Sin were an
+// ulp below -1. The draws and the arrivals are those of the plain test.
 func (g *ArrivalGen) Next() (a Arrival, ok bool) {
 	if g.emitted >= g.cfg.Ops {
 		return Arrival{}, false
@@ -162,7 +170,7 @@ func (g *ArrivalGen) Next() (a Arrival, ok bool) {
 		u := g.rng.Float64()
 		gap := -math.Log(1-u) / g.lambda // exponential inter-arrival, ns
 		g.now = g.now.Add(sim.Duration(gap))
-		if g.rng.Float64()*g.lambda > g.rate(g.now) {
+		if x := g.rng.Float64() * g.lambda; x > g.floor && x > g.rate(g.now) {
 			continue // thinned out: envelope point outside the diurnal curve
 		}
 		client := g.rng.Uint64n(g.cfg.Clients)

@@ -171,10 +171,71 @@ func TestArrivalPersistent(t *testing.T) {
 	}
 }
 
+// nextThinned is Next without the floor: every candidate's acceptance draw
+// is tested against rate(t), as plain thinning does. It is the reference the
+// generator's arrivals must equal.
+func nextThinned(g *ArrivalGen) (a Arrival, ok bool) {
+	if g.emitted >= g.cfg.Ops {
+		return Arrival{}, false
+	}
+	for {
+		u := g.rng.Float64()
+		gap := -math.Log(1-u) / g.lambda
+		g.now = g.now.Add(sim.Duration(gap))
+		if g.rng.Float64()*g.lambda > g.rate(g.now) {
+			continue
+		}
+		client := g.rng.Uint64n(g.cfg.Clients)
+		mix := int(client % uint64(len(g.streams)))
+		g.emitted++
+		return Arrival{At: g.now, Client: client, Mix: mix, Op: g.streams[mix].Next()}, true
+	}
+}
+
+// matchThinned fails tb unless Next and nextThinned emit the same arrivals
+// for cfg.
+func matchThinned(tb testing.TB, cfg ArrivalConfig) {
+	tb.Helper()
+	g, err := NewArrivalGen(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ref, err := NewArrivalGen(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for n := 0; ; n++ {
+		a, ok := g.Next()
+		b, okb := nextThinned(ref)
+		if ok != okb || a != b {
+			tb.Fatalf("rate=%g amp=%g period=%d: arrival %d is %+v, plain thinning gives %+v",
+				cfg.Rate, cfg.DiurnalAmp, cfg.DiurnalPeriod, n, a, b)
+		}
+		if !ok {
+			return
+		}
+	}
+}
+
+// TestArrivalGenMatchesThinning: accepting a candidate below the curve's
+// minimum without evaluating the curve changes no arrival, over flat and
+// near-full amplitudes, the extreme rates and a 1 ns period.
+func TestArrivalGenMatchesThinning(t *testing.T) {
+	for _, amp := range []float64{0, 0.05, 0.4, 0.99} {
+		for _, rate := range []float64{1e-3, 200000, 1e12} {
+			for _, period := range []sim.Duration{1, 20 * sim.Millisecond} {
+				cfg := arrivalConfig()
+				cfg.Rate, cfg.DiurnalAmp, cfg.DiurnalPeriod = rate, amp, period
+				matchThinned(t, cfg)
+			}
+		}
+	}
+}
+
 // FuzzArrivalGen fuzzes the generator configuration: any accepted config must
 // produce exactly Ops arrivals, non-decreasing and non-negative in virtual
-// time, within the client population and region, and byte-identical when
-// regenerated from the same seed.
+// time, within the client population and region, byte-identical when
+// regenerated from the same seed, and equal to plain thinning's.
 func FuzzArrivalGen(f *testing.F) {
 	f.Add(uint64(1), 200000.0, 0.4, int64(20*sim.Millisecond), uint64(1024), uint64(64<<10), 256, uint8(0))
 	f.Add(uint64(9), 0.002, 0.0, int64(0), uint64(1), uint64(RecordBytes), 16, uint8(1))
@@ -227,5 +288,24 @@ func FuzzArrivalGen(f *testing.F) {
 		if count != cfg.Ops {
 			t.Fatalf("generated %d arrivals, want %d", count, cfg.Ops)
 		}
+		matchThinned(t, cfg)
 	})
+}
+
+var arrivalSink Arrival
+
+// BenchmarkArrivalGenNext measures one arrival of a diurnal open-loop
+// source: the thinning draws and the arrival's zipf or scan access.
+func BenchmarkArrivalGenNext(b *testing.B) {
+	cfg := arrivalConfig()
+	cfg.Ops = math.MaxInt
+	g, err := NewArrivalGen(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		arrivalSink, _ = g.Next()
+	}
 }

@@ -112,71 +112,62 @@ go build -gcflags=-m ./internal/telemetry 2>&1 | grep -q 'can inline (\*Sink).Ob
     exit 1
 }
 echo "inline check ok ((*telemetry.Sink).Observe inlines)"
-# The SSD-Cache shares flash's read-only page buffers until a write takes
-# the entry over with Own. Strip the Own before the MMIO write's copy in a
-# fresh scratch copy: the write then lands in flash's buffer, and the core
-# tests must catch it. The mutant must still build, so only a test failure
-# counts.
+# The tests are load-bearing too: each row below seeds one real regression
+# into a scratch copy of the tree, and the named test must fail on it. The
+# mutant must still pass go vet, so only a test failure counts. A row is
+# (file, edit, package, test), with edits as in the analyzer rows above.
 mutant_dir="$scratch/mutant"
 mkdir "$mutant_dir"
 tar --exclude=.git -cf - . | (cd "$mutant_dir" && tar -xf -)
-python3 - "$mutant_dir/internal/core/flatflash.go" <<'EOF'
-import sys
-path = sys.argv[1]
-lines = open(path).read().splitlines(keepends=True)
-out, stripped = [], False
-for i, l in enumerate(lines):
-    if not stripped and l.strip() == "s.cach.Own(e)" and lines[i + 1].strip() == "copy(e.Data[off:off+len(w)], w)":
-        stripped = True
-        continue
-    out.append(l)
-if not stripped:
-    sys.exit("mutant smoke: no Own call before the MMIO write's copy in flatflash.go")
-open(path, "w").writelines(out)
+python3 - "$mutant_dir" <<'EOF'
+import subprocess, sys
+root = sys.argv[1]
+rows = [
+    # The SSD-Cache shares flash's read-only page buffers until a write
+    # takes the entry over with Own. Without the Own before the MMIO
+    # write's copy, the write lands in flash's buffer.
+    ("internal/core/flatflash.go",
+     [("\t\ts.cach.Own(e)\n\t\tcopy(e.Data[off:off+len(w)], w)\n",
+       "\t\tcopy(e.Data[off:off+len(w)], w)\n")],
+     "./internal/core/", "TestHierarchyShadowMemoryProperty"),
+    # The allocation budgets count every allocation of their 1,000 calls.
+    # An amortised append in DRAM.Touch allocates on only a handful of
+    # them, which a per-call average truncated to an integer reads as 0.
+    ("internal/dram/dram.go",
+     [("func (d *DRAM) Touch(f int) (sim.Duration, error) {\n",
+       "var touched []int\n\nfunc (d *DRAM) Touch(f int) (sim.Duration, error) {\n\ttouched = append(touched, f)\n")],
+     "./internal/dram/", "TestChurnZeroAllocSteadyState"),
+    # A bucket-indexed ring lookup that loses the wrap to point 0 for keys
+    # hashing past the largest point.
+    ("internal/fleet/ring.go",
+     [("\tif i == len(r.points) {\n\t\ti = 0 // wrap: the first point owns the arc past the largest hash\n\t}\n", "")],
+     "./internal/fleet/", "TestRingMatchesSearch"),
+    # A thinning floor 1% above the diurnal curve's minimum accepts
+    # candidates that plain thinning rejects.
+    ("internal/workload/arrivals.go",
+     [("(1 - cfg.DiurnalAmp) * (1 - 0x1p-30)", "(1 - cfg.DiurnalAmp) * 1.01")],
+     "./internal/workload/", "TestArrivalGenMatchesThinning"),
+]
+for path, edit, pkg, test in rows:
+    full = root + "/" + path
+    orig = src = open(full).read()
+    for old, new in edit:
+        if old not in src:
+            sys.exit("mutant smoke: %s row: %r not found in %s" % (test, old, path))
+        src = src.replace(old, new, 1)
+    open(full, "w").write(src)
+    vet = subprocess.run(["go", "vet", pkg], cwd=root, capture_output=True, text=True)
+    if vet.returncode != 0:
+        sys.exit("mutant smoke: the %s mutant of %s fails go vet:\n%s" % (test, path, vet.stderr))
+    res = subprocess.run(["go", "test", "-count=1", "-run", "^%s$" % test, pkg],
+                         cwd=root, capture_output=True, text=True)
+    if res.returncode == 0 or "--- FAIL: %s " % test not in res.stdout:
+        sys.exit("mutant smoke FAILED: %s missed its mutant of %s (exit %d):\n%s%s"
+                 % (test, path, res.returncode, res.stdout, res.stderr))
+    open(full, "w").write(orig)
+    print("mutant smoke ok (%s caught its mutant of %s)" % (test, path))
 EOF
-(cd "$mutant_dir" && go vet ./internal/core) || {
-    echo "mutant smoke FAILED: the Own-stripped mutant does not build"
-    exit 1
-}
-if (cd "$mutant_dir" && go test -count=1 ./internal/core > "$scratch/mutant.txt" 2>&1); then
-    echo "mutant smoke FAILED: core tests passed with the MMIO write's Own stripped"
-    exit 1
-fi
-grep -q -- "--- FAIL: TestHierarchyShadowMemoryProperty" "$scratch/mutant.txt" || {
-    echo "mutant smoke FAILED: the shadow-memory property missed the stripped Own:"
-    cat "$scratch/mutant.txt"
-    exit 1
-}
 rm -rf "$mutant_dir"
-echo "mutant smoke ok (core tests caught the stripped Own)"
-# The allocation budgets count every allocation of their 1,000 calls. Seed
-# an amortised append into DRAM.Touch in a fresh scratch copy: it
-# allocates on only a handful of those calls, which a per-call average
-# truncated to an integer reads as 0, and the dram budget must still fail.
-mutant_dir="$scratch/mutant"
-mkdir "$mutant_dir"
-tar --exclude=.git -cf - . | (cd "$mutant_dir" && tar -xf -)
-python3 - "$mutant_dir/internal/dram/dram.go" <<'EOF'
-import sys
-path = sys.argv[1]
-src = open(path).read()
-old = "func (d *DRAM) Touch(f int) (sim.Duration, error) {\n"
-if old not in src:
-    sys.exit("mutant smoke: no DRAM.Touch in dram.go")
-src = src.replace(old, "var touched []int\n\n" + old + "\ttouched = append(touched, f)\n", 1)
-open(path, "w").write(src)
-EOF
-if (cd "$mutant_dir" && go test -count=1 -run '^TestChurnZeroAllocSteadyState$' ./internal/dram > "$scratch/mutant.txt" 2>&1); then
-    echo "mutant smoke FAILED: the dram allocation budget passed an amortised append in Touch"
-    exit 1
-fi
-grep -q -- "--- FAIL: TestChurnZeroAllocSteadyState" "$scratch/mutant.txt" || {
-    echo "mutant smoke FAILED: the dram allocation budget did not fail as expected:"
-    cat "$scratch/mutant.txt"
-    exit 1
-}
-rm -rf "$mutant_dir"
-echo "mutant smoke ok (the dram allocation budget caught an amortised append)"
 
 echo "== go test -race =="
 go test -race ./...
