@@ -108,8 +108,9 @@ func BenchmarkAccessSSDCacheHit(b *testing.B) {
 // i%256 of a region already on flash, 16 times the cache. One warm lap runs
 // first, so buffers and free lists are in their steady state, and for write
 // misses as many more as the device has physical pages. A read miss
-// shares the page's flash buffer; a write miss then owns it, and evicts a
-// dirty victim whose buffer is handed to flash.
+// shares the page's flash buffer; a write miss then writes that buffer in
+// place, saving the line in a pooled undo log, and evicts a dirty in-place
+// victim, whose buffer flash moves to a new page.
 func warmSSDCacheMiss(tb testing.TB, write bool) (h *FlatFlash, access func(i int)) {
 	tb.Helper()
 	cfg := testConfig()
@@ -248,8 +249,8 @@ func TestSteadyStateDRAMHitZeroAllocs(t *testing.T) {
 
 // TestSteadyStateSSDCacheMissZeroAllocs: a steady-state SSD-Cache miss
 // allocates nothing, whether a read that shares flash's buffer or a write
-// that owns it and hands a dirty victim's buffer to flash: 1,000 misses make
-// 0 allocations.
+// that writes it in place behind a pooled undo log and moves a dirty
+// victim's buffer to a new flash page: 1,000 misses make 0 allocations.
 func TestSteadyStateSSDCacheMissZeroAllocs(t *testing.T) {
 	if sim.RaceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")

@@ -477,9 +477,7 @@ func (s *FlatFlash) accessChunkFor(t *Tenant, vpn uint64, off int, b []byte, isW
 			// Torn packet: only the first half of the payload lands.
 			w = b[:len(b)/2]
 		}
-		s.cach.Own(e)
-		copy(e.Data[off:off+len(w)], w)
-		e.Dirty = true
+		s.cach.Write(e, off, w)
 		if s.hostCache != nil {
 			// Write-through: keep any coherently cached copy of the line
 			// up to date (§3.1's coherent interconnect).
@@ -535,7 +533,7 @@ func (s *FlatFlash) countHit(hit bool) {
 // tenant t, filling from flash on a miss (and writing back a dirty victim to
 // flash, off the host's critical path). It returns the entry and the time
 // the data is available. A miss fill shares flash's buffer for the page, so
-// a caller that writes into the entry must Own it first.
+// a caller writes into the entry only through Cache.Write or after Own.
 //
 //flatflash:hotpath
 func (s *FlatFlash) ensureCachedFor(t *Tenant, now sim.Time, lpn uint32) (*ssdcache.Entry, sim.Time, bool) {
@@ -543,15 +541,15 @@ func (s *FlatFlash) ensureCachedFor(t *Tenant, now sim.Time, lpn uint32) (*ssdca
 		s.obs.Observe(telemetry.SpanCacheProbe, telemetry.TrackSSD, now, now.Add(ssdcache.AccessCost), int64(lpn))
 		return e, now.Add(ssdcache.AccessCost), true
 	}
-	// The entry shares flash's read-only buffer: a clean fill copies nothing.
-	view, done, err := s.ftl.ReadPageShared(now, lpn)
+	// The entry shares flash's buffer: a clean fill copies nothing.
+	view, own, done, err := s.ftl.ReadPageShared(now, lpn)
 	if err != nil {
 		return nil, now, false
 	}
 	// Miss fill: the span shows the whole fill on the SSD track; the
 	// nested flash_read span comes from the FTL.
 	s.obs.Observe(telemetry.SpanCacheProbe, telemetry.TrackSSD, now, done, int64(lpn))
-	e, victim, evicted := s.cach.InsertShared(lpn, view)
+	e, victim, evicted := s.cach.InsertShared(lpn, view, own)
 	e.Owner = t.id
 	if evicted {
 		if s.pol != nil {
@@ -569,19 +567,29 @@ func (s *FlatFlash) ensureCachedFor(t *Tenant, now sim.Time, lpn uint32) (*ssdca
 	return e, done, false
 }
 
-// writeBackVictim programs a dirty victim to flash, handing flash the
-// victim's buffer and giving the cache whatever buffer comes back: flash's
-// in exchange, or the victim's own if the write failed.
+// writeBackVictim programs a dirty victim to flash. An in-place victim's
+// bytes are already in flash's buffer for the page, which the write moves
+// to the new page; the cache then settles the victim's undo log. Any other
+// victim hands flash its buffer, and the cache takes whatever comes back:
+// flash's buffer in exchange, or the victim's own if the write failed.
 //
 //flatflash:hotpath
 func (s *FlatFlash) writeBackVictim(now sim.Time, victim ssdcache.Victim) {
-	buf, _, err := s.ftl.WritePageOwned(now, victim.LPN, victim.Data)
+	var err error
+	if victim.InPlace() {
+		var programmed bool
+		programmed, _, err = s.ftl.RewritePage(now, victim.LPN)
+		s.cach.Settle(victim, programmed)
+	} else {
+		var buf []byte
+		buf, _, err = s.ftl.WritePageOwned(now, victim.LPN, victim.Data)
+		s.cach.Give(buf)
+	}
 	if err != nil {
 		// Device full; the data stays only in the cache copy we just
 		// dropped — surface loudly in counters.
 		*s.hot.writebackFailures++
 	}
-	s.cach.Give(buf)
 	*s.hot.cacheWritebacks++
 }
 
@@ -909,7 +917,9 @@ func (s *FlatFlash) Counters() *stats.Counters {
 // mapped SSD page's PTE points back at it (directly, or through a DRAM frame
 // the promotion bookkeeping also knows), every shared SSD-Cache entry is
 // clean and views the very buffer its page's current flash copy holds (the
-// FTL's zero page if unmapped), and the FTL's L2P/P2L maps are mutual
+// FTL's zero page if unmapped), every in-place entry is dirty, holds that
+// very buffer too and keeps a well-formed undo log (distinct in-page lines,
+// at most the log's capacity), and the FTL's L2P/P2L maps are mutual
 // inverses with consistent per-block valid counts.
 func (s *FlatFlash) CheckInvariants() error {
 	for i, ref := range s.vpnOfLPN {
@@ -925,16 +935,16 @@ func (s *FlatFlash) CheckInvariants() error {
 		}
 	}
 	if err := s.cach.Each(func(e *ssdcache.Entry) error {
-		if !e.Shared() {
+		if !e.Shared() && !e.InPlace() {
 			return nil
 		}
-		if e.Dirty {
-			return fmt.Errorf("core: shared SSD-Cache entry for lpn %d is dirty", e.LPN)
+		if e.Dirty != e.InPlace() {
+			return fmt.Errorf("core: SSD-Cache entry for lpn %d holds flash's buffer with dirty %v, in place %v", e.LPN, e.Dirty, e.InPlace())
 		}
 		if cur := s.ftl.PageView(e.LPN); len(cur) == 0 || &cur[0] != &e.Data[0] {
-			return fmt.Errorf("core: shared SSD-Cache entry for lpn %d no longer views its flash page", e.LPN)
+			return fmt.Errorf("core: SSD-Cache entry for lpn %d no longer holds its flash page's buffer", e.LPN)
 		}
-		return nil
+		return e.CheckUndo()
 	}); err != nil {
 		return err
 	}

@@ -188,6 +188,9 @@ func (s *FlatFlash) Crash() {
 			lost := s.cach.DropDirtyBeyond(keep)
 			s.c.Add("battery_lost_pages", int64(lost))
 		}
+		// Flash keeps only what it programmed: a surviving page written in
+		// place in flash's buffer takes its new bytes into the cache.
+		s.cach.OwnAll()
 	} else {
 		for _, lpn := range s.cach.DirtyPages() {
 			s.cach.Remove(lpn)

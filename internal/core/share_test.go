@@ -7,6 +7,7 @@ import (
 
 	"flatflash/internal/fault"
 	"flatflash/internal/flash"
+	"flatflash/internal/promote"
 	"flatflash/internal/sim"
 	"flatflash/internal/ssdcache"
 )
@@ -55,6 +56,20 @@ func (g *shareRig) write(page int, fill byte) {
 		g.t.Fatal(err)
 	}
 	copy(g.shadow[off:], data)
+}
+
+// writePage writes all of page with a pattern of nonzero bytes, so that
+// every line of it differs from a zero page.
+func (g *shareRig) writePage(page int) {
+	g.t.Helper()
+	data := make([]byte, 4096)
+	for i := range data {
+		data[i] = byte(1 + (i+page)%251)
+	}
+	if _, err := g.ff.Write(g.base+uint64(page*4096), data); err != nil {
+		g.t.Fatal(err)
+	}
+	copy(g.shadow[page*4096:], data)
 }
 
 // read reads one line of page and checks it against the shadow.
@@ -130,11 +145,74 @@ func (g *shareRig) evict(page int) {
 	}
 }
 
-// TestSharedViewAliasInvariant walks a shared SSD-Cache entry through every
-// event that could leave it viewing a stale or recycled flash buffer — its
-// fill, GC relocation of its page, a dirty write-back whose program fails,
-// and a crash with a drained battery — checking the alias invariant and
-// every byte of the region after each, with both map modes.
+// flashBytes returns the bytes flash holds for lpn as a crash or a read of
+// flash would see them: its page's buffer, with the undo log of an in-place
+// SSD-Cache entry applied.
+func (g *shareRig) flashBytes(lpn uint32) []byte {
+	if e := g.entry(lpn); e != nil && e.InPlace() {
+		return e.FlashBytes(nil)
+	}
+	return append([]byte(nil), g.ff.ftl.PageView(lpn)...)
+}
+
+// relocate writes logical pages outside the region, straight to the FTL,
+// until GC moves lpn's flash page.
+func (g *shareRig) relocate(lpn uint32) {
+	g.t.Helper()
+	ff := g.ff
+	before := g.phys(lpn)
+	rng := sim.NewRNG(5)
+	first := g.lpn(g.pages-1) + 1
+	span := uint64(ff.ftl.LogicalPages()) - uint64(first)
+	page := make([]byte, 4096)
+	relocs := ff.ftl.Remap().Relocations
+	for n := 0; ; n++ {
+		if n > 50*ff.ftl.LogicalPages() {
+			g.t.Fatalf("GC never relocated lpn %d", lpn)
+		}
+		if _, err := ff.ftl.WritePage(ff.Now(), first+uint32(rng.Uint64n(span)), page); err != nil {
+			g.t.Fatal(err)
+		}
+		if r := ff.ftl.Remap().Relocations; r != relocs {
+			relocs = r
+			if g.phys(lpn) != before {
+				return
+			}
+		}
+	}
+}
+
+// inPlace writes page, which must be cached as a view of its own flash
+// page, and checks that the write landed in flash's buffer with the old
+// bytes recoverable from the entry's undo log. It returns the entry and
+// those old bytes.
+func (g *shareRig) inPlace(page int, fill byte) (*ssdcache.Entry, []byte) {
+	g.t.Helper()
+	lpn := g.lpn(page)
+	if e := g.entry(lpn); e == nil || !e.Shared() {
+		g.t.Fatalf("page %d is not cached shared before its write", page)
+	}
+	old := g.flashBytes(lpn)
+	g.write(page, fill)
+	e := g.entry(lpn)
+	if e == nil || !e.InPlace() || !e.Dirty || &e.Data[0] != &g.ff.ftl.PageView(lpn)[0] {
+		g.t.Fatalf("the write to page %d did not land in place in its flash buffer", page)
+	}
+	if !bytes.Equal(e.FlashBytes(nil), old) {
+		g.t.Fatalf("page %d's undo log does not restore flash's old bytes", page)
+	}
+	return e, old
+}
+
+// TestSharedViewAliasInvariant walks SSD-Cache entries that hold flash's
+// buffer through every event that could leave them viewing a stale or
+// recycled buffer, or leave flash without its old bytes: a shared fill, GC
+// relocation of its page, a write in place, GC relocation of the in-place
+// page, a dirty write-back whose program fails, a crash with a drained
+// battery that keeps one in-place page and drops another, a promotion and a
+// Drain of in-place pages, and an in-place write-back that fails outright.
+// After each it checks the invariants and every byte of the region, with
+// both map modes.
 func TestSharedViewAliasInvariant(t *testing.T) {
 	for _, mode := range []struct {
 		name     string
@@ -143,12 +221,14 @@ func TestSharedViewAliasInvariant(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			g := newShareRig(t, mode.mapPages)
 			ff := g.ff
-			const pa, pb = 3, 9
-			a := g.lpn(pa)
+			const pa, pb, pc, pz = 3, 9, 6, 12
+			a, b := g.lpn(pa), g.lpn(pb)
 
 			// A shared fill: page a reaches flash, leaves the cache, and is
-			// read back into it as a view of its flash page.
-			g.write(pa, 0x41)
+			// read back into it as a view of its flash page. Page b reaches
+			// flash too.
+			g.writePage(pa)
+			g.writePage(pb)
 			ff.Drain()
 			g.evict(pa)
 			g.read(pa)
@@ -164,40 +244,47 @@ func TestSharedViewAliasInvariant(t *testing.T) {
 			if e == nil || !e.Shared() {
 				t.Fatal("page a is not cached shared before GC")
 			}
-			view, before := e.Data, g.phys(a)
-			rng := sim.NewRNG(5)
-			first := g.lpn(g.pages-1) + 1
-			span := uint64(ff.ftl.LogicalPages()) - uint64(first)
-			page := make([]byte, 4096)
-			relocs := ff.ftl.Remap().Relocations
-			for n := 0; ; n++ {
-				if n > 50*ff.ftl.LogicalPages() {
-					t.Fatal("GC never relocated page a")
-				}
-				if _, err := ff.ftl.WritePage(ff.Now(), first+uint32(rng.Uint64n(span)), page); err != nil {
-					t.Fatal(err)
-				}
-				if r := ff.ftl.Remap().Relocations; r != relocs {
-					relocs = r
-					if g.phys(a) != before {
-						break
-					}
-				}
-			}
+			view := e.Data
+			g.relocate(a)
 			if !e.Shared() || &e.Data[0] != &view[0] || &ff.ftl.PageView(a)[0] != &view[0] {
 				t.Fatal("relocation did not carry the shared view to a's new page")
 			}
 			g.check("gc relocation", pa)
 
+			// A write in place: the line lands in flash's buffer, and the
+			// eviction in check writes it back by moving that buffer.
+			g.inPlace(pa, 0x43)
+			if err := ff.CheckInvariants(); err != nil {
+				t.Fatalf("write in place: %v", err)
+			}
+			g.check("write in place", pa)
+			if got := ff.Counters().Get("writeback_failures"); got != 0 {
+				t.Fatalf("%d write-backs failed, want 0", got)
+			}
+
+			// GC relocation of an in-place page moves its buffer, written
+			// lines and all, and the entry turns back into a clean view.
+			e, _ = g.inPlace(pa, 0x44)
+			view = e.Data
+			g.relocate(a)
+			if !e.Shared() || e.Dirty || &e.Data[0] != &view[0] || &ff.ftl.PageView(a)[0] != &view[0] {
+				t.Fatal("GC did not move the in-place page's buffer and clean its entry")
+			}
+			if !bytes.Equal(ff.ftl.PageView(a), g.shadow[pa*4096:(pa+1)*4096]) {
+				t.Fatal("GC relocation lost page a's in-place write")
+			}
+			g.check("gc relocation in place", pa)
+
 			// A dirty write-back whose first program fails: the victim's
-			// buffer stays with the cache for the retry.
+			// buffer stays with the cache for the retry. Page c was never on
+			// flash, so its write took a copy of the zero page.
 			eng, err := fault.NewEngine(fault.Plan{{Kind: fault.ProgramFail, At: ff.Now(), N: 1}}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ff.SetFaults(eng)
-			g.write(pb, 0x42)
-			g.evict(pb)
+			g.write(pc, 0x42)
+			g.evict(pc)
 			c := ff.Counters()
 			if c.Get("fault_program_failures") != 1 || c.Get("cache_writebacks") == 0 || c.Get("writeback_failures") != 0 {
 				t.Fatalf("program failures %d, write-backs %d, failed write-backs %d; want 1, >0, 0",
@@ -206,24 +293,29 @@ func TestSharedViewAliasInvariant(t *testing.T) {
 			g.check("failed program", pa)
 
 			// A crash with a drained battery: only the lowest-LPN dirty page
-			// survives; the others fall back to their flash copies.
+			// survives; the others fall back to flash's bytes. Pages a and b
+			// are written in place, so a survives in place and b is dropped
+			// in place; page z, never on flash, is written into a copy.
+			if !ff.cach.Contains(b) {
+				g.read(pb)
+			}
 			eng, err = fault.NewEngine(fault.Plan{{Kind: fault.BatteryDrain, At: ff.Now(), N: 1}}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ff.SetFaults(eng)
-			for _, p := range []int{pb, 1, 12} {
+			for _, p := range []int{pa, pb, pz} {
 				g.write(p, 0x50+byte(p))
 			}
-			g.read(pa)
 			dirty := ff.cach.DirtyPages()
 			sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
-			if len(dirty) < 2 || g.entry(a) == nil || !g.entry(a).Shared() {
-				t.Fatalf("before the crash: %d dirty pages and page a shared %v; want >1 and true", len(dirty), g.entry(a) != nil)
+			if len(dirty) != 3 || dirty[0] != a || !g.entry(a).InPlace() || !g.entry(b).InPlace() {
+				t.Fatalf("before the crash: dirty pages %v, want a and b in place and z", dirty)
 			}
+			survivor := g.flashBytes(a)
 			for _, lpn := range dirty[1:] {
 				p := int(lpn - g.lpn(0))
-				copy(g.shadow[p*4096:(p+1)*4096], ff.ftl.PageView(lpn))
+				copy(g.shadow[p*4096:(p+1)*4096], g.flashBytes(lpn))
 			}
 			ff.Crash()
 			ff.Recover()
@@ -234,18 +326,74 @@ func TestSharedViewAliasInvariant(t *testing.T) {
 			if c.Get("recovery_invariant_violations") != 0 {
 				t.Fatal("recovery found invariant violations")
 			}
+			if e := g.entry(a); e == nil || e.InPlace() || e.Shared() || !e.Dirty {
+				t.Fatal("the surviving in-place page a is not a dirty copy after the crash")
+			}
+			if !bytes.Equal(ff.ftl.PageView(a), survivor) {
+				t.Fatal("the crash left page a's new bytes in flash")
+			}
 			g.check("crash and recover", pa)
 			if e := g.entry(a); e == nil || !e.Shared() {
 				t.Fatalf("page a not shared after recovery (cached %v)", e != nil)
 			}
+
+			// A promotion of an in-place page: the page leaves for DRAM with
+			// its new bytes, and flash gets its old ones back.
+			_, old := g.inPlace(pa, 0x60)
+			ff.pol = promote.NewFixed(1)
+			g.read(pa)
+			ff.pol = nil
+			if ff.cach.Contains(a) || ff.Counters().Get("promotions") != 1 {
+				t.Fatal("the read did not promote page a")
+			}
+			if !bytes.Equal(ff.ftl.PageView(a), old) {
+				t.Fatal("the promotion left page a's new bytes in flash")
+			}
+			g.check("promotion", pa)
+
+			// A Drain of an in-place page programs its new bytes.
+			g.evict(pb)
+			g.read(pb)
+			g.inPlace(pb, 0x70)
+			ff.Drain()
+			if e := g.entry(b); e == nil || e.InPlace() || e.Dirty {
+				t.Fatal("Drain left page b in place or dirty")
+			}
+			if !bytes.Equal(ff.ftl.PageView(b), g.shadow[pb*4096:(pb+1)*4096]) {
+				t.Fatal("Drain did not program page b's new bytes")
+			}
+			g.check("drain", pa)
+
+			// An in-place write-back that fails outright: every program fails
+			// until the device runs out of blocks, and flash gets page b's
+			// old bytes back.
+			g.evict(pb)
+			g.read(pb)
+			_, old = g.inPlace(pb, 0x71)
+			copy(g.shadow[pb*4096:(pb+1)*4096], old)
+			eng, err = fault.NewEngine(fault.Plan{{Kind: fault.ProgramFail, At: ff.Now(), N: 1 << 20}}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ff.SetFaults(eng)
+			failed := ff.Counters().Get("writeback_failures")
+			g.evict(pb)
+			if got := ff.Counters().Get("writeback_failures") - failed; got != 1 {
+				t.Fatalf("%d write-backs failed, want 1", got)
+			}
+			if !bytes.Equal(ff.ftl.PageView(b), old) {
+				t.Fatal("the failed write-back left page b's new bytes in flash")
+			}
+			g.check("failed write-back", pa)
 		})
 	}
 }
 
 // TestWriteBackHitOwnsSharedEntry drives writeBackToCache's hit branch — a
-// DRAM page landing on a page the SSD-Cache already holds — onto shared
-// clean entries, one viewing a flash page and one viewing the FTL's zero
-// page. The write must take the entry over, not write through the view.
+// DRAM page landing on a page the SSD-Cache already holds — onto an entry
+// written in place in its flash page and a shared clean entry viewing the
+// FTL's zero page. The write must take each entry over, not write through
+// flash's buffer, and leave flash with its old bytes.
 func TestWriteBackHitOwnsSharedEntry(t *testing.T) {
 	g := newShareRig(t, 0)
 	ff := g.ff
@@ -262,13 +410,15 @@ func TestWriteBackHitOwnsSharedEntry(t *testing.T) {
 			t.Fatalf("lpn %d is not cached shared", lpn)
 		}
 	}
-	flashA := append([]byte(nil), ff.ftl.PageView(a)...)
+	// Page a is written in place first: the write-back must also put
+	// flash's old bytes back under the line it wrote.
+	_, flashA := g.inPlace(pa, 0x62)
 	for _, p := range []int{pa, pz} {
 		page := bytes.Repeat([]byte{0x70 + byte(p)}, 4096)
 		ff.writeBackToCache(ff.Now(), g.lpn(p), page, 0)
 		copy(g.shadow[p*4096:], page)
 		e := g.entry(g.lpn(p))
-		if e == nil || e.Shared() || !e.Dirty || !bytes.Equal(e.Data, page) {
+		if e == nil || e.Shared() || e.InPlace() || !e.Dirty || !bytes.Equal(e.Data, page) {
 			t.Fatalf("page %d: the write-back did not land in an owned dirty entry", p)
 		}
 	}

@@ -119,9 +119,12 @@ const (
 //
 // The device never writes into a buffer it holds: a program stores a fresh
 // or handed-over buffer, and a held buffer is recycled only when Release or
-// Erase drops its page. So a caller may keep a read-only view of a page
-// (ReadShared, PeekShared) for as long as the page is live, and ProgramMove,
-// which hands the buffer itself to the new page, keeps such a view valid.
+// Erase drops its page. So a caller may keep a view of a page (ReadShared,
+// PeekShared) for as long as the page is live, and ProgramMove, which hands
+// the buffer itself to the new page, keeps such a view valid. A view is
+// read-only, except to the SSD-Cache, which writes a page's buffer in place
+// only while it keeps the overwritten bytes to put back (see
+// ssdcache.Cache.Write).
 type Device struct {
 	cfg    Config
 	pages  []page  // per-page state up to the highest page programmed
@@ -232,7 +235,7 @@ func (d *Device) Read(now sim.Time, p PageAddr, buf []byte) (sim.Time, error) {
 	if d.checkPage(p) == nil && len(buf) != d.cfg.PageSize {
 		return now, ErrBadPageSize
 	}
-	data, done, err := d.ReadShared(now, p)
+	data, _, done, err := d.ReadShared(now, p)
 	if err == nil {
 		copy(buf, data)
 	}
@@ -240,15 +243,19 @@ func (d *Device) Read(now sim.Time, p PageAddr, buf []byte) (sim.Time, error) {
 }
 
 // ReadShared is Read without the copy: it charges Sense and returns page p's
-// own buffer, which the caller must not write. The view stays valid while p
-// is live — until p is released or erased; a move takes the buffer along to
-// the new page. A page holding no bytes reads as the device's one 0xFF page.
-func (d *Device) ReadShared(now sim.Time, p PageAddr) ([]byte, sim.Time, error) {
-	done, err := d.Sense(now, p, d.cfg.PageSize)
+// own buffer, which the caller must not write (but see Device). The view
+// stays valid while p is live — until p is released or erased; a move takes
+// the buffer along to the new page. A page holding no bytes reads as the
+// device's one 0xFF page, and own is false.
+func (d *Device) ReadShared(now sim.Time, p PageAddr) (data []byte, own bool, done sim.Time, err error) {
+	done, err = d.Sense(now, p, d.cfg.PageSize)
 	if err != nil {
-		return nil, done, err
+		return nil, false, done, err
 	}
-	return d.view(p), done, nil
+	if pg := d.pageOf(p); pg != nil && pg.data != nil {
+		return pg.data, true, done, nil
+	}
+	return d.erased, false, done, nil
 }
 
 // Sense performs a read of page p for a size-byte buffer without moving any

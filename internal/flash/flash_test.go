@@ -146,7 +146,8 @@ func (m *metered) dump() string {
 // TestSenseMatchesRead drives three identical devices, through Read, Sense
 // and ReadShared, over an erased page, a data page and a translation page.
 // Completion times, read counters and attribution charges must agree: Sense
-// is Read without the copy, and ReadShared returns the bytes Read copies.
+// is Read without the copy, and ReadShared returns the bytes Read copies,
+// in the page's own buffer exactly when the page holds bytes.
 func TestSenseMatchesRead(t *testing.T) {
 	cfg := testConfig()
 	var devs [3]*Device
@@ -178,9 +179,10 @@ func TestSenseMatchesRead(t *testing.T) {
 			t.Fatal(err)
 		}
 		var view []byte
+		var own bool
 		shared, err := logs[2].do(func() (sim.Time, error) {
 			var done sim.Time
-			view, done, err = devs[2].ReadShared(now, p)
+			view, own, done, err = devs[2].ReadShared(now, p)
 			return done, err
 		})
 		if err != nil {
@@ -191,6 +193,9 @@ func TestSenseMatchesRead(t *testing.T) {
 		}
 		if !bytes.Equal(view, buf) {
 			t.Fatalf("page %d: ReadShared returned other bytes than Read", p)
+		}
+		if own != devs[2].Holds(p) || own && &view[0] != &devs[2].PeekShared(p)[0] {
+			t.Fatalf("page %d: ReadShared reports own %v, but the page holds bytes: %v", p, own, devs[2].Holds(p))
 		}
 		dr0, dt0, _, _ := devs[0].WearByType()
 		dr1, dt1, _, _ := devs[1].WearByType()

@@ -34,8 +34,10 @@ const noLogical = int32(-1)
 // DirtySource lets garbage collection merge newer page contents held dirty
 // in the SSD-Cache (the paper's read-modify-write GC). DirtyData returns the
 // up-to-date contents of logical page lpn, or false if the cache holds
-// nothing newer; the slice may be the source's own storage. GC programs it,
-// and only then calls Cleaned to mark the cached copy clean.
+// nothing newer; the slice may be the source's own storage, or nil if the
+// source wrote them into flash's own buffer for lpn's page. GC programs
+// them — moving that buffer in the nil case — and only then calls Cleaned
+// to mark the cached copy clean.
 type DirtySource interface {
 	DirtyData(lpn uint32) ([]byte, bool)
 	Cleaned(lpn uint32)
@@ -227,7 +229,7 @@ func (f *FTL) ReadPage(now sim.Time, lpn uint32, buf []byte) (sim.Time, error) {
 	if int(lpn) < f.l2p.len() && len(buf) != f.cfg.Flash.PageSize {
 		return now, flash.ErrBadPageSize
 	}
-	data, done, err := f.ReadPageShared(now, lpn)
+	data, _, done, err := f.ReadPageShared(now, lpn)
 	if err == nil {
 		copy(buf, data)
 	}
@@ -235,28 +237,30 @@ func (f *FTL) ReadPage(now sim.Time, lpn uint32, buf []byte) (sim.Time, error) {
 }
 
 // ReadPageShared reads logical page lpn and returns its flash page's own
-// buffer, read-only and valid while that page stays lpn's copy (see
+// buffer, valid while that page stays lpn's copy (see
 // flash.Device.ReadShared), with the completion time. A never-written page
 // reads as the FTL's one zero page, but still pays a full device read: in
 // the paper's setup the mapped file spans the whole SSD, so every logical
-// page exists on flash whether or not the experiment wrote it.
-func (f *FTL) ReadPageShared(now sim.Time, lpn uint32) ([]byte, sim.Time, error) {
+// page exists on flash whether or not the experiment wrote it. own reports
+// that the buffer is the page's own — lpn is mapped and its page holds
+// bytes — rather than the zero page or flash's erased page, which every
+// such page shares. A caller may write an own buffer only as the SSD-Cache
+// does, keeping flash's old bytes recoverable until RewritePage programs
+// the new ones.
+func (f *FTL) ReadPageShared(now sim.Time, lpn uint32) (data []byte, own bool, done sim.Time, err error) {
 	if int(lpn) >= f.l2p.len() {
-		return nil, now, ErrOutOfRange
+		return nil, false, now, ErrOutOfRange
 	}
 	if f.mc != nil {
 		// The data's physical location is the map access's output, so a
 		// read serializes behind the translation-page fetch.
 		ready, err := f.mapAccess(now, lpn, false)
 		if err != nil {
-			return nil, now, err
+			return nil, false, now, err
 		}
 		now = ready
 	}
 	p := f.l2p.get(int(lpn))
-	var data []byte
-	var done sim.Time
-	var err error
 	if p == flash.InvalidPage {
 		// Charge the device for reading the page's on-flash location (it
 		// holds file data the simulator models as zeros, never stored). The
@@ -266,13 +270,13 @@ func (f *FTL) ReadPageShared(now sim.Time, lpn uint32) ([]byte, sim.Time, error)
 		data = f.zero
 		done, err = f.dev.Sense(now, phys, f.cfg.Flash.PageSize)
 	} else {
-		data, done, err = f.dev.ReadShared(now, p)
+		data, own, done, err = f.dev.ReadShared(now, p)
 	}
 	if err != nil {
-		return nil, now, err
+		return nil, false, now, err
 	}
 	f.obs.Observe(telemetry.SpanFlashRead, telemetry.TrackFlash, now, done, int64(lpn))
-	return data, done, nil
+	return data, own, done, nil
 }
 
 // PageView returns the bytes ReadPageShared would return for lpn — its
@@ -293,7 +297,7 @@ func (f *FTL) PageView(lpn uint32) []byte {
 // Out-of-place: the old physical page (if any) is invalidated and GC runs
 // when the free-block pool is low.
 func (f *FTL) WritePage(now sim.Time, lpn uint32, data []byte) (sim.Time, error) {
-	_, done, err := f.writePage(now, lpn, data, false)
+	_, _, done, err := f.writePage(now, lpn, data, false)
 	return done, err
 }
 
@@ -302,27 +306,44 @@ func (f *FTL) WritePage(now sim.Time, lpn uint32, data []byte) (sim.Time, error)
 // returns the buffer the caller holds afterwards: data again if the write
 // failed before flash took it, otherwise flash's buffer in exchange, or nil.
 func (f *FTL) WritePageOwned(now sim.Time, lpn uint32, data []byte) ([]byte, sim.Time, error) {
-	return f.writePage(now, lpn, data, true)
+	held, _, done, err := f.writePage(now, lpn, data, true)
+	return held, done, err
 }
 
-// writePage is WritePage, handing data over to flash if own; held is the
-// buffer the caller holds afterwards (always nil when !own).
-func (f *FTL) writePage(now sim.Time, lpn uint32, data []byte, own bool) (held []byte, done sim.Time, err error) {
+// RewritePage is WritePage of the bytes lpn's current page holds, moved to
+// the new page (flash.Device.ProgramMove) rather than copied: a write-back
+// of bytes written into flash's own buffer for lpn (ReadPageShared). It
+// runs the same garbage collection, map access, program, counters and spans
+// as WritePage. programmed reports that flash programmed the bytes, even if
+// a later checkpoint failed; when it is false, lpn's page still holds them.
+func (f *FTL) RewritePage(now sim.Time, lpn uint32) (programmed bool, done sim.Time, err error) {
+	_, programmed, done, err = f.writePage(now, lpn, nil, false)
+	return programmed, done, err
+}
+
+// writePage is WritePage, handing data over to flash if own, or moving
+// lpn's current bytes if data is nil; held is the buffer the caller holds
+// afterwards (always nil when !own), and programmed says the program
+// succeeded.
+func (f *FTL) writePage(now sim.Time, lpn uint32, data []byte, own bool) (held []byte, programmed bool, done sim.Time, err error) {
 	if own {
 		held = data
 	}
 	if int(lpn) >= f.l2p.len() {
-		return held, now, ErrOutOfRange
+		return held, false, now, ErrOutOfRange
 	}
-	if len(data) != f.cfg.Flash.PageSize {
-		return held, now, flash.ErrBadPageSize
+	switch {
+	case data == nil && !f.IsMapped(lpn):
+		return held, false, now, flash.ErrNoData
+	case data != nil && len(data) != f.cfg.Flash.PageSize:
+		return held, false, now, flash.ErrBadPageSize
 	}
 	if !f.inGC {
 		f.hostWrites++
 		pre := now
 		now, err = f.maybeGC(now)
 		if err != nil {
-			return held, now, err
+			return held, false, now, err
 		}
 		if now.After(pre) {
 			f.obs.Observe(telemetry.ChargeGCStall, telemetry.TrackFlash, pre, now, int64(lpn))
@@ -332,7 +353,7 @@ func (f *FTL) writePage(now sim.Time, lpn uint32, data []byte, own bool) (held [
 	if f.mc != nil {
 		mapReady, err = f.mapAccess(now, lpn, true)
 		if err != nil {
-			return held, now, err
+			return held, false, now, err
 		}
 		if !f.cfg.MapPipeline {
 			// Classic DFTL: the map access completes before the data
@@ -340,11 +361,13 @@ func (f *FTL) writePage(now sim.Time, lpn uint32, data []byte, own bool) (held [
 			issue = mapReady
 		}
 	}
-	p, spare, done, err := f.programAt(issue, data, own, flash.InvalidPage, flash.PageData)
+	// A move reads lpn's page only now: the garbage collection above may
+	// have moved its bytes.
+	p, spare, done, err := f.programAt(issue, data, own, f.l2p.get(int(lpn)), flash.PageData)
 	if err != nil {
-		return held, now, err
+		return held, false, now, err
 	}
-	held = spare
+	held, programmed = spare, true
 	if f.mc != nil && f.cfg.MapPipeline && mapReady.After(done) {
 		// FMMU pipelining: the map fetch ran concurrently with the data
 		// program; the write completes when the later of the two does.
@@ -358,10 +381,10 @@ func (f *FTL) writePage(now sim.Time, lpn uint32, data []byte, own bool) (held [
 	if f.mc != nil && !f.inGC {
 		done, err = f.maybeCheckpoint(done)
 		if err != nil {
-			return held, now, err
+			return held, true, now, err
 		}
 	}
-	return held, done, nil
+	return held, true, done, nil
 }
 
 // programAt allocates a slot and programs data into it — handing data over
@@ -568,12 +591,14 @@ func (f *FTL) collect(now sim.Time, victim int) (sim.Time, error) {
 		}
 		// Read phase — unless the SSD-Cache holds a newer dirty copy, in
 		// which case the modify phase substitutes it (read-modify-write GC).
-		// The read only senses the page: the write phase moves its bytes.
+		// The read only senses the page: the write phase moves its bytes,
+		// as it does a dirty copy the cache wrote into the page's buffer.
 		var data []byte
+		dirty := false
 		if f.dirtySrc != nil {
-			data, _ = f.dirtySrc.DirtyData(uint32(lpn))
+			data, dirty = f.dirtySrc.DirtyData(uint32(lpn))
 		}
-		if data == nil {
+		if !dirty {
 			done, err := f.dev.Sense(now, p, f.cfg.Flash.PageSize)
 			if err != nil {
 				return now, err
@@ -586,7 +611,7 @@ func (f *FTL) collect(now sim.Time, victim int) (sim.Time, error) {
 		if err != nil {
 			return now, err
 		}
-		if data != nil {
+		if dirty {
 			f.dirtySrc.Cleaned(uint32(lpn))
 		}
 		now = done

@@ -265,3 +265,67 @@ func BenchmarkGCCollect(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(f.Remap().Relocations-moved)/float64(b.N), "relocs/op")
 }
+
+// TestRewritePageMovesBuffer drives two FTLs through the same churn over a
+// hot half of the logical pages. One writes each page's new bytes into
+// its own flash buffer from ReadPageShared and programs them with
+// RewritePage; the other copies them in with WritePage. Their completion
+// times, counters and bytes must agree, the rewritten page must keep the
+// very buffer that was written, and the garbage collection inside the
+// writes moves those buffers along. RewritePage refuses an unmapped page,
+// and an unmapped page's view is not its own.
+func TestRewritePageMovesBuffer(t *testing.T) {
+	got, _ := New(testConfig())
+	want, _ := New(testConfig())
+	if view, own, _, err := got.ReadPageShared(0, 3); err != nil || own || !bytes.Equal(view, page(got, 0)) {
+		t.Fatalf("unmapped page: own %v, err %v; want the zero page, not own", own, err)
+	}
+	want.ReadPageShared(0, 3)
+	if ok, _, err := got.RewritePage(0, 3); ok || !errors.Is(err, flash.ErrNoData) {
+		t.Fatalf("RewritePage of an unmapped page = %v, %v; want ErrNoData", ok, err)
+	}
+	rng := sim.NewRNG(3)
+	now := sim.Time(0)
+	hot := got.LogicalPages() / 2
+	for i := 0; i < 40*got.LogicalPages(); i++ {
+		lpn := uint32(rng.Intn(hot))
+		if !got.IsMapped(lpn) {
+			gd, gerr := got.WritePage(now, lpn, page(got, byte(i)))
+			wd, werr := want.WritePage(now, lpn, page(want, byte(i)))
+			if gerr != nil || werr != nil || gd != wd {
+				t.Fatalf("write %d: %v at %d, reference %v at %d", i, gerr, gd, werr, wd)
+			}
+			now = gd
+			continue
+		}
+		view, own, gd, gerr := got.ReadPageShared(now, lpn)
+		wview, _, wd, werr := want.ReadPageShared(now, lpn)
+		if gerr != nil || werr != nil || gd != wd || !own {
+			t.Fatalf("read %d: own %v, %v at %d, reference %v at %d", i, own, gerr, gd, werr, wd)
+		}
+		now = gd
+		next := append([]byte(nil), wview...)
+		next[i%len(next)] = byte(i)
+		copy(view, next)
+		ok, gd, gerr := got.RewritePage(now, lpn)
+		wd, werr = want.WritePage(now, lpn, next)
+		if !ok || gerr != nil || werr != nil || gd != wd {
+			t.Fatalf("write %d: programmed %v, %v at %d, reference %v at %d", i, ok, gerr, gd, werr, wd)
+		}
+		if cur := got.PageView(lpn); &cur[0] != &view[0] || !bytes.Equal(cur, want.PageView(lpn)) {
+			t.Fatalf("write %d: lpn %d does not hold the written buffer with the reference's bytes", i, lpn)
+		}
+		now = gd
+	}
+	if got.Remap() != want.Remap() || got.Remap().Relocations == 0 {
+		t.Fatalf("remap stats %+v, reference %+v; want equal, with relocations", got.Remap(), want.Remap())
+	}
+	gh, gp := got.Writes()
+	wh, wp := want.Writes()
+	if gh != wh || gp != wp || got.Device().Reads() != want.Device().Reads() {
+		t.Fatal("write or read counters differ from the reference")
+	}
+	if err := got.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -9,6 +9,15 @@
 // host page table, and in FlatFlash it is battery-backed: dirty data that
 // reached it is persistent (§3.5). Crash semantics are modeled in the core
 // package; this package is the data structure.
+//
+// A miss fill shares flash's buffer for the page instead of copying it
+// (InsertShared). A write to such an entry lands in flash's buffer when the
+// buffer is the page's own: the few 64 B lines it overwrites are saved first
+// in a small per-entry undo log, so flash's old bytes stay recoverable until
+// the page is written back — by moving the buffer, not copying it — or the
+// lines are put back. A write that would save more than undoLines lines, and
+// every path that needs flash's old bytes, takes the entry over with one
+// copy instead (Own).
 package ssdcache
 
 import (
@@ -66,39 +75,129 @@ func (c Config) Validate() error {
 // the entry (0 in single-actor runs), so consolidation experiments can
 // report how the shared cache is partitioned by contention.
 //
-// Data is either the cache's own buffer or, for an entry filled by
-// InsertShared, a read-only view of flash's buffer for the page. Every
-// write into Data must call Cache.Own first.
+// Data is the cache's own buffer, or, for an entry filled by InsertShared,
+// flash's buffer for the page. Such an entry is shared — a clean, read-only
+// view — until a write: Write either writes flash's buffer in place, saving
+// the lines it overwrites in the entry's undo log (the entry is then in
+// place, and dirty), or takes the buffer over with Own. Every write into Data
+// goes through Write, or calls Own first.
 type Entry struct {
 	Valid   bool
-	LPN     uint32
 	Dirty   bool
+	LPN     uint32
 	PageCnt int
 	Owner   int
 	Data    []byte
 
-	shared bool // Data is a read-only view the cache does not own
-	rrpv   uint8
-	used   uint64 // LRU timestamp
+	shared   bool     // Data is flash's buffer for the page, not the cache's
+	writable bool     // a shared Data is the page's own flash buffer, so Write may write it in place
+	rrpv     uint8    // RRIP re-reference prediction value
+	undo     *undoLog // flash's old bytes of the lines written in place; non-nil iff in place
+	used     uint64   // LRU timestamp
 }
 
-// Shared reports whether e's Data is a read-only view filled by
-// InsertShared and not yet taken over by Own. A shared entry is clean.
-func (e *Entry) Shared() bool { return e.shared }
+// Shared reports whether e's Data is a clean, read-only view of flash's
+// buffer, filled by InsertShared and not yet written.
+func (e *Entry) Shared() bool { return e.shared && e.undo == nil }
+
+// InPlace reports whether e's Data is flash's buffer for the page with writes
+// in it: e is dirty, and its undo log holds flash's old bytes of every line
+// written.
+func (e *Entry) InPlace() bool { return e.undo != nil }
+
+// FlashBytes appends to dst the bytes flash holds for e's page, as a crash or
+// a read of flash would see them: Data, with an in-place entry's saved lines
+// put back. It exists for tests.
+func (e *Entry) FlashBytes(dst []byte) []byte {
+	n := len(dst)
+	dst = append(dst, e.Data...)
+	if e.undo != nil {
+		e.undo.restore(dst[n:])
+	}
+	return dst
+}
+
+// CheckUndo verifies an in-place entry's undo log: at most undoLines lines,
+// each inside the page and saved once.
+func (e *Entry) CheckUndo() error {
+	u := e.undo
+	if u == nil {
+		return nil
+	}
+	if u.n < 0 || u.n > undoLines {
+		return fmt.Errorf("ssdcache: lpn %d undo log holds %d lines, at most %d", e.LPN, u.n, undoLines)
+	}
+	for i := 0; i < u.n; i++ {
+		if l := int(u.line[i]); l < 0 || l*lineSize >= len(e.Data) {
+			return fmt.Errorf("ssdcache: lpn %d undo line %d outside a %d B page", e.LPN, l, len(e.Data))
+		}
+		for j := 0; j < i; j++ {
+			if u.line[j] == u.line[i] {
+				return fmt.Errorf("ssdcache: lpn %d undo log saves line %d twice", e.LPN, u.line[i])
+			}
+		}
+	}
+	return nil
+}
+
+// lineSize is the granularity of the undo log: a CPU cache line.
+const lineSize = 64
+
+// undoLines is how many lines an in-place entry may save. A write that needs
+// more takes the page over with one copy instead (Own). The log is small so
+// that it stays cache-resident: saving into a whole pooled page buffer
+// instead cost persist-mix about 6% of its throughput.
+const undoLines = 4
+
+// undoLog holds flash's old bytes of the lines an in-place entry has
+// written, in the order they were first written.
+type undoLog struct {
+	n    int
+	line [undoLines]int32
+	data [undoLines][lineSize]byte
+}
+
+// has reports whether line l is saved.
+//
+//flatflash:hotpath
+func (u *undoLog) has(l int32) bool {
+	for i := 0; i < u.n; i++ {
+		if u.line[i] == l {
+			return true
+		}
+	}
+	return false
+}
+
+// restore puts every saved line back into page.
+func (u *undoLog) restore(page []byte) {
+	for i := 0; i < u.n; i++ {
+		copy(page[int(u.line[i])*lineSize:], u.data[i][:])
+	}
+}
 
 // Victim is a page displaced from the cache.
 //
 // A dirty victim evicted by an insert hands its buffer to the caller, who
 // owns Data until it passes it back with Give (or gives it away, as a
-// write-back to flash does). Any other victim's Data is the cache's: a
-// clean buffer it recycles, valid only until the next insert or Own on the
-// same cache, or a shared entry's flash view, which the cache just drops.
+// write-back to flash does). An in-place victim's Data is instead flash's
+// buffer for the page, already holding the new bytes: the caller writes it
+// back by moving that buffer (ftl.FTL.RewritePage) and then calls Settle.
+// Any other victim's Data is the cache's: a clean buffer it recycles, valid
+// only until the next insert or Own on the same cache, or a shared entry's
+// flash view, which the cache just drops.
 type Victim struct {
 	LPN     uint32
 	Dirty   bool
 	PageCnt int
 	Data    []byte
+
+	undo *undoLog // an in-place victim's saved lines, until Settle
 }
+
+// InPlace reports whether v was evicted in place: Data is flash's buffer
+// for the page, written but not yet programmed.
+func (v Victim) InPlace() bool { return v.undo != nil }
 
 // Cache is the set-associative SSD-internal page cache.
 type Cache struct {
@@ -116,6 +215,11 @@ type Cache struct {
 	// holds more than Pages buffers, and never a shared entry's view, so
 	// steady-state cache churn allocates nothing (see Victim.Data).
 	free [][]byte
+
+	// undoFree recycles in-place entries' undo logs: Write takes one for
+	// an entry's first in-place write, and Own, Cleaned and Settle return
+	// it. At most Pages logs are in use at a time.
+	undoFree []*undoLog
 
 	hits, misses, evictions, dirtyEvicts int64
 }
@@ -204,16 +308,125 @@ func (c *Cache) Touch(e *Entry) int {
 	return e.PageCnt
 }
 
+// Write copies b into e's bytes at off and marks e dirty. A shared entry
+// whose Data is the page's own flash buffer is written in place: each line b
+// touches for the first time is saved in e's undo log beforehand. A write
+// that would take the log past undoLines lines, or to any other shared entry
+// (flash's zero or erased page), takes the entry over with Own first.
+//
+//flatflash:hotpath
+func (c *Cache) Write(e *Entry, off int, b []byte) {
+	if e.shared && !(e.writable && c.save(e, off, len(b))) {
+		c.Own(e)
+	}
+	copy(e.Data[off:off+len(b)], b)
+	e.Dirty = true
+}
+
+// save records in e's undo log every line of Data[off:off+n] not saved yet,
+// taking a log for e's first in-place write. It reports false, saving
+// nothing, if the log cannot hold them all.
+//
+//flatflash:hotpath
+func (c *Cache) save(e *Entry, off, n int) bool {
+	first, last := int32(off/lineSize), int32((off+n-1)/lineSize)
+	if n == 0 {
+		last = first - 1
+	}
+	u := e.undo
+	if u != nil {
+		fresh := 0
+		for l := first; l <= last; l++ {
+			if !u.has(l) {
+				fresh++
+			}
+		}
+		if u.n+fresh > undoLines {
+			return false
+		}
+	} else {
+		if int(last-first) >= undoLines {
+			return false
+		}
+		u = c.undoLog()
+		e.undo = u
+	}
+	for l := first; l <= last; l++ {
+		if !u.has(l) {
+			copy(u.data[u.n][:], e.Data[int(l)*lineSize:])
+			u.line[u.n] = l
+			u.n++
+		}
+	}
+	return true
+}
+
+// undoLog pops a recycled, empty undo log, or allocates one.
+//
+//flatflash:coldpath
+func (c *Cache) undoLog() *undoLog {
+	if n := len(c.undoFree); n > 0 {
+		u := c.undoFree[n-1]
+		c.undoFree = c.undoFree[:n-1]
+		return u
+	}
+	return new(undoLog)
+}
+
+// dropUndo empties u and returns it to the pool.
+func (c *Cache) dropUndo(u *undoLog) {
+	u.n = 0
+	c.undoFree = append(c.undoFree, u)
+}
+
 // Own makes e's Data the cache's own buffer before a write into it: a shared
 // entry's flash view is copied once into a free-list (or new) buffer, and
-// the view is left untouched. Own on an entry the cache already owns does nothing.
+// the view is left untouched. An in-place entry is copied the same way, with
+// its writes, and its saved lines then go back into flash's buffer, so flash
+// again holds the page's old bytes. Own on an entry the cache already owns
+// does nothing.
+//
+//flatflash:coldpath
 func (c *Cache) Own(e *Entry) {
 	if !e.shared {
 		return
 	}
 	buf := c.buffer()
 	copy(buf, e.Data)
-	e.Data, e.shared = buf, false
+	if u := e.undo; u != nil {
+		u.restore(e.Data)
+		c.dropUndo(u)
+		e.undo = nil
+	}
+	e.Data, e.shared, e.writable = buf, false, false
+}
+
+// OwnAll takes over every in-place entry with Own, so that flash holds only
+// bytes it programmed: what a power loss leaves on it, with the cache's
+// battery-backed copy of each dirty page beside it.
+func (c *Cache) OwnAll() {
+	for _, set := range c.sets {
+		for i := range set {
+			if set[i].undo != nil {
+				c.Own(&set[i])
+			}
+		}
+	}
+}
+
+// Settle ends the write-back of an in-place victim, returning its undo log
+// to the pool. If flash did not program the page (programmed is false), the
+// saved lines first go back into flash's buffer, so flash keeps the page's
+// old bytes, as it does after a failed write-back of the cache's own buffer.
+// Settle ignores every other victim.
+func (c *Cache) Settle(v Victim, programmed bool) {
+	if v.undo == nil {
+		return
+	}
+	if !programmed {
+		v.undo.restore(v.Data)
+	}
+	c.dropUndo(v.undo)
 }
 
 // Give returns a page buffer to the cache's free list: a dirty victim's Data
@@ -243,18 +456,20 @@ func (c *Cache) buffer() []byte {
 // Inserting an LPN that is already present is a bug in the manager and
 // panics.
 func (c *Cache) Insert(lpn uint32, data []byte, dirty bool) (e *Entry, victim Victim, evicted bool) {
-	return c.insert(lpn, data, dirty, false)
+	return c.insert(lpn, data, dirty, false, false)
 }
 
 // InsertShared is Insert of a clean page that stores view itself — flash's
-// read-only buffer for the page (ftl.FTL.ReadPageShared) — instead of a
-// copy. The entry stays shared until Own; the caller must keep view valid
-// for as long, which flash does while the page is lpn's current copy.
-func (c *Cache) InsertShared(lpn uint32, view []byte) (e *Entry, victim Victim, evicted bool) {
-	return c.insert(lpn, view, false, true)
+// buffer for the page (ftl.FTL.ReadPageShared) — instead of a copy. The
+// caller must keep view valid while the entry holds it, which flash does
+// while the page is lpn's current copy. writable says view is that page's
+// own buffer, which Write may then write in place; otherwise (flash's zero
+// or erased page) the first write takes the entry over with Own.
+func (c *Cache) InsertShared(lpn uint32, view []byte, writable bool) (e *Entry, victim Victim, evicted bool) {
+	return c.insert(lpn, view, false, true, writable)
 }
 
-func (c *Cache) insert(lpn uint32, data []byte, dirty, shared bool) (e *Entry, victim Victim, evicted bool) {
+func (c *Cache) insert(lpn uint32, data []byte, dirty, shared, writable bool) (e *Entry, victim Victim, evicted bool) {
 	if len(data) != c.cfg.PageSize {
 		panic("ssdcache: bad page size on insert")
 	}
@@ -273,7 +488,7 @@ func (c *Cache) insert(lpn uint32, data []byte, dirty, shared bool) (e *Entry, v
 	if way == -1 {
 		way = c.victimWay(set)
 		v := &set[way]
-		victim = Victim{LPN: v.LPN, Dirty: v.Dirty, PageCnt: v.PageCnt, Data: v.Data}
+		victim = Victim{LPN: v.LPN, Dirty: v.Dirty, PageCnt: v.PageCnt, Data: v.Data, undo: v.undo}
 		evicted = true
 		c.evictions++
 		if v.Dirty {
@@ -302,14 +517,15 @@ func (c *Cache) insert(lpn uint32, data []byte, dirty, shared bool) (e *Entry, v
 		c.Give(victim.Data)
 	}
 	set[way] = Entry{
-		Valid:   true,
-		LPN:     lpn,
-		Dirty:   dirty,
-		PageCnt: 0,
-		Data:    buf,
-		shared:  shared,
-		rrpv:    rrpvInsert,
-		used:    c.tick,
+		Valid:    true,
+		LPN:      lpn,
+		Dirty:    dirty,
+		PageCnt:  0,
+		Data:     buf,
+		shared:   shared,
+		writable: writable,
+		rrpv:     rrpvInsert,
+		used:     c.tick,
 	}
 	return &set[way], victim, evicted
 }
@@ -341,10 +557,15 @@ func (c *Cache) victimWay(set []Entry) int {
 
 // Remove evicts lpn explicitly (promotion completion removes the page from
 // the SSD-Cache — its home is now host DRAM). It returns the removed page.
+// An in-place entry is taken over with Own first, so flash keeps its old
+// bytes and the page's new ones leave with the cache's buffer.
 func (c *Cache) Remove(lpn uint32) (Victim, bool) {
 	e := c.find(lpn)
 	if e == nil {
 		return Victim{}, false
+	}
+	if e.undo != nil {
+		c.Own(e)
 	}
 	v := Victim{LPN: e.LPN, Dirty: e.Dirty, PageCnt: e.PageCnt, Data: e.Data}
 	if !e.shared {
@@ -357,30 +578,46 @@ func (c *Cache) Remove(lpn uint32) (Victim, bool) {
 }
 
 // DirtyData implements ftl.DirtySource: if lpn is cached dirty, it returns
-// the entry's own buffer (a dirty entry is never shared), valid until the
-// next insert or Remove. The entry stays dirty: GC calls Cleaned once flash holds
-// the data.
+// the entry's own buffer, valid until the next insert or Remove, or nil for
+// an in-place entry, whose bytes flash's buffer for the page already holds.
+// The entry stays dirty: GC calls Cleaned once flash holds the data.
 func (c *Cache) DirtyData(lpn uint32) ([]byte, bool) {
 	if e := c.find(lpn); e != nil && e.Dirty {
+		if e.undo != nil {
+			return nil, true
+		}
 		return e.Data, true
 	}
 	return nil, false
 }
 
 // Cleaned implements ftl.DirtySource: it marks lpn's entry, if any, clean.
+// An in-place entry turns back into a shared view, since the page flash
+// programmed holds its buffer.
 func (c *Cache) Cleaned(lpn uint32) {
 	if e := c.find(lpn); e != nil {
 		e.Dirty = false
+		if u := e.undo; u != nil {
+			c.dropUndo(u)
+			e.undo = nil
+		}
 	}
 }
 
-// TakeDirty is DirtyData then Cleaned, for Drain: the entry is clean before
-// the FTL write that persists it, so that write's own garbage collection
-// relocates the flash copy rather than this one.
+// TakeDirty is DirtyData then Cleaned, for Drain, of an entry taken over
+// with Own first if in place: the entry is clean before the FTL write that
+// persists its buffer, so that write's own garbage collection relocates the
+// flash copy rather than this one.
 func (c *Cache) TakeDirty(lpn uint32) ([]byte, bool) {
-	data, ok := c.DirtyData(lpn)
-	c.Cleaned(lpn)
-	return data, ok
+	e := c.find(lpn)
+	if e == nil || !e.Dirty {
+		return nil, false
+	}
+	if e.undo != nil {
+		c.Own(e)
+	}
+	e.Dirty = false
+	return e.Data, true
 }
 
 // DirtyPages returns the LPNs of all dirty entries (used by crash-recovery

@@ -91,7 +91,7 @@ func TestInsertSharedStoresView(t *testing.T) {
 	c.Insert(0, pageOf(0x11, size), true)
 
 	view := pageOf(0x22, size)
-	e, v, evicted := c.InsertShared(1, view)
+	e, v, evicted := c.InsertShared(1, view, false)
 	if &e.Data[0] != &view[0] {
 		t.Fatal("InsertShared stored a copy of the view")
 	}
@@ -118,7 +118,7 @@ func TestOwnCopiesOnce(t *testing.T) {
 	c := newOneSet(t, 2)
 	size := c.Config().PageSize
 	view := pageOf(0x33, size)
-	e, _, _ := c.InsertShared(4, view)
+	e, _, _ := c.InsertShared(4, view, false)
 	c.Own(e)
 	if e.Shared() || &e.Data[0] == &view[0] || !bytes.Equal(e.Data, view) {
 		t.Fatal("Own did not take a private copy of the view")
@@ -144,7 +144,7 @@ func TestSharedVictimsNeverFreed(t *testing.T) {
 	for lpn := uint32(0); lpn < 8; lpn++ {
 		view := pageOf(byte(lpn), size)
 		views[&view[0]] = true
-		c.InsertShared(lpn, view)
+		c.InsertShared(lpn, view, false)
 	}
 	if v, ok := c.Remove(7); !ok || !views[&v.Data[0]] {
 		t.Fatal("Remove of a shared entry did not return its view")
@@ -171,8 +171,9 @@ func TestSharedVictimsNeverFreed(t *testing.T) {
 
 // TestInsertChurnZeroAllocSteadyState: once the set's buffers exist, the
 // evict cycle allocates nothing per insert — a copied-in page whose dirty
-// victims are given back (as the write-back exchange does), and a shared
-// fill that is then owned and dirtied.
+// victims are given back (as the write-back exchange does), a shared fill
+// that is then owned and dirtied, and a fill of flash's own buffer written
+// in place, whose in-place victims settle their undo logs.
 func TestInsertChurnZeroAllocSteadyState(t *testing.T) {
 	if sim.RaceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
@@ -192,7 +193,7 @@ func TestInsertChurnZeroAllocSteadyState(t *testing.T) {
 		lpn++
 	})
 	alloctest.Exact(t, 1000, 0, func() {
-		e, v, ok := c.InsertShared(lpn, fill)
+		e, v, ok := c.InsertShared(lpn, fill, false)
 		if ok && v.Dirty {
 			c.Give(v.Data)
 		}
@@ -200,6 +201,40 @@ func TestInsertChurnZeroAllocSteadyState(t *testing.T) {
 		e.Dirty = true
 		lpn++
 	})
+	w := writeMissRig(newOneSet(t, 4), 64)
+	for i := 0; i < 128; i++ {
+		w()
+	}
+	alloctest.Exact(t, 1000, 0, w)
+}
+
+// writeMissRig returns one SSD-Cache write miss on c, over lpns pages that
+// each keep one flash buffer: a shared fill of the next page's buffer, an
+// 8 B write into it, and the write-back of a dirty victim, which settles an
+// in-place victim's undo log or trades an owned victim's buffer for flash's
+// old one.
+func writeMissRig(c *Cache, lpns int) func() {
+	size := c.Config().PageSize
+	flash := make([][]byte, lpns)
+	for i := range flash {
+		flash[i] = pageOf(byte(i), size)
+	}
+	b := make([]byte, 8)
+	i := 0
+	return func() {
+		lpn := i % lpns
+		e, v, ok := c.InsertShared(uint32(lpn), flash[lpn], true)
+		c.Write(e, 8*i%size, b)
+		if ok && v.Dirty {
+			if v.InPlace() {
+				c.Settle(v, true)
+			} else {
+				flash[v.LPN], v.Data = v.Data, flash[v.LPN]
+				c.Give(v.Data)
+			}
+		}
+		i++
+	}
 }
 
 // BenchmarkCacheMissFill times the SSD-Cache half of a miss fill at a 4 KiB
@@ -219,10 +254,30 @@ func BenchmarkCacheMissFill(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, v, ok := c.InsertShared(lpn, src); ok && v.Dirty {
+		if _, v, ok := c.InsertShared(lpn, src, true); ok && v.Dirty {
 			c.Give(v.Data)
 		}
 		lpn++
+	}
+}
+
+// BenchmarkCacheWriteMiss times the SSD-Cache half of a write miss at a
+// 4 KiB page over 1024 pages of flash buffers (4 MiB): a shared fill of
+// flash's buffer that evicts a dirty victim, an 8 B write into the new
+// entry, and the victim's write-back.
+func BenchmarkCacheWriteMiss(b *testing.B) {
+	c, err := New(Config{Pages: 64, Ways: DefaultWays, PageSize: 4096, Policy: RRIP})
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := writeMissRig(c, 1024)
+	for i := 0; i < 2048; i++ {
+		w()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w()
 	}
 }
 

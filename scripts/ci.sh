@@ -123,13 +123,22 @@ python3 - "$mutant_dir" <<'EOF'
 import subprocess, sys
 root = sys.argv[1]
 rows = [
-    # The SSD-Cache shares flash's read-only page buffers until a write
-    # takes the entry over with Own. Without the Own before the MMIO
-    # write's copy, the write lands in flash's buffer.
-    ("internal/core/flatflash.go",
-     [("\t\ts.cach.Own(e)\n\t\tcopy(e.Data[off:off+len(w)], w)\n",
-       "\t\tcopy(e.Data[off:off+len(w)], w)\n")],
-     "./internal/core/", "TestHierarchyShadowMemoryProperty"),
+    # The SSD-Cache writes a page in place in flash's buffer only after
+    # saving each line it overwrites in the entry's undo log. A Write that
+    # skips the save leaves flash without its old bytes.
+    ("internal/ssdcache/cache.go",
+     [("\t\t\tcopy(u.data[u.n][:], e.Data[int(l)*lineSize:])\n", "")],
+     "./internal/core/", "TestSharedViewAliasInvariant"),
+    # An undo log whose restore skips the last saved line leaves one line
+    # of the page's new bytes in flash.
+    ("internal/ssdcache/cache.go",
+     [("\tfor i := 0; i < u.n; i++ {\n\t\tcopy(page[", "\tfor i := 0; i < u.n-1; i++ {\n\t\tcopy(page[")],
+     "./internal/ssdcache/", "FuzzCache"),
+    # GC must move an in-place page's buffer, which the cache entry holds.
+    # Copying it into a new page releases the buffer under the entry.
+    ("internal/ftl/ftl.go",
+     [("\t\tif !dirty {\n", "\t\tif dirty && data == nil {\n\t\t\tdata = f.PageView(uint32(lpn))\n\t\t}\n\t\tif !dirty {\n")],
+     "./internal/core/", "TestSharedViewAliasInvariant"),
     # The allocation budgets count every allocation of their 1,000 calls.
     # An amortised append in DRAM.Touch allocates on only a handful of
     # them, which a per-call average truncated to an integer reads as 0.
