@@ -77,7 +77,7 @@ type pauser interface {
 }
 
 // guardedDeferResume: the conditional Suspend pairs with a deferred Resume
-// registered on the same path — the shape flushWriteBacksPipelined uses.
+// registered on the same path — the shape flushWriteBacks uses.
 func guardedDeferResume(p pauser, work func() error) error {
 	if p != nil {
 		p.Suspend()

@@ -106,11 +106,11 @@ func BenchmarkAccessSSDCacheHit(b *testing.B) {
 // warmSSDCacheMiss builds a FlatFlash whose 64 B accesses all miss the
 // SSD-Cache: PromoteNever keeps pages on the SSD and access(i) touches page
 // i%256 of a region already on flash, 16 times the cache. One warm lap runs
-// first, so buffers and free lists are in their steady state, and for write
-// misses as many more as the device has physical pages. A read miss
-// shares the page's flash buffer; a write miss then writes that buffer in
-// place, saving the line in a pooled undo log, and evicts a dirty in-place
-// victim, whose buffer flash moves to a new page.
+// first, so the buffer pool and undo logs are in their steady state, and
+// for write misses as many more as the device has physical pages. A read
+// miss shares the page's flash buffer; a write miss then writes that buffer
+// in place, saving the line in a pooled undo log, and evicts a dirty
+// in-place victim, whose buffer flash moves to a new page.
 func warmSSDCacheMiss(tb testing.TB, write bool) (h *FlatFlash, access func(i int)) {
 	tb.Helper()
 	cfg := testConfig()

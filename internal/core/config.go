@@ -80,8 +80,10 @@ type Config struct {
 	// to every hierarchy built from this config, so fleet/mtsim sweeps
 	// pick the mode up transparently.
 	MapCachePages int
-	// MapPipeline overlaps a write's map access with its data program and
-	// takes evicted-page write-backs off the critical path (FMMU-style).
+	// Deprecated: MapPipeline is ignored. The demand-paged map always
+	// overlaps a write's map access with its data program and takes
+	// evicted-page write-backs off the critical path (FMMU-style); the
+	// field stays only because the perf harness still sets it.
 	MapPipeline bool
 
 	// Baseline-only software costs.
@@ -212,7 +214,6 @@ func (c Config) buildFTL() (*ftl.FTL, error) {
 		OverprovisionBlocks: op,
 		GCFreeBlocksLow:     2,
 		MapCachePages:       c.MapCachePages,
-		MapPipeline:         c.MapPipeline,
 	})
 }
 

@@ -87,7 +87,11 @@ func TestBaselineDrain(t *testing.T) {
 }
 
 // When the PLB is exhausted or DRAM has no evictable frame, promotions are
-// skipped gracefully (counted, no stall, no corruption).
+// skipped gracefully (counted, no stall, no corruption). A skipped
+// promotion puts the page it removed from the SSD-Cache back, and its
+// re-insert takes the removed buffer back off the top of the buffer pool
+// that the cache shares with flash: every page must read back the distinct
+// bytes written to it.
 func TestPromotionSkippedWhenPLBFull(t *testing.T) {
 	cfg := testConfig()
 	cfg.PLB.Entries = 1
@@ -95,10 +99,19 @@ func TestPromotionSkippedWhenPLBFull(t *testing.T) {
 	cfg.Promotion = PromoteAlways
 	ff, _ := NewFlatFlash(cfg)
 	r, _ := ff.Mmap(1 << 20)
+	want := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 8) }
+	for i := 0; i < 20; i++ {
+		if _, err := ff.Write(r.Base+uint64(i)*4096, want(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	buf := make([]byte, 8)
 	for i := 0; i < 20; i++ {
 		if _, err := ff.Read(r.Base+uint64(i)*4096, buf); err != nil {
 			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, want(i)) {
+			t.Fatalf("page %d reads %x, want %x", i, buf, want(i))
 		}
 	}
 	c := ff.Counters()

@@ -18,7 +18,6 @@ import (
 func demandConfig(cachePages int) Config {
 	cfg := DefaultConfig(32<<20, 1<<20)
 	cfg.MapCachePages = cachePages
-	cfg.MapPipeline = true
 	return cfg
 }
 

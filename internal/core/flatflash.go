@@ -140,6 +140,7 @@ func NewFlatFlash(cfg Config) (*FlatFlash, error) {
 		return nil, err
 	}
 	f.SetDirtySource(cach)
+	cach.SetPool(f.Device().Pool())
 	link, err := pcie.NewLink(cfg.PCIe)
 	if err != nil {
 		return nil, err
@@ -567,24 +568,19 @@ func (s *FlatFlash) ensureCachedFor(t *Tenant, now sim.Time, lpn uint32) (*ssdca
 	return e, done, false
 }
 
-// writeBackVictim programs a dirty victim to flash. An in-place victim's
-// bytes are already in flash's buffer for the page, which the write moves
-// to the new page; the cache then settles the victim's undo log. Any other
-// victim hands flash its buffer, and the cache takes whatever comes back:
-// flash's buffer in exchange, or the victim's own if the write failed.
+// writeBackVictim programs a dirty victim to flash without a copy: an owned
+// victim hands flash its buffer, and an in-place victim's bytes, already in
+// flash's buffer for the page, move to the new page. The cache then settles
+// the victim.
 //
 //flatflash:hotpath
 func (s *FlatFlash) writeBackVictim(now sim.Time, victim ssdcache.Victim) {
-	var err error
-	if victim.InPlace() {
-		var programmed bool
-		programmed, _, err = s.ftl.RewritePage(now, victim.LPN)
-		s.cach.Settle(victim, programmed)
-	} else {
-		var buf []byte
-		buf, _, err = s.ftl.WritePageOwned(now, victim.LPN, victim.Data)
-		s.cach.Give(buf)
+	var data []byte
+	if !victim.InPlace() {
+		data = victim.Data
 	}
+	programmed, _, err := s.ftl.WriteBack(now, victim.LPN, data)
+	s.cach.Settle(victim, programmed)
 	if err != nil {
 		// Device full; the data stays only in the cache copy we just
 		// dropped — surface loudly in counters.

@@ -119,7 +119,6 @@ func (c Config) hierarchy() (*core.FlatFlash, error) {
 	cfg := core.DefaultConfig(16<<20, 256<<10)
 	cfg.SSDCacheFraction = 0.01 // a few dozen cache pages; still battery-backed
 	cfg.MapCachePages = c.MapCachePages
-	cfg.MapPipeline = c.MapCachePages > 0
 	return core.NewFlatFlash(cfg)
 }
 

@@ -85,7 +85,6 @@ func MapMissAmp(scale Scale) *Report {
 func mapCacheRun(e env, scale Scale, cachePages int, pattern trace.Pattern) (counted[trace.Result], error) {
 	cfg := core.DefaultConfig(64<<20, 2<<20)
 	cfg.MapCachePages = cachePages
-	cfg.MapPipeline = true
 	regionBytes := cfg.SSDBytes / 2
 	return replayCell(e, cfg, regionBytes, trace.GenConfig{
 		Pattern:    pattern,

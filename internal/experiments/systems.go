@@ -90,7 +90,6 @@ type counted[R any] struct {
 func (e env) build(name string, cfg core.Config) (core.Hierarchy, error) {
 	if e.mapCache > 0 && cfg.MapCachePages == 0 {
 		cfg.MapCachePages = e.mapCache
-		cfg.MapPipeline = true
 	}
 	h, err := core.New(name, cfg)
 	if err != nil {

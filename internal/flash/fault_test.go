@@ -94,8 +94,9 @@ func TestProgramMoveFailureKeepsSource(t *testing.T) {
 }
 
 // TestProgramOwnedFailureKeepsBuffer: an injected program failure leaves
-// the caller's buffer with the caller, so a retry elsewhere programs the
-// same bytes, and only the successful program keeps the buffer itself.
+// the caller's buffer with the caller, out of the pool, so a retry
+// elsewhere programs the same bytes, and only the successful program keeps
+// the buffer itself.
 func TestProgramOwnedFailureKeepsBuffer(t *testing.T) {
 	cfg := testConfig()
 	d, err := NewDevice(cfg)
@@ -110,9 +111,9 @@ func TestProgramOwnedFailureKeepsBuffer(t *testing.T) {
 
 	want := bytes.Repeat([]byte{0x66}, cfg.PageSize)
 	mine := append([]byte(nil), want...)
-	spare, done, err := d.ProgramOwned(0, 8, mine, PageData)
-	if !errors.Is(err, ErrProgramFailed) || spare != nil {
-		t.Fatalf("owned program err = %v spare %v, want ErrProgramFailed and no exchange", err, spare != nil)
+	done, err := d.ProgramOwned(0, 8, mine, PageData)
+	if !errors.Is(err, ErrProgramFailed) || d.Pool().Len() != 0 {
+		t.Fatalf("owned program err = %v, pool holds %d; want ErrProgramFailed and an empty pool", err, d.Pool().Len())
 	}
 	if d.Holds(8) || d.IsErased(8) {
 		t.Fatalf("failed target: held=%v erased=%v, want a non-erased page without bytes", d.Holds(8), d.IsErased(8))
@@ -120,7 +121,7 @@ func TestProgramOwnedFailureKeepsBuffer(t *testing.T) {
 	if !bytes.Equal(mine, want) {
 		t.Fatal("a failed program changed the caller's buffer")
 	}
-	if _, _, err := d.ProgramOwned(done, 16, mine, PageData); err != nil {
+	if _, err := d.ProgramOwned(done, 16, mine, PageData); err != nil {
 		t.Fatalf("retried program: %v", err)
 	}
 	if view := d.PeekShared(16); &view[0] != &mine[0] {

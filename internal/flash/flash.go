@@ -115,15 +115,51 @@ const (
 	pageProgrammed
 )
 
+// Pool recycles page buffers, last in first out, so a program usually gets
+// a cache-warm buffer. A device and the SSD-Cache in front of it share one
+// (ssdcache.Cache.SetPool), as the SSD's one DRAM holds both: a buffer is
+// held by one flash page or one cache entry, or lies in the pool. An empty
+// pool carves buffers from a slab of slabPages buffers, so filling a fresh
+// device costs one allocation per slab, not per page.
+type Pool struct {
+	size int
+	free [][]byte
+	slab []byte
+}
+
+// NewPool returns an empty pool of size-byte buffers.
+func NewPool(size int) *Pool { return &Pool{size: size} }
+
+// Get pops the buffer put last, or carves a fresh one.
+func (p *Pool) Get() []byte {
+	if n := len(p.free); n > 0 {
+		buf := p.free[n-1]
+		p.free = p.free[:n-1]
+		return buf
+	}
+	if len(p.slab) < p.size {
+		p.slab = make([]byte, slabPages*p.size)
+	}
+	buf := p.slab[:p.size:p.size]
+	p.slab = p.slab[p.size:]
+	return buf
+}
+
+// Put returns buf, which nothing holds any longer, to the pool.
+func (p *Pool) Put(buf []byte) { p.free = append(p.free, buf) }
+
+// Len returns how many buffers the pool holds.
+func (p *Pool) Len() int { return len(p.free) }
+
 // Device is a NAND flash device.
 //
-// The device never writes into a buffer it holds: a program stores a fresh
-// or handed-over buffer, and a held buffer is recycled only when Release or
-// Erase drops its page. So a caller may keep a view of a page (ReadShared,
-// PeekShared) for as long as the page is live, and ProgramMove, which hands
-// the buffer itself to the new page, keeps such a view valid. A view is
-// read-only, except to the SSD-Cache, which writes a page's buffer in place
-// only while it keeps the overwritten bytes to put back (see
+// The device never writes into a buffer it holds: a program stores a pooled
+// or handed-over buffer, and a held buffer goes back to the pool only when
+// Release or Erase drops its page. So a caller may keep a view of a page
+// (ReadShared, PeekShared) for as long as the page is live, and ProgramMove,
+// which hands the buffer itself to the new page, keeps such a view valid. A
+// view is read-only, except to the SSD-Cache, which writes a page's buffer
+// in place only while it keeps the overwritten bytes to put back (see
 // ssdcache.Cache.Write).
 type Device struct {
 	cfg    Config
@@ -135,16 +171,9 @@ type Device struct {
 	// PageSize bytes of 0xFF, as erased NAND reads.
 	erased []byte
 
-	// free recycles page buffers from released and erased pages back into
-	// programs, last in first out, so a program usually gets a cache-warm
-	// buffer, and ProgramOwned hands one out for each buffer it keeps. Held
-	// buffers plus the pool never exceed TotalPages: a page takes a buffer
-	// from outside the pool only when the pool is empty. First-touch
-	// programs that find the pool empty carve buffers from slab in
-	// slabPages-page chunks, so filling a fresh device costs one allocation
-	// per chunk, not per page.
-	free [][]byte
-	slab []byte
+	// pool takes the buffers of released and erased pages and hands them
+	// to programs, and to the SSD-Cache that shares it.
+	pool *Pool
 
 	faults *fault.Engine   // nil = no injection
 	obs    *telemetry.Sink // nil when instrumentation is disabled
@@ -174,6 +203,7 @@ func NewDevice(cfg Config) (*Device, error) {
 		erases: make([]int64, cfg.Blocks),
 		chans:  make([]*sim.Resource, cfg.Channels),
 		erased: make([]byte, cfg.PageSize),
+		pool:   NewPool(cfg.PageSize),
 	}
 	for i := range d.erased {
 		d.erased[i] = 0xFF
@@ -186,6 +216,9 @@ func NewDevice(cfg Config) (*Device, error) {
 
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
+
+// Pool returns the device's page-buffer pool.
+func (d *Device) Pool() *Pool { return d.pool }
 
 // SetFaults attaches a fault-injection engine (nil disables injection).
 func (d *Device) SetFaults(e *fault.Engine) { d.faults = e }
@@ -332,37 +365,25 @@ func (d *Device) ProgramTyped(now sim.Time, p PageAddr, data []byte, t PageType)
 }
 
 // ProgramOwned is ProgramTyped that keeps buf itself as page p's bytes
-// instead of copying it. On success the caller gives buf up and gets a
-// pooled buffer back in exchange, or nil if the pool is empty; a failed
-// program leaves buf with the caller, for a retry elsewhere.
-func (d *Device) ProgramOwned(now sim.Time, p PageAddr, buf []byte, t PageType) ([]byte, sim.Time, error) {
+// instead of copying it: on success the caller gives buf up, and the pool
+// gets it back once p is released or erased. A failed program leaves buf
+// with the caller, for a retry elsewhere.
+func (d *Device) ProgramOwned(now sim.Time, p PageAddr, buf []byte, t PageType) (sim.Time, error) {
 	done, err := d.program(now, p, len(buf), t)
-	if err != nil {
-		return nil, done, err
+	if err == nil {
+		d.store(p, buf)
 	}
-	return d.store(p, buf), done, nil
+	return done, err
 }
 
-// store makes buf programmed page p's bytes and returns a pooled buffer, or
-// nil if the pool is empty. A nil buf stores the pooled buffer instead —
-// carved from the slab if need be — and returns it for the caller to fill.
+// store makes buf programmed page p's bytes and returns it. A nil buf
+// stores a pooled buffer instead, for the caller to fill.
 func (d *Device) store(p PageAddr, buf []byte) []byte {
-	var pooled []byte
-	if n := len(d.free); n > 0 {
-		pooled, d.free = d.free[n-1], d.free[:n-1]
-	}
 	if buf == nil {
-		if pooled == nil {
-			if len(d.slab) < d.cfg.PageSize {
-				d.slab = make([]byte, min(slabPages, d.cfg.TotalPages())*d.cfg.PageSize)
-			}
-			pooled = d.slab[:d.cfg.PageSize:d.cfg.PageSize]
-			d.slab = d.slab[d.cfg.PageSize:]
-		}
-		buf = pooled
+		buf = d.pool.Get()
 	}
 	d.programmedPage(p).data = buf
-	return pooled
+	return buf
 }
 
 // ProgramMove is ProgramTyped with page src's bytes, handed to dst instead
@@ -433,7 +454,7 @@ func (d *Device) Erase(now sim.Time, b int) (sim.Time, error) {
 	}
 	for p := int(first); p < min(int(first)+d.cfg.PagesPerBlock, len(d.pages)); p++ {
 		if buf := d.pages[p].data; buf != nil {
-			d.free = append(d.free, buf)
+			d.pool.Put(buf)
 		}
 		d.pages[p] = page{}
 	}
@@ -453,7 +474,7 @@ func (d *Device) Release(p PageAddr) {
 		return
 	}
 	if pg := d.pageOf(p); pg != nil && pg.data != nil {
-		d.free = append(d.free, pg.data)
+		d.pool.Put(pg.data)
 		pg.data = nil
 	}
 }

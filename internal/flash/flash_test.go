@@ -429,9 +429,9 @@ func TestReleaseRecyclesBuffer(t *testing.T) {
 	if _, err := d.Program(0, 0, data); err != ErrNotErased {
 		t.Fatalf("program to a released page: err = %v, want ErrNotErased", err)
 	}
-	pooled := len(d.free)
+	pooled := d.pool.Len()
 	d.Release(0)
-	if len(d.free) != pooled {
+	if d.pool.Len() != pooled {
 		t.Fatal("a second release pooled the buffer again")
 	}
 
@@ -470,11 +470,11 @@ func TestReleaseRecyclesBuffer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(d.free) > cfg.TotalPages() {
-		t.Fatalf("pool holds %d buffers, more than the %d pages", len(d.free), cfg.TotalPages())
+	if d.pool.Len() > cfg.TotalPages() {
+		t.Fatalf("pool holds %d buffers, more than the %d pages", d.pool.Len(), cfg.TotalPages())
 	}
-	seen := make(map[*byte]bool, len(d.free))
-	for _, b := range d.free {
+	seen := make(map[*byte]bool, d.pool.Len())
+	for _, b := range d.pool.free {
 		if seen[&b[0]] {
 			t.Fatal("a buffer is pooled twice")
 		}
@@ -482,72 +482,69 @@ func TestReleaseRecyclesBuffer(t *testing.T) {
 	}
 }
 
-// TestProgramOwnedExchangeBounded: a caller that hands in a fresh buffer on
-// every program, keeping the exchanged ones, never grows the device past
-// TotalPages buffers held or pooled, and never gets back a buffer the
-// device still holds. Every buffer the device knows is distinct.
-func TestProgramOwnedExchangeBounded(t *testing.T) {
+// TestPoolBuffersHeldOnce: random programs, owned programs of buffers
+// drawn from the device's pool (as the SSD-Cache draws them), moves,
+// releases and erases never leave one buffer held by two pages, in the
+// pool twice, or both held by a page and in the pool.
+func TestPoolBuffersHeldOnce(t *testing.T) {
 	cfg := testConfig()
 	d, _ := NewDevice(cfg)
 	rng := sim.NewRNG(3)
-	var kept [][]byte
 	var now sim.Time
+	owned, moved := 0, 0
 	for op := 0; op < 2000; op++ {
-		switch p := PageAddr(rng.Intn(cfg.TotalPages())); rng.Intn(4) {
-		case 0, 1:
+		p := PageAddr(rng.Intn(cfg.TotalPages()))
+		var done sim.Time
+		var err error
+		switch rng.Intn(5) {
+		case 0:
 			if !d.IsErased(p) {
 				continue
 			}
-			if rng.Intn(2) == 0 {
-				d.Program(now, p, make([]byte, cfg.PageSize))
+			done, err = d.Program(now, p, make([]byte, cfg.PageSize))
+		case 1:
+			if !d.IsErased(p) {
 				continue
 			}
-			spare, done, err := d.ProgramOwned(now, p, make([]byte, cfg.PageSize), PageData)
-			if err != nil {
-				t.Fatal(err)
-			}
-			now = done
-			if spare != nil {
-				kept = append(kept, spare)
-			}
+			done, err = d.ProgramOwned(now, p, d.Pool().Get(), PageData)
+			owned++
 		case 2:
-			d.Release(p)
+			src := PageAddr(rng.Intn(cfg.TotalPages()))
+			if !d.IsErased(p) || !d.Holds(src) {
+				continue
+			}
+			done, err = d.ProgramMove(now, p, src, PageData)
+			moved++
 		case 3:
-			done, _ := d.Erase(now, d.BlockOf(p))
+			d.Release(p)
+		case 4:
+			done, err = d.Erase(now, d.BlockOf(p))
+		}
+		if err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
+		if done.After(now) {
 			now = done
 		}
 		seen := make(map[*byte]bool)
 		for p := 0; p < cfg.TotalPages(); p++ {
 			if buf := dataOf(d, PageAddr(p)); buf != nil {
+				if seen[&buf[0]] {
+					t.Fatalf("op %d: two pages hold one buffer", op)
+				}
 				seen[&buf[0]] = true
 			}
 		}
-		for _, buf := range d.free {
+		for _, buf := range d.pool.free {
+			if seen[&buf[0]] {
+				t.Fatalf("op %d: a buffer is both held and pooled, or pooled twice", op)
+			}
 			seen[&buf[0]] = true
 		}
-		if n := len(d.free) + held(d); len(seen) != n || n > cfg.TotalPages() {
-			t.Fatalf("op %d: device knows %d buffers (%d distinct), want distinct and at most %d", op, n, len(seen), cfg.TotalPages())
-		}
-		for _, buf := range kept {
-			if seen[&buf[0]] {
-				t.Fatalf("op %d: an exchanged buffer is still the device's", op)
-			}
-		}
 	}
-	if len(kept) == 0 {
-		t.Fatal("no program exchanged a buffer")
+	if owned == 0 || moved == 0 {
+		t.Fatalf("%d owned programs and %d moves; want both", owned, moved)
 	}
-}
-
-// held counts the pages that hold a buffer.
-func held(d *Device) int {
-	n := 0
-	for p := 0; p < d.cfg.TotalPages(); p++ {
-		if dataOf(d, PageAddr(p)) != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // dataOf returns the buffer page p holds, or nil.

@@ -60,7 +60,6 @@ func openLoopCases() []openLoopCase {
 
 	mapCache := cliOpenLoop() // -slo 100us -shed-wait 30us -map-cache 4
 	mapCache.Device.MapCachePages = 4
-	mapCache.Device.MapPipeline = true
 	mapCache.Server.SLO = 100 * sim.Microsecond
 	mapCache.Server.ShedWait = 30 * sim.Microsecond
 

@@ -132,36 +132,17 @@ func (f *FTL) queueWriteBack(tvpn uint32) {
 	f.wbPending = append(f.wbPending, tvpn)
 }
 
-// flushWriteBacks persists every queued evicted-dirty translation page. With
-// MapPipeline the host does not wait: charges route to the background account
-// and the returned time is unchanged (the programs still occupy channel time,
-// so later operations feel the contention — that is the pipelining model).
+// flushWriteBacks persists every queued evicted-dirty translation page off
+// the critical path: the host does not wait, so the returned time is
+// unchanged, and the suspension is held across the whole batch so every
+// program charges to the background account (the programs still occupy
+// channel time, so later operations feel the contention — that is the
+// pipelining model). The defer keeps Resume paired with Suspend on every
+// path, the error return mid-batch included.
 func (f *FTL) flushWriteBacks(now sim.Time) (sim.Time, error) {
 	if len(f.wbPending) == 0 {
 		return now, nil
 	}
-	if f.cfg.MapPipeline {
-		return f.flushWriteBacksPipelined(now)
-	}
-	t := now
-	for _, tvpn := range f.wbPending {
-		done, err := f.persistTransPage(t, tvpn)
-		if err != nil {
-			return now, err
-		}
-		t = done
-	}
-	f.wbPending = f.wbPending[:0]
-	return t, nil
-}
-
-// flushWriteBacksPipelined is the MapPipeline arm of flushWriteBacks: the
-// suspension is held across the whole batch so every program charges to the
-// background account, and the host-visible time never advances. The defer
-// keeps Resume paired with Suspend on every path — including the error
-// return mid-batch, which previously needed a hand-written Resume on each
-// early exit.
-func (f *FTL) flushWriteBacksPipelined(now sim.Time) (sim.Time, error) {
 	f.obs.Suspend()
 	defer f.obs.Resume()
 	t := now
@@ -194,7 +175,7 @@ func (f *FTL) encodeTrans(tvpn uint32) {
 // retires the previous copy, and points the GTD at the new one.
 func (f *FTL) persistTransPage(now sim.Time, tvpn uint32) (sim.Time, error) {
 	f.encodeTrans(tvpn)
-	p, _, done, err := f.programAt(now, f.transBuf, false, flash.InvalidPage, flash.PageTrans)
+	p, done, err := f.programAt(now, f.transBuf, false, flash.InvalidPage, flash.PageTrans)
 	if err != nil {
 		return now, err
 	}

@@ -12,16 +12,15 @@ import (
 // demandConfig is testConfig with the demand-paged translation map on:
 // PageSize 128 → 32 entries per translation page, 96 logical pages → 3
 // translation pages, of which cache keeps only cachePages resident.
-func demandConfig(cachePages int, pipeline bool) Config {
+func demandConfig(cachePages int) Config {
 	c := testConfig()
 	c.MapCachePages = cachePages
-	c.MapPipeline = pipeline
 	return c
 }
 
-func newDemand(t *testing.T, cachePages int, pipeline bool) *FTL {
+func newDemand(t *testing.T, cachePages int) *FTL {
 	t.Helper()
-	f, err := New(demandConfig(cachePages, pipeline))
+	f, err := New(demandConfig(cachePages))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,65 +36,63 @@ func newDemand(t *testing.T, cachePages int, pipeline bool) *FTL {
 // demand-paged one; every read must return identical bytes, access for
 // access, and both must agree with a shadow model.
 func TestDemandEquivalence(t *testing.T) {
-	for _, pipeline := range []bool{false, true} {
-		for seed := int64(1); seed <= 4; seed++ {
-			base, err := New(testConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			dp := newDemand(t, 2, pipeline)
-			rng := rand.New(rand.NewSource(seed))
-			lpns := base.LogicalPages()
-			shadow := make([]byte, lpns) // last fill byte per lpn, 0 = never written
-			bufA, bufB := page(base, 0), page(dp, 0)
-			var nowA, nowB sim.Time
-			for step := 0; step < 1200; step++ {
-				lpn := uint32(rng.Intn(lpns))
-				switch r := rng.Intn(10); {
-				case r < 6: // write
-					fill := byte(rng.Intn(255) + 1)
-					data := page(base, fill)
-					if nowA, err = base.WritePage(nowA, lpn, data); err != nil {
-						t.Fatalf("seed %d step %d: base write: %v", seed, step, err)
-					}
-					if nowB, err = dp.WritePage(nowB, lpn, data); err != nil {
-						t.Fatalf("seed %d step %d: demand write: %v", seed, step, err)
-					}
-					shadow[lpn] = fill
-				case r < 9: // read
-					if nowA, err = base.ReadPage(nowA, lpn, bufA); err != nil {
-						t.Fatalf("seed %d step %d: base read: %v", seed, step, err)
-					}
-					if nowB, err = dp.ReadPage(nowB, lpn, bufB); err != nil {
-						t.Fatalf("seed %d step %d: demand read: %v", seed, step, err)
-					}
-					if !bytes.Equal(bufA, bufB) {
-						t.Fatalf("seed %d step %d pipeline=%v: lpn %d: demand map changed read data",
-							seed, step, pipeline, lpn)
-					}
-					if !bytes.Equal(bufA, page(base, shadow[lpn])) {
-						t.Fatalf("seed %d step %d: lpn %d diverged from shadow", seed, step, lpn)
-					}
-				default: // trim
-					errA, errB := base.Trim(lpn), dp.Trim(lpn)
-					if (errA == nil) != (errB == nil) {
-						t.Fatalf("seed %d step %d: Trim(%d) disagrees: %v vs %v",
-							seed, step, lpn, errA, errB)
-					}
-					shadow[lpn] = 0
+	for seed := int64(1); seed <= 4; seed++ {
+		base, err := New(testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dp := newDemand(t, 2)
+		rng := rand.New(rand.NewSource(seed))
+		lpns := base.LogicalPages()
+		shadow := make([]byte, lpns) // last fill byte per lpn, 0 = never written
+		bufA, bufB := page(base, 0), page(dp, 0)
+		var nowA, nowB sim.Time
+		for step := 0; step < 1200; step++ {
+			lpn := uint32(rng.Intn(lpns))
+			switch r := rng.Intn(10); {
+			case r < 6: // write
+				fill := byte(rng.Intn(255) + 1)
+				data := page(base, fill)
+				if nowA, err = base.WritePage(nowA, lpn, data); err != nil {
+					t.Fatalf("seed %d step %d: base write: %v", seed, step, err)
 				}
-				if step%300 == 299 {
-					if err := dp.CheckConsistency(); err != nil {
-						t.Fatalf("seed %d step %d: %v", seed, step, err)
-					}
+				if nowB, err = dp.WritePage(nowB, lpn, data); err != nil {
+					t.Fatalf("seed %d step %d: demand write: %v", seed, step, err)
+				}
+				shadow[lpn] = fill
+			case r < 9: // read
+				if nowA, err = base.ReadPage(nowA, lpn, bufA); err != nil {
+					t.Fatalf("seed %d step %d: base read: %v", seed, step, err)
+				}
+				if nowB, err = dp.ReadPage(nowB, lpn, bufB); err != nil {
+					t.Fatalf("seed %d step %d: demand read: %v", seed, step, err)
+				}
+				if !bytes.Equal(bufA, bufB) {
+					t.Fatalf("seed %d step %d: lpn %d: demand map changed read data",
+						seed, step, lpn)
+				}
+				if !bytes.Equal(bufA, page(base, shadow[lpn])) {
+					t.Fatalf("seed %d step %d: lpn %d diverged from shadow", seed, step, lpn)
+				}
+			default: // trim
+				errA, errB := base.Trim(lpn), dp.Trim(lpn)
+				if (errA == nil) != (errB == nil) {
+					t.Fatalf("seed %d step %d: Trim(%d) disagrees: %v vs %v",
+						seed, step, lpn, errA, errB)
+				}
+				shadow[lpn] = 0
+			}
+			if step%300 == 299 {
+				if err := dp.CheckConsistency(); err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
 			}
-			if err := dp.CheckConsistency(); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			if st := dp.MapStats(); st.Misses == 0 || st.Evictions == 0 {
-				t.Fatalf("seed %d: cache too large to exercise demand paging: %+v", seed, st)
-			}
+		}
+		if err := dp.CheckConsistency(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if st := dp.MapStats(); st.Misses == 0 || st.Evictions == 0 {
+			t.Fatalf("seed %d: cache too large to exercise demand paging: %+v", seed, st)
 		}
 	}
 }
@@ -135,7 +132,7 @@ func verifyShadow(t *testing.T, f *FTL, shadow []byte) {
 // translation pages and OOB-scans only the blocks programmed since the
 // checkpoint — not the whole device — and still recovers the exact map.
 func TestRecoveryPartialScan(t *testing.T) {
-	f := newDemand(t, 2, true)
+	f := newDemand(t, 2)
 	rng := rand.New(rand.NewSource(11))
 	shadow := make([]byte, f.LogicalPages())
 	now := fillPages(t, f, 0, 60, rng, shadow)
@@ -180,7 +177,7 @@ func TestRecoveryPartialScan(t *testing.T) {
 // TestRecoveryAfterFullFlush: when the crash lands right after a checkpoint,
 // no block postdates it and recovery needs no OOB scan at all.
 func TestRecoveryAfterFullFlush(t *testing.T) {
-	f := newDemand(t, 2, false)
+	f := newDemand(t, 2)
 	rng := rand.New(rand.NewSource(12))
 	shadow := make([]byte, f.LogicalPages())
 	now := fillPages(t, f, 0, 40, rng, shadow)
@@ -207,7 +204,7 @@ func TestRecoveryAfterFullFlush(t *testing.T) {
 // the translation page it claims (torn root record) must be detected, and
 // recovery must fall back to the full OOB scan — still recovering exactly.
 func TestRecoveryTornGTDFallsBack(t *testing.T) {
-	f := newDemand(t, 2, false)
+	f := newDemand(t, 2)
 	rng := rand.New(rand.NewSource(13))
 	shadow := make([]byte, f.LogicalPages())
 	now := fillPages(t, f, 0, 50, rng, shadow)
@@ -242,7 +239,7 @@ func TestRecoveryTornGTDFallsBack(t *testing.T) {
 // TestGCRelocatesTransPages: once GC kicks in, live translation pages inside
 // victim blocks must be relocated (and counted separately from data moves).
 func TestGCRelocatesTransPages(t *testing.T) {
-	c := demandConfig(2, false)
+	c := demandConfig(2)
 	c.MapCheckpointEvery = 16 // checkpoint often so trans pages pile up
 	f, err := New(c)
 	if err != nil {
@@ -291,18 +288,12 @@ func TestDemandConfigValidate(t *testing.T) {
 	if c.Validate() == nil {
 		t.Error("negative MapCachePages accepted")
 	}
-	// Pipelining without demand paging is inert, not an error.
-	c = testConfig()
-	c.MapPipeline = true
-	if err := c.Validate(); err != nil {
-		t.Errorf("MapPipeline alone rejected: %v", err)
-	}
 }
 
 // BenchmarkMapMiss measures the miss path: two translation pages ping-pong
 // through a one-page cache, so every read pays a translation-page fetch.
 func BenchmarkMapMiss(b *testing.B) {
-	f, err := New(demandConfig(1, false))
+	f, err := New(demandConfig(1))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -62,15 +62,13 @@ type Config struct {
 	// as their own page type, and only MapCachePages of them stay resident
 	// in the cached mapping table at a time. Map misses fetch the
 	// translation page from flash; evicted dirty pages are written back in
-	// batches of mapWriteBackBatch. 0 (the default) keeps the whole map
-	// host-resident, with behavior and reports byte-identical to before the
-	// mode existed.
+	// batches of mapWriteBackBatch. The map is pipelined (FMMU style): a
+	// host write's map access overlaps its data program, and the batched
+	// write-backs run off the critical path. Reads still serialize the map
+	// fetch before the data read — the data's location is the fetch's
+	// output. 0 (the default) keeps the whole map host-resident, with
+	// behavior and reports byte-identical to before the mode existed.
 	MapCachePages int
-	// MapPipeline overlaps a host write's translation-map access with its
-	// data program and takes evicted-page write-backs off the critical path
-	// (FMMU-style pipelining). Reads still serialize the map fetch before
-	// the data read — the data's location is the fetch's output.
-	MapPipeline bool
 	// MapCheckpointEvery checkpoints the map — flush every dirty
 	// translation page and commit the GTD root — after this many page
 	// programs (default 256 when zero; negative disables periodic
@@ -245,8 +243,8 @@ func (f *FTL) ReadPage(now sim.Time, lpn uint32, buf []byte) (sim.Time, error) {
 // that the buffer is the page's own — lpn is mapped and its page holds
 // bytes — rather than the zero page or flash's erased page, which every
 // such page shares. A caller may write an own buffer only as the SSD-Cache
-// does, keeping flash's old bytes recoverable until RewritePage programs
-// the new ones.
+// does, keeping flash's old bytes recoverable until WriteBack moves the new
+// ones to a new page.
 func (f *FTL) ReadPageShared(now sim.Time, lpn uint32) (data []byte, own bool, done sim.Time, err error) {
 	if int(lpn) >= f.l2p.len() {
 		return nil, false, now, ErrOutOfRange
@@ -297,78 +295,61 @@ func (f *FTL) PageView(lpn uint32) []byte {
 // Out-of-place: the old physical page (if any) is invalidated and GC runs
 // when the free-block pool is low.
 func (f *FTL) WritePage(now sim.Time, lpn uint32, data []byte) (sim.Time, error) {
-	_, _, done, err := f.writePage(now, lpn, data, false)
+	_, done, err := f.writePage(now, lpn, data, false)
 	return done, err
 }
 
-// WritePageOwned is WritePage that hands data itself to flash as the new
-// page's bytes instead of copying it (see flash.Device.ProgramOwned). It
-// returns the buffer the caller holds afterwards: data again if the write
-// failed before flash took it, otherwise flash's buffer in exchange, or nil.
-func (f *FTL) WritePageOwned(now sim.Time, lpn uint32, data []byte) ([]byte, sim.Time, error) {
-	held, _, done, err := f.writePage(now, lpn, data, true)
-	return held, done, err
-}
-
-// RewritePage is WritePage of the bytes lpn's current page holds, moved to
-// the new page (flash.Device.ProgramMove) rather than copied: a write-back
-// of bytes written into flash's own buffer for lpn (ReadPageShared). It
-// runs the same garbage collection, map access, program, counters and spans
-// as WritePage. programmed reports that flash programmed the bytes, even if
-// a later checkpoint failed; when it is false, lpn's page still holds them.
-func (f *FTL) RewritePage(now sim.Time, lpn uint32) (programmed bool, done sim.Time, err error) {
-	_, programmed, done, err = f.writePage(now, lpn, nil, false)
-	return programmed, done, err
+// WriteBack is WritePage of a dirty SSD-Cache page, with no copy: a non-nil
+// data is handed to flash itself as the new page's bytes (see
+// flash.Device.ProgramOwned), and a nil data moves the bytes lpn's current
+// page holds to the new page (flash.Device.ProgramMove) — bytes written into
+// flash's own buffer for lpn (ReadPageShared). It runs the same garbage
+// collection, map access, program, counters and spans as WritePage.
+// programmed reports that flash programmed the bytes, even if a later
+// checkpoint failed; when it is false, data is still the caller's, or lpn's
+// page still holds the bytes.
+func (f *FTL) WriteBack(now sim.Time, lpn uint32, data []byte) (programmed bool, done sim.Time, err error) {
+	return f.writePage(now, lpn, data, true)
 }
 
 // writePage is WritePage, handing data over to flash if own, or moving
-// lpn's current bytes if data is nil; held is the buffer the caller holds
-// afterwards (always nil when !own), and programmed says the program
+// lpn's current bytes if data is nil; programmed says the program
 // succeeded.
-func (f *FTL) writePage(now sim.Time, lpn uint32, data []byte, own bool) (held []byte, programmed bool, done sim.Time, err error) {
-	if own {
-		held = data
-	}
+func (f *FTL) writePage(now sim.Time, lpn uint32, data []byte, own bool) (programmed bool, done sim.Time, err error) {
 	if int(lpn) >= f.l2p.len() {
-		return held, false, now, ErrOutOfRange
+		return false, now, ErrOutOfRange
 	}
 	switch {
 	case data == nil && !f.IsMapped(lpn):
-		return held, false, now, flash.ErrNoData
+		return false, now, flash.ErrNoData
 	case data != nil && len(data) != f.cfg.Flash.PageSize:
-		return held, false, now, flash.ErrBadPageSize
+		return false, now, flash.ErrBadPageSize
 	}
 	if !f.inGC {
 		f.hostWrites++
 		pre := now
 		now, err = f.maybeGC(now)
 		if err != nil {
-			return held, false, now, err
+			return false, now, err
 		}
 		if now.After(pre) {
 			f.obs.Observe(telemetry.ChargeGCStall, telemetry.TrackFlash, pre, now, int64(lpn))
 		}
 	}
-	issue, mapReady := now, now
+	mapReady := now
 	if f.mc != nil {
 		mapReady, err = f.mapAccess(now, lpn, true)
 		if err != nil {
-			return held, false, now, err
-		}
-		if !f.cfg.MapPipeline {
-			// Classic DFTL: the map access completes before the data
-			// program starts.
-			issue = mapReady
+			return false, now, err
 		}
 	}
 	// A move reads lpn's page only now: the garbage collection above may
 	// have moved its bytes.
-	p, spare, done, err := f.programAt(issue, data, own, f.l2p.get(int(lpn)), flash.PageData)
+	p, done, err := f.programAt(now, data, own, f.l2p.get(int(lpn)), flash.PageData)
 	if err != nil {
-		return held, false, now, err
+		return false, now, err
 	}
-	held, programmed = spare, true
-	if f.mc != nil && f.cfg.MapPipeline && mapReady.After(done) {
+	if mapReady.After(done) {
 		// FMMU pipelining: the map fetch ran concurrently with the data
 		// program; the write completes when the later of the two does.
 		done = mapReady
@@ -381,31 +362,29 @@ func (f *FTL) writePage(now sim.Time, lpn uint32, data []byte, own bool) (held [
 	if f.mc != nil && !f.inGC {
 		done, err = f.maybeCheckpoint(done)
 		if err != nil {
-			return held, true, now, err
+			return true, now, err
 		}
 	}
-	return held, true, done, nil
+	return true, done, nil
 }
 
 // programAt allocates a slot and programs data into it — handing data over
-// if own (returning flash's buffer in exchange, as ProgramOwned does), or,
-// if data is nil, moving page src's bytes there — with the given OOB
-// page-type tag. An injected program failure retires the slot's block
-// (bad-block remapping) and the write retries in a fresh block with the
-// same bytes; the failed attempt's latency is still paid.
-func (f *FTL) programAt(now sim.Time, data []byte, own bool, src flash.PageAddr, t flash.PageType) (flash.PageAddr, []byte, sim.Time, error) {
+// if own, or, if data is nil, moving page src's bytes there — with the
+// given OOB page-type tag. An injected program failure retires the slot's
+// block (bad-block remapping) and the write retries in a fresh block with
+// the same bytes; the failed attempt's latency is still paid.
+func (f *FTL) programAt(now sim.Time, data []byte, own bool, src flash.PageAddr, t flash.PageType) (flash.PageAddr, sim.Time, error) {
 	for {
 		p, err := f.allocSlot()
 		if err != nil {
-			return flash.InvalidPage, nil, now, err
+			return flash.InvalidPage, now, err
 		}
-		var spare []byte
 		var done sim.Time
 		switch {
 		case data == nil:
 			done, err = f.dev.ProgramMove(now, p, src, t)
 		case own:
-			spare, done, err = f.dev.ProgramOwned(now, p, data, t)
+			done, err = f.dev.ProgramOwned(now, p, data, t)
 		default:
 			done, err = f.dev.ProgramTyped(now, p, data, t)
 		}
@@ -420,10 +399,10 @@ func (f *FTL) programAt(now sim.Time, data []byte, own bool, src flash.PageAddr,
 				f.sinceCkpt++
 				f.blockStamp[f.dev.BlockOf(p)] = f.mapSeq
 			}
-			return p, spare, done, nil
+			return p, done, nil
 		}
 		if !errors.Is(err, flash.ErrProgramFailed) {
-			return flash.InvalidPage, nil, now, err
+			return flash.InvalidPage, now, err
 		}
 		f.markBad(f.dev.BlockOf(p))
 		now = done
@@ -654,7 +633,7 @@ func (f *FTL) writeRelocated(now sim.Time, lpn uint32, data []byte) (sim.Time, e
 		// victim frees (GC livelock). The l2p array is already authoritative.
 		f.touchMapTimeless(lpn)
 	}
-	p, _, done, err := f.programAt(now, data, false, f.l2p.get(int(lpn)), flash.PageData)
+	p, done, err := f.programAt(now, data, false, f.l2p.get(int(lpn)), flash.PageData)
 	if err != nil {
 		return now, err
 	}

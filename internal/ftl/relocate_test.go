@@ -32,9 +32,9 @@ func TestGCChurnUnderFaults(t *testing.T) {
 			byType: [4]int64{715, 0, 2215, 0},
 		},
 		2: {
-			remap:  RemapStats{Relocations: 875, TransRelocations: 33, BatchInterrupts: 289, GCRuns: 293, ErasedBlocks: 292, BadBlocks: 4},
-			wear:   [3]int64{292, 29, 2425},
-			byType: [4]int64{875, 33, 2375, 50},
+			remap:  RemapStats{Relocations: 851, TransRelocations: 35, BatchInterrupts: 287, GCRuns: 291, ErasedBlocks: 290, BadBlocks: 4},
+			wear:   [3]int64{290, 27, 2404},
+			byType: [4]int64{851, 35, 2351, 53},
 		},
 	}
 	for _, cachePages := range []int{0, 2} {
@@ -268,11 +268,11 @@ func BenchmarkGCCollect(b *testing.B) {
 
 // TestRewritePageMovesBuffer drives two FTLs through the same churn over a
 // hot half of the logical pages. One writes each page's new bytes into
-// its own flash buffer from ReadPageShared and programs them with
-// RewritePage; the other copies them in with WritePage. Their completion
-// times, counters and bytes must agree, the rewritten page must keep the
-// very buffer that was written, and the garbage collection inside the
-// writes moves those buffers along. RewritePage refuses an unmapped page,
+// its own flash buffer from ReadPageShared and programs them with a
+// WriteBack of nil data; the other copies them in with WritePage. Their
+// completion times, counters and bytes must agree, the rewritten page must
+// keep the very buffer that was written, and the garbage collection inside
+// the writes moves those buffers along. The move refuses an unmapped page,
 // and an unmapped page's view is not its own.
 func TestRewritePageMovesBuffer(t *testing.T) {
 	got, _ := New(testConfig())
@@ -281,8 +281,8 @@ func TestRewritePageMovesBuffer(t *testing.T) {
 		t.Fatalf("unmapped page: own %v, err %v; want the zero page, not own", own, err)
 	}
 	want.ReadPageShared(0, 3)
-	if ok, _, err := got.RewritePage(0, 3); ok || !errors.Is(err, flash.ErrNoData) {
-		t.Fatalf("RewritePage of an unmapped page = %v, %v; want ErrNoData", ok, err)
+	if ok, _, err := got.WriteBack(0, 3, nil); ok || !errors.Is(err, flash.ErrNoData) {
+		t.Fatalf("WriteBack of an unmapped page = %v, %v; want ErrNoData", ok, err)
 	}
 	rng := sim.NewRNG(3)
 	now := sim.Time(0)
@@ -307,7 +307,7 @@ func TestRewritePageMovesBuffer(t *testing.T) {
 		next := append([]byte(nil), wview...)
 		next[i%len(next)] = byte(i)
 		copy(view, next)
-		ok, gd, gerr := got.RewritePage(now, lpn)
+		ok, gd, gerr := got.WriteBack(now, lpn, nil)
 		wd, werr = want.WritePage(now, lpn, next)
 		if !ok || gerr != nil || werr != nil || gd != wd {
 			t.Fatalf("write %d: programmed %v, %v at %d, reference %v at %d", i, ok, gerr, gd, werr, wd)

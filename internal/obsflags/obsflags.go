@@ -90,7 +90,6 @@ func (f *Flags) ShedWaitDur() sim.Duration { return sim.Duration(f.ShedWait.Nano
 // -map-cache resident pages (unchanged when -map-cache is 0).
 func (f *Flags) MapDevice(cfg core.Config) core.Config {
 	cfg.MapCachePages = f.MapCache
-	cfg.MapPipeline = f.MapCache > 0
 	return cfg
 }
 

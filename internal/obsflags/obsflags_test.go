@@ -217,12 +217,12 @@ func TestWriteTraceAndMetrics(t *testing.T) {
 	if g.Registry == nil || g.Tracer != nil {
 		t.Fatalf("Build(true) = %+v, want a registry only", g)
 	}
-	if got := g.MapDevice(core.DefaultConfig(16<<20, 1<<20)); got.MapCachePages != 0 || got.MapPipeline {
+	if got := g.MapDevice(core.DefaultConfig(16<<20, 1<<20)); got.MapCachePages != 0 {
 		t.Fatal("MapDevice demand-paged the map without -map-cache")
 	}
 	h := parse(t, MapCache, "-map-cache", "4")
-	if got := h.MapDevice(core.DefaultConfig(16<<20, 1<<20)); got.MapCachePages != 4 || !got.MapPipeline {
-		t.Fatalf("MapDevice with -map-cache 4 = %d pages, pipeline %v", got.MapCachePages, got.MapPipeline)
+	if got := h.MapDevice(core.DefaultConfig(16<<20, 1<<20)); got.MapCachePages != 4 {
+		t.Fatalf("MapDevice with -map-cache 4 = %d pages", got.MapCachePages)
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"sort"
 
+	"flatflash/internal/flash"
 	"flatflash/internal/sim"
 	"flatflash/internal/telemetry"
 )
@@ -178,14 +179,14 @@ func (u *undoLog) restore(page []byte) {
 
 // Victim is a page displaced from the cache.
 //
-// A dirty victim evicted by an insert hands its buffer to the caller, who
-// owns Data until it passes it back with Give (or gives it away, as a
-// write-back to flash does). An in-place victim's Data is instead flash's
-// buffer for the page, already holding the new bytes: the caller writes it
-// back by moving that buffer (ftl.FTL.RewritePage) and then calls Settle.
-// Any other victim's Data is the cache's: a clean buffer it recycles, valid
-// only until the next insert or Own on the same cache, or a shared entry's
-// flash view, which the cache just drops.
+// A dirty victim evicted by an insert is written back by the caller, who
+// then calls Settle: an owned victim hands its buffer to flash as the new
+// page (ftl.FTL.WriteBack), and an in-place victim's Data is flash's buffer
+// for the page, already holding the new bytes, which the write-back moves
+// to the new page. Any other victim's Data is the pool's again: a clean
+// buffer, valid only until the next insert or Own on the same cache or the
+// next program on flash, or a shared entry's flash view, which the cache
+// just drops.
 type Victim struct {
 	LPN     uint32
 	Dirty   bool
@@ -199,7 +200,8 @@ type Victim struct {
 // for the page, written but not yet programmed.
 func (v Victim) InPlace() bool { return v.undo != nil }
 
-// Cache is the set-associative SSD-internal page cache.
+// Cache is the set-associative SSD-internal page cache. Its own page
+// buffers come from the pool of the flash device behind it (SetPool).
 type Cache struct {
 	cfg   Config
 	sets  [][]Entry
@@ -209,12 +211,10 @@ type Cache struct {
 	obs *telemetry.Sink // nil when instrumentation is disabled
 	now func() sim.Time // clock source for event timestamps
 
-	// free recycles the cache's own page buffers, last in first out, into
-	// Insert and Own: Remove and clean evictions push the displaced buffer,
-	// and Give takes back a buffer handed out with a dirty victim. It never
-	// holds more than Pages buffers, and never a shared entry's view, so
-	// steady-state cache churn allocates nothing (see Victim.Data).
-	free [][]byte
+	// pool hands out the buffers of Insert and Own and takes back those of
+	// Remove, clean evictions and unprogrammed write-backs, never a shared
+	// entry's view, so steady-state churn allocates nothing.
+	pool *flash.Pool
 
 	// undoFree recycles in-place entries' undo logs: Write takes one for
 	// an entry's first in-place write, and Own, Cleaned and Settle return
@@ -230,7 +230,7 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	nsets := cfg.Pages / cfg.Ways
-	c := &Cache{cfg: cfg, nsets: nsets, sets: make([][]Entry, nsets)}
+	c := &Cache{cfg: cfg, nsets: nsets, sets: make([][]Entry, nsets), pool: flash.NewPool(cfg.PageSize)}
 	for i := range c.sets {
 		c.sets[i] = make([]Entry, cfg.Ways)
 	}
@@ -239,6 +239,11 @@ func New(cfg Config) (*Cache, error) {
 
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
+
+// SetPool makes the cache draw its page buffers from p, the pool of the
+// flash device behind it, instead of its own. It must be called before the
+// first insert.
+func (c *Cache) SetPool(p *flash.Pool) { c.pool = p }
 
 // SetSink attaches the instrumentation sink: hit/miss/eviction events on
 // the SSD track, and each hit charges the cache's internal access cost to
@@ -380,9 +385,9 @@ func (c *Cache) dropUndo(u *undoLog) {
 }
 
 // Own makes e's Data the cache's own buffer before a write into it: a shared
-// entry's flash view is copied once into a free-list (or new) buffer, and
-// the view is left untouched. An in-place entry is copied the same way, with
-// its writes, and its saved lines then go back into flash's buffer, so flash
+// entry's flash view is copied once into a pooled buffer, and the view is
+// left untouched. An in-place entry is copied the same way, with its
+// writes, and its saved lines then go back into flash's buffer, so flash
 // again holds the page's old bytes. Own on an entry the cache already owns
 // does nothing.
 //
@@ -391,7 +396,7 @@ func (c *Cache) Own(e *Entry) {
 	if !e.shared {
 		return
 	}
-	buf := c.buffer()
+	buf := c.pool.Get()
 	copy(buf, e.Data)
 	if u := e.undo; u != nil {
 		u.restore(e.Data)
@@ -414,38 +419,22 @@ func (c *Cache) OwnAll() {
 	}
 }
 
-// Settle ends the write-back of an in-place victim, returning its undo log
-// to the pool. If flash did not program the page (programmed is false), the
+// Settle ends the write-back of a dirty victim; programmed says flash
+// programmed its bytes. An owned victim's buffer is then flash's page, or,
+// if not programmed, goes back to the pool with the bytes it held. An
+// in-place victim returns its undo log to the pool; if not programmed, the
 // saved lines first go back into flash's buffer, so flash keeps the page's
-// old bytes, as it does after a failed write-back of the cache's own buffer.
-// Settle ignores every other victim.
+// old bytes there too. Settle ignores a clean victim.
 func (c *Cache) Settle(v Victim, programmed bool) {
-	if v.undo == nil {
-		return
+	switch {
+	case v.undo != nil:
+		if !programmed {
+			v.undo.restore(v.Data)
+		}
+		c.dropUndo(v.undo)
+	case v.Dirty && !programmed:
+		c.pool.Put(v.Data)
 	}
-	if !programmed {
-		v.undo.restore(v.Data)
-	}
-	c.dropUndo(v.undo)
-}
-
-// Give returns a page buffer to the cache's free list: a dirty victim's Data
-// once the caller is done with it, or the buffer flash handed back in
-// exchange for it. A nil buf, or one more than the list holds, is dropped.
-func (c *Cache) Give(buf []byte) {
-	if buf != nil && len(c.free) < c.cfg.Pages {
-		c.free = append(c.free, buf)
-	}
-}
-
-// buffer pops a recycled page buffer, or allocates one.
-func (c *Cache) buffer() []byte {
-	if n := len(c.free); n > 0 {
-		buf := c.free[n-1]
-		c.free = c.free[:n-1]
-		return buf
-	}
-	return make([]byte, c.cfg.PageSize)
 }
 
 // Insert places a copy of data into the cache. If the target set is full, a
@@ -503,10 +492,10 @@ func (c *Cache) insert(lpn uint32, data []byte, dirty, shared, writable bool) (e
 	c.tick++
 	buf := data
 	if !shared {
-		// data may already be the buffer on top of the free list (Remove
-		// followed by re-Insert of the removed page), and then there is
-		// nothing to copy.
-		buf = c.buffer()
+		// data may already be the buffer on top of the pool (Remove followed
+		// by re-Insert of the removed page), and then there is nothing to
+		// copy.
+		buf = c.pool.Get()
 		if &buf[0] != &data[0] {
 			copy(buf, data)
 		}
@@ -514,7 +503,7 @@ func (c *Cache) insert(lpn uint32, data []byte, dirty, shared, writable bool) (e
 	if evicted && !victim.Dirty && !set[way].shared {
 		// Recycled after this insert took its buffer, so a clean victim's
 		// Data stays readable until the next one.
-		c.Give(victim.Data)
+		c.pool.Put(victim.Data)
 	}
 	set[way] = Entry{
 		Valid:    true,
@@ -569,9 +558,10 @@ func (c *Cache) Remove(lpn uint32) (Victim, bool) {
 	}
 	v := Victim{LPN: e.LPN, Dirty: e.Dirty, PageCnt: e.PageCnt, Data: e.Data}
 	if !e.shared {
-		// The removed buffer is recycled by the next insert or Own; until
-		// then the caller may read v.Data (PLB snapshot, stall-copy).
-		c.Give(v.Data)
+		// The removed buffer is recycled by the next insert, Own or flash
+		// program; until then the caller may read v.Data (PLB snapshot,
+		// stall-copy).
+		c.pool.Put(v.Data)
 	}
 	*e = Entry{}
 	return v, true

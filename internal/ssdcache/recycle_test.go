@@ -19,6 +19,19 @@ func newOneSet(t testing.TB, ways int) *Cache {
 
 func pageOf(b byte, size int) []byte { return bytes.Repeat([]byte{b}, size) }
 
+// pooled returns the buffers in c's pool, top first, leaving the pool as
+// it was.
+func pooled(c *Cache) [][]byte {
+	bufs := make([][]byte, c.pool.Len())
+	for i := range bufs {
+		bufs[i] = c.pool.Get()
+	}
+	for i := len(bufs) - 1; i >= 0; i-- {
+		c.pool.Put(bufs[i])
+	}
+	return bufs
+}
+
 // TestSpareRecyclingKeepsData drives eviction and Remove churn through one
 // set and checks that buffer recycling never corrupts resident or displaced
 // page contents.
@@ -83,8 +96,8 @@ func TestVictimDataInvalidatedByNextInsert(t *testing.T) {
 
 // TestInsertSharedStoresView: InsertShared stores the view itself, clean and
 // shared, and the eviction it causes hands the dirty victim's buffer to the
-// caller with its bytes intact: the cache recycles it only once it is
-// given back.
+// caller with its bytes intact: the pool gets it back only when Settle
+// learns that flash did not program it.
 func TestInsertSharedStoresView(t *testing.T) {
 	c := newOneSet(t, 1)
 	size := c.Config().PageSize
@@ -101,13 +114,13 @@ func TestInsertSharedStoresView(t *testing.T) {
 	if !evicted || v.LPN != 0 || !v.Dirty || !bytes.Equal(v.Data, pageOf(0x11, size)) {
 		t.Fatalf("victim = lpn %d dirty %v, want lpn 0 dirty with its data", v.LPN, v.Dirty)
 	}
-	if len(c.free) != 0 {
-		t.Fatal("the dirty victim's buffer reached the free list before Give")
+	if c.pool.Len() != 0 {
+		t.Fatal("the dirty victim's buffer reached the pool before Settle")
 	}
-	c.Give(v.Data)
+	c.Settle(v, false)
 	c.Own(e)
 	if &e.Data[0] != &v.Data[0] {
-		t.Fatal("Own did not reuse the buffer given back")
+		t.Fatal("Own did not reuse the buffer Settle gave back")
 	}
 }
 
@@ -134,9 +147,9 @@ func TestOwnCopiesOnce(t *testing.T) {
 	}
 }
 
-// TestSharedVictimsNeverFreed: a shared entry's view never joins the free
-// list, whether the entry is evicted or removed, while owned buffers do and
-// the list stays within the cache's page count.
+// TestSharedVictimsNeverFreed: a shared entry's view never joins the pool,
+// whether the entry is evicted or removed, while owned buffers do and the
+// pool stays within the cache's page count.
 func TestSharedVictimsNeverFreed(t *testing.T) {
 	c := newOneSet(t, 2)
 	size := c.Config().PageSize
@@ -149,31 +162,29 @@ func TestSharedVictimsNeverFreed(t *testing.T) {
 	if v, ok := c.Remove(7); !ok || !views[&v.Data[0]] {
 		t.Fatal("Remove of a shared entry did not return its view")
 	}
-	if len(c.free) != 0 {
-		t.Fatalf("free list holds %d buffers after shared-only churn, want 0", len(c.free))
+	if c.pool.Len() != 0 {
+		t.Fatalf("pool holds %d buffers after shared-only churn, want 0", c.pool.Len())
 	}
 	c.Insert(8, pageOf(8, size), false)
 	c.Remove(8)
 	c.Insert(9, pageOf(9, size), false)
 	c.Insert(10, pageOf(10, size), false) // evicts 9 or 6, clean
-	for _, buf := range c.free {
+	for _, buf := range pooled(c) {
 		if views[&buf[0]] {
-			t.Fatal("a shared view reached the free list")
+			t.Fatal("a shared view reached the pool")
 		}
 	}
-	for i := 0; i <= 2*c.Config().Pages; i++ {
-		c.Give(make([]byte, size))
-	}
-	if len(c.free) > c.Config().Pages {
-		t.Fatalf("free list grew to %d buffers, past %d pages", len(c.free), c.Config().Pages)
+	if c.pool.Len() > c.Config().Pages {
+		t.Fatalf("pool grew to %d buffers, past %d pages", c.pool.Len(), c.Config().Pages)
 	}
 }
 
 // TestInsertChurnZeroAllocSteadyState: once the set's buffers exist, the
 // evict cycle allocates nothing per insert — a copied-in page whose dirty
-// victims are given back (as the write-back exchange does), a shared fill
-// that is then owned and dirtied, and a fill of flash's own buffer written
-// in place, whose in-place victims settle their undo logs.
+// victims' buffers return to the pool (as flash's release of the page's
+// old copy returns one), a shared fill that is then owned and dirtied, and
+// a fill of flash's own buffer written in place, whose in-place victims
+// settle their undo logs.
 func TestInsertChurnZeroAllocSteadyState(t *testing.T) {
 	if sim.RaceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
@@ -188,14 +199,14 @@ func TestInsertChurnZeroAllocSteadyState(t *testing.T) {
 	}
 	alloctest.Exact(t, 1000, 0, func() {
 		if _, v, ok := c.Insert(lpn, fill, lpn%2 == 0); ok && v.Dirty {
-			c.Give(v.Data)
+			c.pool.Put(v.Data)
 		}
 		lpn++
 	})
 	alloctest.Exact(t, 1000, 0, func() {
 		e, v, ok := c.InsertShared(lpn, fill, false)
 		if ok && v.Dirty {
-			c.Give(v.Data)
+			c.pool.Put(v.Data)
 		}
 		c.Own(e)
 		e.Dirty = true
@@ -211,8 +222,8 @@ func TestInsertChurnZeroAllocSteadyState(t *testing.T) {
 // writeMissRig returns one SSD-Cache write miss on c, over lpns pages that
 // each keep one flash buffer: a shared fill of the next page's buffer, an
 // 8 B write into it, and the write-back of a dirty victim, which settles an
-// in-place victim's undo log or trades an owned victim's buffer for flash's
-// old one.
+// in-place victim's undo log, or makes an owned victim's buffer the page's
+// and returns the page's old one to the pool, as flash's release does.
 func writeMissRig(c *Cache, lpns int) func() {
 	size := c.Config().PageSize
 	flash := make([][]byte, lpns)
@@ -226,12 +237,11 @@ func writeMissRig(c *Cache, lpns int) func() {
 		e, v, ok := c.InsertShared(uint32(lpn), flash[lpn], true)
 		c.Write(e, 8*i%size, b)
 		if ok && v.Dirty {
-			if v.InPlace() {
-				c.Settle(v, true)
-			} else {
-				flash[v.LPN], v.Data = v.Data, flash[v.LPN]
-				c.Give(v.Data)
+			if !v.InPlace() {
+				c.pool.Put(flash[v.LPN])
+				flash[v.LPN] = v.Data
 			}
+			c.Settle(v, true)
 		}
 		i++
 	}
@@ -255,7 +265,7 @@ func BenchmarkCacheMissFill(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, v, ok := c.InsertShared(lpn, src, true); ok && v.Dirty {
-			c.Give(v.Data)
+			c.pool.Put(v.Data)
 		}
 		lpn++
 	}

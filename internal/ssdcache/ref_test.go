@@ -239,16 +239,15 @@ func runCacheLockstep(t *testing.T, prog []byte) {
 		if !gv.Dirty {
 			return
 		}
-		switch {
-		case gv.InPlace():
-			got.Settle(gv, !fail) // a programmed move keeps the buffer
-		case fail:
-			got.Give(gv.Data)
-		default:
-			old := flash[gv.LPN]
+		if !gv.InPlace() && !fail {
+			// Flash keeps an owned victim's buffer as the page and releases
+			// the page's old buffer to the pool.
+			if old := flash[gv.LPN]; old != nil {
+				got.pool.Put(old)
+			}
 			flash[gv.LPN] = gv.Data
-			got.Give(old)
 		}
+		got.Settle(gv, !fail)
 		if !fail {
 			want.program(wv.lpn, wv.data)
 		}
