@@ -3,7 +3,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: ci fmt vet lint lint-fix build test race bench profile fuzz crashsweep golden
+.PHONY: ci fmt vet lint build test race bench profile fuzz crashsweep golden
 
 ci:
 	./scripts/ci.sh
@@ -13,14 +13,6 @@ ci:
 # see the analyzer catalog in DESIGN.md).
 lint:
 	go run ./cmd/flatflash-lint ./...
-
-# Apply the suggested fixes (attribwindow Abandon insertion, detflow
-# sorted-walk rewrite), then verify the rewrites are gofmt-clean. A second
-# run proposes nothing: every fix removes the diagnostic that suggested it.
-lint-fix:
-	go run ./cmd/flatflash-lint -fix ./...
-	@out=$$(gofmt -l $(GOFILES)); \
-	if [ -n "$$out" ]; then echo "lint-fix left unformatted files:"; echo "$$out"; exit 1; fi
 
 fmt:
 	@out=$$(gofmt -l $(GOFILES)); \

@@ -13,17 +13,13 @@
 //	detflow       map-iteration-ordered, pointer-derived, or unsafe values
 //	              do not flow into emit sinks or stats.Counters keys
 //
-// Usage: flatflash-lint [-only a,b] [-list] [-q] [-json] [-fix] [packages]
+// Usage: flatflash-lint [-only a,b] [-list] [-q] [-json] [packages]
 // (default ./...). Targets are analyzed in parallel (one worker per
 // GOMAXPROCS); output is position-sorted after the fan-in, so it is
 // byte-identical regardless of parallelism.
 //
 // -json emits the diagnostics as a JSON array on stdout (consumed by
-// scripts/ci.sh for CI annotations). -fix applies every suggested fix —
-// attribwindow's Abandon insertion before a leaking return, detflow's
-// collect-sort-walk rewrite of a map walk that reaches a sink — and prints
-// the rewritten files; a second -fix run proposes nothing, because every
-// fix removes the diagnostic that suggested it.
+// scripts/ci.sh for CI annotations).
 //
 // Exit status: 0 clean, 1 diagnostics reported, 2 load/usage failure.
 // Suppress a single finding with //lint:ignore <analyzer[,analyzer]> <reason>.
@@ -53,7 +49,6 @@ type jsonDiag struct {
 	Col      int    `json:"col"`
 	Analyzer string `json:"analyzer"`
 	Message  string `json:"message"`
-	Fixable  bool   `json:"fixable"`
 }
 
 func main() {
@@ -61,9 +56,8 @@ func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	quiet := flag.Bool("q", false, "suppress the summary line")
 	asJSON := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
-	fix := flag.Bool("fix", false, "apply suggested fixes to the source files")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: flatflash-lint [-only a,b] [-list] [-q] [-json] [-fix] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: flatflash-lint [-only a,b] [-list] [-q] [-json] [packages]\n\nAnalyzers:\n")
 		for _, a := range analyzers.All() {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
@@ -107,22 +101,6 @@ func main() {
 	}
 	diags := analyzers.Run(targets, suite)
 
-	if *fix {
-		files, err := analyzers.ApplyFixes(diags)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "flatflash-lint: %v\n", err)
-			os.Exit(2)
-		}
-		for _, f := range files {
-			fmt.Println(relPath(f))
-		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "flatflash-lint: applied fixes to %d files (%d diagnostics total); re-run to see what remains\n",
-				len(files), len(diags))
-		}
-		return
-	}
-
 	if *asJSON {
 		out := make([]jsonDiag, 0, len(diags))
 		for _, d := range diags {
@@ -132,7 +110,6 @@ func main() {
 				Col:      d.Pos.Column,
 				Analyzer: d.Analyzer,
 				Message:  d.Message,
-				Fixable:  len(d.Fixes) > 0,
 			})
 		}
 		enc := json.NewEncoder(os.Stdout)

@@ -50,10 +50,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"os"
 	"sort"
 	"strings"
-	"sync"
 
 	"flatflash/internal/sim"
 )
@@ -89,40 +87,16 @@ type Target struct {
 	Info  *types.Info
 }
 
-// A TextEdit is one byte-exact replacement: the source in [Pos, End) is
-// replaced by NewText. Pos == End inserts.
-type TextEdit struct {
-	Pos     token.Position
-	End     token.Position
-	NewText string
-}
-
-// A Fix is one suggested mechanical repair for a diagnostic, applied by
-// flatflash-lint -fix. Edits must not overlap.
-type Fix struct {
-	Message string
-	Edits   []TextEdit
-}
-
 // A Diagnostic is one reported violation, carrying a resolved position so
-// it can be sorted and printed without the FileSet. Fixes, when present,
-// are mechanical rewrites -fix can apply.
+// it can be sorted and printed without the FileSet.
 type Diagnostic struct {
 	Analyzer string
 	Pos      token.Position
 	Message  string
-	Fixes    []Fix
 }
 
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s [%s]", d.Pos, d.Message, d.Analyzer)
-}
-
-// sameDiag reports whether two diagnostics are duplicates for dedup
-// purposes (fixes ride along with the identity fields, so comparing them
-// would never split otherwise-identical reports).
-func sameDiag(a, b Diagnostic) bool {
-	return a.Analyzer == b.Analyzer && a.Pos == b.Pos && a.Message == b.Message
 }
 
 // A Pass carries one analyzer's run over one target.
@@ -130,9 +104,6 @@ type Pass struct {
 	*Target
 	Analyzer *Analyzer
 	diags    []Diagnostic
-
-	srcMu sync.Mutex
-	src   map[string][]byte
 }
 
 // Reportf records a diagnostic at pos.
@@ -142,49 +113,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Pos:      p.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// ReportWithFix records a diagnostic at pos carrying a suggested fix whose
-// single edit replaces [start, end) with newText.
-func (p *Pass) ReportWithFix(pos token.Pos, fixMsg string, start, end token.Pos, newText string, format string, args ...any) {
-	p.diags = append(p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-		Fixes: []Fix{{
-			Message: fixMsg,
-			Edits: []TextEdit{{
-				Pos:     p.Fset.Position(start),
-				End:     p.Fset.Position(end),
-				NewText: newText,
-			}},
-		}},
-	})
-}
-
-// SourceText returns the raw bytes of the source range [start, end), read
-// from the file on disk (cached per pass). Analyzers use it to build
-// byte-exact rewrites that preserve the original spelling of expressions.
-// Returns "" when the file cannot be read (generated fixtures in memory).
-func (p *Pass) SourceText(start, end token.Pos) string {
-	sp, ep := p.Fset.Position(start), p.Fset.Position(end)
-	if sp.Filename == "" || sp.Filename != ep.Filename {
-		return ""
-	}
-	p.srcMu.Lock()
-	defer p.srcMu.Unlock()
-	if p.src == nil {
-		p.src = make(map[string][]byte)
-	}
-	data, ok := p.src[sp.Filename]
-	if !ok {
-		data, _ = os.ReadFile(sp.Filename)
-		p.src[sp.Filename] = data
-	}
-	if data == nil || sp.Offset < 0 || ep.Offset > len(data) || sp.Offset > ep.Offset {
-		return ""
-	}
-	return string(data[sp.Offset:ep.Offset])
 }
 
 // All returns the full flatflash-lint suite.
@@ -224,9 +152,7 @@ func Run(targets []*Target, analyzers []*Analyzer) []Diagnostic {
 	for _, diags := range perTarget {
 		out = append(out, diags...)
 	}
-	// Stable, so of two duplicates the one reported first survives the
-	// dedup below: detflow attaches a walk's fix to its first report.
-	sort.SliceStable(out, func(i, j int) bool {
+	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename
@@ -246,7 +172,7 @@ func Run(targets []*Target, analyzers []*Analyzer) []Diagnostic {
 	// not be reported twice).
 	dedup := out[:0]
 	for i, d := range out {
-		if i == 0 || !sameDiag(d, out[i-1]) {
+		if i == 0 || d != out[i-1] {
 			dedup = append(dedup, d)
 		}
 	}

@@ -26,10 +26,7 @@ import (
 //     is only sometimes preceded by Begin (branch-only Begin, early return
 //     re-entry) is a diagnostic.
 //   - Every path from Begin to function exit must pass End or Abandon;
-//     leaking an open window through a return or panic is a diagnostic,
-//     with a suggested fix inserting recv.Abandon() before a leaking
-//     return. (End is not synthesizable mechanically: it takes the
-//     measured end-to-end total, which only the surrounding code knows.)
+//     leaking an open window through a return or panic is a diagnostic.
 //   - Abandon is always legal, even with no window open — core.Crash
 //     discards any in-flight window without knowing whether one exists.
 //   - Charge must be dominated by Begin — but only inside functions that
@@ -175,9 +172,9 @@ func isAttribReceiver(t types.Type) bool {
 
 // attribCallsIn extracts the attribution calls inside one CFG node, in
 // pre-order (evaluation order for the flat expressions the protocol is used
-// in). FuncLit bodies are skipped — they are separate functions with their
-// own CFGs — and RangeStmt bodies are skipped because the CFG places those
-// statements in their own blocks.
+// in). walkCalls skips FuncLit bodies, which are separate functions with
+// their own CFGs, and RangeStmt bodies, which the CFG places in their own
+// blocks.
 func (p *Pass) attribCallsIn(n ast.Node) []attribCall {
 	var out []attribCall
 	deferred := false
@@ -185,34 +182,18 @@ func (p *Pass) attribCallsIn(n ast.Node) []attribCall {
 		deferred = true
 		n = ds.Call
 	}
-	var walk func(ast.Node)
-	walk = func(n ast.Node) {
-		ast.Inspect(n, func(c ast.Node) bool {
-			switch v := c.(type) {
-			case *ast.FuncLit:
-				return false
-			case *ast.RangeStmt:
-				walk(v.X)
-				return false
-			case *ast.CallExpr:
-				sel, ok := v.Fun.(*ast.SelectorExpr)
-				if !ok || !attribMethods[sel.Sel.Name] {
-					return true
-				}
-				if !isAttribReceiver(p.Info.TypeOf(sel.X)) {
-					return true
-				}
-				out = append(out, attribCall{
-					recv:     types.ExprString(sel.X),
-					method:   sel.Sel.Name,
-					pos:      v.Pos(),
-					deferred: deferred,
-				})
-			}
-			return true
+	walkCalls(n, func(call *ast.CallExpr) {
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || !attribMethods[sel.Sel.Name] || !isAttribReceiver(p.Info.TypeOf(sel.X)) {
+			return
+		}
+		out = append(out, attribCall{
+			recv:     types.ExprString(sel.X),
+			method:   sel.Sel.Name,
+			pos:      call.Pos(),
+			deferred: deferred,
 		})
-	}
-	walk(n)
+	})
 	return out
 }
 
@@ -372,9 +353,7 @@ func (p *Pass) checkAttribFunc(body *ast.BlockStmt) {
 }
 
 // reportExitLeaks flags windows still open (and suspends still unresumed)
-// on an edge into the synthetic exit block. For a leaking return the fix is
-// mechanical — insert recv.Abandon() before it — because Abandon is the one
-// protocol call with no measured arguments.
+// on an edge into the synthetic exit block.
 func (p *Pass) reportExitLeaks(blk *cfg.Block, f awFact, recvs []string, hasBegin, hasSuspend map[string]bool, body *ast.BlockStmt) {
 	// The node carrying control into Exit: the block's last node if it is a
 	// return or panic; otherwise control fell off the end of the body.
@@ -396,12 +375,8 @@ func (p *Pass) reportExitLeaks(blk *cfg.Block, f awFact, recvs []string, hasBegi
 		if hasBegin[r] {
 			switch f[i].win {
 			case winOpen:
-				if ret, ok := term.(*ast.ReturnStmt); ok {
-					indent := p.lineIndent(ret.Pos())
-					p.ReportWithFix(pos,
-						"insert "+r+".Abandon() before the leaking return",
-						ret.Pos(), ret.Pos(), r+".Abandon()\n"+indent,
-						"window opened by %s.Begin is still open at this return; End or Abandon it on every path", r)
+				if _, ok := term.(*ast.ReturnStmt); ok {
+					p.Reportf(pos, "window opened by %s.Begin is still open at this return; End or Abandon it on every path", r)
 				} else {
 					p.Reportf(pos, "window opened by %s.Begin is still open when the function exits here; End or Abandon it on every path", r)
 				}
@@ -419,21 +394,4 @@ func (p *Pass) reportExitLeaks(blk *cfg.Block, f awFact, recvs []string, hasBegi
 			}
 		}
 	}
-}
-
-// lineIndent returns the leading whitespace of the line containing pos, for
-// splicing an inserted statement above an existing one.
-func (p *Pass) lineIndent(pos token.Pos) string {
-	tf := p.Fset.File(pos)
-	if tf == nil {
-		return "\t"
-	}
-	start := tf.LineStart(p.Fset.Position(pos).Line)
-	text := p.SourceText(start, pos)
-	for _, r := range text {
-		if r != ' ' && r != '\t' {
-			return "\t"
-		}
-	}
-	return text
 }

@@ -1,12 +1,10 @@
 package analyzers
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"regexp"
-	"strconv"
 	"strings"
 
 	"flatflash/internal/analyzers/cfg"
@@ -46,12 +44,6 @@ import (
 // applies everywhere: a tainted stats.Counters key (Add/Handle/Get) — a
 // counter named in nondeterministic order perturbs first-use report order
 // no matter who calls it.
-//
-// Each taint remembers the map walk that produced it. When that walk is a
-// key-only `for k := range m` over int or string keys, the first sink it
-// feeds carries the collect/sort/re-walk rewrite (sortedWalkFix); later
-// sinks fed by the same walk report without it, so -fix rewrites each walk
-// once.
 
 var DetFlow = &Analyzer{
 	Name: "detflow",
@@ -69,15 +61,9 @@ var emitShaped = regexp.MustCompile(
 
 const deterministicDirective = "//flatflash:deterministic"
 
-// dfTaint is why a value is tainted (the short cause used in the
-// diagnostic) and, when the cause is a map walk, the walk's range statement.
-type dfTaint struct {
-	why string
-	src *ast.RangeStmt
-}
-
-// dfFact is the taint set: object -> its taint.
-type dfFact map[types.Object]dfTaint
+// dfFact is the taint set: object -> why it is tainted (the short cause
+// used in the diagnostic).
+type dfFact map[types.Object]string
 
 func dfMerge(a, b dfFact) dfFact {
 	out := make(dfFact, len(a)+len(b))
@@ -109,10 +95,6 @@ type dfFunc struct {
 	*Pass
 	body  *ast.BlockStmt
 	emits bool // the emit sinks apply
-	// fixed holds the walks a diagnostic has already offered to rewrite,
-	// taken the slice names their rewrites declare.
-	fixed map[*ast.RangeStmt]bool
-	taken map[string]bool
 }
 
 func runDetFlow(p *Pass) {
@@ -126,8 +108,6 @@ func runDetFlow(p *Pass) {
 				Pass:  p,
 				body:  fd.Body,
 				emits: emitShaped.MatchString(fd.Name.Name) || hasDirective(fd.Doc, deterministicDirective),
-				fixed: map[*ast.RangeStmt]bool{},
-				taken: map[string]bool{},
 			}
 			d.check()
 		}
@@ -150,23 +130,6 @@ func (d *dfFunc) check() {
 	}
 }
 
-// sink reports the tainted value t reaching a sink at pos. The first sink a
-// fixable walk feeds carries the walk's rewrite.
-func (d *dfFunc) sink(pos token.Pos, t dfTaint, format string, args ...any) {
-	diag := Diagnostic{
-		Analyzer: d.Analyzer.Name,
-		Pos:      d.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	}
-	if t.src != nil && !d.fixed[t.src] {
-		d.fixed[t.src] = true
-		if fix, ok := d.sortedWalkFix(t.src); ok {
-			diag.Fixes = []Fix{fix}
-		}
-	}
-	d.diags = append(d.diags, diag)
-}
-
 // dfTransfer folds one CFG node into the taint fact. With report set it
 // also fires sink diagnostics (the reporting walk re-runs transfers over
 // the converged entry facts).
@@ -175,7 +138,7 @@ func (d *dfFunc) dfTransfer(f dfFact, n ast.Node, report bool) dfFact {
 	// of content.
 	out := f
 	mutated := false
-	set := func(o types.Object, t dfTaint) {
+	set := func(o types.Object, t string) {
 		if o == nil {
 			return
 		}
@@ -225,7 +188,7 @@ func (d *dfFunc) dfTransfer(f dfFact, n ast.Node, report bool) dfFact {
 		// Header node only; the body lives in other blocks.
 		if xt := d.Info.TypeOf(v.X); xt != nil {
 			if _, isMap := xt.Underlying().(*types.Map); isMap {
-				t := dfTaint{"map iteration order", v}
+				t := "map iteration order"
 				set(rangeVarObj(d.Info, v.Key), t)
 				set(rangeVarObj(d.Info, v.Value), t)
 			} else if t, bad := d.dfExpr(out, v.X); bad {
@@ -236,7 +199,7 @@ func (d *dfFunc) dfTransfer(f dfFact, n ast.Node, report bool) dfFact {
 		if report && d.emits {
 			for _, r := range v.Results {
 				if t, bad := d.dfExpr(out, r); bad {
-					d.sink(r.Pos(), t, "value derived from %s is returned from an emit-shaped function; sort (or restructure) before returning", t.why)
+					d.Reportf(r.Pos(), "value derived from %s is returned from an emit-shaped function; sort (or restructure) before returning", t)
 				}
 			}
 		}
@@ -285,12 +248,12 @@ func walkCalls(n ast.Node, fn func(*ast.CallExpr)) {
 	}
 }
 
-func (p *Pass) dfAssign(f dfFact, as *ast.AssignStmt, set func(types.Object, dfTaint), clear func(types.Object)) {
+func (p *Pass) dfAssign(f dfFact, as *ast.AssignStmt, set func(types.Object, string), clear func(types.Object)) {
 	// Multi-assign x, y = a, b pairs positionally; x, y = f() taints both
 	// sides if the call taints (calls do not, intraprocedurally, except the
 	// special cases in dfExpr).
 	for i, lhs := range as.Lhs {
-		var t dfTaint
+		var t string
 		var bad bool
 		if len(as.Rhs) == len(as.Lhs) {
 			t, bad = p.dfExpr(f, as.Rhs[i])
@@ -349,7 +312,7 @@ func (p *Pass) dfLhsObj(lhs ast.Expr) types.Object {
 
 // dfExpr reports whether e evaluates to a tainted value under fact f, and
 // its taint.
-func (p *Pass) dfExpr(f dfFact, e ast.Expr) (dfTaint, bool) {
+func (p *Pass) dfExpr(f dfFact, e ast.Expr) (string, bool) {
 	switch v := e.(type) {
 	case *ast.Ident:
 		if o := p.Info.Uses[v]; o != nil {
@@ -395,11 +358,11 @@ func (p *Pass) dfExpr(f dfFact, e ast.Expr) (dfTaint, bool) {
 	case *ast.CallExpr:
 		return p.dfCallValue(f, v)
 	}
-	return dfTaint{}, false
+	return "", false
 }
 
 // dfCallValue decides whether a call EXPRESSION produces a tainted value.
-func (p *Pass) dfCallValue(f dfFact, call *ast.CallExpr) (dfTaint, bool) {
+func (p *Pass) dfCallValue(f dfFact, call *ast.CallExpr) (string, bool) {
 	// append(s, xs...) is tainted if the slice or any appended value is.
 	if id, ok := call.Fun.(*ast.Ident); ok {
 		if b, ok := p.Info.Uses[id].(*types.Builtin); ok && b.Name() == "append" {
@@ -408,7 +371,7 @@ func (p *Pass) dfCallValue(f dfFact, call *ast.CallExpr) (dfTaint, bool) {
 					return t, true
 				}
 			}
-			return dfTaint{}, false
+			return "", false
 		}
 	}
 	// Conversions: uintptr(ptr) introduces pointer-identity taint; any
@@ -416,7 +379,7 @@ func (p *Pass) dfCallValue(f dfFact, call *ast.CallExpr) (dfTaint, bool) {
 	if tv, ok := p.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Kind() == types.Uintptr {
 			if at := p.Info.TypeOf(call.Args[0]); at != nil && isPointerish(at) {
-				return dfTaint{why: "pointer identity (uintptr conversion)"}, true
+				return "pointer identity (uintptr conversion)", true
 			}
 		}
 		return p.dfExpr(f, call.Args[0])
@@ -425,19 +388,19 @@ func (p *Pass) dfCallValue(f dfFact, call *ast.CallExpr) (dfTaint, bool) {
 		// maps.Keys / maps.Values: iteration-ordered by definition.
 		if fn, ok := pkgFunc(p.Info, sel.Sel, "maps"); ok {
 			if fn.Name() == "Keys" || fn.Name() == "Values" {
-				return dfTaint{why: "map iteration order (maps." + fn.Name() + ")"}, true
+				return "map iteration order (maps." + fn.Name() + ")", true
 			}
 		}
 		// unsafe.* values.
 		if id, ok := sel.X.(*ast.Ident); ok {
 			if pn, ok := p.Info.Uses[id].(*types.PkgName); ok && pn.Imported().Path() == "unsafe" {
-				return dfTaint{why: "unsafe"}, true
+				return "unsafe", true
 			}
 		}
 		// fmt.Sprint* with %p or a pointer argument renders an address.
 		if fn, ok := pkgFunc(p.Info, sel.Sel, "fmt"); ok && strings.HasPrefix(fn.Name(), "Sprint") {
 			if p.fmtRendersPointer(call) {
-				return dfTaint{why: "pointer formatting"}, true
+				return "pointer formatting", true
 			}
 			for _, a := range call.Args {
 				if t, bad := p.dfExpr(f, a); bad {
@@ -446,12 +409,12 @@ func (p *Pass) dfCallValue(f dfFact, call *ast.CallExpr) (dfTaint, bool) {
 			}
 		}
 	}
-	return dfTaint{}, false
+	return "", false
 }
 
 // dfCall handles call STATEMENT effects: laundering, propagation, sinks,
 // and the direct %p diagnostic.
-func (d *dfFunc) dfCall(f dfFact, call *ast.CallExpr, set func(types.Object, dfTaint), clear func(types.Object), report bool) {
+func (d *dfFunc) dfCall(f dfFact, call *ast.CallExpr, set func(types.Object, string), clear func(types.Object), report bool) {
 	// Direct diagnostic: %p anywhere (emit-shaped or not) — a formatted
 	// pointer can never be deterministic across runs.
 	if report && d.fmtRendersPointer(call) {
@@ -487,7 +450,7 @@ func (d *dfFunc) dfCall(f dfFact, call *ast.CallExpr, set func(types.Object, dfT
 			switch sel.Sel.Name {
 			case "Add", "Handle", "Get":
 				if t, bad := d.dfExpr(f, call.Args[0]); bad {
-					d.sink(call.Args[0].Pos(), t, "stats.Counters key derived from %s: counter first-use order becomes nondeterministic", t.why)
+					d.Reportf(call.Args[0].Pos(), "stats.Counters key derived from %s: counter first-use order becomes nondeterministic", t)
 				}
 			}
 		}
@@ -503,7 +466,7 @@ func (d *dfFunc) dfCall(f dfFact, call *ast.CallExpr, set func(types.Object, dfT
 			(strings.HasPrefix(fn.Name(), "Print") || strings.HasPrefix(fn.Name(), "Fprint")) {
 			for _, a := range call.Args {
 				if t, bad := d.dfExpr(f, a); bad {
-					d.sink(a.Pos(), t, "value derived from %s reaches %s in an emit-shaped function; sort before emitting", t.why, "fmt."+fn.Name())
+					d.Reportf(a.Pos(), "value derived from %s reaches %s in an emit-shaped function; sort before emitting", t, "fmt."+fn.Name())
 				}
 			}
 			return
@@ -512,7 +475,7 @@ func (d *dfFunc) dfCall(f dfFact, call *ast.CallExpr, set func(types.Object, dfT
 			if _, isPkg := d.Info.Uses[idOf(sel.X)].(*types.PkgName); !isPkg {
 				for _, a := range call.Args {
 					if t, bad := d.dfExpr(f, a); bad {
-						d.sink(a.Pos(), t, "value derived from %s reaches %s in an emit-shaped function; sort before emitting", t.why, sel.Sel.Name)
+						d.Reportf(a.Pos(), "value derived from %s reaches %s in an emit-shaped function; sort before emitting", t, sel.Sel.Name)
 					}
 				}
 			}
@@ -579,178 +542,6 @@ func isCountersRecv(t types.Type) bool {
 		return false
 	}
 	return pkg.Path() == "internal/stats" || hasPathSuffix(pkg.Path(), "internal/stats")
-}
-
-// sortedWalkFix builds the mechanical collect-then-sort rewrite for a
-// key-only map walk whose key type is plain int or string:
-//
-//	for k := range m { body }
-//
-// becomes
-//
-//	keys := make([]int, 0, len(m))
-//	for k := range m {
-//		keys = append(keys, k)
-//	}
-//	sort.Ints(keys)
-//	for _, k := range keys { body }
-//
-// plus a "sort" import when the file lacks one. Walks that read values, use
-// exotic key types, or mutate the map mid-walk (collecting keys first would
-// change which keys are visited) get the diagnostic without a fix. So do
-// assign-form walks (for k = range m): the outer k they write may be read
-// after the loop, and the rewrite's loop-scoped k would shadow it.
-func (d *dfFunc) sortedWalkFix(rs *ast.RangeStmt) (Fix, bool) {
-	key, ok := rs.Key.(*ast.Ident)
-	if !ok || key.Name == "_" || rs.Value != nil || rs.Tok != token.DEFINE {
-		return Fix{}, false
-	}
-	kt := d.Info.TypeOf(rs.X)
-	if kt == nil {
-		return Fix{}, false
-	}
-	mt, ok := kt.Underlying().(*types.Map)
-	if !ok {
-		return Fix{}, false
-	}
-	var sortFn, elemType string
-	if b, ok := mt.Key().(*types.Basic); ok {
-		switch b.Kind() {
-		case types.Int:
-			sortFn, elemType = "sort.Ints", "int"
-		case types.String:
-			sortFn, elemType = "sort.Strings", "string"
-		}
-	}
-	if sortFn == "" {
-		return Fix{}, false
-	}
-	mapText := d.SourceText(rs.X.Pos(), rs.X.End())
-	bodyText := d.SourceText(rs.Body.Pos(), rs.Body.End())
-	if mapText == "" || bodyText == "" || d.mutatesMap(rs.Body, mapText) {
-		return Fix{}, false
-	}
-	keysVar := d.freshName("keys")
-	indent := d.lineIndent(rs.Pos())
-	nl := "\n" + indent
-	newText := keysVar + " := make([]" + elemType + ", 0, len(" + mapText + "))" + nl +
-		"for " + key.Name + " := range " + mapText + " {" + nl +
-		"\t" + keysVar + " = append(" + keysVar + ", " + key.Name + ")" + nl +
-		"}" + nl +
-		sortFn + "(" + keysVar + ")" + nl +
-		"for _, " + key.Name + " := range " + keysVar + " " + bodyText
-	fix := Fix{
-		Message: "collect the keys, sort, and walk the sorted slice",
-		Edits: []TextEdit{{
-			Pos:     d.Fset.Position(rs.Pos()),
-			End:     d.Fset.Position(rs.End()),
-			NewText: newText,
-		}},
-	}
-	if edit, ok := d.importEdit(rs.Pos(), "sort"); ok {
-		fix.Edits = append(fix.Edits, edit)
-	} else if !d.fileImports(rs.Pos(), "sort") {
-		return Fix{}, false
-	}
-	return fix, true
-}
-
-// mutatesMap conservatively detects writes to the ranged map inside the
-// body: delete(m, ...) or an assignment through m[...]. Text comparison on
-// the rendered expression is enough at the precision the fix needs.
-func (p *Pass) mutatesMap(body *ast.BlockStmt, mapText string) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.CallExpr:
-			if id, ok := v.Fun.(*ast.Ident); ok && id.Name == "delete" && len(v.Args) > 0 {
-				if types.ExprString(v.Args[0]) == mapText {
-					found = true
-				}
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range v.Lhs {
-				if ix, ok := lhs.(*ast.IndexExpr); ok && types.ExprString(ix.X) == mapText {
-					found = true
-				}
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// freshName returns base if no identifier in the body spells it and no
-// earlier fix in this function took it, else base2, base3, ...
-func (d *dfFunc) freshName(base string) string {
-	used := map[string]bool{}
-	ast.Inspect(d.body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			used[id.Name] = true
-		}
-		return true
-	})
-	cand := base
-	for i := 2; used[cand] || d.taken[cand]; i++ {
-		cand = fmt.Sprintf("%s%d", base, i)
-	}
-	d.taken[cand] = true
-	return cand
-}
-
-// fileAt returns the *ast.File containing pos.
-func (p *Pass) fileAt(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}
-
-// fileImports reports whether the file containing pos already imports path.
-func (p *Pass) fileImports(pos token.Pos, path string) bool {
-	f := p.fileAt(pos)
-	if f == nil {
-		return false
-	}
-	for _, imp := range f.Imports {
-		if imp.Path.Value == `"`+path+`"` {
-			return true
-		}
-	}
-	return false
-}
-
-// importEdit builds the edit adding `"path"` to the file's grouped import
-// block, or reports false when the file already imports it or has no
-// grouped block to extend.
-func (p *Pass) importEdit(pos token.Pos, path string) (TextEdit, bool) {
-	f := p.fileAt(pos)
-	if f == nil || p.fileImports(pos, path) {
-		return TextEdit{}, false
-	}
-	for _, decl := range f.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.IMPORT || !gd.Lparen.IsValid() {
-			continue
-		}
-		// Insert in sorted position within the group so the result stays
-		// gofmt-clean (single-group imports are sorted by path).
-		for _, spec := range gd.Specs {
-			is, ok := spec.(*ast.ImportSpec)
-			if !ok {
-				continue
-			}
-			if existing, err := strconv.Unquote(is.Path.Value); err == nil && existing > path {
-				at := p.Fset.Position(is.Pos())
-				return TextEdit{Pos: at, End: at, NewText: "\"" + path + "\"\n\t"}, true
-			}
-		}
-		at := p.Fset.Position(gd.Rparen)
-		return TextEdit{Pos: at, End: at, NewText: "\t\"" + path + "\"\n"}, true
-	}
-	return TextEdit{}, false
 }
 
 func (p *Pass) isIntegerExpr(e ast.Expr) bool {

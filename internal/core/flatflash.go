@@ -468,7 +468,7 @@ func (s *FlatFlash) accessChunkFor(t *Tenant, vpn uint64, off int, b []byte, isW
 		// fill below: that work is off the host's critical path, so its
 		// charges go to the background account.
 		s.att.Suspend()
-		e, _, hit := s.ensureCachedFor(t, now, lpn)
+		e, _, hit := s.ensureCached(now, lpn)
 		if e == nil {
 			s.att.Resume()
 			return ErrNoSSDSpace
@@ -501,7 +501,7 @@ func (s *FlatFlash) accessChunkFor(t *Tenant, vpn uint64, off int, b []byte, isW
 			return nil
 		}
 	}
-	e, ready, hit := s.ensureCachedFor(t, now, lpn)
+	e, ready, hit := s.ensureCached(now, lpn)
 	if e == nil {
 		return ErrNoSSDSpace
 	}
@@ -530,14 +530,14 @@ func (s *FlatFlash) countHit(hit bool) {
 	}
 }
 
-// ensureCachedFor makes page lpn resident in the SSD-Cache on behalf of
-// tenant t, filling from flash on a miss (and writing back a dirty victim to
-// flash, off the host's critical path). It returns the entry and the time
-// the data is available. A miss fill shares flash's buffer for the page, so
-// a caller writes into the entry only through Cache.Write or after Own.
+// ensureCached makes page lpn resident in the SSD-Cache, filling from
+// flash on a miss (and writing back a dirty victim to flash, off the host's
+// critical path). It returns the entry and the time the data is available.
+// A miss fill shares flash's buffer for the page, so a caller writes into
+// the entry only through Cache.Write or after Own.
 //
 //flatflash:hotpath
-func (s *FlatFlash) ensureCachedFor(t *Tenant, now sim.Time, lpn uint32) (*ssdcache.Entry, sim.Time, bool) {
+func (s *FlatFlash) ensureCached(now sim.Time, lpn uint32) (*ssdcache.Entry, sim.Time, bool) {
 	if e, ok := s.cach.Lookup(lpn); ok {
 		s.obs.Observe(telemetry.SpanCacheProbe, telemetry.TrackSSD, now, now.Add(ssdcache.AccessCost), int64(lpn))
 		return e, now.Add(ssdcache.AccessCost), true
@@ -551,7 +551,6 @@ func (s *FlatFlash) ensureCachedFor(t *Tenant, now sim.Time, lpn uint32) (*ssdca
 	// nested flash_read span comes from the FTL.
 	s.obs.Observe(telemetry.SpanCacheProbe, telemetry.TrackSSD, now, done, int64(lpn))
 	e, victim, evicted := s.cach.InsertShared(lpn, view, own)
-	e.Owner = t.id
 	if evicted {
 		if s.pol != nil {
 			s.pol.AdjustCnt(victim.PageCnt)
@@ -627,8 +626,7 @@ func (s *FlatFlash) maybePromote(t *Tenant, now sim.Time, vpn uint64, lpn uint32
 	if err := s.plb.Start(now, lpn, frame, v.Data, dst, v.Dirty); err != nil {
 		// PLB full: abandon the promotion, put the page back in the cache.
 		s.dram.Release(frame)
-		re, _, _ := s.cach.Insert(lpn, v.Data, v.Dirty)
-		re.Owner = t.id
+		s.cach.Insert(lpn, v.Data, v.Dirty)
 		*s.hot.promotionsSkipped++
 		return
 	}
@@ -723,7 +721,7 @@ func (s *FlatFlash) evictFrame(frame int, now sim.Time) {
 	if pte.Dirty {
 		data, _ := s.dram.Data(frame)
 		s.link.DMAPage(now)
-		s.writeBackToCache(now, lpn, data, ref.t.id)
+		s.writeBackToCache(now, lpn, data)
 		*s.hot.evictWritebacks++
 		*s.hot.pageMovements++
 	}
@@ -779,16 +777,14 @@ func (s *FlatFlash) untrackFrame(frame int) {
 
 // writeBackToCache lands an evicted page in the SSD-Cache dirty (the
 // battery-backed cache absorbs it; flash write deferred to GC/eviction).
-// owner labels the tenant whose page is being written back.
-func (s *FlatFlash) writeBackToCache(now sim.Time, lpn uint32, data []byte, owner int) {
+func (s *FlatFlash) writeBackToCache(now sim.Time, lpn uint32, data []byte) {
 	if e, ok := s.cach.Lookup(lpn); ok {
 		s.cach.Own(e)
 		copy(e.Data, data)
 		e.Dirty = true
 		return
 	}
-	e, victim, evicted := s.cach.Insert(lpn, data, true)
-	e.Owner = owner
+	_, victim, evicted := s.cach.Insert(lpn, data, true)
 	if evicted {
 		if s.pol != nil {
 			s.pol.AdjustCnt(victim.PageCnt)

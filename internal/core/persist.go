@@ -94,7 +94,7 @@ func (s *FlatFlash) syncPagesFor(t *Tenant, addr uint64, n int) (sim.Duration, e
 			// in the SSD-Cache afterwards is controller-side background work.
 			now = s.link.DMAPage(now)
 			s.att.Suspend()
-			s.writeBackToCache(now, pte.SSDPage, data, t.id)
+			s.writeBackToCache(now, pte.SSDPage, data)
 			s.att.Resume()
 			pte.Dirty = false
 			*s.hot.syncPageTransfers++
@@ -128,7 +128,7 @@ func (s *FlatFlash) Drain() {
 		pte := ref.t.as.PTEOf(ref.vpn)
 		if pte.Dirty {
 			data, _ := s.dram.Data(frame)
-			s.writeBackToCache(now, pte.SSDPage, data, ref.t.id)
+			s.writeBackToCache(now, pte.SSDPage, data)
 			pte.Dirty = false
 		}
 	}

@@ -415,7 +415,7 @@ func TestWriteBackHitOwnsSharedEntry(t *testing.T) {
 	_, flashA := g.inPlace(pa, 0x62)
 	for _, p := range []int{pa, pz} {
 		page := bytes.Repeat([]byte{0x70 + byte(p)}, 4096)
-		ff.writeBackToCache(ff.Now(), g.lpn(p), page, 0)
+		ff.writeBackToCache(ff.Now(), g.lpn(p), page)
 		copy(g.shadow[p*4096:], page)
 		e := g.entry(g.lpn(p))
 		if e == nil || e.Shared() || e.InPlace() || !e.Dirty || !bytes.Equal(e.Data, page) {

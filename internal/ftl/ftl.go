@@ -505,25 +505,13 @@ const wearWeight = 2
 // pickVictim returns the garbage-collection victim: the non-active,
 // non-free block with the lowest cost, or -1 if no block would yield free
 // space. Cost is the valid-page count (pages that must be relocated), plus
-// a wear penalty when wear-leveling is enabled so hot blocks rest.
+// wearWeight per erase when wear-leveling is enabled so hot blocks rest.
+// Ties go to the lowest block.
 func (f *FTL) pickVictim() int {
 	free := f.gcFree
 	clear(free)
 	for _, b := range f.freeBlocks {
 		free[b] = true
-	}
-	weight := 0
-	if f.cfg.WearLeveling {
-		weight = wearWeight
-	}
-	minWear := int64(0)
-	if weight > 0 {
-		first := true
-		for b := 0; b < f.cfg.Flash.Blocks; b++ {
-			if w := f.dev.BlockErases(b); first || w < minWear {
-				minWear, first = w, false
-			}
-		}
 	}
 	best := -1
 	bestCost := int64(1) << 62
@@ -535,8 +523,8 @@ func (f *FTL) pickVictim() int {
 			continue // erasing it frees nothing
 		}
 		cost := int64(f.validCount[b])
-		if weight > 0 {
-			cost += int64(weight) * (f.dev.BlockErases(b) - minWear)
+		if f.cfg.WearLeveling {
+			cost += wearWeight * f.dev.BlockErases(b)
 		}
 		if cost < bestCost {
 			best, bestCost = b, cost

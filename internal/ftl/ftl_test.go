@@ -2,7 +2,9 @@ package ftl
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -400,6 +402,92 @@ func TestWearLevelingPreservesData(t *testing.T) {
 		f.ReadPage(now, lpn, buf)
 		if buf[0] != fill {
 			t.Fatalf("lpn %d corrupted under wear leveling", lpn)
+		}
+	}
+}
+
+// TestPickVictimMatchesBruteForce pins which block GC erases. Random write
+// and trim churn runs the GC loop by hand, and before each collection
+// pickVictim must agree with a brute force over every block: skip the
+// active, free, bad and full blocks, cost the rest by valid pages plus
+// wearWeight per erase under wear-leveling, and break ties toward the
+// lowest block.
+func TestPickVictimMatchesBruteForce(t *testing.T) {
+	brute := func(f *FTL) (victim int, tied bool) {
+		type cand struct {
+			block int
+			cost  int64
+		}
+		var cands []cand
+		for b := 0; b < f.cfg.Flash.Blocks; b++ {
+			if b == f.active || slices.Contains(f.freeBlocks, b) || f.bad[b] ||
+				f.validCount[b] == f.cfg.Flash.PagesPerBlock {
+				continue
+			}
+			cost := int64(f.validCount[b])
+			if f.cfg.WearLeveling {
+				cost += wearWeight * f.dev.BlockErases(b)
+			}
+			cands = append(cands, cand{b, cost})
+		}
+		if len(cands) == 0 {
+			return -1, false
+		}
+		slices.SortFunc(cands, func(x, y cand) int {
+			if c := cmp.Compare(x.cost, y.cost); c != 0 {
+				return c
+			}
+			return cmp.Compare(x.block, y.block)
+		})
+		return cands[0].block, len(cands) > 1 && cands[1].cost == cands[0].cost
+	}
+	for _, level := range []bool{false, true} {
+		cfg := testConfig()
+		cfg.WearLeveling = level
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := sim.NewRNG(17)
+		n := uint64(f.LogicalPages())
+		var now sim.Time
+		checks, ties := 0, 0
+		for i := 0; i < 4000; i++ {
+			// The loop maybeGC runs, with every victim checked.
+			for len(f.freeBlocks) <= f.cfg.GCFreeBlocksLow {
+				want, tied := brute(f)
+				got := f.pickVictim()
+				if got != want {
+					t.Fatalf("wear-leveling %v, op %d: pickVictim = %d, brute force = %d", level, i, got, want)
+				}
+				if got == -1 {
+					break
+				}
+				checks++
+				if tied {
+					ties++
+				}
+				if now, err = f.collect(now, got); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// A hot quarter of the pages takes most writes, so erase
+			// counts spread apart.
+			lpn := uint32(rng.Uint64n(n))
+			if rng.Intn(4) != 0 {
+				lpn %= uint32(n / 4)
+			}
+			if rng.Intn(5) == 0 {
+				err = f.Trim(lpn)
+			} else {
+				now, err = f.WritePage(now, lpn, page(f, byte(i)))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if checks == 0 || ties == 0 {
+			t.Fatalf("wear-leveling %v: %d victims checked, %d of them among tied costs; the churn must reach GC and ties", level, checks, ties)
 		}
 	}
 }

@@ -72,9 +72,7 @@ func (c Config) Validate() error {
 
 // Entry is one cached page. PageCnt is Algorithm 1's per-page access
 // counter; the core's SSD-Cache manager increments it via Touch and the
-// promotion policy reads it. Owner labels the tenant whose access filled
-// the entry (0 in single-actor runs), so consolidation experiments can
-// report how the shared cache is partitioned by contention.
+// promotion policy reads it.
 //
 // Data is the cache's own buffer, or, for an entry filled by InsertShared,
 // flash's buffer for the page. Such an entry is shared — a clean, read-only
@@ -87,7 +85,6 @@ type Entry struct {
 	Dirty   bool
 	LPN     uint32
 	PageCnt int
-	Owner   int
 	Data    []byte
 
 	shared   bool     // Data is flash's buffer for the page, not the cache's
@@ -668,20 +665,6 @@ func (c *Cache) ResetPageCnts() {
 			set[i].PageCnt = 0
 		}
 	}
-}
-
-// OwnerPages counts the resident pages whose Entry.Owner is owner. It walks
-// the whole cache, so callers sample it at report time, not per access.
-func (c *Cache) OwnerPages(owner int) int {
-	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].Valid && set[i].Owner == owner {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // Stats returns hits, misses, evictions and dirty evictions.

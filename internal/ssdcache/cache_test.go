@@ -288,34 +288,6 @@ func TestCacheInvariantProperty(t *testing.T) {
 	}
 }
 
-func TestOwnerPages(t *testing.T) {
-	c, err := New(Config{Pages: 8, Ways: 4, PageSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	page := make([]byte, 64)
-	for lpn := uint32(0); lpn < 4; lpn++ {
-		e, _, _ := c.Insert(lpn, page, false)
-		e.Owner = int(lpn % 2)
-	}
-	if got := c.OwnerPages(0); got != 2 {
-		t.Fatalf("OwnerPages(0) = %d, want 2", got)
-	}
-	if got := c.OwnerPages(1); got != 2 {
-		t.Fatalf("OwnerPages(1) = %d, want 2", got)
-	}
-	if got := c.OwnerPages(7); got != 0 {
-		t.Fatalf("OwnerPages(7) = %d, want 0", got)
-	}
-	// Removal releases the owner's page.
-	if _, ok := c.Remove(0); !ok {
-		t.Fatal("Remove(0) missed")
-	}
-	if got := c.OwnerPages(0); got != 1 {
-		t.Fatalf("OwnerPages(0) after removal = %d, want 1", got)
-	}
-}
-
 // BenchmarkLookupHit times an SSD-Cache hit at a 4 KiB page: the set scan,
 // the RRIP hit update and the hit count, cycling over every page of a full
 // cache.
